@@ -432,6 +432,43 @@ func BenchmarkTagDecodeFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimatePeriod times the tag's period search — the largest
+// stage of the tag decoder — on captures of the length the round benchmark
+// decodes: a 256-chirp frame (4 uplink bits × 64 chirps/bit, 30720
+// samples, as in the 4-tag exchange) and a 64-chirp frame (7680 samples).
+// BenchmarkTagDecodeFrame's 3720-sample frame is a poor stand-in: the
+// fold, which dominates at these lengths, is a small share of its cost.
+func BenchmarkEstimatePeriod(b *testing.B) {
+	n, err := core.NewNetwork(core.Config{
+		Nodes:        []core.NodeConfig{{ID: 1, Range: 2.6}},
+		ChirpsPerBit: 64,
+		Seed:         15,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := n.Nodes()[0]
+	for _, chirps := range []int{256, 64} {
+		frame, err := n.BuildDownlinkFrame([]byte("fleet payload"), chirps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := node.Tag.FrontEnd.CaptureFrame(frame, n.Link().DownlinkSNRdB(node.Range))
+		b.Run("samples="+strconv.Itoa(len(x)), func(b *testing.B) {
+			// One warm-up call grows the decoder scratch outside the timer.
+			if _, err := node.Tag.Decoder.EstimatePeriod(x); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := node.Tag.Decoder.EstimatePeriod(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkRadarProcessFrame(b *testing.B) {
 	n, err := core.NewNetwork(core.Config{
 		Nodes: []core.NodeConfig{{ID: 1, Range: 2.6}},

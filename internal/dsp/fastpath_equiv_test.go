@@ -303,3 +303,58 @@ func TestToneTableGrowthOrderIndependent(t *testing.T) {
 		t.Fatalf("table metadata: freq %v cap %d", grown.Freq(), grown.Cap())
 	}
 }
+
+// reflectedMovingAverage is the per-sample reflected loop MovingAverageInto
+// ran at every index before its interior went branch-free — reproduced
+// verbatim as the oracle.
+func reflectedMovingAverage(x []float64, width int) []float64 {
+	out := make([]float64, len(x))
+	if width <= 1 || len(x) == 0 {
+		copy(out, x)
+		return out
+	}
+	half := width / 2
+	for i := range x {
+		var sum float64
+		var n int
+		for j := i - half; j <= i+half; j++ {
+			k := j
+			if k < 0 {
+				k = -k
+			}
+			if k >= len(x) {
+				k = 2*len(x) - 2 - k
+			}
+			if k < 0 || k >= len(x) {
+				continue
+			}
+			sum += x[k]
+			n++
+		}
+		out[i] = sum / float64(n)
+	}
+	return out
+}
+
+// TestMovingAverageMatchesReflectedLoop pins the split edge/interior
+// MovingAverageInto bit for bit against the reflected loop at every width
+// 1–64, on inputs shorter than, equal to and longer than the window.
+func TestMovingAverageMatchesReflectedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var dst []float64
+	for width := 1; width <= 64; width++ {
+		for _, n := range []int{1, 2, width / 2, width - 1, width, width + 1, 2*width + 3, 300} {
+			if n < 1 {
+				continue
+			}
+			x := randSignal(rng, n)
+			want := reflectedMovingAverage(x, width)
+			dst = MovingAverageInto(dst, x, width)
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("width %d n %d index %d: %v, reflected loop %v", width, n, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}

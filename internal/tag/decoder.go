@@ -1,6 +1,7 @@
 package tag
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -139,11 +140,7 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 	// Power envelope. The detector tone rides a 2·Δf ripple on top of the
 	// burst envelope; two cascaded moving averages (≈ triangular smoothing)
 	// suppress it while keeping the chirp-period fundamental.
-	power := dsp.Resize(d.scr.power, len(x))
-	for i, v := range x {
-		power[i] = v * v
-	}
-	d.scr.power = power
+	power := d.powerOf(x)
 	smoothWidth := int(25e-6 * d.SampleRate)
 	if smoothWidth < 3 {
 		smoothWidth = 3
@@ -196,8 +193,7 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 		if p0 < minPeriod {
 			break
 		}
-		p := d.refinePeriod(power, p0)
-		s := d.foldContrast(power, p)
+		p, s := d.refinePeriod(power, p0)
 		cands[nCands] = cand{p, s}
 		nCands++
 		if s > bestScore {
@@ -212,14 +208,26 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 	return coarse, nil
 }
 
+// powerOf writes the squared samples of x into the decoder's power scratch
+// and returns it.
+func (d *Decoder) powerOf(x []float64) []float64 {
+	power := dsp.Resize(d.scr.power, len(x))
+	for i, v := range x {
+		power[i] = v * v
+	}
+	d.scr.power = power
+	return power
+}
+
 // refinePeriod sharpens a coarse period estimate by maximizing the contrast
-// of the power envelope folded at candidate periods.
-func (d *Decoder) refinePeriod(power []float64, p0 float64) float64 {
+// of the power envelope folded at candidate periods. It returns the winning
+// period with its contrast, so the caller never re-folds the winner.
+func (d *Decoder) refinePeriod(power []float64, p0 float64) (float64, float64) {
 	best, bestScore := p0, math.Inf(-1)
 	span := p0 * 0.02
 	step := span / 40
 	if step <= 0 {
-		return p0
+		return p0, d.foldContrast(power, p0)
 	}
 	for p := p0 - span; p <= p0+span; p += step {
 		if s := d.foldContrast(power, p); s > bestScore {
@@ -233,7 +241,12 @@ func (d *Decoder) refinePeriod(power []float64, p0 float64) float64 {
 			bestScore, best = s, p
 		}
 	}
-	return best
+	if math.IsInf(bestScore, -1) {
+		// No grid point beat -Inf (NaN scores never do), so p0 stands
+		// without a score of its own: fold it, as the caller used to.
+		return p0, d.foldContrast(power, p0)
+	}
+	return best, bestScore
 }
 
 // ceilMulExact returns ⌈k·period⌉ computed on the exact real product, not
@@ -263,11 +276,14 @@ func ceilMulExact(k, period float64) int {
 	return int(s)
 }
 
-// foldPeriodInto folds x (optionally squared first) at the candidate period
-// into the folded/counts accumulators. It is the exact-arithmetic
-// restructuring of the naive per-sample loop
+// foldRuns is the number of chirp runs foldPeriodInto accumulates per pass.
+const foldRuns = 8
+
+// foldPeriodInto folds x at the candidate period into the folded/counts
+// accumulators. It is the exact-arithmetic restructuring of the naive
+// per-sample loop
 //
-//	b := int(math.Mod(float64(i), period)); folded[b] += v; counts[b]++
+//	b := int(math.Mod(float64(i), period)); folded[b] += x[i]; counts[b]++
 //
 // the per-sample math.Mod of which dominated the whole exchange CPU profile.
 // Samples are processed as contiguous runs, one per chirp period: run k
@@ -275,18 +291,57 @@ func ceilMulExact(k, period float64) int {
 // to bin i − ⌈k·period⌉. Each bin still accumulates its samples in
 // ascending-index order, so the sums are bit-identical to the naive loop —
 // the golden vectors prove it.
-func foldPeriodInto(folded []float64, counts []int, x []float64, period float64, square bool) {
+//
+// Complete runs are folded foldRuns at a time: every bin but the last gets
+// f[b] + r0[b] + … + r7[b] in one pass, which Go evaluates left to right —
+// the very additions, in the very order, of eight single-run passes, with
+// one load and store of f[b] instead of eight. The last bin, where a long
+// run spills, is then finished run by run in index order. The remaining
+// runs, fewer than foldRuns, take the single-run loop.
+func foldPeriodInto(folded []float64, counts []int, x []float64, period float64) {
 	bins := len(folded)
+	last := bins - 1
 	n := len(x)
 	// counts never feeds the floating-point order, so it is hoisted out of
 	// the sample loop entirely: counts[m-1] first accumulates a run-length
 	// histogram (runs of in-bin length m), and the suffix sum below turns
 	// it into per-bin sample counts — integer-exact, O(bins) instead of
-	// O(n). That leaves the inner loop as a branch-free contiguous
-	// accumulation the compiler can keep in registers.
+	// O(n).
 	spill := 0
 	start := 0
-	for k := 1; start < n; k++ {
+	k := 1
+	for ; ; k += foldRuns {
+		var ends [foldRuns]int
+		for j := range ends {
+			ends[j] = ceilMulExact(float64(k+j), period)
+		}
+		if ends[foldRuns-1] > n {
+			break
+		}
+		// Complete runs are floor(period) or ceil(period) samples long, so
+		// each covers every bin and spills at most one sample.
+		body := folded[:last]
+		r0 := x[start:][:len(body)]
+		r1 := x[ends[0]:][:len(body)]
+		r2 := x[ends[1]:][:len(body)]
+		r3 := x[ends[2]:][:len(body)]
+		r4 := x[ends[3]:][:len(body)]
+		r5 := x[ends[4]:][:len(body)]
+		r6 := x[ends[5]:][:len(body)]
+		r7 := x[ends[6]:][:len(body)]
+		for b := range body {
+			body[b] = body[b] + r0[b] + r1[b] + r2[b] + r3[b] + r4[b] + r5[b] + r6[b] + r7[b]
+		}
+		for _, end := range ends {
+			for _, v := range x[start+last : end] {
+				folded[last] += v
+			}
+			spill += end - start - bins
+			start = end
+		}
+		counts[last] += foldRuns
+	}
+	for ; start < n; k++ {
 		next := ceilMulExact(float64(k), period)
 		if next > n {
 			next = n
@@ -296,24 +351,14 @@ func foldPeriodInto(folded []float64, counts []int, x []float64, period float64,
 		if inb > bins {
 			inb = bins
 		}
-		if square {
-			for b, v := range run[:inb] {
-				folded[b] += v * v
-			}
-		} else {
-			for b, v := range run[:inb] {
-				folded[b] += v
-			}
+		for b, v := range run[:inb] {
+			folded[b] += v
 		}
-		// Runs are floor(period) or ceil(period) samples long, so only the
-		// final sample of a long run can pass bins-1; it clamps onto the
-		// last bin after that bin's regular sample, exactly like the naive
-		// loop's b >= bins guard in ascending index order.
+		// Only the final sample of a long run can pass bins-1; it clamps
+		// onto the last bin after that bin's regular sample, exactly like
+		// the naive loop's b >= bins guard in ascending index order.
 		for _, v := range run[inb:] {
-			if square {
-				v *= v
-			}
-			folded[bins-1] += v
+			folded[last] += v
 			spill++
 		}
 		counts[inb-1]++
@@ -322,50 +367,114 @@ func foldPeriodInto(folded []float64, counts []int, x []float64, period float64,
 	for b := bins - 2; b >= 0; b-- {
 		counts[b] += counts[b+1]
 	}
-	counts[bins-1] += spill
+	counts[last] += spill
 }
 
-// foldContrast folds the power envelope at the candidate period and returns
-// the contrast between the loudest and quietest deciles of the fold. The
-// true period aligns every inter-chirp gap onto the same bins, maximizing
-// the contrast. It is the inner statistic of the period grid search, so the
-// fold/sort buffers live in the decoder scratch.
-func (d *Decoder) foldContrast(power []float64, period float64) float64 {
+// foldMeans folds x at the period into the decoder's fold scratch and
+// returns the per-bin means.
+func (d *Decoder) foldMeans(x []float64, period float64) []float64 {
 	bins := int(period)
-	if bins < 4 || len(power) < 2*bins {
-		return math.Inf(-1)
-	}
 	folded := dsp.Resize(d.scr.folded, bins)
 	clear(folded)
 	d.scr.folded = folded
 	counts := dsp.Resize(d.scr.counts, bins)
 	clear(counts)
 	d.scr.counts = counts
-	foldPeriodInto(folded, counts, power, period, false)
+	foldPeriodInto(folded, counts, x, period)
 	for b := range folded {
 		if counts[b] > 0 {
 			folded[b] /= float64(counts[b])
 		}
 	}
-	sorted := dsp.Resize(d.scr.sorted, bins)
-	copy(sorted, folded)
-	d.scr.sorted = sorted
-	slices.Sort(sorted)
-	// The duty-cycle limit guarantees a quiet gap of at least 20% of the
-	// period, so compare the quietest fifth of the fold against the loudest.
+	return folded
+}
+
+// foldContrast folds the power envelope at the candidate period and returns
+// the contrast between the loudest and quietest fifths of the fold. The
+// true period aligns every inter-chirp gap onto the same bins, maximizing
+// the contrast. It is the inner statistic of the period grid search, so the
+// fold/selection buffers live in the decoder scratch.
+func (d *Decoder) foldContrast(power []float64, period float64) float64 {
+	bins := int(period)
+	if bins < 4 || len(power) < 2*bins {
+		return math.Inf(-1)
+	}
+	d.scr.sorted = dsp.Resize(d.scr.sorted, bins)
+	return tailContrast(d.foldMeans(power, period), d.scr.sorted)
+}
+
+// tailContrast is the ratio of the sum of the loudest fifth of the fold
+// means to that of the quietest fifth. The duty-cycle limit guarantees a
+// quiet gap of at least 20% of the period, which is what the quiet fifth
+// measures. scratch, of len(means), receives a reordered copy of means.
+//
+// Only the two tails are summed, in sorted order, so they are selected and
+// sorted alone: the sums see the same values in the same order as after a
+// full sort.
+func tailContrast(means, scratch []float64) float64 {
+	bins := len(means)
 	dec := bins / 5
 	if dec < 1 {
 		dec = 1
 	}
+	copy(scratch, means)
+	selectSmallest(scratch, dec)
+	selectSmallest(scratch[dec:], bins-2*dec)
+	slices.Sort(scratch[:dec])
+	slices.Sort(scratch[bins-dec:])
 	var lo, hi float64
 	for i := 0; i < dec; i++ {
-		lo += sorted[i]
-		hi += sorted[bins-1-i]
+		lo += scratch[i]
+		hi += scratch[bins-1-i]
 	}
 	if hi <= 0 {
 		return math.Inf(-1)
 	}
 	return hi / (lo + 1e-3*hi)
+}
+
+// selectSmallest reorders s so that s[:k] holds, in no particular order,
+// the k values a slices.Sort would put first (NaNs sort lowest), and s[k:]
+// the rest. It is Hoare quickselect with a median-of-three pivot; 0 < k <
+// len(s).
+func selectSmallest(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if cmp.Less(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if cmp.Less(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+			if cmp.Less(s[mid], s[lo]) {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(s[i], pivot) {
+				i++
+			}
+			for cmp.Less(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ pivot ≤ s[i..hi], and s[j+1..i-1] equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // AlignChirpStart locates the phase (sample offset in [0, period)) at which
@@ -380,18 +489,7 @@ func (d *Decoder) AlignChirpStart(x []float64, period float64) int {
 	if bins < 8 || len(x) < bins {
 		return 0
 	}
-	folded := dsp.Resize(d.scr.folded, bins)
-	clear(folded)
-	d.scr.folded = folded
-	counts := dsp.Resize(d.scr.counts, bins)
-	clear(counts)
-	d.scr.counts = counts
-	foldPeriodInto(folded, counts, x, period, true)
-	for b := range folded {
-		if counts[b] > 0 {
-			folded[b] /= float64(counts[b])
-		}
-	}
+	folded := d.foldMeans(d.powerOf(x), period)
 	g := bins / 8 // comparison window; ≤ the guaranteed active/quiet spans
 	if g < 2 {
 		g = 2

@@ -26,40 +26,58 @@ func naiveFold(folded []float64, counts []int, x []float64, period float64, squa
 }
 
 // TestFoldPeriodIntoMatchesNaiveMod is the equivalence oracle for the
-// run-based fold: across random signals and awkward periods (integer,
-// just-below-integer, irrational-ish) the restructured fold must reproduce
-// the naive per-sample loop's per-bin sums bit-identically and its counts
-// exactly. Bit equality holds because both fold each bin's samples in
-// ascending index order; only the bin-index computation changed.
+// fused run-based fold: across random signals and awkward periods (integer,
+// just below and just above an integer, irrational-ish) the fold must
+// reproduce the naive per-sample loop's per-bin sums bit-identically and
+// its counts exactly. Capture lengths end on a fused-group boundary, mid
+// group and mid run, so the fused passes, the single-run tail and the
+// spill onto the last bin are all exercised. Bit equality holds because
+// both fold each bin's samples in ascending index order; only the bin-index
+// computation and the pass structure changed. The squared variant is the
+// AlignChirpStart fold, which now squares into the power scratch first.
 func TestFoldPeriodIntoMatchesNaiveMod(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	periods := []float64{4, 5, 7.3, 16, 29.999999999, 30.000000001, 119.97, 120, 255.5, 1000.0 / 3}
-	for trial := 0; trial < 40; trial++ {
-		n := 50 + rng.Intn(4000)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
+	periods := []float64{
+		4, 5, 7.3, 16, 29.999999999, 30.000000001, 59.9999999, 60.0000001,
+		119.97, 120, 120.00000000001, 255.5, 1000.0 / 3,
+	}
+	for _, period := range periods {
+		bins := int(period)
+		lengths := []int{50 + rng.Intn(4000)}
+		for _, runs := range []int{2, 7, 8, 9, 16, 17, 23, 64} {
+			end := ceilMulExact(float64(runs), period)
+			lengths = append(lengths, end, end+1, end+bins/2, end+bins-1)
 		}
-		period := periods[trial%len(periods)]
-		if 2*int(period) > n {
-			continue
-		}
-		for _, square := range []bool{false, true} {
-			bins := int(period)
-			gotF := make([]float64, bins)
-			gotC := make([]int, bins)
-			foldPeriodInto(gotF, gotC, x, period, square)
-			wantF := make([]float64, bins)
-			wantC := make([]int, bins)
-			naiveFold(wantF, wantC, x, period, square)
-			for b := 0; b < bins; b++ {
-				if math.Float64bits(gotF[b]) != math.Float64bits(wantF[b]) {
-					t.Fatalf("trial %d period=%v square=%v bin %d: fold %v, naive %v",
-						trial, period, square, b, gotF[b], wantF[b])
+		for _, n := range lengths {
+			if 2*bins > n {
+				continue
+			}
+			x := make([]float64, n)
+			sq := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+				sq[i] = x[i] * x[i]
+			}
+			for _, square := range []bool{false, true} {
+				in := x
+				if square {
+					in = sq
 				}
-				if gotC[b] != wantC[b] {
-					t.Fatalf("trial %d period=%v square=%v bin %d: count %d, naive %d",
-						trial, period, square, b, gotC[b], wantC[b])
+				gotF := make([]float64, bins)
+				gotC := make([]int, bins)
+				foldPeriodInto(gotF, gotC, in, period)
+				wantF := make([]float64, bins)
+				wantC := make([]int, bins)
+				naiveFold(wantF, wantC, x, period, square)
+				for b := 0; b < bins; b++ {
+					if math.Float64bits(gotF[b]) != math.Float64bits(wantF[b]) {
+						t.Fatalf("period=%v n=%d square=%v bin %d: fold %v, naive %v",
+							period, n, square, b, gotF[b], wantF[b])
+					}
+					if gotC[b] != wantC[b] {
+						t.Fatalf("period=%v n=%d square=%v bin %d: count %d, naive %d",
+							period, n, square, b, gotC[b], wantC[b])
+					}
 				}
 			}
 		}

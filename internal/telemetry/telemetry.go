@@ -131,17 +131,21 @@ func (h *Histogram) Span() Span {
 }
 
 // HistogramStats is a point-in-time summary of a Histogram. Count and Sum
-// span the histogram's lifetime; Min/Max and the quantiles describe the
-// ring-buffer window (the most recent observations).
+// span the histogram's lifetime; Mean, Min/Max and the quantiles all
+// describe the ring-buffer window (the most recent observations), so
+// Min ≤ Mean ≤ Max always holds.
 type HistogramStats struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
+	// Count is the lifetime observation count.
+	Count int64 `json:"count"`
+	// Sum is the lifetime sum of observations.
+	Sum float64 `json:"sum"`
+	// Mean is the mean of the window, not Sum/Count.
+	Mean float64 `json:"mean"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
 }
 
 // Stats summarizes the histogram. Safe on a nil receiver (zero stats).
@@ -155,7 +159,6 @@ func (h *Histogram) Stats() HistogramStats {
 	if s.Count == 0 {
 		return s
 	}
-	s.Mean = s.Sum / float64(s.Count)
 	n := s.Count
 	if n > histWindow {
 		n = histWindow
@@ -166,6 +169,12 @@ func (h *Histogram) Stats() HistogramStats {
 	}
 	sort.Float64s(win)
 	s.Min, s.Max = win[0], win[len(win)-1]
+	var sum float64
+	for _, v := range win {
+		sum += v
+	}
+	// Rounding can carry the mean of near-equal values an ulp past an end.
+	s.Mean = min(max(sum/float64(n), s.Min), s.Max)
 	s.P50 = Quantile(win, 0.50)
 	s.P95 = Quantile(win, 0.95)
 	s.P99 = Quantile(win, 0.99)

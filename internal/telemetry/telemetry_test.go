@@ -91,6 +91,39 @@ func TestHistogramWindowOverflow(t *testing.T) {
 	}
 }
 
+// TestHistogramMeanWithinWindow drifts the observations downward across
+// several window wraps — the shape of a warming-up stage timer — so the
+// lifetime mean lies far above everything left in the window. Mean must
+// describe the same window as Min and Max.
+func TestHistogramMeanWithinWindow(t *testing.T) {
+	h := New().Histogram("h")
+	const n = 3*histWindow + 100
+	for i := 0; i < n; i++ {
+		h.Observe(float64(n - i))
+		s := h.Stats()
+		if !(s.Min <= s.Mean && s.Mean <= s.Max) {
+			t.Fatalf("after %d observations: min %v, mean %v, max %v", i+1, s.Min, s.Mean, s.Max)
+		}
+	}
+	// The window holds the values histWindow…1, whose mean is exact.
+	s := h.Stats()
+	if want := float64(histWindow+1) / 2; s.Mean != want {
+		t.Fatalf("window mean = %v, want %v", s.Mean, want)
+	}
+	// Count and Sum stay lifetime.
+	if want := float64(n) * float64(n+1) / 2; s.Count != n || s.Sum != want {
+		t.Fatalf("count/sum = %d/%v, want %d/%v", s.Count, s.Sum, n, want)
+	}
+	// Near-equal values whose rounded mean overshoots them stay in bounds.
+	g := New().Histogram("g")
+	for i := 0; i < 3; i++ {
+		g.Observe(0.1)
+	}
+	if s := g.Stats(); s.Mean != 0.1 {
+		t.Fatalf("mean of three 0.1 observations = %v, want 0.1", s.Mean)
+	}
+}
+
 // TestNilRegistryIsInert is the disabled-telemetry contract: every method
 // chain off a nil *Metrics must be a safe no-op.
 func TestNilRegistryIsInert(t *testing.T) {
