@@ -31,9 +31,9 @@
 //	res, err := net.ExchangeContext(ctx, payload, bits)
 //
 // Above single exchanges sits reliable delivery. DeliverReliableContext
-// retries a payload under a configurable ARQ policy — attempt budget,
-// majority-vote ACK redundancy, exponential backoff with deterministic
-// jitter — and returns a per-attempt DeliveryReport. NewLinkController
+// retries a payload under a configurable ARQ policy — attempt budget and
+// majority-vote ACK redundancy, with capped exponential backoff under
+// deterministic jitter — and returns a per-attempt DeliveryReport. NewLinkController
 // wraps it with adaptive graceful degradation over a LinkMode ladder:
 // as deliveries fail it raises FEC strength (WithFEC), widens chirp-slope
 // spacing and lengthens preambles (WithPreamble), and when even the
@@ -195,7 +195,7 @@ type (
 	FECStats = fec.Stats
 	// DeliverOptions tunes the context-aware ARQ engine behind
 	// Network.DeliverReliableContext: attempt budget, ACK redundancy and
-	// backoff schedule.
+	// an optional Sleep for wall-clock backoff.
 	DeliverOptions = core.DeliverOptions
 	// DeliveryReport is the full diagnostic record of one reliable delivery.
 	DeliveryReport = core.DeliveryReport

@@ -48,6 +48,7 @@ import (
 	"biscatter/internal/fmcw"
 	"biscatter/internal/mac"
 	"biscatter/internal/netio"
+	"biscatter/internal/splitmix"
 	"biscatter/internal/telemetry"
 	"biscatter/internal/trace"
 )
@@ -487,8 +488,7 @@ func chaosClient(ctx context.Context, transport, addr string, id uint8, seed int
 
 // uplinkPattern derives a small deterministic uplink bit pattern from a seed.
 func uplinkPattern(seed int64) []bool {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	x ^= x >> 33
+	x := splitmix.Mix(uint64(seed))
 	bits := make([]bool, 4)
 	for i := range bits {
 		bits[i] = x>>(uint(i)*7)&1 == 1

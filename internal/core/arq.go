@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"biscatter/internal/retry"
+	"biscatter/internal/splitmix"
 )
 
 // DeliverOptions parameterizes the reliable-delivery ARQ engine. The zero
@@ -16,18 +19,6 @@ type DeliverOptions struct {
 	// verdict across this many uplink bits and the radar majority-votes
 	// them. Must be odd so the vote has no ties; default 3.
 	AckBits int
-	// InitialBackoff is the delay before the second attempt; default 2 ms
-	// (a handful of frame durations). Subsequent attempts scale it by
-	// BackoffFactor.
-	InitialBackoff time.Duration
-	// BackoffFactor is the exponential backoff multiplier; default 2.
-	BackoffFactor float64
-	// JitterFraction spreads each backoff uniformly over
-	// [1-j, 1+j) × nominal so synchronized retransmissions from multiple
-	// radars decorrelate. The jitter sequence is drawn from the network
-	// seed, so it is deterministic per (seed, node, attempt). Default 0.25;
-	// must stay in [0, 1).
-	JitterFraction float64
 	// Sleep, when non-nil, is called with each backoff delay. The default
 	// (nil) only records the delays in the report — simulation time is
 	// free, and experiments must stay deterministic and fast. Pass
@@ -35,21 +26,23 @@ type DeliverOptions struct {
 	Sleep func(time.Duration)
 }
 
+// The ARQ backoff schedule: the first retry waits arqFirstBackoff (a
+// handful of frame durations), each later one arqBackoffFactor times the
+// previous, under retry.Backoff's ±25% jitter and 16× cap (32 ms). The
+// jitter is drawn from the network seed, so it is deterministic per
+// (seed, node, attempt) and synchronized retransmissions from multiple
+// radars decorrelate.
+const (
+	arqFirstBackoff  = 2 * time.Millisecond
+	arqBackoffFactor = 2
+)
+
 func (o DeliverOptions) withDefaults() DeliverOptions {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 4
 	}
 	if o.AckBits == 0 {
 		o.AckBits = 3
-	}
-	if o.InitialBackoff == 0 {
-		o.InitialBackoff = 2 * time.Millisecond
-	}
-	if o.BackoffFactor == 0 {
-		o.BackoffFactor = 2
-	}
-	if o.JitterFraction == 0 {
-		o.JitterFraction = 0.25
 	}
 	return o
 }
@@ -60,10 +53,6 @@ func (o DeliverOptions) validate() error {
 		return fmt.Errorf("core: maxAttempts %d must be positive", o.MaxAttempts)
 	case o.AckBits < 1 || o.AckBits%2 == 0:
 		return fmt.Errorf("core: ack redundancy %d must be an odd positive bit count", o.AckBits)
-	case o.BackoffFactor < 1:
-		return fmt.Errorf("core: backoff factor %v must be at least 1", o.BackoffFactor)
-	case o.JitterFraction < 0 || o.JitterFraction >= 1:
-		return fmt.Errorf("core: jitter fraction %v must be in [0, 1)", o.JitterFraction)
 	}
 	return nil
 }
@@ -114,32 +103,17 @@ type DeliveryReport struct {
 	AttemptLog []AttemptReport
 }
 
-// DeliverReliable implements the on-demand retransmission loop that §1
-// motivates as a key benefit of downlink capability: without write access a
-// tag can never request a retransmission, so every lost packet is lost
-// forever. Each attempt is two frames: the payload frame, then an
-// acknowledgment frame on which the node modulates its verdict with
-// configurable redundancy. It is DeliverReliableContext with a background
-// context and default options (except the attempt bound).
-//
-// Deprecated: use DeliverReliableContext with DeliverOptions, which carries
-// the full retry policy (attempt budget, ACK redundancy, backoff schedule)
-// and honors cancellation between frames.
-func (n *Network) DeliverReliable(nodeIdx int, payload []byte, maxAttempts int) (DeliveryReport, error) {
-	if maxAttempts < 1 {
-		return DeliveryReport{}, fmt.Errorf("core: maxAttempts %d must be positive", maxAttempts)
-	}
-	return n.DeliverReliableContext(context.Background(), nodeIdx, payload, DeliverOptions{MaxAttempts: maxAttempts})
-}
-
-// DeliverReliableContext runs the context-aware ARQ engine. Each attempt is
-// two frames — payload downlink, then an acknowledgment frame on which the
-// node repeats its verdict across opts.AckBits uplink bits for the radar to
-// majority-vote. Failed attempts back off exponentially with deterministic
-// seeded jitter before retrying; the delays are recorded in the report and,
-// when opts.Sleep is set, actually slept. ctx is checked between frames and
-// propagated into every exchange, so cancellation (or a deadline) aborts
-// mid-sequence with the report accumulated so far.
+// DeliverReliableContext implements the on-demand retransmission loop that
+// §1 motivates as a key benefit of downlink capability: without write
+// access a tag can never request a retransmission, so every lost packet is
+// lost forever. Each attempt is two frames — payload downlink, then an
+// acknowledgment frame on which the node repeats its verdict across
+// opts.AckBits uplink bits for the radar to majority-vote. Failed attempts
+// back off exponentially (capped) with deterministic seeded jitter before
+// retrying; the delays are recorded in the report and, when opts.Sleep is
+// set, actually slept. ctx is checked between frames and propagated into
+// every exchange, so cancellation (or a deadline) aborts mid-sequence with
+// the report accumulated so far.
 func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, payload []byte, opts DeliverOptions) (DeliveryReport, error) {
 	if nodeIdx < 0 || nodeIdx >= len(n.nodes) {
 		return DeliveryReport{}, fmt.Errorf("core: node index %d out of range", nodeIdx)
@@ -149,7 +123,6 @@ func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, paylo
 		return DeliveryReport{}, err
 	}
 	var rep DeliveryReport
-	backoff := float64(opts.InitialBackoff)
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -196,10 +169,10 @@ func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, paylo
 		delivered := ar.AckReadable && 2*ar.AckVotes > opts.AckBits
 
 		if !delivered && attempt < opts.MaxAttempts {
-			d := n.jitteredBackoff(backoff, nodeIdx, attempt, opts.JitterFraction)
+			u := splitmix.Uniform(n.cfg.Seed, uint64(nodeIdx), uint64(attempt))
+			d := retry.Backoff(arqFirstBackoff, arqBackoffFactor, attempt-1, u)
 			ar.Backoff = d
 			rep.TotalBackoff += d
-			backoff *= opts.BackoffFactor
 			if opts.Sleep != nil {
 				opts.Sleep(d)
 			}
@@ -211,27 +184,4 @@ func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, paylo
 		}
 	}
 	return rep, nil
-}
-
-// jitteredBackoff spreads a nominal backoff over [1-j, 1+j) with a
-// deterministic fraction drawn from (network seed, node, attempt) — the
-// same exchange sequence always schedules the same delays, at any worker
-// count.
-func (n *Network) jitteredBackoff(nominal float64, nodeIdx, attempt int, jitter float64) time.Duration {
-	if jitter == 0 {
-		return time.Duration(nominal)
-	}
-	h := splitmix(uint64(n.cfg.Seed)<<20 ^ uint64(nodeIdx)<<10 ^ uint64(attempt))
-	frac := float64(h>>11) / float64(1<<53) // uniform in [0, 1)
-	scale := 1 - jitter + 2*jitter*frac
-	return time.Duration(nominal * scale)
-}
-
-// splitmix is the splitmix64 finalizer: a stateless avalanche hash good
-// enough to decorrelate backoff jitter across nodes and attempts.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -13,11 +13,12 @@ func TestDeliverReliableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.DeliverReliable(5, []byte{1}, 3); err == nil {
+	ctx := context.Background()
+	if _, err := n.DeliverReliableContext(ctx, 5, []byte{1}, DeliverOptions{MaxAttempts: 3}); err == nil {
 		t.Error("out-of-range node should fail")
 	}
-	if _, err := n.DeliverReliable(0, []byte{1}, 0); err == nil {
-		t.Error("zero attempts should fail")
+	if _, err := n.DeliverReliableContext(ctx, 0, []byte{1}, DeliverOptions{MaxAttempts: -1}); err == nil {
+		t.Error("negative attempts should fail")
 	}
 }
 
@@ -26,7 +27,7 @@ func TestDeliverReliableFirstTryAtShortRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.DeliverReliable(0, []byte("config v2"), 4)
+	rep, err := n.DeliverReliableContext(context.Background(), 0, []byte("config v2"), DeliverOptions{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestDeliverReliableRetransmitsAtMarginalRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := n.DeliverReliable(0, RandomPayload(int64(trial), 10), 6)
+		rep, err := n.DeliverReliableContext(context.Background(), 0, RandomPayload(int64(trial), 10), DeliverOptions{MaxAttempts: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +74,8 @@ func TestDeliverOptionsValidation(t *testing.T) {
 	}
 	bad := []DeliverOptions{
 		{MaxAttempts: -1},
-		{AckBits: 2},             // even vote has ties
-		{AckBits: -3},            // negative redundancy
-		{BackoffFactor: 0.5},     // shrinking backoff
-		{JitterFraction: 1.5},    // jitter beyond nominal
-		{JitterFraction: -0.125}, // negative jitter
+		{AckBits: 2},  // even vote has ties
+		{AckBits: -3}, // negative redundancy
 	}
 	for i, o := range bad {
 		if _, err := n.DeliverReliableContext(context.Background(), 0, []byte{1}, o); err == nil {
@@ -167,6 +165,32 @@ func TestDeliverBackoffDeterministicAndExponential(t *testing.T) {
 	}
 }
 
+// TestDeliverBackoffCapped pins the schedule past the cap: retries 5 and 6
+// have a nominal 2 ms·2⁴ = 32 ms, the 16× cap, so their jittered delays lie
+// in [24 ms, 32 ms] instead of growing on toward minutes.
+func TestDeliverBackoffCapped(t *testing.T) {
+	n, err := NewNetwork(oneNodeConfig(40, 58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slept []time.Duration
+	if _, err := n.DeliverReliableContext(context.Background(), 0, []byte("x"), DeliverOptions{
+		MaxAttempts: 7,
+		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(slept) != 6 {
+		t.Fatalf("slept %d times, want 6", len(slept))
+	}
+	for i, d := range slept {
+		nominal := min(2*time.Millisecond<<i, 32*time.Millisecond)
+		if d < nominal*3/4 || d > min(nominal*5/4, 32*time.Millisecond) {
+			t.Errorf("retry %d slept %v, outside the band of nominal %v", i+1, d, nominal)
+		}
+	}
+}
+
 func TestDeliverContextCancellation(t *testing.T) {
 	n, err := NewNetwork(oneNodeConfig(2.6, 56))
 	if err != nil {
@@ -207,7 +231,7 @@ func TestDeliverReliableGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.DeliverReliable(0, []byte("unreachable"), 2)
+	rep, err := n.DeliverReliableContext(context.Background(), 0, []byte("unreachable"), DeliverOptions{MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"biscatter/internal/fec"
+	"biscatter/internal/retry"
 )
 
 // ErrNodeQuarantined means the link controller's circuit breaker has the
@@ -67,32 +68,18 @@ func DefaultModeLadder() []LinkMode {
 }
 
 // BreakerState is a node's circuit-breaker position.
-type BreakerState int
+type BreakerState = retry.BreakerState
 
 const (
 	// BreakerClosed: the node is healthy; deliveries flow normally.
-	BreakerClosed BreakerState = iota
+	BreakerClosed = retry.Closed
 	// BreakerOpen: the node is quarantined; deliveries fail fast with
 	// ErrNodeQuarantined until the next probe slot.
-	BreakerOpen
+	BreakerOpen = retry.Open
 	// BreakerHalfOpen: the next delivery is a single-attempt probe; success
 	// closes the breaker, failure reopens it.
-	BreakerHalfOpen
+	BreakerHalfOpen = retry.HalfOpen
 )
-
-// String implements fmt.Stringer.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("BreakerState(%d)", int(s))
-	}
-}
 
 // ControllerConfig parameterizes the link controller.
 type ControllerConfig struct {
@@ -140,11 +127,12 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	return c
 }
 
-// breaker tracks one node's quarantine state.
+// breaker tracks one node's quarantine state: the shared breaker counts
+// consecutive failed deliveries at the deepest mode, and idleSlots the
+// delivery slots sat out while open.
 type breaker struct {
-	state     BreakerState
-	fails     int // consecutive failed deliveries at the deepest mode
-	idleSlots int // delivery slots sat out while open
+	retry.Breaker
+	idleSlots int
 }
 
 // LinkController closes the loop over the fault layer: it watches the
@@ -225,7 +213,7 @@ func (lc *LinkController) NodeState(nodeIdx int) BreakerState {
 	if nodeIdx < 0 || nodeIdx >= len(lc.breakers) {
 		return BreakerClosed
 	}
-	return lc.breakers[nodeIdx].state
+	return lc.breakers[nodeIdx].State
 }
 
 // deliverOptions is the ARQ configuration for the current mode.
@@ -255,19 +243,17 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 	}
 	br := &lc.breakers[nodeIdx]
 	opts := lc.deliverOptions()
-	probing := false
-	switch br.state {
-	case BreakerOpen:
+	if br.State == BreakerOpen {
 		br.idleSlots++
 		if br.idleSlots < lc.cfg.ProbeInterval {
 			return DeliveryReport{}, ErrNodeQuarantined
 		}
-		br.state = BreakerHalfOpen
+		br.Probe()
 		br.idleSlots = 0
 		lc.counter("core.recovery.breaker.probe")
-		fallthrough
-	case BreakerHalfOpen:
-		probing = true
+	}
+	probing := br.State == BreakerHalfOpen
+	if probing {
 		opts.MaxAttempts = 1 // a probe risks one attempt, not a full ARQ run
 	}
 
@@ -278,11 +264,10 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 
 	if probing {
 		if rep.Delivered {
-			br.state = BreakerClosed
-			br.fails = 0
+			br.Succeed()
 			lc.counter("core.recovery.breaker.close")
 		} else {
-			br.state = BreakerOpen
+			br.Fail(lc.cfg.BreakerThreshold)
 			lc.counter("core.recovery.breaker.reopen")
 			lc.net.flight.Trip("breaker reopen: node " + strconv.Itoa(nodeIdx))
 		}
@@ -297,7 +282,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 	br := &lc.breakers[nodeIdx]
 	atBottom := lc.level == len(lc.cfg.Ladder)-1
 	if rep.Delivered {
-		br.fails = 0
+		br.Succeed()
 		lc.failRun = 0
 		// Only a clean delivery — first attempt, zero repaired bits —
 		// argues the channel could afford a faster mode. A delivery that
@@ -335,9 +320,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 		return
 	}
 	if atBottom {
-		br.fails++
-		if br.fails >= lc.cfg.BreakerThreshold {
-			br.state = BreakerOpen
+		if br.Fail(lc.cfg.BreakerThreshold) {
 			br.idleSlots = 0
 			lc.counter("core.recovery.breaker.open")
 			// Quarantining a node is exactly the moment the recent exchange

@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"biscatter/internal/channel"
+	"biscatter/internal/splitmix"
 )
 
 // Interference is a burst in-band jammer gated in slow time: for DutyCycle
@@ -284,7 +285,7 @@ func (p *Profile) SeedFor(networkSeed int64) int64 {
 	}
 	// Decorrelate from the network seed without ever colliding with it: the
 	// pipeline's sequential RNGs use networkSeed and small offsets of it.
-	return int64(mix(uint64(networkSeed) ^ 0xfa017b15))
+	return int64(splitmix.Mix(uint64(networkSeed) ^ 0xfa017b15))
 }
 
 // Enabled reports whether the profile configures any impairment at all.
@@ -323,7 +324,7 @@ func newGate(c Interference, seed int64) gate {
 	if g.on > g.period {
 		g.on = g.period
 	}
-	g.phase = int(hashBits(seed, streamGatePhase, 0) % uint64(g.period))
+	g.phase = int(splitmix.Bits(seed, streamGatePhase, 0) % uint64(g.period))
 	return g
 }
 

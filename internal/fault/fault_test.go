@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"biscatter/internal/channel"
+	"biscatter/internal/splitmix"
 	"biscatter/internal/telemetry"
 )
 
@@ -12,17 +13,17 @@ import (
 // on (seed, stream, idx), streams are isolated, and values are valid.
 func TestHashRNGDeterminism(t *testing.T) {
 	for idx := uint64(0); idx < 1000; idx++ {
-		u := uniform(42, streamDropout, idx)
-		if u != uniform(42, streamDropout, idx) {
+		u := splitmix.Uniform(42, streamDropout, idx)
+		if u != splitmix.Uniform(42, streamDropout, idx) {
 			t.Fatalf("uniform not deterministic at idx %d", idx)
 		}
 		if u < 0 || u >= 1 {
 			t.Fatalf("uniform(%d) = %v outside [0, 1)", idx, u)
 		}
-		if u == uniform(43, streamDropout, idx) {
+		if u == splitmix.Uniform(43, streamDropout, idx) {
 			t.Fatalf("seed change did not move draw at idx %d", idx)
 		}
-		if u == uniform(42, streamDrift, idx) {
+		if u == splitmix.Uniform(42, streamDrift, idx) {
 			t.Fatalf("stream change did not move draw at idx %d", idx)
 		}
 		if v := norm(42, streamDrift, idx); math.IsNaN(v) || math.IsInf(v, 0) {
@@ -44,6 +45,49 @@ func TestHashRNGDeterminism(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Errorf("norm variance %v too far from 1", variance)
+	}
+}
+
+// TestHashRNGKnownAnswers pins exact draws on every fault stream, recorded
+// before the hash moved to internal/splitmix: every injected impairment is a
+// function of these values, so a changed bit would silently re-draw every
+// fault scenario.
+func TestHashRNGKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		seed                int64
+		stream, idx         uint64
+		bits, uniform, norm uint64
+	}{
+		{42, streamGatePhase, 0, 0x37455aa816a949e6, 0x3fcba2ad540b54a4, 0x3fe85c50ace51bfe},
+		{42, streamGatePhase, 7, 0x8bc899e717e31c91, 0x3fe179133ce2fc63, 0xbfc2d653c1535480},
+		{-1, streamGatePhase, 123456789, 0xea77ef6d23bed232, 0x3fed4efdeda477da, 0xbfec4093e47ba55f},
+		{42, streamJamPhase, 0, 0x544d4900861d77ff, 0x3fd513524021875c, 0x3fe01bb945ca9135},
+		{42, streamJamPhase, 7, 0xf1856970a1721779, 0x3fee30ad2e142e42, 0xc003ed8c755eec9e},
+		{-1, streamJamPhase, 123456789, 0xa7c153eb187a441c, 0x3fe4f82a7d630f48, 0x3fed38ce8ce229c4},
+		{42, streamDropout, 0, 0xbfd72cc7ba039fea, 0x3fe7fae598f74073, 0xbfe60e3cf8ec3354},
+		{42, streamDropout, 7, 0xe83734b6df7551f7, 0x3fed06e696dbeeaa, 0xbfdecd1ddb59d9ce},
+		{-1, streamDropout, 123456789, 0xcc43fe80c9ee9b69, 0x3fe9887fd0193dd3, 0xbfe9a3c16fde662a},
+		{42, streamDrift, 0, 0xa98044a30b1c8d15, 0x3fe5300894616391, 0xbfcae0312c6a3158},
+		{42, streamDrift, 7, 0xf89e3169be7b73d2, 0x3fef13c62d37cf6e, 0x3fef977183d3e2d3},
+		{-1, streamDrift, 123456789, 0x456c5c9051e9c9d2, 0x3fd15b1724147a72, 0x3feae38af450ef57},
+		{42, streamDesync, 0, 0x5f3c3a0f65f28020, 0x3fd7cf0e83d97ca0, 0xbfa5088f99cece28},
+		{42, streamDesync, 7, 0xc0cc113f6f757447, 0x3fe8198227edeeae, 0xc000bc6882124367},
+		{-1, streamDesync, 123456789, 0x0547f42f13597de7, 0x3f951fd0bc4d65e0, 0x3fe69f3411be7abf},
+	} {
+		if got := splitmix.Bits(c.seed, c.stream, c.idx); got != c.bits {
+			t.Errorf("Bits(%d, %d, %d) = %#016x, want %#016x", c.seed, c.stream, c.idx, got, c.bits)
+		}
+		if got := math.Float64bits(splitmix.Uniform(c.seed, c.stream, c.idx)); got != c.uniform {
+			t.Errorf("Uniform(%d, %d, %d) bits = %#016x, want %#016x", c.seed, c.stream, c.idx, got, c.uniform)
+		}
+		if got := math.Float64bits(norm(c.seed, c.stream, c.idx)); got != c.norm {
+			t.Errorf("norm(%d, %d, %d) bits = %#016x, want %#016x", c.seed, c.stream, c.idx, got, c.norm)
+		}
+	}
+	for network, want := range map[int64]int64{0: -8889809922627736561, 424: 6851633958046143134, -9: 3894573167587392538} {
+		if got := (&Profile{}).SeedFor(network); got != want {
+			t.Errorf("SeedFor(%d) = %d, want %d", network, got, want)
+		}
 	}
 }
 

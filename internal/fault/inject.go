@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 
+	"biscatter/internal/splitmix"
 	"biscatter/internal/telemetry"
 )
 
@@ -107,7 +108,7 @@ func (t *TagInjector) StartJitter(period float64) float64 {
 	idx := t.captures
 	t.captures++
 	t.cDesync.Add(1)
-	return uniform(t.nodeSeed, streamDesync, idx) * t.desync.MaxOffset * period
+	return splitmix.Uniform(t.nodeSeed, streamDesync, idx) * t.desync.MaxOffset * period
 }
 
 // DropState reports whether chirp idx was dropped at the transmitter and, if
@@ -118,7 +119,7 @@ func (t *TagInjector) DropState(idx int) (dropped bool, clipFraction float64) {
 	if t == nil || t.drop == nil {
 		return false, 0
 	}
-	if uniform(t.baseSeed, streamDropout, uint64(idx)) >= t.drop.Rate {
+	if splitmix.Uniform(t.baseSeed, streamDropout, uint64(idx)) >= t.drop.Rate {
 		return false, 0
 	}
 	t.cDrop.Add(1)
@@ -162,7 +163,7 @@ func (t *TagInjector) Jam(out []float64, idx int, chirpStart, period, fs, amp fl
 	}
 	a := t.jamAmp * amp
 	f := t.jamFrac * fs
-	ph := 2 * math.Pi * uniform(t.nodeSeed, streamJamPhase, uint64(idx))
+	ph := 2 * math.Pi * splitmix.Uniform(t.nodeSeed, streamJamPhase, uint64(idx))
 	for i := i0; i < i1; i++ {
 		ts := float64(i)/fs - chirpStart
 		out[i] += a * math.Cos(2*math.Pi*f*ts+ph)
@@ -259,7 +260,7 @@ func (r *RadarInjector) EchoSamples(idx, n int) int {
 	if r == nil || r.drop == nil {
 		return n
 	}
-	if uniform(r.seed, streamDropout, uint64(idx)) >= r.drop.Rate {
+	if splitmix.Uniform(r.seed, streamDropout, uint64(idx)) >= r.drop.Rate {
 		return n
 	}
 	if r.drop.ClipFraction > 0 {
@@ -281,7 +282,7 @@ func (r *RadarInjector) Jam(buf []complex128, idx int) {
 	// The tone sits at jamFrac of the sample rate, so the per-sample phase
 	// increment is 2π·jamFrac regardless of the absolute rate.
 	dphi := 2 * math.Pi * r.jamFrac
-	ph := 2 * math.Pi * uniform(r.seed, streamJamPhase, uint64(idx))
+	ph := 2 * math.Pi * splitmix.Uniform(r.seed, streamJamPhase, uint64(idx))
 	for k := range buf {
 		buf[k] += complex(r.jamAmp*math.Cos(ph), r.jamAmp*math.Sin(ph))
 		ph += dphi

@@ -1,11 +1,15 @@
 package fault
 
-import "math"
+import (
+	"math"
 
-// The fault layer draws all of its randomness from a stateless hash RNG
-// keyed by (seed, stream, index) instead of from the pipeline's seeded
-// sequential generators. That buys three properties the conformance suite
-// pins:
+	"biscatter/internal/splitmix"
+)
+
+// The fault layer draws all of its randomness from the stateless
+// splitmix hash keyed by (seed, stream, index) instead of from the
+// pipeline's seeded sequential generators. That buys three properties the
+// conformance suite pins:
 //
 //   - order independence: an injection decision for chirp i never depends on
 //     how many goroutines processed chirps before it, so results stay
@@ -26,31 +30,11 @@ const (
 	streamDesync    uint64 = 5 // per-capture start-offset jitter
 )
 
-// mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashBits returns 64 independent-looking bits for (seed, stream, idx).
-func hashBits(seed int64, stream, idx uint64) uint64 {
-	h := mix(uint64(seed))
-	h = mix(h ^ stream*0xd6e8feb86659fd93)
-	return mix(h ^ idx)
-}
-
-// uniform returns a deterministic draw in [0, 1).
-func uniform(seed int64, stream, idx uint64) float64 {
-	return float64(hashBits(seed, stream, idx)>>11) / (1 << 53)
-}
-
 // norm returns a deterministic standard normal draw (Box–Muller; each idx
 // consumes two hash points so adjacent indices stay independent).
 func norm(seed int64, stream, idx uint64) float64 {
-	u1 := uniform(seed, stream, 2*idx)
-	u2 := uniform(seed, stream, 2*idx+1)
+	u1 := splitmix.Uniform(seed, stream, 2*idx)
+	u2 := splitmix.Uniform(seed, stream, 2*idx+1)
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}

@@ -7,6 +7,8 @@ import (
 	"net"
 	"time"
 
+	"biscatter/internal/retry"
+	"biscatter/internal/splitmix"
 	"biscatter/internal/telemetry"
 )
 
@@ -15,9 +17,12 @@ const (
 	DefaultDialAttempts   = 10
 	DefaultAttemptTimeout = 250 * time.Millisecond
 	DefaultMaxAttempts    = 10
-	DefaultBackoffFactor  = 1.5
-	DefaultJitterFraction = 0.25
 )
+
+// backoffFactor grows the client's inter-attempt backoff geometrically,
+// from a quarter of the attempt timeout up to retry.Backoff's 16× cap
+// (4× the attempt timeout).
+const backoffFactor = 1.5
 
 // ClientConfig parameterizes a tag-side session client.
 type ClientConfig struct {
@@ -25,8 +30,8 @@ type ClientConfig struct {
 	TagID uint8
 	// Version is the protocol version to speak (default ProtocolVersion).
 	Version uint16
-	// Seed keys the deterministic backoff jitter (the ARQ discipline:
-	// splitmix64 over (seed, tag, attempt), so retry schedules replay
+	// Seed keys the deterministic backoff jitter (the ARQ discipline: a
+	// splitmix draw over (seed, tag, attempt), so retry schedules replay
 	// exactly per seed).
 	Seed int64
 	// DialAttempts bounds handshake retries.
@@ -36,10 +41,6 @@ type ClientConfig struct {
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds retransmissions per submitted round.
 	MaxAttempts int
-	// BackoffFactor grows the inter-attempt backoff geometrically.
-	BackoffFactor float64
-	// JitterFraction spreads each backoff over [1-j, 1+j) deterministically.
-	JitterFraction float64
 	// HeartbeatInterval overrides the gateway-advertised interval when > 0.
 	HeartbeatInterval time.Duration
 	// Metrics receives netio.client.* counters (nil = disabled).
@@ -61,12 +62,6 @@ func (c *ClientConfig) applyDefaults() {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
 	}
-	if c.BackoffFactor <= 1 {
-		c.BackoffFactor = DefaultBackoffFactor
-	}
-	if c.JitterFraction < 0 {
-		c.JitterFraction = DefaultJitterFraction
-	}
 }
 
 // ErrRejected means the gateway refused the handshake (e.g. protocol
@@ -75,7 +70,7 @@ var ErrRejected = errors.New("netio: handshake rejected")
 
 // Client is the tag side of a gateway session: it dials with retry, submits
 // uplink bits round by round with the ARQ retransmission discipline
-// (geometric backoff under deterministic splitmix64 jitter, context
+// (capped geometric backoff under deterministic splitmix jitter, context
 // deadline propagation), heartbeats inside its receive waits, and — when
 // the gateway evicts it — re-handshakes and resumes at the gateway's next
 // round instead of crashing the tag. Single-threaded: one goroutine owns
@@ -193,28 +188,12 @@ func (c *Client) handshake(ctx context.Context) error {
 	return fmt.Errorf("netio: gateway %v unreachable after %d attempts", c.gw, c.cfg.DialAttempts)
 }
 
-// backoff computes the ARQ-style jittered geometric backoff for attempt,
-// capped at 4× the attempt timeout. The cap is what keeps a large fleet
-// stable: uncapped geometric growth puts a tag to sleep for minutes after a
-// dozen lossy attempts — long past the gateway's liveness deadline (no
-// heartbeats are sent mid-backoff), so the session gets evicted and the
-// whole round barrier stalls behind the re-handshake.
+// backoff is the jittered geometric delay after a failed attempt, capped
+// at 4× the attempt timeout so a lossy tag never sleeps past the gateway's
+// liveness deadline (no heartbeats are sent mid-backoff).
 func (c *Client) backoff(attempt int) time.Duration {
-	nominal := float64(c.cfg.AttemptTimeout) / 4
-	cap := float64(c.cfg.AttemptTimeout) * 4
-	for i := 0; i < attempt && nominal < cap; i++ {
-		nominal *= c.cfg.BackoffFactor
-	}
-	if nominal > cap {
-		nominal = cap
-	}
-	j := c.cfg.JitterFraction
-	if j == 0 {
-		return time.Duration(nominal)
-	}
-	h := netHashBits(c.cfg.Seed, uint64(c.cfg.TagID)<<10, uint64(attempt))
-	frac := float64(h>>11) / (1 << 53)
-	return time.Duration(nominal * (1 - j + 2*j*frac))
+	u := splitmix.Uniform(c.cfg.Seed, uint64(c.cfg.TagID)<<10, uint64(attempt))
+	return retry.Backoff(c.cfg.AttemptTimeout/4, backoffFactor, attempt, u)
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) {

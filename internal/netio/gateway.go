@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"biscatter/internal/mac"
+	"biscatter/internal/retry"
 	"biscatter/internal/telemetry"
 )
 
@@ -187,29 +188,6 @@ func (c *GatewayConfig) applyDefaults() {
 	}
 }
 
-// breakerState mirrors the LinkController circuit-breaker idiom at session
-// granularity.
-type breakerState uint8
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("breakerState(%d)", uint8(s))
-	}
-}
-
 // session is one tag's supervised connection. All fields except addr and
 // the send queue are owned by the supervision goroutine.
 type session struct {
@@ -230,8 +208,8 @@ type session struct {
 	// attempts lands in its new group while keeping the round cursor).
 	group int
 
-	breaker breakerState
-	misses  int
+	// breaker counts consecutive missed rounds toward quarantine.
+	breaker retry.Breaker
 
 	// pending round submission.
 	hasPending  bool
@@ -725,10 +703,9 @@ func (g *Gateway) onSubmit(now time.Time, sub *SubmitRound, from *net.UDPAddr) {
 		if _, ok := g.groupFirst[s.group]; !ok {
 			g.groupFirst[s.group] = now
 		}
-		if s.breaker == breakerOpen {
+		if s.breaker.Probe() {
 			// The quarantined tag is answering again: this submission is
 			// the half-open probe.
-			s.breaker = breakerHalfOpen
 			g.logf("gateway: breaker half-open for tag %d (probe round %d)", s.tagID, g.round)
 		}
 	}
@@ -763,7 +740,7 @@ func (g *Gateway) maybeRunRound(now time.Time) {
 // the global RoundTimeout in maybeRunRound covers it.
 func (g *Gateway) groupsReady(now time.Time) bool {
 	for _, s := range g.sessions {
-		if s.breaker == breakerOpen || s.hasPending {
+		if s.breaker.State == retry.Open || s.hasPending {
 			continue
 		}
 		first, ok := g.groupFirst[s.group]
@@ -801,11 +778,16 @@ func (g *Gateway) runRound() {
 		var rr *RoundResult
 		switch {
 		case !s.hasPending:
-			// Missed the barrier: a strike toward quarantine. The skipped
-			// result is cached so the straggler's eventual submission gets
-			// a truthful answer.
+			// Missed the barrier: BreakerThreshold misses in a row open
+			// the breaker (a miss after a half-open probe reopens it). The
+			// skipped result is cached so the straggler's eventual
+			// submission gets a truthful answer.
 			rr = &RoundResult{SessionID: s.id, Round: round, Status: RoundSkipped}
-			g.strike(s)
+			if s.breaker.Fail(g.cfg.BreakerThreshold) {
+				g.cBreakerOpen.Inc()
+				g.trip(fmt.Sprintf("netio: breaker open: tag %d missed %d rounds", s.tagID, s.breaker.Fails))
+				g.logf("gateway: breaker open for tag %d after %d misses", s.tagID, s.breaker.Fails)
+			}
 		case err != nil:
 			rr = &RoundResult{SessionID: s.id, Round: round, Status: RoundError,
 				Outcome: Outcome{Err: err.Error()}}
@@ -818,10 +800,9 @@ func (g *Gateway) runRound() {
 		}
 		g.cacheResult(s, rr)
 		if s.hasPending {
-			if s.breaker == breakerHalfOpen {
-				// Probe succeeded end to end: close the breaker.
-				s.breaker = breakerClosed
-				s.misses = 0
+			// A served round ends the miss run; after a half-open probe it
+			// closes the breaker.
+			if s.breaker.Succeed() {
 				g.cBreakerClose.Inc()
 				g.logf("gateway: breaker closed for tag %d", s.tagID)
 			}
@@ -834,27 +815,6 @@ func (g *Gateway) runRound() {
 	g.firstSubmit = time.Time{}
 	clear(g.groupFirst)
 	g.logf("gateway: round %d served (%d tags)", round, len(bits))
-}
-
-// strike records a missed round; enough consecutive strikes open the
-// session's breaker and quarantine the tag.
-func (g *Gateway) strike(s *session) {
-	if s.breaker == breakerOpen {
-		return
-	}
-	if s.breaker == breakerHalfOpen {
-		// The probe round itself cannot miss (half-open is entered by
-		// submitting), but a later miss sends it back to open.
-		s.breaker = breakerOpen
-		return
-	}
-	s.misses++
-	if s.misses >= g.cfg.BreakerThreshold {
-		s.breaker = breakerOpen
-		g.cBreakerOpen.Inc()
-		g.trip(fmt.Sprintf("netio: breaker open: tag %d missed %d rounds", s.tagID, s.misses))
-		g.logf("gateway: breaker open for tag %d after %d misses", s.tagID, s.misses)
-	}
 }
 
 func (g *Gateway) cacheResult(s *session, rr *RoundResult) {

@@ -312,6 +312,60 @@ func TestGatewayBreakerQuarantine(t *testing.T) {
 	}
 }
 
+// TestGatewayBreakerCountsConsecutiveMisses pins BreakerThreshold's
+// "consecutive": at the default threshold of 2, an isolated miss after a
+// served round leaves the breaker closed, and two back-to-back misses open
+// it.
+func TestGatewayBreakerCountsConsecutiveMisses(t *testing.T) {
+	node, m, stop := testGateway(t, GatewayConfig{
+		MinSessions: 2, Rounds: 5,
+		RoundTimeout:   100 * time.Millisecond,
+		SessionTimeout: time.Minute, // eviction out of the picture
+	}, echoExchange)
+
+	slow, slowConn := dialTag(t, node.Addr(), 1, ClientConfig{})
+	defer slowConn.Close()
+	fast, fastConn := dialTag(t, node.Addr(), 2, ClientConfig{})
+	defer fastConn.Close()
+
+	ctx := context.Background()
+	fastOnly := func(round int) {
+		t.Helper()
+		rr, err := fast.SubmitRound(ctx, []bool{true})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if rr.Status != RoundOK {
+			t.Fatalf("round %d: status %v", round, rr.Status)
+		}
+	}
+	opened := func() int64 { return m.Counter("netio.breaker.open").Value() }
+
+	fastOnly(0) // the slow tag's first miss
+	for slow.Round() < 1 {
+		if _, err := slow.SubmitRound(ctx, []bool{false}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := submitBoth(ctx, slow, fast); err != nil { // round 1: served
+		t.Fatal(err)
+	}
+	fastOnly(2) // an isolated miss: the run restarted at round 1
+	if got := opened(); got != 0 {
+		t.Fatalf("breaker opened on non-consecutive misses (netio.breaker.open = %d)", got)
+	}
+	fastOnly(3) // the second miss in a row opens the breaker
+	if got := opened(); got != 1 {
+		t.Fatalf("netio.breaker.open = %d after two consecutive misses, want 1", got)
+	}
+	fastOnly(4)
+	slow.Close()
+	fast.Close()
+	if err := stop(); err != nil {
+		t.Fatalf("gateway: %v", err)
+	}
+}
+
 // submitBoth submits one round from both clients, a first (a quarantined
 // tag's probe must land before the barrier stops waiting for it; the
 // barrier then holds the round for b, which is a Closed-breaker session).

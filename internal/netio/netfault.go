@@ -5,12 +5,13 @@ import (
 	"sync"
 	"time"
 
+	"biscatter/internal/splitmix"
 	"biscatter/internal/telemetry"
 )
 
 // NetFaultProfile configures the deterministic network-fault injector. It
 // follows the internal/fault discipline: every decision is a stateless
-// splitmix64 draw keyed by (Seed, stream, datagram index), so a given
+// internal/splitmix draw keyed by (Seed, stream, datagram index), so a given
 // profile replays the exact same loss pattern on every run regardless of
 // timing — which is what lets the chaos conformance suite pin byte-exact
 // outcomes under 10% loss.
@@ -56,24 +57,33 @@ const (
 	netStreamDelayDur   uint64 = 7
 )
 
-// netMix is the splitmix64 finalizer (same constants as internal/fault).
-func netMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// fate is the injector's verdict on one datagram of n bytes. Every draw is
+// taken, even where an earlier verdict pre-empts a later one in WriteTo.
+type fate struct {
+	drop, dup, reorder, delay bool
+	flipBit                   int           // bit to corrupt, or -1
+	delayBy                   time.Duration // meaningful when delay
 }
 
-// netHashBits returns 64 independent-looking bits for (seed, stream, idx).
-func netHashBits(seed int64, stream, idx uint64) uint64 {
-	h := netMix(uint64(seed))
-	h = netMix(h ^ stream*0xd6e8feb86659fd93)
-	return netMix(h ^ idx)
-}
-
-// netUniform returns a deterministic draw in [0, 1).
-func netUniform(seed int64, stream, idx uint64) float64 {
-	return float64(netHashBits(seed, stream, idx)>>11) / (1 << 53)
+// fate draws the verdicts for datagram idx.
+func (p NetFaultProfile) fate(idx uint64, n int) fate {
+	hit := func(prob float64, stream uint64) bool {
+		return prob > 0 && splitmix.Uniform(p.Seed, stream, idx) < prob
+	}
+	f := fate{
+		drop:    hit(p.Drop, netStreamDrop),
+		dup:     hit(p.Duplicate, netStreamDuplicate),
+		reorder: hit(p.Reorder, netStreamReorder),
+		delay:   hit(p.Delay, netStreamDelay),
+		flipBit: -1,
+	}
+	if hit(p.Corrupt, netStreamCorrupt) {
+		f.flipBit = int(splitmix.Bits(p.Seed, netStreamCorruptPos, idx) % uint64(8*n))
+	}
+	if f.delay {
+		f.delayBy = time.Duration(splitmix.Uniform(p.Seed, netStreamDelayDur, idx) * float64(p.MaxDelay))
+	}
+	return f
 }
 
 // faultTransport wraps a Transport with send-side fault injection. The
@@ -120,10 +130,10 @@ func (ft *faultTransport) WriteTo(b []byte, addr *net.UDPAddr) (int, error) {
 	release := ft.held
 	ft.held = nil
 
-	p, seed := ft.p, ft.p.Seed
 	n := len(b)
+	f := ft.p.fate(idx, n)
 
-	if p.Drop > 0 && netUniform(seed, netStreamDrop, idx) < p.Drop {
+	if f.drop {
 		ft.mu.Unlock()
 		ft.dropped.Inc()
 		ft.flush(release)
@@ -134,14 +144,12 @@ func (ft *faultTransport) WriteTo(b []byte, addr *net.UDPAddr) (int, error) {
 	// Work on a copy so corruption/delay never mutate or retain the
 	// caller's buffer.
 	out := append([]byte(nil), b...)
-	if p.Corrupt > 0 && netUniform(seed, netStreamCorrupt, idx) < p.Corrupt {
-		pos := netHashBits(seed, netStreamCorruptPos, idx) % uint64(8*len(out))
-		out[pos/8] ^= 1 << (pos % 8)
+	if f.flipBit >= 0 {
+		out[f.flipBit/8] ^= 1 << (f.flipBit % 8)
 		ft.corrupted.Inc()
 	}
 
-	dup := p.Duplicate > 0 && netUniform(seed, netStreamDuplicate, idx) < p.Duplicate
-	if p.Reorder > 0 && netUniform(seed, netStreamReorder, idx) < p.Reorder {
+	if f.reorder {
 		// Hold this datagram; it goes out after the next send.
 		ft.held = &heldDatagram{buf: out, addr: addr}
 		ft.mu.Unlock()
@@ -151,19 +159,17 @@ func (ft *faultTransport) WriteTo(b []byte, addr *net.UDPAddr) (int, error) {
 	}
 	ft.mu.Unlock()
 
-	if p.Delay > 0 && netUniform(seed, netStreamDelay, idx) < p.Delay {
-		d := time.Duration(netUniform(seed, netStreamDelayDur, idx) * float64(p.MaxDelay))
+	if f.delay {
 		ft.delayed.Inc()
-		buf := out
-		time.AfterFunc(d, func() {
-			ft.inner.WriteTo(buf, addr) //nolint:errcheck // post-close errors are expected
+		time.AfterFunc(f.delayBy, func() {
+			ft.inner.WriteTo(out, addr) //nolint:errcheck // post-close errors are expected
 		})
 		ft.flush(release)
 		return n, nil
 	}
 
 	_, err := ft.inner.WriteTo(out, addr)
-	if dup {
+	if f.dup {
 		ft.duplicated.Inc()
 		ft.inner.WriteTo(out, addr) //nolint:errcheck // best-effort duplicate
 	}

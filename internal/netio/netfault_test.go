@@ -1,7 +1,10 @@
 package netio
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -168,4 +171,68 @@ func TestNetFaultDelay(t *testing.T) {
 		t.Fatalf("only %d of 50 datagrams arrived after delay window", got)
 	}
 	ft.Close()
+}
+
+// TestNetFaultKnownAnswers pins the injector's verdicts for the first 64
+// datagrams, recorded before its hash moved to internal/splitmix: the chaos
+// suite's byte-exact outcomes rest on every one of these draws.
+func TestNetFaultKnownAnswers(t *testing.T) {
+	p := NetFaultProfile{Seed: 7, Drop: 0.1, Duplicate: 0.2, Reorder: 0.15, Corrupt: 0.2, Delay: 0.25, MaxDelay: 20 * time.Millisecond}
+	var drop, dup, reorder, corrupt, delay uint64
+	var flips []int
+	var delays []time.Duration
+	for idx := uint64(0); idx < 64; idx++ {
+		f := p.fate(idx, 24)
+		for _, v := range []struct {
+			on   bool
+			mask *uint64
+		}{{f.drop, &drop}, {f.dup, &dup}, {f.reorder, &reorder}, {f.flipBit >= 0, &corrupt}, {f.delay, &delay}} {
+			if v.on {
+				*v.mask |= 1 << idx
+			}
+		}
+		if f.flipBit >= 0 {
+			flips = append(flips, f.flipBit)
+		}
+		if f.delay {
+			delays = append(delays, f.delayBy)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"drop", drop, 0x1800220098802414},
+		{"duplicate", dup, 0xc2a2c00200100201},
+		{"reorder", reorder, 0x0000004000800040},
+		{"corrupt", corrupt, 0x3805881488020024},
+		{"delay", delay, 0xaa3d680000080230},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s mask = %#016x, want %#016x", c.name, c.got, c.want)
+		}
+	}
+	wantFlips := []int{0x7a, 0xb4, 0x8c, 0xa5, 0x5c, 0x54, 0x18, 0x72, 0xa2, 0x37, 0x79, 0x74, 0x4a, 0xbf}
+	if !reflect.DeepEqual(flips, wantFlips) {
+		t.Errorf("corrupted bits %v, want %v", flips, wantFlips)
+	}
+	wantDelays := []time.Duration{18509590, 286219, 6761773, 19315174, 2218513, 18421816, 12707566, 11329455,
+		7203472, 13653545, 3421409, 15600136, 19917303, 13286223, 16445424, 9442830}
+	if !reflect.DeepEqual(delays, wantDelays) {
+		t.Errorf("delays %v, want %v", delays, wantDelays)
+	}
+
+	// The same verdicts applied by WriteTo (delay off, so every send is
+	// synchronous): a digest of the exact datagram stream.
+	mem := &memTransport{}
+	sendN(t, newFaultTransport(mem, NetFaultProfile{Seed: 7, Drop: 0.1, Duplicate: 0.2, Reorder: 0.15, Corrupt: 0.2}, nil), 64)
+	h := fnv.New64a()
+	sent := mem.snapshot()
+	for _, d := range sent {
+		binary.Write(h, binary.LittleEndian, uint32(len(d))) //nolint:errcheck // hash writes cannot fail
+		h.Write(d)
+	}
+	if len(sent) != 64 || h.Sum64() != 0x662786a84a2873e2 {
+		t.Errorf("datagram stream: %d datagrams, digest %#016x; want 64, 0x662786a84a2873e2", len(sent), h.Sum64())
+	}
 }

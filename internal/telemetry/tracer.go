@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"biscatter/internal/splitmix"
 )
 
 // ExchangeID is the deterministic identity of one pipeline round. It is
@@ -26,12 +28,7 @@ type ExchangeID uint64
 // sequences land far apart in ID space (IDs double as correlation keys in
 // log search, where visual distinctness matters).
 func NewExchangeID(seed int64, network int, seq uint64) ExchangeID {
-	x := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(network)<<48 ^ seq
-	// splitmix64 finalizer
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return ExchangeID(x ^ (x >> 31))
+	return ExchangeID(splitmix.Mix(uint64(seed)*splitmix.Gamma ^ uint64(network)<<48 ^ seq))
 }
 
 // String renders the ID as 16 hex digits, the form used in Event.Exchange

@@ -37,6 +37,27 @@ func TestExchangeIDDeterministic(t *testing.T) {
 	}
 }
 
+// TestExchangeIDKnownAnswers pins exact IDs, recorded before the mixer
+// moved to internal/splitmix: recorded traces and flight dumps key on them.
+func TestExchangeIDKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		seed    int64
+		network int
+		seq     uint64
+		want    uint64
+	}{
+		{0, 0, 0, 0xe220a8397b1dcdaf},
+		{1, 0, 1, 0xe99ff867dbf682c9},
+		{424, 0, 1, 0x29636a12d56eb4d8},
+		{424, 3, 17, 0xce32ca85944e8183},
+		{-5, 65535, 1 << 40, 0x6b0e98affddb3db9},
+	} {
+		if got := uint64(NewExchangeID(c.seed, c.network, c.seq)); got != c.want {
+			t.Errorf("NewExchangeID(%d, %d, %d) = %#016x, want %#016x", c.seed, c.network, c.seq, got, c.want)
+		}
+	}
+}
+
 func TestSpanTreeShapeAndWalk(t *testing.T) {
 	tr := BeginTrace(NewExchangeID(1, 0, 0), 0, 0, "exchange")
 	down := tr.Root.Child("downlink", -1)
