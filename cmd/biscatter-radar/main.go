@@ -39,7 +39,6 @@ import (
 
 	"biscatter/internal/core"
 	"biscatter/internal/fec"
-	"biscatter/internal/mac"
 	"biscatter/internal/netio"
 	"biscatter/internal/radar"
 	"biscatter/internal/telemetry"
@@ -85,54 +84,6 @@ func main() {
 	}
 }
 
-// gatewayTones is the validated 4-pair uplink tone table: slots within one
-// TDMA frame reuse it, so any fleet size works as long as at most 4 tags
-// modulate per frame.
-var gatewayTones = [4][2]float64{{1000, 1400}, {1800, 2200}, {2600, 3000}, {3400, 3800}}
-
-// gatewayConfig places n nodes with uplink tone pairs below the slow-time
-// band limit. Up to 4 tags fit one frame; beyond that a frame schedule
-// (frameCapacity 1–4 tags per TDMA frame group) time-division-multiplexes
-// the fleet so frames reuse the tone table. idBase offsets the node IDs so
-// several member networks stay globally unique behind one gateway.
-func gatewayConfig(n, frameCapacity, idBase int, seed int64, metrics *telemetry.Metrics) (core.Config, error) {
-	if n < 1 {
-		return core.Config{}, fmt.Errorf("-tags must be positive, got %d", n)
-	}
-	capacity := frameCapacity
-	if capacity <= 0 {
-		if n <= len(gatewayTones) {
-			capacity = n
-		} else {
-			capacity = len(gatewayTones)
-		}
-	}
-	if capacity > len(gatewayTones) {
-		return core.Config{}, fmt.Errorf("-frame-capacity %d exceeds the %d-pair tone table", capacity, len(gatewayTones))
-	}
-	cfg := core.Config{Seed: seed, Metrics: metrics}
-	if n > capacity {
-		sched, err := mac.NewFrameSchedule(n, capacity)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Schedule = sched
-	}
-	for i := 0; i < n; i++ {
-		group, slot := 0, i
-		if cfg.Schedule != nil {
-			group, slot = cfg.Schedule.Assignment(i)
-		}
-		cfg.Nodes = append(cfg.Nodes, core.NodeConfig{
-			ID:           uint8(idBase + i + 1),
-			Range:        1.5 + 1.2*float64(slot) + 0.3*float64(group),
-			ModulationF0: gatewayTones[slot][0],
-			ModulationF1: gatewayTones[slot][1],
-		})
-	}
-	return cfg, nil
-}
-
 // serveGateway runs the distributed fleet service: a netio.Gateway
 // supervising tag client sessions across one or more member networks, each
 // round executed on the in-process exchange pipeline and captured into a
@@ -160,10 +111,11 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile,
 	recs := make([]*core.ExchangeRecorder, networks)
 	members := make([]core.GatewayMember, networks)
 	for ni := 0; ni < networks; ni++ {
-		cfg, err := gatewayConfig(tags, sf.FrameCapacity, ni*tags, seed+int64(ni), metrics)
+		nodes, sched, err := core.LayoutTags(tags, sf.FrameCapacity, ni*tags)
 		if err != nil {
 			return err
 		}
+		cfg := core.Config{Nodes: nodes, Schedule: sched, Seed: seed + int64(ni), Metrics: metrics}
 		var netw *core.Network
 		var handle *core.FleetNetwork
 		if fleet != nil {

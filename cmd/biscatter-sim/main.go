@@ -23,23 +23,21 @@
 //	biscatter-sim record -out run.bsctrace -rounds 20 -nodes 4 -seed 7
 //	biscatter-sim replay run.bsctrace
 //
-// The chaos subcommand runs the full distributed stack in one process: a
-// loopback netio gateway serving N tag clients over UDP with deterministic
-// transport faults injected (drop/duplicate/reorder/corrupt), then verifies
-// the captured exchange record replays byte-identically against the
-// in-process oracle:
+// The chaos subcommand runs the full distributed stack in one process (an
+// eval.Loopback run): a loopback netio gateway serving N tag clients with
+// deterministic transport faults injected (drop/duplicate/reorder/corrupt),
+// then verifies the captured exchange record replays byte-identically
+// against the in-process oracle:
 //
 //	biscatter-sim chaos -tags 3 -rounds 5 -net-drop 0.1 -net-reorder 0.05
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"biscatter/internal/core"
@@ -281,7 +279,7 @@ func runReplay(args []string) int {
 	return 0
 }
 
-// runChaos runs the distributed gateway/client stack over loopback UDP with
+// runChaos runs the distributed gateway/client stack over loopback with
 // deterministic transport faults, then proves conformance: the captured
 // exchange record must replay byte-identically on the in-process pipeline.
 func runChaos(args []string) int {
@@ -297,193 +295,35 @@ func runChaos(args []string) int {
 		// Chaos without faults proves nothing; default to the acceptance duty.
 		faults.Drop, faults.Reorder, faults.Duplicate = 0.10, 0.05, 0.03
 	}
-
-	// Slots within one TDMA frame reuse this validated tone table; fleets
-	// wider than it are time-division-multiplexed across frame groups.
-	tones := [][2]float64{{1000, 1400}, {1800, 2200}, {2600, 3000}, {3400, 3800}}
-	capacity := sf.FrameCapacity
-	if capacity <= 0 {
-		capacity = len(tones)
-		if *tags < capacity {
-			capacity = *tags
-		}
-	}
-	if *tags < 1 || capacity > len(tones) {
-		fmt.Fprintf(os.Stderr, "chaos: need -tags ≥ 1 and -frame-capacity ≤ %d (got %d tags, capacity %d)\n",
-			len(tones), *tags, capacity)
+	rec, err := eval.NewLoopbackRecorder(*tags, sf.FrameCapacity, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		return 2
-	}
-	cfg := core.Config{Seed: *seed, ChirpsPerBit: 16}
-	if *tags > capacity {
-		sched, err := mac.NewFrameSchedule(*tags, capacity)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 2
-		}
-		cfg.Schedule = sched
-	}
-	for i := 0; i < *tags; i++ {
-		group, slot := 0, i
-		if cfg.Schedule != nil {
-			group, slot = cfg.Schedule.Assignment(i)
-		}
-		cfg.Nodes = append(cfg.Nodes, core.NodeConfig{
-			ID:           uint8(i + 1),
-			Range:        1.5 + 1.2*float64(slot) + 0.3*float64(group),
-			ModulationF0: tones[slot][0],
-			ModulationF1: tones[slot][1],
-		})
-	}
-	netw, err := core.NewNetwork(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		return 1
-	}
-	rec, err := core.NewExchangeRecorder(netw)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		return 1
 	}
 	rec.SetMeta("tool", "biscatter-sim chaos")
-	fn, err := core.NewGatewayHandler(rec, func(round uint64) []byte {
-		return core.RandomPayload(*seed+int64(round)*977, 4)
-	})
+	pt, err := eval.Loopback{Recorder: rec, Rounds: *rounds, Service: *sf, Faults: faults}.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		return 1
 	}
-
-	admission, err := netio.ParseAdmissionPolicy(sf.Admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		return 2
-	}
-	metrics := telemetry.New()
-	flight := telemetry.NewFlightRecorder(64)
-	listen := sf.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	gwConn, err := netio.ListenTransport(sf.Transport, listen,
-		netio.WithMetrics(metrics), netio.WithNetFaults(faults))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		return 1
-	}
-	defer gwConn.Close()
-	gwCfg := netio.GatewayConfig{
-		MinSessions:       *tags,
-		Rounds:            uint64(*rounds),
-		Schedule:          cfg.Schedule,
-		Admission:         admission,
-		FrameTimeout:      sf.FrameTimeout,
-		HeartbeatInterval: sf.Heartbeat,
-		SessionTimeout:    sf.SessionTimeout,
-		Metrics:           metrics,
-		Flight:            flight,
-	}
-	if cfg.Schedule != nil {
-		// A wide fleet needs a patient barrier (a straggler's handshake
-		// retries must not force a partial round — conformance pins the full
-		// fleet) and a bounded post-rounds linger (some Goodbye almost
-		// always drops under the fault profile).
-		gwCfg.RoundTimeout = 30 * time.Second
-		if gwCfg.FrameTimeout <= 0 {
-			gwCfg.FrameTimeout = 10 * time.Second
-		}
-		gwCfg.Linger = 5 * time.Second
-	}
-	gw := netio.NewGateway(gwConn, gwCfg, fn)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.Run(ctx) }()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, *tags)
-	for i := 0; i < *tags; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = chaosClient(ctx, sf.Transport, gwConn.Addr().String(), uint8(i+1), *seed, *rounds, faults)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-	}
-	if err := <-gwDone; err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: gateway: %v\n", err)
-		return 1
-	}
-
-	record := rec.Record()
-	injected := metrics.Counter("netio.fault.dropped").Value() +
-		metrics.Counter("netio.fault.duplicated").Value() +
-		metrics.Counter("netio.fault.reordered").Value() +
-		metrics.Counter("netio.fault.corrupted").Value()
 	fmt.Printf("chaos: %d tags × %d rounds over loopback %s in %.1fs (%d faults injected, %d session retries)\n",
-		*tags, len(record.Rounds), sf.Transport, time.Since(start).Seconds(), injected,
-		metrics.Counter("netio.retries").Value()+metrics.Counter("netio.client.retries").Value())
+		pt.Tags, pt.Rounds, sf.Transport, pt.Elapsed.Seconds(), pt.FaultsInjected, pt.GatewayRetries+pt.ClientRetries)
 	if *out != "" {
-		if err := trace.SaveExchange(*out, record); err != nil {
+		if err := trace.SaveExchange(*out, rec.Record()); err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			return 1
 		}
 		fmt.Printf("chaos: record written to %s\n", *out)
 	}
-	report, err := core.ReplayRecord(record)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: replay: %v\n", err)
-		return 1
-	}
-	if !report.OK() {
-		fmt.Fprintf(os.Stderr, "chaos: replay DIVERGED: %d mismatches over %d rounds\n",
-			len(report.Mismatches), report.Rounds)
-		for _, m := range report.Mismatches {
+	if !pt.ReplayOK {
+		fmt.Fprintf(os.Stderr, "chaos: replay DIVERGED: %d mismatches over %d rounds\n", len(pt.Mismatches), pt.Rounds)
+		for _, m := range pt.Mismatches {
 			fmt.Fprintf(os.Stderr, "  %s\n", m)
 		}
 		return 1
 	}
-	fmt.Printf("chaos: replay OK — %d distributed rounds byte-identical to the in-process oracle\n", report.Rounds)
+	fmt.Printf("chaos: replay OK — %d distributed rounds byte-identical to the in-process oracle\n", pt.Rounds)
 	return 0
-}
-
-// chaosClient is one tag's session: dial the gateway and submit every round.
-func chaosClient(ctx context.Context, transport, addr string, id uint8, seed int64, rounds int, faults *netio.NetFaultProfile) error {
-	p := *faults
-	p.Seed = faults.Seed + int64(id)*1000
-	conn, err := netio.ListenTransport(transport, "127.0.0.1:0", netio.WithNetFaults(&p))
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	c, err := netio.Dial(conn, addr, netio.ClientConfig{
-		TagID:          id,
-		Seed:           seed + int64(id),
-		AttemptTimeout: 500 * time.Millisecond,
-		MaxAttempts:    40,
-		DialAttempts:   40,
-	})
-	if err != nil {
-		return fmt.Errorf("tag %d: %w", id, err)
-	}
-	defer c.Close()
-	for r := 0; r < rounds; r++ {
-		bits := uplinkPattern(seed + int64(r*251) + int64(id))
-		res, err := c.SubmitRound(ctx, bits)
-		if err != nil {
-			return fmt.Errorf("tag %d round %d: %w", id, r, err)
-		}
-		if res.Status == netio.RoundError {
-			return fmt.Errorf("tag %d round %d: %s", id, res.Round, res.Outcome.Err)
-		}
-	}
-	return nil
 }
 
 // uplinkPattern derives a small deterministic uplink bit pattern from a seed.

@@ -305,3 +305,52 @@ func digestOutcome(nr NodeResult) netio.Outcome {
 	}
 	return o
 }
+
+// layoutTones is the validated 4-pair uplink tone table: every pair sits
+// below the slow-time band limit, and slots within one TDMA frame reuse it,
+// so any fleet size works as long as at most 4 tags modulate per frame.
+var layoutTones = [4][2]float64{{1000, 1400}, {1800, 2200}, {2600, 3000}, {3400, 3800}}
+
+// LayoutTags places a served fleet of n tags. Tag i gets ID idBase+i+1, the
+// tone pair of its frame slot, and range 1.5 + 1.2·slot + 0.3·group meters.
+// frameCapacity bounds the tags per TDMA frame group: 0 fits the tone table,
+// more than 4 is an error, and a frame schedule is built (and returned) only
+// when n exceeds the capacity. idBase offsets the IDs so several member
+// networks stay globally unique behind one gateway; an ID past 255 is an
+// error.
+func LayoutTags(n, frameCapacity, idBase int) ([]NodeConfig, *mac.FrameSchedule, error) {
+	if n < 1 {
+		return nil, nil, fmt.Errorf("core: -tags must be positive, got %d", n)
+	}
+	if last := idBase + n; last > 255 {
+		return nil, nil, fmt.Errorf("core: tag IDs would run to %d, past the 8-bit limit of 255: lower -tags or -networks", last)
+	}
+	capacity := frameCapacity
+	if capacity <= 0 {
+		capacity = min(n, len(layoutTones))
+	}
+	if capacity > len(layoutTones) {
+		return nil, nil, fmt.Errorf("core: -frame-capacity %d exceeds the %d-pair tone table", capacity, len(layoutTones))
+	}
+	var sched *mac.FrameSchedule
+	if n > capacity {
+		var err error
+		if sched, err = mac.NewFrameSchedule(n, capacity); err != nil {
+			return nil, nil, err
+		}
+	}
+	nodes := make([]NodeConfig, n)
+	for i := range nodes {
+		group, slot := 0, i
+		if sched != nil {
+			group, slot = sched.Assignment(i)
+		}
+		nodes[i] = NodeConfig{
+			ID:           uint8(idBase + i + 1),
+			Range:        1.5 + 1.2*float64(slot) + 0.3*float64(group),
+			ModulationF0: layoutTones[slot][0],
+			ModulationF1: layoutTones[slot][1],
+		}
+	}
+	return nodes, sched, nil
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"biscatter/internal/netio"
@@ -133,5 +134,62 @@ func TestGatewayHandlerRejectsBadSetup(t *testing.T) {
 	rec := serviceRecorder(t)
 	if _, err := NewGatewayHandler(rec, nil); err == nil {
 		t.Fatal("nil payload source accepted")
+	}
+}
+
+// TestLayoutTagsPlacement pins the served-fleet layout: the tone pair of
+// each frame slot, range 1.5 + 1.2·slot + 0.3·group, IDs offset by idBase,
+// and a frame schedule only past the capacity.
+func TestLayoutTagsPlacement(t *testing.T) {
+	nodes, sched, err := LayoutTags(3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched != nil {
+		t.Fatal("3 tags fit one frame but got a schedule")
+	}
+	want := []NodeConfig{
+		{ID: 1, Range: 1.5, ModulationF0: 1000, ModulationF1: 1400},
+		{ID: 2, Range: 2.7, ModulationF0: 1800, ModulationF1: 2200},
+		{ID: 3, Range: 3.9, ModulationF0: 2600, ModulationF1: 3000},
+	}
+	for i := range want {
+		if nodes[i] != want[i] {
+			t.Fatalf("node %d = %+v, want %+v", i, nodes[i], want[i])
+		}
+	}
+
+	nodes, sched, err = LayoutTags(6, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched == nil || sched.Frames() != 2 {
+		t.Fatalf("6 tags at capacity 4: schedule %v, want 2 frame groups", sched)
+	}
+	// Tag index 5 is group 1, slot 1: slot 1's tones, shifted 0.3 m out.
+	if got := nodes[5]; got.ID != 16 || got.Range != 1.5+1.2+0.3 || got.ModulationF0 != 1800 || got.ModulationF1 != 2200 {
+		t.Fatalf("tag index 5 = %+v, want ID 16 at 3.0 m on the 1800/2200 Hz pair", got)
+	}
+}
+
+// TestLayoutTagsRejects covers the up-front input errors, above all a tag
+// ID past 255, which a uint8 would otherwise wrap into a duplicate.
+func TestLayoutTagsRejects(t *testing.T) {
+	if _, _, err := LayoutTags(255, 4, 0); err != nil {
+		t.Fatalf("IDs 1–255 must fit: %v", err)
+	}
+	for _, tc := range []struct {
+		n, capacity, idBase int
+		want                string
+	}{
+		{0, 0, 0, "-tags"},
+		{3, 5, 0, "-frame-capacity"},
+		{256, 4, 0, "-tags or -networks"},
+		{100, 4, 200, "-tags or -networks"},
+	} {
+		_, _, err := LayoutTags(tc.n, tc.capacity, tc.idBase)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LayoutTags(%d, %d, %d) = %v, want an error naming %s", tc.n, tc.capacity, tc.idBase, err, tc.want)
+		}
 	}
 }

@@ -15,31 +15,22 @@ import (
 	"time"
 
 	"biscatter/internal/core"
-	"biscatter/internal/mac"
 	"biscatter/internal/netio"
 	"biscatter/internal/telemetry"
 )
 
-// scaledConfig builds a 16-node network TDM'd into 4-tag frame groups.
-// Slots within a group reuse the validated 4-pair tone table (tags in
-// different frames never modulate together, so the deployment exceeds the
-// single-frame band limit by design).
+// scaledConfig builds an nTags-node network TDM'd into capacity-tag frame
+// groups by core.LayoutTags. Slots within a group reuse the validated
+// 4-pair tone table (tags in different frames never modulate together, so
+// the deployment exceeds the single-frame band limit by design).
 func scaledConfig(t *testing.T, nTags, capacity int) core.Config {
 	t.Helper()
-	sched, err := mac.NewFrameSchedule(nTags, capacity)
+	nodes, sched, err := core.LayoutTags(nTags, capacity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tones := [][2]float64{{1000, 1400}, {1800, 2200}, {2600, 3000}, {3400, 3800}}
-	nodes := make([]core.NodeConfig, nTags)
-	for i := range nodes {
-		group, slot := sched.Assignment(i)
-		nodes[i] = core.NodeConfig{
-			ID:           uint8(i + 1),
-			Range:        1.5 + 1.2*float64(slot) + 0.3*float64(group),
-			ModulationF0: tones[slot][0],
-			ModulationF1: tones[slot][1],
-		}
+	if sched == nil {
+		t.Fatalf("%d tags at capacity %d built no frame schedule", nTags, capacity)
 	}
 	return core.Config{Nodes: nodes, Seed: 424, ChirpsPerBit: 16, Schedule: sched}
 }
@@ -106,9 +97,9 @@ func runScaledChaos(t *testing.T, transport string) {
 		FrameTimeout: 10 * time.Second,
 		// With 16 lossy endpoints some Goodbye almost always drops; don't
 		// wait out SessionTimeout for the eviction before exiting.
-		Linger: 5 * time.Second,
-		Poll:              5 * time.Millisecond,
-		Metrics:           m,
+		Linger:  5 * time.Second,
+		Poll:    5 * time.Millisecond,
+		Metrics: m,
 	}, fn)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)

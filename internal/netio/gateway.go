@@ -30,9 +30,12 @@ const (
 	DefaultRoundTimeout      = time.Second
 	DefaultQueueDepth        = 16
 	DefaultBreakerThreshold  = 2
-	DefaultResultCache       = 8
 	DefaultPoll              = 20 * time.Millisecond
 )
+
+// resultCache bounds the per-session cache of recent round results used to
+// answer retransmitted submissions idempotently.
+const resultCache = 8
 
 // AdmissionPolicy decides what happens to a new tag's Hello when the
 // gateway is at session capacity.
@@ -83,8 +86,6 @@ func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
 // GatewayConfig parameterizes a Gateway. The zero value is usable: every
 // field has a default.
 type GatewayConfig struct {
-	// Version is the protocol version to require (default ProtocolVersion).
-	Version uint16
 	// MinSessions gates round 0: the first round does not run until this
 	// many tags hold sessions, so a fleet can assemble before the exchange
 	// starts. Later rounds run with whoever is live.
@@ -126,18 +127,11 @@ type GatewayConfig struct {
 	FrameTimeout time.Duration
 	// QueueDepth bounds each session's send queue.
 	QueueDepth int
-	// SendTimeout is the reject-or-wait backpressure knob (mirroring
-	// core.Fleet): 0 rejects immediately when a session's queue is full;
-	// > 0 waits up to the timeout before rejecting.
-	SendTimeout time.Duration
 	// BreakerThreshold opens a session's circuit breaker after this many
 	// consecutive missed rounds (default 2). An open session is quarantined:
 	// the round barrier stops waiting for it, and its next submission is the
 	// half-open probe that closes the breaker again.
 	BreakerThreshold int
-	// ResultCache bounds the per-session cache of recent round results used
-	// to answer retransmitted submissions idempotently.
-	ResultCache int
 	// Poll is the receive-poll granularity of the supervision loop.
 	Poll time.Duration
 	// Linger bounds the post-Rounds wait for Goodbyes (default
@@ -153,9 +147,6 @@ type GatewayConfig struct {
 }
 
 func (c *GatewayConfig) applyDefaults() {
-	if c.Version == 0 {
-		c.Version = ProtocolVersion
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = DefaultHeartbeatInterval
 	}
@@ -176,9 +167,6 @@ func (c *GatewayConfig) applyDefaults() {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.ResultCache <= 0 {
-		c.ResultCache = DefaultResultCache
 	}
 	if c.Poll <= 0 {
 		c.Poll = DefaultPoll
@@ -225,7 +213,7 @@ type session struct {
 // Gateway supervises many tag sessions over one Conn and drives the
 // exchange round loop: handshake with protocol-version check, per-session
 // sequence tracking, heartbeat liveness with deadline-based eviction,
-// bounded send queues with reject-or-wait backpressure, and per-session
+// bounded send queues that reject when full, and per-session
 // circuit breakers that quarantine unresponsive tags while the rest of the
 // fleet keeps exchanging.
 type Gateway struct {
@@ -382,11 +370,11 @@ func (g *Gateway) dispatch(now time.Time, m Message, from *net.UDPAddr) {
 
 func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 	g.cHello.Inc()
-	if h.Version != g.cfg.Version {
+	if h.Version != ProtocolVersion {
 		g.cRejected.Inc()
 		g.sendDirect(from, &HelloAck{
 			Code:   HelloRejectVersion,
-			Reason: fmt.Sprintf("gateway speaks protocol %d, client sent %d", g.cfg.Version, h.Version),
+			Reason: fmt.Sprintf("gateway speaks protocol %d, client sent %d", ProtocolVersion, h.Version),
 		})
 		return
 	}
@@ -583,28 +571,15 @@ func (g *Gateway) sender(s *session) {
 	}
 }
 
-// enqueue applies the Fleet-style reject-or-wait backpressure to a
-// session's bounded send queue.
+// enqueue puts m on a session's bounded send queue, rejecting it when the
+// queue is full.
 func (g *Gateway) enqueue(s *session, m Message) bool {
-	if g.cfg.SendTimeout <= 0 {
-		select {
-		case s.out <- m:
-			return true
-		default:
-			g.cSendRejected.Inc()
-			g.logf("gateway: send queue full, rejecting %v for tag %d", m.Type(), s.tagID)
-			return false
-		}
-	}
-	t := time.NewTimer(g.cfg.SendTimeout)
-	defer t.Stop()
 	select {
 	case s.out <- m:
 		return true
-	case <-t.C:
+	default:
 		g.cSendRejected.Inc()
-		g.logf("gateway: send queue full after %v, rejecting %v for tag %d",
-			g.cfg.SendTimeout, m.Type(), s.tagID)
+		g.logf("gateway: send queue full, rejecting %v for tag %d", m.Type(), s.tagID)
 		return false
 	}
 }
@@ -820,7 +795,7 @@ func (g *Gateway) runRound() {
 func (g *Gateway) cacheResult(s *session, rr *RoundResult) {
 	if _, ok := s.results[rr.Round]; !ok {
 		s.order = append(s.order, rr.Round)
-		for len(s.order) > g.cfg.ResultCache {
+		for len(s.order) > resultCache {
 			delete(s.results, s.order[0])
 			s.order = s.order[1:]
 		}

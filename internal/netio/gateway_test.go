@@ -430,7 +430,7 @@ func TestGatewaySessionResume(t *testing.T) {
 	}
 }
 
-// TestGatewayBackpressure pins the reject-or-wait send queue discipline
+// TestGatewayBackpressure pins the reject-on-full send queue discipline
 // without a network: a blocked sender fills the bounded queue and further
 // enqueues reject (and count).
 func TestGatewayBackpressure(t *testing.T) {

@@ -188,7 +188,8 @@ func (n *Node) Send(addr *net.UDPAddr, m Message) error {
 func (n *Node) Recv(timeout time.Duration) (Message, *net.UDPAddr, error) {
 	if timeout > 0 {
 		if err := n.tr.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, nil, err
+			// A socket closed between receives fails here, not in ReadFrom.
+			return nil, nil, classifyRecvErr(err)
 		}
 		defer n.tr.SetReadDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}

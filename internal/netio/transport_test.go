@@ -51,7 +51,21 @@ func TestRecvClosedSentinel(t *testing.T) {
 	}
 }
 
-// TestRecvMalformedCounted pins the satellite: malformed datagrams are
+// TestRecvAfterCloseSentinel pins that a socket closed between receives
+// surfaces as ErrClosed too, so a gateway whose socket closes while it is
+// busy exits instead of polling a dead socket until its context expires.
+func TestRecvAfterCloseSentinel(t *testing.T) {
+	n, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	if _, _, err := n.Recv(5 * time.Millisecond); !errors.Is(err, ErrClosed) {
+		t.Fatalf("want ErrClosed, got %v", err)
+	}
+}
+
+// TestRecvMalformedCounted pins that malformed datagrams are
 // returned as errors AND counted into netio.recv.malformed.
 func TestRecvMalformedCounted(t *testing.T) {
 	m := telemetry.New()
