@@ -36,13 +36,19 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFTPlan caches twiddle factors and the bit-reversal permutation for a fixed
-// power-of-two transform size. A plan is safe for concurrent use because
-// Execute never mutates plan state.
+// FFTPlan caches the twiddle factors for a fixed power-of-two transform
+// size. A plan is safe for concurrent use because Execute never mutates
+// plan state.
 type FFTPlan struct {
-	n       int
-	twiddle []complex128 // exp(-2πi k/n) for k in [0, n/2)
-	rev     []int
+	n     int
+	shift uint // bits.Reverse64(i) >> shift reverses the index bits of i in [0, n)
+	// tw holds the twiddles stage by stage: the stage of half-width h reads
+	// tw[h-1 : 2h-1], where tw[h-1+k] = exp(-2πi k/2h). The last stage's
+	// segment is the full table exp(-2πi k/n) for k in [0, n/2); every
+	// earlier segment copies entry k·n/2h of it rather than evaluating its
+	// own angle, so each stage reads contiguous values that are bit for
+	// bit those of a strided walk over the full table.
+	tw []complex128
 }
 
 // NewFFTPlan builds a plan for transforms of size n (a power of two).
@@ -51,18 +57,22 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		return nil, fmt.Errorf("dsp: FFT size %d is not a power of two", n)
 	}
 	p := &FFTPlan{n: n}
-	p.twiddle = make([]complex128, n/2)
-	for k := range p.twiddle {
+	p.tw = make([]complex128, n-1)
+	last := p.tw[max(n/2-1, 0):] // empty for n = 1
+	for k := range last {
 		ang := -2 * math.Pi * float64(k) / float64(n)
-		p.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
+		last[k] = complex(math.Cos(ang), math.Sin(ang))
 	}
-	p.rev = make([]int, n)
-	shift := 64 - uint(bits.Len(uint(n-1)))
+	for h := 1; h < n/2; h <<= 1 {
+		step := n / (2 * h)
+		seg := p.tw[h-1 : 2*h-1]
+		for k := range seg {
+			seg[k] = last[k*step]
+		}
+	}
+	p.shift = 64 - uint(bits.Len(uint(n-1)))
 	if n == 1 {
-		shift = 64
-	}
-	for i := range p.rev {
-		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
+		p.shift = 64
 	}
 	return p, nil
 }
@@ -73,9 +83,9 @@ func (p *FFTPlan) Size() int { return p.n }
 // planCache holds one FFTPlan per transform size. CSSK frames mix chirp
 // durations, so the tag decoder and the slow-time processors request many
 // different (but recurring) power-of-two sizes per frame; caching the
-// twiddle tables and bit-reversal permutations removes that recomputation
-// from the per-chirp hot path. Plans are immutable after construction, so
-// a cached plan is safe to share across worker goroutines.
+// twiddle tables removes that recomputation from the per-chirp hot path.
+// Plans are immutable after construction, so a cached plan is safe to share
+// across worker goroutines.
 var planCache sync.Map // int → *FFTPlan
 
 // PlanFor returns the cached plan for transforms of size n (a power of
@@ -143,29 +153,76 @@ func (p *FFTPlan) InverseInto(dst, src []complex128) {
 	}
 }
 
+// ForwardPrefix computes the forward DFT of a in place when only its first
+// m samples can be non-zero: a must have the plan size, and a[m:] must be
+// zero — the caller's contract, not checked. With s = NextPowerOfTwo(m) and
+// L = n/s, bit reversal moves the s live inputs to multiples of L, and the
+// first log2 L stages would only add w·0 to them, so each is broadcast over
+// its block of L instead and the stages resume at half-width L. Every
+// non-zero output carries the same bits as ForwardInto; an exact zero may
+// differ in its sign.
+func (p *FFTPlan) ForwardPrefix(a []complex128, m int) {
+	if len(a) != p.n || m < 0 || m > p.n {
+		panic(fmt.Sprintf("dsp: FFT prefix mismatch: plan %d, len %d, prefix %d", p.n, len(a), m))
+	}
+	s := NextPowerOfTwo(max(m, 1))
+	L := p.n / s
+	p.bitReverse(a, s)
+	for b := 0; b < p.n; b += L {
+		blk := a[b : b+L]
+		v := blk[0]
+		for k := range blk {
+			blk[k] = v
+		}
+	}
+	p.stages(a, L, false)
+}
+
 // execute runs the in-place iterative radix-2 Cooley-Tukey transform.
 func (p *FFTPlan) execute(a []complex128, inverse bool) {
-	n := p.n
-	// Bit-reversal permutation.
-	for i, j := range p.rev {
+	p.bitReverse(a, p.n)
+	p.stages(a, 1, inverse)
+}
+
+// bitReverse applies the plan's bit-reversal permutation to a for the
+// indices below s: each i < s swaps with its reversal j when i < j. With
+// s = n that is the whole permutation; a smaller s is complete when a[s:]
+// is zero, because every swap it skips exchanges two zeros. The reversal is
+// computed per index rather than kept as a table, so a plan holds only its
+// twiddles.
+func (p *FFTPlan) bitReverse(a []complex128, s int) {
+	for i := range s {
+		j := int(bits.Reverse64(uint64(i)) >> p.shift)
 		if i < j {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				if inverse {
-					w = complex(real(w), -imag(w))
+}
+
+// stages runs the butterfly stages of half-width h0, 2·h0, …, n/2 over a,
+// which must already be in bit-reversed order. The inverse conjugates each
+// twiddle exactly as the forward reads it, in its own loop body, so no loop
+// branches per butterfly.
+func (p *FFTPlan) stages(a []complex128, h0 int, inverse bool) {
+	n := p.n
+	for h := h0; h < n; h <<= 1 {
+		tw := p.tw[h-1 : 2*h-1]
+		for s := 0; s < n; s += 2 * h {
+			lo := a[s : s+h]
+			hi := a[s+h : s+2*h]
+			hi, tw := hi[:len(lo)], tw[:len(lo)]
+			if inverse {
+				for k, w := range tw {
+					t := complex(real(w), -imag(w)) * hi[k]
+					hi[k] = lo[k] - t
+					lo[k] = lo[k] + t
 				}
-				t := w * a[k+half]
-				a[k+half] = a[k] - t
-				a[k] = a[k] + t
-				tw += step
+			} else {
+				for k, w := range tw {
+					t := w * hi[k]
+					hi[k] = lo[k] - t
+					lo[k] = lo[k] + t
+				}
 			}
 		}
 	}

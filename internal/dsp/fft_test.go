@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -275,5 +276,50 @@ func BenchmarkFFT8192(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.ForwardInto(dst, x)
+	}
+}
+
+// BenchmarkFFT4096 times the radar's 4096-point range FFT at the IF sample
+// counts of 20–100 µs chirps at 4 MHz (m = 80, 240, 400) and unpadded
+// (m = 4096): "frozen" is the kernel before the prefix entry point, which
+// always transforms all n points, "prefix" is ForwardPrefix.
+func BenchmarkFFT4096(b *testing.B) {
+	const n = 4096
+	plan, _ := NewFFTPlan(n)
+	frozen := frozenNewFFTPlan(n)
+	rng := rand.New(rand.NewSource(9))
+	a := make([]complex128, n)
+	for _, m := range []int{80, 240, 400, n} {
+		x := make([]complex128, n)
+		copy(x, randomComplexSignal(rng, m))
+		b.Run(fmt.Sprintf("m=%d/frozen", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a, x)
+				frozen.execute(a, false)
+			}
+		})
+		b.Run(fmt.Sprintf("m=%d/prefix", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a, x)
+				plan.ForwardPrefix(a, m)
+			}
+		})
+	}
+}
+
+// TestFFTPrefixAllocFree pins the range-FFT entry point to zero heap
+// allocations per call.
+func TestFFTPrefixAllocFree(t *testing.T) {
+	plan, err := NewFFTPlan(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := make([]complex128, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		clear(a[240:])
+		plan.ForwardPrefix(a, 240)
+	})
+	if allocs != 0 {
+		t.Fatalf("ForwardPrefix allocates %v times per call, want 0", allocs)
 	}
 }

@@ -101,6 +101,52 @@ func FuzzRealFFT(f *testing.F) {
 	})
 }
 
+// FuzzFFTPrefix checks the zero-padded entry point against the full
+// transform: raw fuzz bytes become the complex prefix, padded by a fuzzed
+// factor, and ForwardPrefix must match ForwardInto on every bin bit for bit
+// (an exact zero may differ in sign). Inputs holding a NaN only have to not
+// panic — a signalling NaN the full transform quiets can pass the prefix
+// path's broadcast unchanged.
+func FuzzFFTPrefix(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(seedBytes([]float64{1, -1}), uint8(3))
+	f.Add(seedBytes([]float64{1, 2, 3, 4, 5, 6}), uint8(1))
+	f.Add(seedBytes([]float64{5e-324, -5e-324, 1e-310, 0}), uint8(2))
+	f.Add(seedBytes([]float64{math.Inf(1), 0, 1e308, -1e308}), uint8(4))
+	f.Add(seedBytes([]float64{0, 0, 0, 0, 0, 0, 1, 1}), uint8(2))
+
+	f.Fuzz(func(t *testing.T, data []byte, pad uint8) {
+		if len(data) > 1<<14 {
+			data = data[:1<<14]
+		}
+		x := fuzzSignal(data)
+		m := len(x) / 2
+		n := NextPowerOfTwo(max(m, 1)) << (pad % 6)
+		plan, err := PlanFor(n)
+		if err != nil {
+			t.Fatalf("PlanFor(%d): %v", n, err)
+		}
+		src := make([]complex128, n)
+		hasNaN := false
+		for k := range m {
+			src[k] = complex(x[2*k], x[2*k+1])
+			hasNaN = hasNaN || math.IsNaN(x[2*k]) || math.IsNaN(x[2*k+1])
+		}
+		want := make([]complex128, n)
+		plan.ForwardInto(want, src)
+		got := append([]complex128(nil), src...)
+		plan.ForwardPrefix(got, m) // must not panic for any values
+		if hasNaN {
+			return
+		}
+		for k := range want {
+			if !sameBits(real(got[k]), real(want[k])) || !sameBits(imag(got[k]), imag(want[k])) {
+				t.Fatalf("n=%d m=%d bin %d: prefix %v, full %v", n, m, k, got[k], want[k])
+			}
+		}
+	})
+}
+
 // FuzzGoertzelBin drives the single-bin demodulator with arbitrary signals
 // and an arbitrary bin index. It must never panic; for finite bounded
 // inputs at integer bins it must agree with the FFT bin power, and the

@@ -58,7 +58,6 @@ var spareArenas = sync.Pool{New: func() any { return dsp.NewArena() }}
 type poolStats struct {
 	queued    *telemetry.Counter   // tasks handed to For/ForContext
 	completed *telemetry.Counter   // tasks whose fn returned
-	wait      *telemetry.Histogram // seconds from loop entry to task claim
 	duration  *telemetry.Histogram // seconds spent inside fn
 	busy      *telemetry.Gauge     // workers currently inside fn
 	width     *telemetry.Gauge     // effective width of the last loop
@@ -72,11 +71,11 @@ func New(workers int) *Pool {
 
 // Instrument attaches pool telemetry to the registry under the "parallel."
 // prefix and returns the pool for chaining: tasks queued/completed counters,
-// queue-wait and task-duration histograms, and a workers-busy gauge — the
-// data that says whether the pool width matches the workload. A nil registry
-// leaves the pool uninstrumented (zero overhead). Pools instrumented with
-// the same registry share the same metrics, giving an aggregate view across
-// the subsystem pools.
+// a task-duration histogram, and a workers-busy gauge — the data that says
+// whether the pool width matches the workload. A nil registry leaves the
+// pool uninstrumented (zero overhead). Pools instrumented with the same
+// registry share the same metrics, giving an aggregate view across the
+// subsystem pools.
 //
 // Determinism: the queued/completed counts and histogram sample counts
 // depend only on the loops run, not on the worker count; timings and the
@@ -88,7 +87,6 @@ func (p *Pool) Instrument(m *telemetry.Metrics) *Pool {
 	p.stats = &poolStats{
 		queued:    m.Counter("parallel.tasks_queued"),
 		completed: m.Counter("parallel.tasks_completed"),
-		wait:      m.Histogram("parallel.queue_wait.seconds"),
 		duration:  m.Histogram("parallel.task.seconds"),
 		busy:      m.Gauge("parallel.workers_busy"),
 		width:     m.Gauge("parallel.pool_width"),
@@ -158,9 +156,8 @@ func (p *Pool) ArenaFootprintBytes() int {
 }
 
 // instrument wraps a worker-indexed fn with per-task telemetry when the
-// pool is instrumented: queue wait (loop entry → claim), task duration, busy
-// gauge and completion count. Returns fn unchanged on an uninstrumented
-// pool.
+// pool is instrumented: task duration, busy gauge and completion count.
+// Returns fn unchanged on an uninstrumented pool.
 func (p *Pool) instrument(n, width int, fn func(g, i int)) func(g, i int) {
 	st := p.stats
 	if st == nil {
@@ -168,10 +165,8 @@ func (p *Pool) instrument(n, width int, fn func(g, i int)) func(g, i int) {
 	}
 	st.queued.Add(int64(n))
 	st.width.Set(float64(width))
-	start := time.Now()
 	return func(g, i int) {
 		claimed := time.Now()
-		st.wait.Observe(claimed.Sub(start).Seconds())
 		st.busy.Add(1)
 		fn(g, i)
 		st.busy.Add(-1)
@@ -189,10 +184,8 @@ func (p *Pool) instrumentErr(n, width int, fn func(g, i int) error) func(g, i in
 	}
 	st.queued.Add(int64(n))
 	st.width.Set(float64(width))
-	start := time.Now()
 	return func(g, i int) error {
 		claimed := time.Now()
-		st.wait.Observe(claimed.Sub(start).Seconds())
 		st.busy.Add(1)
 		err := fn(g, i)
 		st.busy.Add(-1)

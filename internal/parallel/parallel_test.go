@@ -157,8 +157,8 @@ func TestInstrumentedPoolCounts(t *testing.T) {
 		if got := s.Histograms["parallel.task.seconds"].Count; got != 2*n {
 			t.Errorf("workers=%d: task duration samples = %d, want %d", workers, got, 2*n)
 		}
-		if got := s.Histograms["parallel.queue_wait.seconds"].Count; got != 2*n {
-			t.Errorf("workers=%d: queue wait samples = %d, want %d", workers, got, 2*n)
+		if _, ok := s.Histograms["parallel.queue_wait.seconds"]; ok {
+			t.Errorf("workers=%d: parallel.queue_wait.seconds is registered; the meter was removed", workers)
 		}
 		if got := s.Gauges["parallel.workers_busy"]; got != 0 {
 			t.Errorf("workers=%d: workers_busy after join = %v, want 0", workers, got)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"biscatter/internal/channel"
+	"biscatter/internal/dsp"
 	"biscatter/internal/fmcw"
 )
 
@@ -96,7 +97,7 @@ func TestSignatureProfilesIntoEdgeCases(t *testing.T) {
 }
 
 // TestHannTableMatchesDirectWindow pins the cached range-FFT window against
-// the formula rangeSpectrumInto previously evaluated inline per chirp:
+// the formula the range FFT previously evaluated inline per chirp:
 // w[k] = 0.5·(1 − cos(2πk/span)), with cum[n] the running coherent sum.
 func TestHannTableMatchesDirectWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -119,4 +120,66 @@ func TestHannTableMatchesDirectWindow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCorrectedMatrixMatchesFullSpectrum pins the IF correction against the
+// path it replaced, bit for bit: window, full NFFT-point transform,
+// normalization of every bin, a full-length real/imaginary split and cubic
+// resampling. CorrectedMatrixContext transforms only the live prefix and
+// normalizes and splits only the bins the grid's stencils read, so this
+// covers both shortcuts, with and without a configured MaxRange (which sets
+// how far the grid reaches into each chirp's spectrum). Exact zeros may
+// differ in sign.
+func TestCorrectedMatrixMatchesFullSpectrum(t *testing.T) {
+	chirp := fmcw.ChirpParams{StartFrequency: 9e9, Bandwidth: 1e9, Duration: 60e-6, SampleRate: 4e6}
+	builder, err := fmcw.NewFrameBuilder(chirp, 120e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := builder.Build([]float64{20e-6, 31e-6, 45e-6, 60e-6, 77e-6, 96e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxRange := range []float64{0, 4, 9.5} {
+		rd, err := New(Config{Chirp: chirp, Link: channel.DefaultLink(), NFFT: 1024, RangeBins: 96, MaxRange: maxRange, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cap := rd.Observe(frame, Scene{Clutter: []channel.Reflector{{Range: 2.5, RCSdBsm: 5}, {Range: 3.7, RCSdBsm: -2}}})
+		got, grid := rd.CorrectedMatrix(cap)
+		for i, c := range frame.Chirps {
+			n := min(len(cap.IF[i]), rd.cfg.NFFT)
+			buf := make([]complex128, rd.cfg.NFFT)
+			win := rd.hannFor(c.Params.Duration, n)
+			for k := 0; k < n; k++ {
+				buf[k] = cap.IF[i][k] * complex(win.w[k], 0)
+			}
+			rd.plan.ForwardInto(buf, buf)
+			if sumW := win.cum[n]; sumW > 0 {
+				s := complex(1/sumW, 0)
+				for k := range buf {
+					buf[k] *= s
+				}
+			}
+			re := make([]float64, len(buf))
+			im := make([]float64, len(buf))
+			for k, v := range buf {
+				re[k], im[k] = real(v), imag(v)
+			}
+			step := rd.maxRangeFor(c.Params.Duration) / float64(rd.cfg.NFFT)
+			reG := dsp.ResampleCubic(re, 0, step, grid)
+			imG := dsp.ResampleCubic(im, 0, step, grid)
+			for b := range grid {
+				gr, gi := real(got[i][b]), imag(got[i][b])
+				if !sameOrZero(gr, reG[b]) || !sameOrZero(gi, imG[b]) {
+					t.Fatalf("MaxRange=%v chirp %d bin %d: %v, full-spectrum path %v",
+						maxRange, i, b, got[i][b], complex(reG[b], imG[b]))
+				}
+			}
+		}
+	}
+}
+
+func sameOrZero(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (got == 0 && want == 0)
 }

@@ -115,7 +115,7 @@ type radarScratch struct {
 	// coeffs holds the per-tone Goertzel constants of the batched signature
 	// scan (SignatureProfilesInto).
 	coeffs []dsp.GoertzelCoeff
-	// wins caches the per-duration Hann windows of rangeSpectrumInto. A
+	// wins caches the per-duration Hann windows of rangeFFTInto. A
 	// CSSK frame reuses a few dozen distinct chirp durations (one per
 	// constellation point), so the window samples and their running sum are
 	// computed once per duration instead of once per chirp.
@@ -123,7 +123,7 @@ type radarScratch struct {
 }
 
 // hannTable is one cached range-FFT window: the sample values and their
-// prefix sums, both produced by exactly the loop rangeSpectrumInto used to
+// prefix sums, both produced by exactly the loop rangeFFTInto used to
 // run per chirp — same formula, same accumulation order — so windowing and
 // normalization stay bit-identical to the uncached path.
 type hannTable struct {
@@ -423,13 +423,28 @@ func geomPhase(rng, f0 float64) float64 {
 // range-domain width differently per CSSK slope and leak strong clutter
 // through background subtraction.
 func (r *Radar) rangeSpectrum(ifSamples []complex128, duration float64) []complex128 {
-	return r.rangeSpectrumInto(make([]complex128, r.cfg.NFFT), ifSamples, duration)
+	buf, sumW := r.rangeFFTInto(make([]complex128, r.cfg.NFFT), ifSamples, duration)
+	if sumW > 0 {
+		// Normalize by the window's coherent sum so a unit-amplitude
+		// scatterer produces the same peak height regardless of the chirp
+		// duration — without this, CSSK's varying chirp lengths amplitude-
+		// modulate every range bin and corrupt slow-time processing.
+		s := complex(1/sumW, 0)
+		for k := range buf {
+			buf[k] *= s
+		}
+	}
+	return buf
 }
 
-// rangeSpectrumInto is rangeSpectrum writing into dst, which must have
-// length NFFT and be zeroed beyond len(ifSamples) — arena checkouts and
-// freshly made buffers both satisfy that.
-func (r *Radar) rangeSpectrumInto(dst, ifSamples []complex128, duration float64) []complex128 {
+// rangeFFTInto is rangeSpectrum before normalization, writing into dst,
+// which must have length NFFT and be zeroed beyond len(ifSamples) — arena
+// checkouts and freshly made buffers both satisfy that. It windows the
+// chirp into dst and transforms it, returning the spectrum and the window's
+// coherent sum (0 when there are no samples). Only the first
+// len(ifSamples) entries of dst are live, so the transform skips the zero
+// padding.
+func (r *Radar) rangeFFTInto(dst, ifSamples []complex128, duration float64) ([]complex128, float64) {
 	buf := dst
 	n := len(ifSamples)
 	if n > r.cfg.NFFT {
@@ -444,18 +459,8 @@ func (r *Radar) rangeSpectrumInto(dst, ifSamples []complex128, duration float64)
 		}
 		sumW = t.cum[n]
 	}
-	r.plan.ForwardInto(buf, buf)
-	if sumW > 0 {
-		// Normalize by the window's coherent sum so a unit-amplitude
-		// scatterer produces the same peak height regardless of the chirp
-		// duration — without this, CSSK's varying chirp lengths amplitude-
-		// modulate every range bin and corrupt slow-time processing.
-		s := complex(1/sumW, 0)
-		for k := range buf {
-			buf[k] *= s
-		}
-	}
-	return buf
+	r.plan.ForwardPrefix(buf, n)
+	return buf, sumW
 }
 
 // RawRangeProfile returns the uncorrected magnitude range profile of chirp i
@@ -520,19 +525,27 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 	err := r.pool.ForContextArena(ctx, len(cap.IF), func(i int, a *dsp.Arena) error {
 		c := cap.Frame.Chirps[i]
 		sp := r.tel.rangeFFT.Span()
-		spec := r.rangeSpectrumInto(a.Complex(r.cfg.NFFT), cap.IF[i], c.Params.Duration)
+		spec, sumW := r.rangeFFTInto(a.Complex(r.cfg.NFFT), cap.IF[i], c.Params.Duration)
 		sp.End()
 		sp = r.tel.ifCorr.Span()
 		defer sp.End()
-		full := r.cfg.NFFT
-		re := a.Float(full)
-		im := a.Float(full)
-		for n := 0; n < full; n++ {
-			re[n] = real(spec[n])
-			im[n] = imag(spec[n])
-		}
 		rmax := r.maxRangeFor(c.Params.Duration)
 		step := rmax / float64(r.cfg.NFFT)
+		// Normalize (as rangeSpectrum does) and split only the bins
+		// the grid's cubic stencils read. The split buffers are checked
+		// out at NFFT whatever the span, so a frame mixing CSSK durations
+		// still draws one arena bucket size.
+		s := complex(1/sumW, 0)
+		k := cubicSpan(grid, step, r.cfg.NFFT)
+		re := a.Float(r.cfg.NFFT)[:k]
+		im := a.Float(r.cfg.NFFT)[:k]
+		for n, v := range spec[:k] {
+			if sumW > 0 {
+				v *= s
+			}
+			re[n] = real(v)
+			im[n] = imag(v)
+		}
 		reG := dsp.ResampleCubicInto(a.Float(len(grid)), re, 0, step, grid)
 		imG := dsp.ResampleCubicInto(a.Float(len(grid)), im, 0, step, grid)
 		row := dsp.Resize(out[i], len(grid))
@@ -546,6 +559,22 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 		return nil, nil, err
 	}
 	return out, grid, nil
+}
+
+// cubicSpan returns how many leading bins of an nfft-bin profile with bin
+// spacing step dsp.ResampleCubicInto reads to cover grid, which must be
+// ascending and non-negative (RangeGrid's is): the stencil of the last
+// query position p reaches bin ceil(p)+2. Beyond that span no query hits the upper clamp of either
+// length, so resampling the trimmed profile changes no output bit.
+func cubicSpan(grid []float64, step float64, nfft int) int {
+	if len(grid) == 0 {
+		return nfft
+	}
+	maxpos := grid[len(grid)-1] / step
+	if !(maxpos < float64(nfft)) { // also catches NaN
+		return nfft
+	}
+	return min(nfft, int(math.Ceil(maxpos))+3)
 }
 
 // RangeGrid returns the common range grid for a frame.
