@@ -1,29 +1,17 @@
-// Command biscatter-tag runs a BiScatter backscatter node as a standalone
-// process. It listens for FrameDescriptor messages from a biscatter-radar
-// process, derives the envelope-detector observation its hardware would see,
-// decodes the downlink packet, and answers with a TagReport plus its uplink
-// ModulationPlan. Commands received over the downlink (OpSetModulation)
-// retune its uplink tones — the write access that two-way backscatter
-// enables.
-//
-//	biscatter-tag -listen 127.0.0.1:7001 -id 1
-//
-// Client mode (-connect) joins a biscatter-radar gateway instead: the tag
-// holds a supervised session (handshake, heartbeats, ARQ retransmission with
-// deterministic backoff) and submits its uplink bits each round, receiving
-// the round outcome — decoded downlink payload, its own localization fix and
-// demodulated uplink bits — over the wire. If the gateway evicts the session
-// (e.g. after a network partition outlasts the liveness deadline) the client
-// re-handshakes transparently and resumes at the gateway's current round:
+// Command biscatter-tag runs a BiScatter backscatter node as a client of a
+// biscatter-radar gateway. The tag holds a supervised session (handshake,
+// heartbeats, ARQ retransmission with deterministic backoff) and submits its
+// uplink bits each round, receiving the round outcome — decoded downlink
+// payload, its own localization fix and demodulated uplink bits — over the
+// wire. If the gateway evicts the session (e.g. after a network partition
+// outlasts the liveness deadline) the client re-handshakes transparently and
+// resumes at the gateway's current round:
 //
 //	biscatter-tag -connect 127.0.0.1:9100 -id 1 -rounds 5
 //
 // The -net-* flags inject deterministic transport faults for chaos testing.
-//
-// Observability: -trace-out writes one causal span tree per received frame
-// (capture, decode, reply) as Chrome trace_event (.json) or JSONL. Traces
-// use the radar's frame sequence number as the exchange sequence, so a
-// radar-side trace of the same run correlates by exchange ID.
+// The radar owns the exchange pipeline, so its -trace-out holds every
+// round's span tree, this tag's included.
 package main
 
 import (
@@ -31,41 +19,26 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"path/filepath"
+	"os"
 
-	"biscatter/internal/core"
-	"biscatter/internal/fec"
-	"biscatter/internal/fmcw"
 	"biscatter/internal/netio"
-	"biscatter/internal/telemetry"
-	"biscatter/internal/trace"
 )
 
 func main() {
 	sf := netio.RegisterServiceFlags(flag.CommandLine)
 	faults := netio.RegisterNetFaultFlags(flag.CommandLine)
 	id := flag.Int("id", 1, "tag ID")
-	bits := flag.Int("bits", 5, "CSSK symbol size (must match the radar)")
-	fecName := flag.String("fec", "none", "downlink FEC scheme: none, hamming or repetition (must match the radar)")
-	seed := flag.Int64("seed", 7, "noise seed")
+	seed := flag.Int64("seed", 7, "retransmission backoff jitter seed")
 	uplink := flag.String("uplink", "telemetry", "uplink message (its bytes become uplink bits)")
-	rounds := flag.Int("rounds", 0, "exit after this many frames (0 = run forever)")
-	record := flag.String("record", "", "directory to record envelope captures into (trace files)")
-	traceOut := flag.String("trace-out", "", "write per-frame exchange traces to this file (.json = Chrome trace_event, else JSONL)")
+	rounds := flag.Int("rounds", 0, "exit after this many rounds (0 = run forever)")
 	flag.Parse()
 
-	if sf.Connect != "" {
-		if err := runClient(sf, faults, uint8(*id), *seed, *uplink, *rounds); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if sf.Connect == "" {
+		fmt.Fprintln(flag.CommandLine.Output(), "-connect is required: the biscatter-radar gateway address, e.g. 127.0.0.1:9100")
+		flag.Usage()
+		os.Exit(2)
 	}
-	listen := sf.Listen
-	if listen == "" {
-		listen = "127.0.0.1:7001"
-	}
-	if err := run(listen, uint8(*id), *bits, *fecName, *seed, *uplink, *rounds, *record, *traceOut); err != nil {
+	if err := runClient(sf, faults, uint8(*id), *seed, *uplink, *rounds); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -112,166 +85,6 @@ func runClient(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, id uint8, 
 		default:
 			log.Printf("round %d: error %q", res.Round, res.Outcome.Err)
 		}
-	}
-	return nil
-}
-
-func run(listen string, id uint8, bits int, fecName string, seed int64, uplink string, rounds int, record, traceOut string) error {
-	// Build the same network stack the radar uses; only the tag half is
-	// exercised here. The placement range is irrelevant for the tag process
-	// (the radar owns the channel model).
-	fecCfg, err := fec.ParseConfig(fecName)
-	if err != nil {
-		return err
-	}
-	netw, err := core.NewNetwork(core.Config{
-		Nodes:      []core.NodeConfig{{ID: id, Range: 1}},
-		SymbolBits: bits,
-		FEC:        fecCfg,
-		Seed:       seed,
-	})
-	if err != nil {
-		return err
-	}
-	node := netw.Nodes()[0]
-
-	conn, err := netio.Listen(listen)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	log.Printf("tag %d listening on %v (symbol size %d bits)", id, conn.Addr(), bits)
-
-	uplinkBits := bytesToBits([]byte(uplink))
-	f0, f1 := node.Uplink.F0, node.Uplink.F1
-
-	var tracer *telemetry.Tracer
-	if traceOut != "" {
-		tracer = telemetry.NewTracer()
-		defer func() {
-			if err := telemetry.WriteTraceFile(traceOut, tracer.Traces()); err != nil {
-				log.Printf("trace-out: %v", err)
-			}
-		}()
-	}
-
-	for round := 0; rounds == 0 || round < rounds; round++ {
-		msg, from, err := conn.Recv(0)
-		if err != nil {
-			log.Printf("recv: %v", err)
-			continue
-		}
-		switch m := msg.(type) {
-		case *netio.FrameDescriptor:
-			if err := handleFrame(conn, from, netw, node, tracer, m, uplinkBits, f0, f1, record); err != nil {
-				log.Printf("frame %d: %v", m.Sequence, err)
-			}
-		case *netio.Command:
-			if m.TagID != id && m.TagID != netio.BroadcastID {
-				continue
-			}
-			if m.Op == netio.OpSetModulation {
-				f0, f1 = m.Arg0, m.Arg1
-				log.Printf("retuned uplink to F0=%.0f Hz F1=%.0f Hz", f0, f1)
-			}
-		default:
-			log.Printf("unexpected message %v from %v", msg.Type(), from)
-		}
-	}
-	return nil
-}
-
-func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
-	node *core.Node, tracer *telemetry.Tracer, m *netio.FrameDescriptor,
-	uplinkBits []bool, f0, f1 float64, record string) (err error) {
-
-	// The radar's frame sequence is this process's exchange sequence: both
-	// sides derive the same exchange ID from (seed, network 0, sequence), so
-	// their traces join up offline even though neither saw the other's.
-	var root *telemetry.SpanNode
-	if tracer != nil {
-		tr := telemetry.BeginTrace(telemetry.NewExchangeID(netw.Config().Seed, 0, uint64(m.Sequence)), 0, uint64(m.Sequence), "exchange")
-		root = tr.Root
-		defer func() {
-			root.Fail(err)
-			root.End()
-			tracer.Collect(tr)
-		}()
-	}
-	base := fmcw.ChirpParams{
-		StartFrequency: m.StartFrequency,
-		Bandwidth:      m.Bandwidth,
-		SampleRate:     m.SampleRate,
-		Duration:       m.Period / 2,
-	}
-	builder, err := fmcw.NewFrameBuilder(base, m.Period)
-	if err != nil {
-		return err
-	}
-	frame, err := builder.Build(m.Durations)
-	if err != nil {
-		return err
-	}
-	cspan := root.Child("tag.capture", int(node.Tag.ID))
-	x := node.Tag.FrontEnd.CaptureFrame(frame, m.DownlinkSNRdB)
-	cspan.SetAttr("samples", len(x))
-	cspan.End()
-	if record != "" {
-		path := filepath.Join(record, fmt.Sprintf("frame%04d.bsct", m.Sequence))
-		err := trace.SaveEnvelope(path, &trace.EnvelopeCapture{
-			SampleRate:      node.Tag.FrontEnd.SampleRate,
-			CenterFrequency: node.Tag.FrontEnd.CenterFrequency,
-			Period:          m.Period,
-			SNRdB:           m.DownlinkSNRdB,
-			Samples:         x,
-			Meta:            map[string]string{"tag": fmt.Sprint(node.Tag.ID)},
-		})
-		if err != nil {
-			log.Printf("frame %d: record: %v", m.Sequence, err)
-		}
-	}
-	dspan := root.Child("tag.decode", int(node.Tag.ID))
-	payload, diag, derr := node.Tag.Decoder.DecodePacket(x, netw.Packet())
-	dspan.Fail(derr)
-	dspan.End()
-	report := &netio.TagReport{
-		Sequence:      m.Sequence,
-		TagID:         node.Tag.ID,
-		PeriodSamples: diag.PeriodSamples,
-	}
-	switch {
-	case derr == nil:
-		report.Status = netio.StatusOK
-		report.Payload = payload
-		log.Printf("frame %d: decoded %q (period %.2f samples)", m.Sequence, payload, diag.PeriodSamples)
-		// Downlink commands are applied before replying.
-		if cmd, err := netio.DecodeCommand(payload); err == nil && cmd.Op == netio.OpSetModulation &&
-			(cmd.TagID == node.Tag.ID || cmd.TagID == netio.BroadcastID) {
-			log.Printf("frame %d: downlink command retunes F0 to %.0f Hz", m.Sequence, cmd.Arg0)
-		}
-	case diag.PeriodSamples == 0:
-		report.Status = netio.StatusNoSignal
-	default:
-		report.Status = netio.StatusBadCRC
-		log.Printf("frame %d: decode failed: %v", m.Sequence, derr)
-	}
-	rspan := root.Child("tag.reply", int(node.Tag.ID))
-	defer rspan.End()
-	if err := conn.Send(from, report); err != nil {
-		rspan.Fail(err)
-		return err
-	}
-	plan := &netio.ModulationPlan{
-		Sequence:     m.Sequence,
-		TagID:        node.Tag.ID,
-		F0:           f0,
-		F1:           f1,
-		ChirpsPerBit: uint16(node.Uplink.ChirpsPerBit),
-	}
-	plan.SetBits(uplinkBits)
-	if err := conn.Send(from, plan); err != nil {
-		rspan.Fail(err)
-		return err
 	}
 	return nil
 }

@@ -45,22 +45,6 @@ const (
 	SchemeRepetition
 )
 
-// ParseConfig maps a command-line scheme name to a calibrated Config, so
-// the radar and tag binaries agree on the coded framing from the same flag
-// value. The interleave depths match the default mode ladder's coded and
-// survival rungs.
-func ParseConfig(name string) (Config, error) {
-	switch name {
-	case "", "none":
-		return Config{}, nil
-	case "hamming":
-		return Config{Scheme: SchemeHamming74, InterleaveDepth: 14}, nil
-	case "repetition":
-		return Config{Scheme: SchemeRepetition, Repeat: 3, InterleaveDepth: 56}, nil
-	}
-	return Config{}, fmt.Errorf("fec: unknown scheme %q (want none, hamming or repetition)", name)
-}
-
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
 	switch s {

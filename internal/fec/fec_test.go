@@ -228,31 +228,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestParseConfig(t *testing.T) {
-	cases := map[string]Config{
-		"":           {},
-		"none":       {},
-		"hamming":    {Scheme: SchemeHamming74, InterleaveDepth: 14},
-		"repetition": {Scheme: SchemeRepetition, Repeat: 3, InterleaveDepth: 56},
-	}
-	for name, want := range cases {
-		got, err := ParseConfig(name)
-		if err != nil {
-			t.Errorf("ParseConfig(%q): %v", name, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("ParseConfig(%q) = %+v, want %+v", name, got, want)
-		}
-		if err := got.Validate(); err != nil {
-			t.Errorf("ParseConfig(%q) returned invalid config: %v", name, err)
-		}
-	}
-	if _, err := ParseConfig("turbo"); err == nil {
-		t.Error("unknown scheme name must be rejected")
-	}
-}
-
 func TestSchemeString(t *testing.T) {
 	for s, want := range map[Scheme]string{
 		SchemeNone:       "none",

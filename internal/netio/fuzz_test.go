@@ -7,16 +7,9 @@ import (
 // FuzzUnmarshal throws arbitrary bytes at the wire decoder: it must never
 // panic, and anything it accepts must re-marshal losslessly.
 func FuzzUnmarshal(f *testing.F) {
-	// Seed corpus: every valid message type plus truncations.
-	seeds := []Message{
-		&FrameDescriptor{Sequence: 1, StartFrequency: 9e9, Bandwidth: 1e9,
-			SampleRate: 4e6, Period: 120e-6, DownlinkSNRdB: 20,
-			Durations: []float64{20e-6, 96e-6}},
-		&TagReport{Sequence: 2, TagID: 1, Status: StatusOK, Payload: []byte{1, 2, 3}},
-		&ModulationPlan{Sequence: 3, TagID: 2, F0: 1250, F1: 1770,
-			ChirpsPerBit: 32, BitCount: 5, Bits: []byte{0b10110000}},
-		&Command{TagID: 1, Op: OpSetModulation, Arg0: 2500, Arg1: 3020},
-		// Session plane.
+	// Seed corpus: frames of the retired wire types 1–4 (which must be
+	// rejected), then every session message, each whole and truncated.
+	seeds := append(retiredMessages(),
 		&Hello{Version: ProtocolVersion, TagID: 4, SessionID: 9, Seq: 2},
 		&HelloAck{Code: HelloAccept, SessionID: 9, NextRound: 1,
 			HeartbeatMillis: 200, SessionTimeoutMillis: 2000, Reason: "r"},
@@ -27,7 +20,7 @@ func FuzzUnmarshal(f *testing.F) {
 			DetectionSNRdB: 31, UplinkBits: []bool{true, false}, UplinkErr: "e"}},
 		&Goodbye{SessionID: 9, Seq: 5},
 		&Evict{SessionID: 9, Reason: "gone"},
-	}
+	)
 	for _, m := range seeds {
 		buf, err := Marshal(m)
 		if err != nil {

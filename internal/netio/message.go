@@ -1,11 +1,10 @@
-// Package netio defines the wire protocol that lets the radar access point
-// and BiScatter tags run as separate processes: length-delimited binary
-// messages with a magic/version header and a CRC-32 trailer, plus a small
-// UDP transport. The "air interface" of the distributed simulation is the
-// FrameDescriptor/ModulationPlan exchange: the radar announces the chirp
-// schedule it is about to transmit, each tag derives its envelope-detector
-// observation locally, and reports its modulation plan so the radar can
-// synthesize the backscatter it would observe.
+// Package netio is the session plane that lets BiScatter tags run as
+// separate processes from the radar: a Gateway supervises tag Client
+// sessions (handshake, heartbeats, round submissions and results, eviction)
+// over length-delimited binary messages with a magic/version header and a
+// CRC-32 trailer, carried by a UDP datagram or length-prefixed TCP stream
+// transport. The radar owns the whole exchange pipeline; a tag process
+// submits its uplink bits per round and receives its outcome.
 package netio
 
 import (
@@ -13,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // Protocol constants.
@@ -32,36 +30,49 @@ const (
 // MsgType identifies a message.
 type MsgType uint8
 
-// Message types.
+// Message types. Wire types 1–4 are retired: the decoder rejects them as
+// unknown, and they are not to be reused, so a frame from an older peer can
+// never parse as a session message.
 const (
-	// TypeFrameDescriptor announces a CSSK frame: waveform parameters and
-	// the per-chirp durations (radar → tag).
-	TypeFrameDescriptor MsgType = 1
-	// TypeTagReport carries a tag's downlink decode outcome (tag → radar).
-	TypeTagReport MsgType = 2
-	// TypeModulationPlan carries a tag's uplink switching plan
-	// (tag → radar).
-	TypeModulationPlan MsgType = 3
-	// TypeCommand carries a radar command to a tag, e.g. changing its
-	// modulation frequency — the write access downlink enables.
-	TypeCommand MsgType = 4
+	// TypeHello opens (or resumes) a session (tag → gateway).
+	TypeHello MsgType = 5
+	// TypeHelloAck answers a Hello: accept with session parameters, or
+	// reject with a reason (gateway → tag).
+	TypeHelloAck MsgType = 6
+	// TypeHeartbeat is the liveness ping; the gateway echoes it back so the
+	// client can measure RTT (both directions).
+	TypeHeartbeat MsgType = 7
+	// TypeSubmitRound carries a tag's uplink bits for one exchange round
+	// (tag → gateway).
+	TypeSubmitRound MsgType = 8
+	// TypeRoundResult carries one round's exchange outcome digest for one
+	// tag (gateway → tag).
+	TypeRoundResult MsgType = 9
+	// TypeGoodbye closes a session gracefully (tag → gateway).
+	TypeGoodbye MsgType = 10
+	// TypeEvict tells a client its session is gone; the client should
+	// re-handshake (gateway → tag).
+	TypeEvict MsgType = 11
 )
 
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
 	switch t {
-	case TypeFrameDescriptor:
-		return "frame-descriptor"
-	case TypeTagReport:
-		return "tag-report"
-	case TypeModulationPlan:
-		return "modulation-plan"
-	case TypeCommand:
-		return "command"
+	case TypeHello:
+		return "hello"
+	case TypeHelloAck:
+		return "hello-ack"
+	case TypeHeartbeat:
+		return "heartbeat"
+	case TypeSubmitRound:
+		return "submit-round"
+	case TypeRoundResult:
+		return "round-result"
+	case TypeGoodbye:
+		return "goodbye"
+	case TypeEvict:
+		return "evict"
 	default:
-		if name, ok := sessionTypeName(t); ok {
-			return name
-		}
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
 }
@@ -127,14 +138,6 @@ func Unmarshal(buf []byte) (Message, error) {
 	}
 	var m Message
 	switch typ {
-	case TypeFrameDescriptor:
-		m = &FrameDescriptor{}
-	case TypeTagReport:
-		m = &TagReport{}
-	case TypeModulationPlan:
-		m = &ModulationPlan{}
-	case TypeCommand:
-		m = &Command{}
 	case TypeHello:
 		m = &Hello{}
 	case TypeHelloAck:
@@ -156,291 +159,4 @@ func Unmarshal(buf []byte) (Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// appendFloat64 / readFloat64 serialize IEEE-754 big-endian doubles.
-func appendFloat64(dst []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func readFloat64(src []byte) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(src))
-}
-
-// FrameDescriptor announces an upcoming CSSK frame.
-type FrameDescriptor struct {
-	// Sequence numbers frames so tags can detect loss.
-	Sequence uint32
-	// StartFrequency, Bandwidth, SampleRate and Period describe the
-	// waveform (Hz, Hz, Hz, s).
-	StartFrequency float64
-	Bandwidth      float64
-	SampleRate     float64
-	Period         float64
-	// DownlinkSNRdB is the per-tag link SNR the air simulation applies.
-	DownlinkSNRdB float64
-	// Durations are the per-chirp durations in seconds.
-	Durations []float64
-}
-
-// Type implements Message.
-func (*FrameDescriptor) Type() MsgType { return TypeFrameDescriptor }
-
-func (f *FrameDescriptor) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, f.Sequence)
-	dst = appendFloat64(dst, f.StartFrequency)
-	dst = appendFloat64(dst, f.Bandwidth)
-	dst = appendFloat64(dst, f.SampleRate)
-	dst = appendFloat64(dst, f.Period)
-	dst = appendFloat64(dst, f.DownlinkSNRdB)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Durations)))
-	for _, d := range f.Durations {
-		dst = appendFloat64(dst, d)
-	}
-	return dst
-}
-
-func (f *FrameDescriptor) decodePayload(src []byte) error {
-	const fixed = 4 + 5*8 + 4
-	if len(src) < fixed {
-		return ErrTruncated
-	}
-	f.Sequence = binary.BigEndian.Uint32(src)
-	f.StartFrequency = readFloat64(src[4:])
-	f.Bandwidth = readFloat64(src[12:])
-	f.SampleRate = readFloat64(src[20:])
-	f.Period = readFloat64(src[28:])
-	f.DownlinkSNRdB = readFloat64(src[36:])
-	n := int(binary.BigEndian.Uint32(src[44:]))
-	if n < 0 || len(src) != fixed+8*n {
-		return ErrTruncated
-	}
-	f.Durations = make([]float64, n)
-	for i := range f.Durations {
-		f.Durations[i] = readFloat64(src[fixed+8*i:])
-	}
-	return nil
-}
-
-// ReportStatus encodes a tag's downlink outcome.
-type ReportStatus uint8
-
-// Report statuses.
-const (
-	// StatusOK means the payload decoded and passed its CRC.
-	StatusOK ReportStatus = 0
-	// StatusNoPreamble means the preamble was not found.
-	StatusNoPreamble ReportStatus = 1
-	// StatusBadCRC means the payload failed its CRC.
-	StatusBadCRC ReportStatus = 2
-	// StatusNoSignal means no chirp period was detected.
-	StatusNoSignal ReportStatus = 3
-)
-
-// String implements fmt.Stringer.
-func (s ReportStatus) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNoPreamble:
-		return "no-preamble"
-	case StatusBadCRC:
-		return "bad-crc"
-	case StatusNoSignal:
-		return "no-signal"
-	default:
-		return fmt.Sprintf("ReportStatus(%d)", uint8(s))
-	}
-}
-
-// TagReport is the tag's downlink decode outcome for one frame.
-type TagReport struct {
-	// Sequence echoes the FrameDescriptor sequence.
-	Sequence uint32
-	// TagID identifies the tag.
-	TagID uint8
-	// Status summarizes the decode.
-	Status ReportStatus
-	// PeriodSamples is the tag's estimated chirp period (diagnostics).
-	PeriodSamples float64
-	// Payload is the decoded downlink payload (Status == StatusOK).
-	Payload []byte
-}
-
-// Type implements Message.
-func (*TagReport) Type() MsgType { return TypeTagReport }
-
-func (r *TagReport) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, r.Sequence)
-	dst = append(dst, r.TagID, byte(r.Status))
-	dst = appendFloat64(dst, r.PeriodSamples)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Payload)))
-	dst = append(dst, r.Payload...)
-	return dst
-}
-
-func (r *TagReport) decodePayload(src []byte) error {
-	const fixed = 4 + 2 + 8 + 2
-	if len(src) < fixed {
-		return ErrTruncated
-	}
-	r.Sequence = binary.BigEndian.Uint32(src)
-	r.TagID = src[4]
-	r.Status = ReportStatus(src[5])
-	r.PeriodSamples = readFloat64(src[6:])
-	n := int(binary.BigEndian.Uint16(src[14:]))
-	if len(src) != fixed+n {
-		return ErrTruncated
-	}
-	r.Payload = append([]byte(nil), src[fixed:fixed+n]...)
-	return nil
-}
-
-// ModulationPlan is a tag's uplink switching plan for one frame.
-type ModulationPlan struct {
-	// Sequence echoes the FrameDescriptor sequence.
-	Sequence uint32
-	// TagID identifies the tag.
-	TagID uint8
-	// F0 and F1 are the FSK tones in Hz.
-	F0, F1 float64
-	// ChirpsPerBit is the bit window length.
-	ChirpsPerBit uint16
-	// BitCount is the number of valid bits in Bits.
-	BitCount uint16
-	// Bits is the uplink message, packed MSB-first.
-	Bits []byte
-}
-
-// Type implements Message.
-func (*ModulationPlan) Type() MsgType { return TypeModulationPlan }
-
-func (p *ModulationPlan) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, p.Sequence)
-	dst = append(dst, p.TagID)
-	dst = appendFloat64(dst, p.F0)
-	dst = appendFloat64(dst, p.F1)
-	dst = binary.BigEndian.AppendUint16(dst, p.ChirpsPerBit)
-	dst = binary.BigEndian.AppendUint16(dst, p.BitCount)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Bits)))
-	dst = append(dst, p.Bits...)
-	return dst
-}
-
-func (p *ModulationPlan) decodePayload(src []byte) error {
-	const fixed = 4 + 1 + 16 + 6
-	if len(src) < fixed {
-		return ErrTruncated
-	}
-	p.Sequence = binary.BigEndian.Uint32(src)
-	p.TagID = src[4]
-	p.F0 = readFloat64(src[5:])
-	p.F1 = readFloat64(src[13:])
-	p.ChirpsPerBit = binary.BigEndian.Uint16(src[21:])
-	p.BitCount = binary.BigEndian.Uint16(src[23:])
-	n := int(binary.BigEndian.Uint16(src[25:]))
-	if len(src) != fixed+n {
-		return ErrTruncated
-	}
-	if int(p.BitCount) > 8*n {
-		return fmt.Errorf("netio: bit count %d exceeds %d packed bytes", p.BitCount, n)
-	}
-	p.Bits = append([]byte(nil), src[fixed:fixed+n]...)
-	return nil
-}
-
-// SetBits packs a bool slice into the plan.
-func (p *ModulationPlan) SetBits(bits []bool) {
-	p.BitCount = uint16(len(bits))
-	p.Bits = make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b {
-			p.Bits[i/8] |= 1 << uint(7-i%8)
-		}
-	}
-}
-
-// GetBits unpacks the plan's bits.
-func (p *ModulationPlan) GetBits() []bool {
-	out := make([]bool, p.BitCount)
-	for i := range out {
-		if i/8 < len(p.Bits) {
-			out[i] = p.Bits[i/8]&(1<<uint(7-i%8)) != 0
-		}
-	}
-	return out
-}
-
-// CommandOp identifies a tag command.
-type CommandOp uint8
-
-// Command opcodes — the configuration writes §1 motivates (retransmissions,
-// modulation reassignment, rate adaptation).
-const (
-	// OpSetModulation reassigns the tag's uplink tones (Arg0 = F0,
-	// Arg1 = F1).
-	OpSetModulation CommandOp = 1
-	// OpSetSymbolBits asks the tag to expect a different CSSK symbol size
-	// (Arg0 = bits).
-	OpSetSymbolBits CommandOp = 2
-	// OpRetransmit asks the tag to retransmit its last uplink message.
-	OpRetransmit CommandOp = 3
-	// OpSleep puts the tag in its low-power sequential mode for Arg0
-	// seconds.
-	OpSleep CommandOp = 4
-)
-
-// Command is a radar-issued tag command.
-type Command struct {
-	// TagID addresses a tag; 0xFF broadcasts.
-	TagID uint8
-	// Op is the operation.
-	Op CommandOp
-	// Arg0 and Arg1 are operation-specific arguments.
-	Arg0, Arg1 float64
-}
-
-// BroadcastID addresses every tag.
-const BroadcastID = 0xFF
-
-// Type implements Message.
-func (*Command) Type() MsgType { return TypeCommand }
-
-func (c *Command) appendPayload(dst []byte) []byte {
-	dst = append(dst, c.TagID, byte(c.Op))
-	dst = appendFloat64(dst, c.Arg0)
-	dst = appendFloat64(dst, c.Arg1)
-	return dst
-}
-
-func (c *Command) decodePayload(src []byte) error {
-	if len(src) != 2+16 {
-		return ErrTruncated
-	}
-	c.TagID = src[0]
-	c.Op = CommandOp(src[1])
-	c.Arg0 = readFloat64(src[2:])
-	c.Arg1 = readFloat64(src[10:])
-	return nil
-}
-
-// Encode is a convenience for Command payload serialization in downlink
-// packets: tag ID, opcode and Arg0 as a compact 10-byte message body.
-func (c *Command) Encode() []byte {
-	out := make([]byte, 0, 10)
-	out = append(out, c.TagID, byte(c.Op))
-	out = appendFloat64(out, c.Arg0)
-	return out
-}
-
-// DecodeCommand parses the compact downlink form produced by Encode.
-func DecodeCommand(body []byte) (Command, error) {
-	if len(body) < 10 {
-		return Command{}, ErrTruncated
-	}
-	return Command{
-		TagID: body[0],
-		Op:    CommandOp(body[1]),
-		Arg0:  readFloat64(body[2:]),
-	}, nil
 }

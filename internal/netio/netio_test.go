@@ -1,35 +1,53 @@
 package netio
 
 import (
-	"bytes"
 	"errors"
-	"math/rand"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func sampleDescriptor() *FrameDescriptor {
-	return &FrameDescriptor{
-		Sequence:       7,
-		StartFrequency: 9e9,
-		Bandwidth:      1e9,
-		SampleRate:     4e6,
-		Period:         120e-6,
-		DownlinkSNRdB:  18.5,
-		Durations:      []float64{20e-6, 96e-6, 33.3e-6},
+// rawMessage frames an arbitrary body under an arbitrary wire type, so
+// tests can put bytes on the wire that no real message would produce.
+type rawMessage struct {
+	typ  MsgType
+	body []byte
+}
+
+func (m rawMessage) Type() MsgType                   { return m.typ }
+func (m rawMessage) appendPayload(dst []byte) []byte { return append(dst, m.body...) }
+func (m rawMessage) decodePayload([]byte) error      { return nil }
+
+// retiredMessages frames one body for each retired wire type 1–4, sized so
+// that the retired decoders (frame descriptor, tag report, modulation plan,
+// command) would each have accepted it.
+func retiredMessages() []Message {
+	return []Message{
+		rawMessage{1, make([]byte, 48)},
+		rawMessage{2, make([]byte, 16)},
+		rawMessage{3, make([]byte, 27)},
+		rawMessage{4, make([]byte, 18)},
 	}
 }
 
+// sampleResult is a RoundResult exercising every field kind on the wire:
+// integers, floats, strings, byte strings and packed bits.
+func sampleResult() *RoundResult {
+	return &RoundResult{SessionID: 7, Round: 3, Status: RoundOK, Outcome: Outcome{
+		DownlinkPayload: []byte{1, 2, 3},
+		DetectionRange:  2.6, DetectionBin: 9, DetectionSNRdB: 18.5,
+		UplinkBits: []bool{true, false, true},
+		UplinkErr:  "weak tone",
+	}}
+}
+
+// TestMarshalUnmarshalAllTypes round-trips one message of every type the
+// decoder accepts, and checks the sample set covers all of them.
 func TestMarshalUnmarshalAllTypes(t *testing.T) {
-	msgs := []Message{
-		sampleDescriptor(),
-		&TagReport{Sequence: 9, TagID: 3, Status: StatusBadCRC, PeriodSamples: 119.97, Payload: []byte("hi")},
-		&ModulationPlan{Sequence: 2, TagID: 1, F0: 2167, F1: 2333, ChirpsPerBit: 32, BitCount: 3, Bits: []byte{0b10100000}},
-		&Command{TagID: 5, Op: OpSetModulation, Arg0: 2500, Arg1: 2667},
-	}
-	for _, m := range msgs {
+	covered := map[MsgType]bool{}
+	for _, m := range sessionMessages() {
 		buf, err := Marshal(m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Type(), err)
@@ -41,11 +59,21 @@ func TestMarshalUnmarshalAllTypes(t *testing.T) {
 		if !reflect.DeepEqual(m, got) {
 			t.Fatalf("%v round trip:\nsent %+v\ngot  %+v", m.Type(), m, got)
 		}
+		covered[m.Type()] = true
+	}
+	for typ := 0; typ < 256; typ++ {
+		buf, err := Marshal(rawMessage{MsgType(typ), nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(buf); !errors.Is(err, ErrUnknownType) && !covered[MsgType(typ)] {
+			t.Errorf("decoder knows %v but no sample message covers it", MsgType(typ))
+		}
 	}
 }
 
 func TestUnmarshalRejectsBadInput(t *testing.T) {
-	good, _ := Marshal(sampleDescriptor())
+	good, _ := Marshal(sampleResult())
 
 	if _, err := Unmarshal(good[:5]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short buffer: %v", err)
@@ -60,9 +88,8 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrCRC) {
 		t.Errorf("bad CRC: %v", err)
 	}
-	bad = append([]byte(nil), good...)
-	bad[4] = 200 // unknown type; CRC must be fixed up to reach the type check
-	fixCRC(bad)
+	// An unknown type with a valid CRC reaches the type check.
+	bad, _ = Marshal(rawMessage{200, good[HeaderSize : len(good)-TrailerSize]})
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unknown type: %v", err)
 	}
@@ -74,39 +101,31 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	}
 }
 
-// fixCRC recomputes the trailer after test mutations.
-func fixCRC(buf []byte) {
-	body := buf[4 : len(buf)-4]
-	crc := crc32ChecksumIEEE(body)
-	buf[len(buf)-4] = byte(crc >> 24)
-	buf[len(buf)-3] = byte(crc >> 16)
-	buf[len(buf)-2] = byte(crc >> 8)
-	buf[len(buf)-1] = byte(crc)
+// TestUnmarshalRejectsRetiredTypes pins that wire types 1–4, whose
+// messages no longer exist, are unknown to the decoder even when framed
+// with a valid CRC and a body their old decoders accepted.
+func TestUnmarshalRejectsRetiredTypes(t *testing.T) {
+	for _, m := range retiredMessages() {
+		buf, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Unmarshal(buf); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("wire type %d: Unmarshal = %T, %v; want ErrUnknownType", uint8(m.Type()), got, err)
+		}
+	}
 }
 
-func crc32ChecksumIEEE(b []byte) uint32 {
-	// Thin indirection so the test does not import hash/crc32 with a
-	// different table by accident.
-	return crc32IEEE(b)
-}
-
+// TestCorruptionDetectedProperty flips one bit anywhere in a framed
+// message: the CRC covers everything after the magic and a flip in the
+// magic fails the magic check, so every flip must be rejected.
 func TestCorruptionDetectedProperty(t *testing.T) {
-	good, _ := Marshal(sampleDescriptor())
+	good, _ := Marshal(sampleResult())
 	f := func(pos uint16, bit uint8) bool {
 		buf := append([]byte(nil), good...)
-		p := int(pos) % len(buf)
-		buf[p] ^= 1 << (bit % 8)
-		m, err := Unmarshal(buf)
-		if err != nil {
-			return true // corruption detected
-		}
-		// A flip that still unmarshals must decode to a different message
-		// only if it hit... actually CRC covers everything after magic, so
-		// surviving flips can only hit the magic (making ErrBadMagic) —
-		// reaching here with no error means the flip produced an identical
-		// buffer, which a XOR cannot. Fail.
-		_ = m
-		return false
+		buf[int(pos)%len(buf)] ^= 1 << (bit % 8)
+		_, err := Unmarshal(buf)
+		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -114,92 +133,23 @@ func TestCorruptionDetectedProperty(t *testing.T) {
 }
 
 func TestMarshalOversized(t *testing.T) {
-	r := &TagReport{Payload: make([]byte, MaxPayload+1)}
+	r := &RoundResult{Outcome: Outcome{DownlinkPayload: make([]byte, MaxPayload+1)}}
 	if _, err := Marshal(r); !errors.Is(err, ErrOversized) {
 		t.Fatalf("expected ErrOversized, got %v", err)
 	}
 }
 
-func TestFrameDescriptorEmptyDurations(t *testing.T) {
-	fd := &FrameDescriptor{Sequence: 1}
-	buf, err := Marshal(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.(*FrameDescriptor).Durations) != 0 {
-		t.Fatal("expected no durations")
-	}
-}
-
-func TestModulationPlanBitsRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		bits := make([]bool, int(n)%64)
-		for i := range bits {
-			bits[i] = rng.Intn(2) == 1
-		}
-		p := &ModulationPlan{TagID: 1, F0: 1e3, F1: 2e3, ChirpsPerBit: 16}
-		p.SetBits(bits)
-		buf, err := Marshal(p)
-		if err != nil {
-			return false
-		}
-		got, err := Unmarshal(buf)
-		if err != nil {
-			return false
-		}
-		back := got.(*ModulationPlan).GetBits()
-		if len(back) != len(bits) {
-			return false
-		}
-		for i := range bits {
-			if back[i] != bits[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestModulationPlanBitCountValidation(t *testing.T) {
-	p := &ModulationPlan{BitCount: 100, Bits: []byte{0}}
-	buf, err := Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(buf); err == nil {
-		t.Fatal("bit count exceeding packed bytes should fail")
-	}
-}
-
-func TestCommandCompactEncoding(t *testing.T) {
-	c := Command{TagID: 3, Op: OpSetSymbolBits, Arg0: 6}
-	body := c.Encode()
-	got, err := DecodeCommand(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TagID != 3 || got.Op != OpSetSymbolBits || got.Arg0 != 6 {
-		t.Fatalf("round trip %+v", got)
-	}
-	if _, err := DecodeCommand([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("short command should fail")
-	}
-}
-
 func TestMsgTypeAndStatusStrings(t *testing.T) {
-	if TypeFrameDescriptor.String() != "frame-descriptor" || MsgType(99).String() != "MsgType(99)" {
+	if TypeHello.String() != "hello" || MsgType(99).String() != "MsgType(99)" {
 		t.Fatal("MsgType strings")
 	}
-	if StatusOK.String() != "ok" || ReportStatus(9).String() != "ReportStatus(9)" {
-		t.Fatal("ReportStatus strings")
+	for _, m := range retiredMessages() {
+		if got, want := m.Type().String(), fmt.Sprintf("MsgType(%d)", uint8(m.Type())); got != want {
+			t.Fatalf("retired type prints %q, want %q", got, want)
+		}
+	}
+	if RoundSkipped.String() != "skipped" || RoundStatus(9).String() != "RoundStatus(9)" {
+		t.Fatal("RoundStatus strings")
 	}
 }
 
@@ -215,7 +165,7 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 
-	want := sampleDescriptor()
+	want := sampleResult()
 	if err := a.Send(b.Addr(), want); err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +202,13 @@ func TestUDPMalformedDatagramSurfacesError(t *testing.T) {
 	defer a.Close()
 	b, _ := Listen("127.0.0.1:0")
 	defer b.Close()
-	// Raw garbage datagram.
-	raw, err := Marshal(sampleDescriptor())
+	raw, err := Marshal(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[0] = 'Z'
-	conn := a
-	if _, err := rawSend(conn, b.Addr().String(), raw); err != nil {
+	// Push the unvalidated bytes through the node's transport.
+	if _, err := a.tr.WriteTo(raw, b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = b.Recv(2 * time.Second)
@@ -268,24 +217,16 @@ func TestUDPMalformedDatagramSurfacesError(t *testing.T) {
 	}
 }
 
-// rawSend pushes unvalidated bytes through the node's transport.
-func rawSend(n *Node, addr string, buf []byte) (int, error) {
-	ua, err := netResolve(addr)
-	if err != nil {
-		return 0, err
-	}
-	return n.tr.WriteTo(buf, ua)
-}
-
 func TestPayloadBytesAreCopied(t *testing.T) {
-	buf, _ := Marshal(&TagReport{Payload: []byte{1, 2, 3}})
+	buf, _ := Marshal(sampleResult())
 	m, err := Unmarshal(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.(*TagReport)
-	buf[HeaderSize+16] = 0xEE // mutate the wire buffer
-	if !bytes.Equal(r.Payload, []byte{1, 2, 3}) {
-		t.Fatal("decoded payload must not alias the wire buffer")
+	for i := range buf {
+		buf[i] = 0xEE // mutate the wire buffer
+	}
+	if !reflect.DeepEqual(m, sampleResult()) {
+		t.Fatal("decoded message must not alias the wire buffer")
 	}
 }

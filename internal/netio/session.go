@@ -3,6 +3,7 @@ package netio
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // ProtocolVersion is the session-protocol revision spoken by Gateway and
@@ -10,50 +11,6 @@ import (
 // handshake — wire-format drift fails loudly at connect time, not as a
 // mid-session decode error.
 const ProtocolVersion uint16 = 1
-
-// Session-protocol message types (the data plane keeps types 1–4).
-const (
-	// TypeHello opens (or resumes) a session (tag → gateway).
-	TypeHello MsgType = 5
-	// TypeHelloAck answers a Hello: accept with session parameters, or
-	// reject with a reason (gateway → tag).
-	TypeHelloAck MsgType = 6
-	// TypeHeartbeat is the liveness ping; the gateway echoes it back so the
-	// client can measure RTT (both directions).
-	TypeHeartbeat MsgType = 7
-	// TypeSubmitRound carries a tag's uplink bits for one exchange round
-	// (tag → gateway).
-	TypeSubmitRound MsgType = 8
-	// TypeRoundResult carries one round's exchange outcome digest for one
-	// tag (gateway → tag).
-	TypeRoundResult MsgType = 9
-	// TypeGoodbye closes a session gracefully (tag → gateway).
-	TypeGoodbye MsgType = 10
-	// TypeEvict tells a client its session is gone; the client should
-	// re-handshake (gateway → tag).
-	TypeEvict MsgType = 11
-)
-
-// sessionTypeName extends MsgType.String for the session plane.
-func sessionTypeName(t MsgType) (string, bool) {
-	switch t {
-	case TypeHello:
-		return "hello", true
-	case TypeHelloAck:
-		return "hello-ack", true
-	case TypeHeartbeat:
-		return "heartbeat", true
-	case TypeSubmitRound:
-		return "submit-round", true
-	case TypeRoundResult:
-		return "round-result", true
-	case TypeGoodbye:
-		return "goodbye", true
-	case TypeEvict:
-		return "evict", true
-	}
-	return "", false
-}
 
 // wireReader is a sequential decoder over one payload. The first short read
 // latches ErrTruncated; callers check err once at the end, which keeps the
@@ -108,13 +65,7 @@ func (r *wireReader) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (r *wireReader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return readFloat64(b)
-}
+func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // bytes16 reads a uint16-length-prefixed byte string (copied out of the
 // wire buffer).
@@ -467,9 +418,9 @@ func (o Outcome) appendPayload(dst []byte) []byte {
 	dst = appendString(dst, o.Err)
 	dst = appendBytes16(dst, o.DownlinkPayload)
 	dst = appendString(dst, o.DownlinkErr)
-	dst = appendFloat64(dst, o.DetectionRange)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.DetectionRange))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(o.DetectionBin))
-	dst = appendFloat64(dst, o.DetectionSNRdB)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.DetectionSNRdB))
 	dst = appendString(dst, o.DetectionErr)
 	count, packed := packBits(o.UplinkBits)
 	dst = binary.BigEndian.AppendUint16(dst, count)

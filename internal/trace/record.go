@@ -14,11 +14,9 @@ import (
 // exchanges byte-identically offline: the full network specification
 // (including seeds and the fault profile — the pipeline is deterministic
 // given these), every round's inputs, and the outcomes the live run
-// produced so replay can verify itself against the original. It is the
-// exchange-level sibling of EnvelopeCapture/IFCapture: where those freeze
-// one signal, this freezes one conversation.
+// produced so replay can verify itself against the original.
 //
-// The file reuses the BSCTRACE magic/version framing with kind "exchange",
+// The file uses the BSCTRACE magic/version framing with kind "exchange",
 // so format drift fails loudly. Bumping the trace version invalidates old
 // records by design — a record that decodes must replay.
 type ExchangeRecord struct {

@@ -105,9 +105,11 @@ func TestExchangeRecordFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExchangeRecordRejectsWrongKind: a well-formed record framed under
+// another kind must not decode as an exchange record.
 func TestExchangeRecordRejectsWrongKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, &EnvelopeCapture{SampleRate: 1e6}); err != nil {
+	if err := write(&buf, "envelope", sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadExchange(&buf); !errors.Is(err, ErrBadHeader) {

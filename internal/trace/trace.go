@@ -1,8 +1,7 @@
-// Package trace records and replays captures — the tag's envelope-detector
-// ADC streams and the radar's dechirped IF frames — so field captures (or
-// expensive simulations) can be decoded offline, regression-tested, and
-// attached to bug reports. Files are gob-encoded with a magic/version
-// prefix so format drift fails loudly instead of decoding garbage.
+// Package trace records exchange conversations (ExchangeRecord) so a run
+// can be replayed byte-identically offline, regression-tested and attached
+// to bug reports. Files are gob-encoded behind a magic/version/kind header
+// so format drift fails loudly instead of decoding garbage.
 package trace
 
 import (
@@ -11,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // magic and version prefix every trace file.
@@ -23,39 +21,6 @@ const (
 // ErrBadHeader means the file is not a trace file or has an incompatible
 // version.
 var ErrBadHeader = errors.New("trace: bad header")
-
-// EnvelopeCapture is one tag-side ADC capture with the context needed to
-// decode it later.
-type EnvelopeCapture struct {
-	// SampleRate is the ADC rate in Hz.
-	SampleRate float64
-	// CenterFrequency is the chirp center frequency in Hz.
-	CenterFrequency float64
-	// Period is the chirp period in seconds.
-	Period float64
-	// SNRdB is the link SNR the capture was taken at (simulation metadata).
-	SNRdB float64
-	// Samples is the envelope-detector stream.
-	Samples []float64
-	// Meta carries free-form annotations (tag ID, location, notes).
-	Meta map[string]string
-}
-
-// IFCapture is one radar-side dechirped frame.
-type IFCapture struct {
-	// SampleRate is the radar IF rate in Hz.
-	SampleRate float64
-	// Bandwidth is the chirp bandwidth in Hz.
-	Bandwidth float64
-	// Period is the chirp period in seconds.
-	Period float64
-	// Durations are the per-chirp durations in seconds.
-	Durations []float64
-	// IF holds one complex sample vector per chirp.
-	IF [][]complex128
-	// Meta carries free-form annotations.
-	Meta map[string]string
-}
 
 type header struct {
 	Magic   string
@@ -91,78 +56,4 @@ func read(r io.Reader, kind string, payload any) error {
 		return fmt.Errorf("trace: decode payload: %w", err)
 	}
 	return nil
-}
-
-// WriteEnvelope writes an envelope capture to w.
-func WriteEnvelope(w io.Writer, c *EnvelopeCapture) error {
-	return write(w, "envelope", c)
-}
-
-// ReadEnvelope reads an envelope capture from r.
-func ReadEnvelope(r io.Reader) (*EnvelopeCapture, error) {
-	var c EnvelopeCapture
-	if err := read(r, "envelope", &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// WriteIF writes an IF capture to w.
-func WriteIF(w io.Writer, c *IFCapture) error {
-	return write(w, "if", c)
-}
-
-// ReadIF reads an IF capture from r.
-func ReadIF(r io.Reader) (*IFCapture, error) {
-	var c IFCapture
-	if err := read(r, "if", &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// SaveEnvelope writes an envelope capture to a file.
-func SaveEnvelope(path string, c *EnvelopeCapture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteEnvelope(f, c); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadEnvelope reads an envelope capture from a file.
-func LoadEnvelope(path string) (*EnvelopeCapture, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadEnvelope(f)
-}
-
-// SaveIF writes an IF capture to a file.
-func SaveIF(path string, c *IFCapture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteIF(f, c); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadIF reads an IF capture from a file.
-func LoadIF(path string) (*IFCapture, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadIF(f)
 }

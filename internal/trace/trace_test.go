@@ -1,150 +1,62 @@
-package trace_test
+package trace
 
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-
-	"biscatter/internal/core"
-	"biscatter/internal/trace"
 )
 
-func sampleEnvelope() *trace.EnvelopeCapture {
-	return &trace.EnvelopeCapture{
-		SampleRate:      1e6,
-		CenterFrequency: 9.5e9,
-		Period:          120e-6,
-		SNRdB:           22,
-		Samples:         []float64{0.1, -0.2, 0.3},
-		Meta:            map[string]string{"tag": "1", "site": "lab"},
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	want := sampleEnvelope()
-	if err := trace.WriteEnvelope(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n%+v\n%+v", got, want)
-	}
-}
-
-func TestIFRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	want := &trace.IFCapture{
-		SampleRate: 4e6,
-		Bandwidth:  1e9,
-		Period:     120e-6,
-		Durations:  []float64{20e-6, 96e-6},
-		IF:         [][]complex128{{1 + 2i, 3}, {4i}},
-		Meta:       map[string]string{"frame": "7"},
-	}
-	if err := trace.WriteIF(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadIF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n%+v\n%+v", got, want)
-	}
-}
-
+// TestKindMismatchRejected pins the header's kind check: a payload framed
+// under one kind reads back under that kind and nowhere else.
 func TestKindMismatchRejected(t *testing.T) {
+	type note struct{ Text string }
 	var buf bytes.Buffer
-	if err := trace.WriteEnvelope(&buf, sampleEnvelope()); err != nil {
+	if err := write(&buf, "note", &note{Text: "hi"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.ReadIF(&buf); !errors.Is(err, trace.ErrBadHeader) {
-		t.Fatalf("expected trace.ErrBadHeader, got %v", err)
+	raw := buf.Bytes()
+	var got note
+	if err := read(bytes.NewReader(raw), "note", &got); err != nil || got.Text != "hi" {
+		t.Fatalf("same-kind read = %+v, %v", got, err)
+	}
+	if err := read(bytes.NewReader(raw), "exchange", &got); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("expected ErrBadHeader, got %v", err)
 	}
 }
 
 func TestGarbageRejected(t *testing.T) {
-	if _, err := trace.ReadEnvelope(bytes.NewReader([]byte("not a trace"))); !errors.Is(err, trace.ErrBadHeader) {
-		t.Fatalf("expected trace.ErrBadHeader, got %v", err)
+	if _, err := ReadExchange(bytes.NewReader([]byte("not a trace"))); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("expected ErrBadHeader, got %v", err)
 	}
-	if _, err := trace.ReadEnvelope(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadExchange(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input should fail")
 	}
 }
 
+// TestFileRoundTrip covers the file layer's failure paths (the intact
+// round trip is TestExchangeRecordFileRoundTrip): a file of another kind is
+// rejected by its header, and missing paths fail on both sides.
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cap.bsct")
-	if err := trace.SaveEnvelope(path, sampleEnvelope()); err != nil {
+	rec := sampleRecord()
+	var other bytes.Buffer
+	if err := write(&other, "if", rec.Meta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.LoadEnvelope(path)
-	if err != nil {
+	otherPath := filepath.Join(dir, "other.bsctrace")
+	if err := os.WriteFile(otherPath, other.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got.SNRdB != 22 || len(got.Samples) != 3 {
-		t.Fatalf("loaded %+v", got)
+	if _, err := LoadExchange(otherPath); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("other-kind file: expected ErrBadHeader, got %v", err)
 	}
-	if _, err := trace.LoadEnvelope(filepath.Join(dir, "missing")); err == nil {
+
+	if _, err := LoadExchange(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file should fail")
 	}
-	ifPath := filepath.Join(dir, "if.bsct")
-	if err := trace.SaveIF(ifPath, &trace.IFCapture{SampleRate: 4e6, IF: [][]complex128{{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.LoadIF(ifPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.LoadIF(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing IF file should fail")
-	}
-}
-
-// TestRecordedCaptureDecodesOffline is the point of the package: a capture
-// recorded from a live link decodes identically after a disk round trip.
-func TestRecordedCaptureDecodesOffline(t *testing.T) {
-	n, err := core.NewNetwork(core.Config{
-		Nodes: []core.NodeConfig{{ID: 1, Range: 2.6}},
-		Seed:  70,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("offline decode")
-	frame, err := n.BuildDownlinkFrame(payload, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := n.Nodes()[0]
-	snr := n.Link().DownlinkSNRdB(2.6)
-	x := node.Tag.FrontEnd.CaptureFrame(frame, snr)
-
-	path := filepath.Join(t.TempDir(), "live.bsct")
-	err = trace.SaveEnvelope(path, &trace.EnvelopeCapture{
-		SampleRate:      node.Tag.FrontEnd.SampleRate,
-		CenterFrequency: node.Tag.FrontEnd.CenterFrequency,
-		Period:          n.Config().Period,
-		SNRdB:           snr,
-		Samples:         x,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.LoadEnvelope(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := node.Tag.Decoder.DecodePacket(loaded.Samples, n.Packet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("offline decode %q, want %q", got, payload)
+	if err := SaveExchange(filepath.Join(dir, "no", "such", "dir"), rec); err == nil {
+		t.Fatal("save into a missing directory should fail")
 	}
 }
