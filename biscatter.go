@@ -86,11 +86,11 @@
 //	// ... run exchanges ...
 //	snap := net.Metrics() // or m.Snapshot()
 //
-// WithTelemetry additionally streams structured pipeline events to a
-// Recorder. Counter values are deterministic for a given workload at any
-// worker count; timings and live pool gauges are not. See DESIGN.md
-// "Telemetry" for the metric naming scheme and the command-line debug
-// endpoints (-debug-addr, -metrics-out).
+// WithTracer additionally collects one causal span tree per exchange.
+// Counter values are deterministic for a given workload at any worker
+// count; timings and live pool gauges are not. See DESIGN.md "Telemetry"
+// for the metric naming scheme and the command-line debug endpoints
+// (-debug-addr, -metrics-out).
 package biscatter
 
 import (
@@ -149,7 +149,7 @@ type (
 	DetectionDiag = radar.DetectionDiag
 	// Metrics is a telemetry registry: lock-cheap counters, gauges and
 	// latency histograms the pipeline records into when attached via
-	// WithMetrics or WithTelemetry.
+	// WithMetrics.
 	Metrics = telemetry.Metrics
 	// Snapshot is a point-in-time JSON-marshalable view of a Metrics
 	// registry.
@@ -157,12 +157,6 @@ type (
 	// HistogramStats summarizes one latency histogram (count, sum, mean,
 	// min, max, p50/p95/p99).
 	HistogramStats = telemetry.HistogramStats
-	// Recorder consumes structured pipeline events; see WithTelemetry.
-	Recorder = telemetry.Recorder
-	// Event is one structured pipeline event.
-	Event = telemetry.Event
-	// SliceRecorder is an in-memory Recorder for tests and tools.
-	SliceRecorder = telemetry.SliceRecorder
 	// FaultProfile is a named impairment scenario applied to a network via
 	// WithFaults: burst interference, chirp dropouts, moving clutter and
 	// per-tag front-end degradations, all seeded and reproducible.
@@ -181,8 +175,8 @@ type (
 	// Desync configures tag capture-start jitter against the chirp period.
 	Desync = fault.Desync
 	// Option is a functional option for NewNetwork; see WithWorkers,
-	// WithPreset, WithClutter, WithSeed, WithNodes, WithFaults, WithMetrics
-	// and WithTelemetry.
+	// WithPreset, WithClutter, WithSeed, WithNodes, WithFaults and
+	// WithMetrics.
 	Option = core.Option
 	// ExchangeOption customizes a single Exchange round; see WithMinChirps.
 	ExchangeOption = core.ExchangeOption
@@ -241,8 +235,8 @@ type (
 	// WriteTraceJSONL or WriteChromeTrace.
 	Tracer = telemetry.Tracer
 	// FlightRecorder keeps a bounded lock-free ring of the most recent
-	// exchange Traces and dumps them when a trip fires (exchange error,
-	// circuit-breaker open, or an explicit Trip call).
+	// exchange Traces and records each trip (exchange error, circuit-breaker
+	// open, or an explicit Trip call) in its dump.
 	FlightRecorder = telemetry.FlightRecorder
 	// DebugConfig selects which observability surfaces the debug HTTP
 	// handler exposes (/metrics, /metrics.json, /debug/trace, /debug/flight,
@@ -355,11 +349,6 @@ func WithFaults(p *FaultProfile) Option { return core.WithFaults(p) }
 // networks to aggregate. Telemetry never influences exchange results.
 func WithMetrics(m *Metrics) Option { return core.WithMetrics(m) }
 
-// WithTelemetry attaches a structured event recorder and ensures a metrics
-// registry exists — the one-call way to turn the full observability surface
-// on.
-func WithTelemetry(rec Recorder) Option { return core.WithTelemetry(rec) }
-
 // NewMetrics returns an empty telemetry registry for WithMetrics.
 func NewMetrics() *Metrics { return telemetry.New() }
 
@@ -379,13 +368,12 @@ func NewFlightRecorder(depth int) *FlightRecorder { return telemetry.NewFlightRe
 func WithTracer(t *Tracer) Option { return core.WithTracer(t) }
 
 // WithFlightRecorder attaches a flight recorder that retains the most
-// recent exchange traces and dumps them on exchange errors and
-// circuit-breaker trips.
+// recent exchange traces and records exchange errors and circuit-breaker
+// trips in its dump.
 func WithFlightRecorder(f *FlightRecorder) Option { return core.WithFlightRecorder(f) }
 
 // WithNetworkID assigns the network identity mixed into every ExchangeID
-// and stamped on traces and telemetry events. Fleet.AddNetwork assigns
-// dense ids automatically.
+// and stamped on traces. Fleet.AddNetwork assigns dense ids automatically.
 func WithNetworkID(id int) Option { return core.WithNetworkID(id) }
 
 // NewExchangeRecorder wraps a freshly built Network (no exchanges run yet)

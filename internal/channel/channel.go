@@ -114,28 +114,6 @@ func (l Link) DownlinkSNRdB(d float64) float64 {
 	return l.DownlinkRxPowerDBm(d) - l.DetectorNoiseFloorDBm
 }
 
-// DistanceForDownlinkSNR inverts DownlinkSNRdB: the distance at which the
-// downlink SNR equals the given value. Used by sweeps that are parameterized
-// by SNR (Figs. 14, 17).
-func (l Link) DistanceForDownlinkSNR(snrDB float64) float64 {
-	// SNR = P0 - 20log10(d) with P0 the budget at 1 m.
-	p0 := l.DownlinkSNRdB(1)
-	return math.Pow(10, (p0-snrDB)/20)
-}
-
-// PowerSumDBm combines two powers expressed in dBm: uncorrelated signals
-// (noise floors, interferers) add in the linear power domain. -Inf inputs
-// act as the identity element, so "no interferer" composes cleanly.
-func PowerSumDBm(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	return 10 * math.Log10(math.Pow(10, a/10)+math.Pow(10, b/10))
-}
-
 // DownlinkJSRdB returns the jammer-to-signal power ratio in dB at the tag's
 // envelope detector for a tag at distance d, given an in-band interferer
 // delivering jammerDBm at the detector input. This is the impairment hook
@@ -143,14 +121,6 @@ func PowerSumDBm(a, b float64) float64 {
 // legitimate downlink signal.
 func (l Link) DownlinkJSRdB(d, jammerDBm float64) float64 {
 	return jammerDBm - l.DownlinkRxPowerDBm(d)
-}
-
-// DownlinkSINRdB returns the downlink SNR degraded by an in-band interferer
-// of the given power at the detector input: signal over the power sum of the
-// detector noise floor and the interference. With jammerDBm = -Inf it
-// reduces exactly to DownlinkSNRdB.
-func (l Link) DownlinkSINRdB(d, jammerDBm float64) float64 {
-	return l.DownlinkRxPowerDBm(d) - PowerSumDBm(l.DetectorNoiseFloorDBm, jammerDBm)
 }
 
 // UplinkRxPowerDBm returns the modulated backscatter power arriving back at

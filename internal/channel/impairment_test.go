@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // TestLinkValidateTable pins every Validate error case and the fields each
@@ -85,79 +84,18 @@ func TestOfficeClutterInvariants(t *testing.T) {
 	}
 }
 
-// TestDistanceForDownlinkSNRQuickProperty drives the SNR↔distance inversion
-// with testing/quick across the valid domain in both directions.
-func TestDistanceForDownlinkSNRQuickProperty(t *testing.T) {
-	link := DefaultLink()
-	fromSNR := func(raw float64) bool {
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			return true
-		}
-		// Fold the arbitrary float into the physically meaningful SNR band.
-		snr := math.Mod(math.Abs(raw), 120) - 40 // [-40, 80) dB
-		d := link.DistanceForDownlinkSNR(snr)
-		if d <= 0 || math.IsNaN(d) {
-			return false
-		}
-		return math.Abs(link.DownlinkSNRdB(d)-snr) < 1e-9
-	}
-	fromDistance := func(raw float64) bool {
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			return true
-		}
-		d := 0.01 + math.Mod(math.Abs(raw), 100) // (0, 100) m
-		back := link.DistanceForDownlinkSNR(link.DownlinkSNRdB(d))
-		return math.Abs(back-d) < 1e-9*d
-	}
-	cfg := &quick.Config{MaxCount: 2000}
-	if err := quick.Check(fromSNR, cfg); err != nil {
-		t.Errorf("SNR→distance→SNR: %v", err)
-	}
-	if err := quick.Check(fromDistance, cfg); err != nil {
-		t.Errorf("distance→SNR→distance: %v", err)
-	}
-}
-
-func TestPowerSumDBm(t *testing.T) {
-	negInf := math.Inf(-1)
-	if got := PowerSumDBm(negInf, -76); got != -76 {
-		t.Errorf("PowerSumDBm(-Inf, -76) = %v, want -76", got)
-	}
-	if got := PowerSumDBm(-76, negInf); got != -76 {
-		t.Errorf("PowerSumDBm(-76, -Inf) = %v, want -76", got)
-	}
-	// Two equal powers combine to +3.01 dB.
-	if got := PowerSumDBm(-70, -70); !approxEq(got, -70+10*math.Log10(2), 1e-12) {
-		t.Errorf("equal-power sum = %v", got)
-	}
-	// The sum dominates over the larger term and is monotone in each input.
-	if got := PowerSumDBm(-60, -90); got < -60 || got > -59.9 {
-		t.Errorf("dominant-term sum = %v", got)
-	}
-	if PowerSumDBm(-60, -80) <= PowerSumDBm(-60, -90) {
-		t.Error("PowerSumDBm not monotone in second argument")
-	}
-}
-
-// TestDownlinkSINR pins the interference hook: no jammer reduces to the
-// plain SNR, and a jammer far above the noise floor turns the SINR into the
-// negative jammer-to-signal ratio.
-func TestDownlinkSINR(t *testing.T) {
+// TestDownlinkJSR pins the interference hook: the jammer-to-signal ratio
+// of a jammer some margin above the detector noise floor is that margin
+// less the downlink SNR, and it grows with distance and jammer power.
+func TestDownlinkJSR(t *testing.T) {
 	link := DefaultLink()
 	const d = 3.0
-	if got, want := link.DownlinkSINRdB(d, math.Inf(-1)), link.DownlinkSNRdB(d); got != want {
-		t.Errorf("SINR without jammer = %v, want SNR %v", got, want)
-	}
-	// Jammer 30 dB above the detector noise floor: noise is negligible and
-	// SINR ≈ -JSR.
 	jam := link.DetectorNoiseFloorDBm + 30
-	sinr := link.DownlinkSINRdB(d, jam)
-	jsr := link.DownlinkJSRdB(d, jam)
-	if !approxEq(sinr, -jsr, 0.01) {
-		t.Errorf("strong-jammer SINR %v !≈ -JSR %v", sinr, -jsr)
+	if got, want := link.DownlinkJSRdB(d, jam), 30-link.DownlinkSNRdB(d); !approxEq(got, want, 1e-9) {
+		t.Errorf("JSR = %v, want margin less SNR %v", got, want)
 	}
-	if link.DownlinkSINRdB(d, jam) >= link.DownlinkSINRdB(d, jam-10) {
-		t.Error("SINR not monotone in jammer power")
+	if got := link.DownlinkJSRdB(d, jam) - link.DownlinkJSRdB(d, jam-10); !approxEq(got, 10, 1e-9) {
+		t.Errorf("10 dB more jammer raised JSR by %v dB", got)
 	}
 	// JSR grows with distance: the signal weakens, the jammer does not.
 	if link.DownlinkJSRdB(5, jam) <= link.DownlinkJSRdB(1, jam) {

@@ -52,12 +52,3 @@ func SigmaForSNR(amplitude, snrDB float64) float64 {
 	noisePower := signalPower / math.Pow(10, snrDB/10)
 	return math.Sqrt(noisePower)
 }
-
-// SNRFromSigma inverts SigmaForSNR.
-func SNRFromSigma(amplitude, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.Inf(1)
-	}
-	signalPower := amplitude * amplitude / 2
-	return 10 * math.Log10(signalPower/(sigma*sigma))
-}

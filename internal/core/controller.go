@@ -186,8 +186,8 @@ func (lc *LinkController) rebuild() error {
 		return fmt.Errorf("core: rebuilding at mode %q: %w", mode.Name, err)
 	}
 	// Carry the exchange sequence across the rebuild so exchange IDs stay
-	// unique over the controller's lifetime (the tracer, flight recorder
-	// and recorder also ride along, via the base config).
+	// unique over the controller's lifetime (the tracer and flight
+	// recorder also ride along, via the base config).
 	if lc.net != nil {
 		net.seq = lc.net.seq
 	}
@@ -324,7 +324,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 			br.idleSlots = 0
 			lc.counter("core.recovery.breaker.open")
 			// Quarantining a node is exactly the moment the recent exchange
-			// history matters: dump the flight recorder's black box.
+			// history matters: mark it in the flight recorder's black box.
 			lc.net.flight.Trip("breaker open: node " + strconv.Itoa(nodeIdx))
 		}
 	}

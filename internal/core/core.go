@@ -110,9 +110,6 @@ type Config struct {
 	// A registry may be shared across networks (eval sweeps aggregate this
 	// way). Telemetry never influences exchange results.
 	Metrics *telemetry.Metrics
-	// Recorder receives structured pipeline events (exchange begin/end,
-	// per-node decode / detection / demod outcomes); nil disables them.
-	Recorder telemetry.Recorder
 	// Tracer collects one causal span tree per exchange — the full pipeline
 	// breakdown (frame build, per-node downlink decodes, radar observe and
 	// IF correction, detection, per-node uplink demods) under a
@@ -121,13 +118,12 @@ type Config struct {
 	// zero-allocation exchange contract holds. A tracer may be shared
 	// across networks (a Fleet shares one).
 	Tracer *telemetry.Tracer
-	// Flight keeps the last N exchange traces in a bounded ring and dumps
-	// them when tripped — on exchange errors and when a link controller's
+	// Flight keeps the last N exchange traces in a bounded ring and records
+	// a trip in its dump on exchange errors and when a link controller's
 	// circuit breaker opens. Nil disables it.
 	Flight *telemetry.FlightRecorder
-	// NetworkID identifies this network in exchange IDs, traces and
-	// events. A Fleet assigns its dense network id; standalone networks
-	// default to 0.
+	// NetworkID identifies this network in exchange IDs and traces. A Fleet
+	// assigns its dense network id; standalone networks default to 0.
 	NetworkID int
 }
 
@@ -201,7 +197,6 @@ type Network struct {
 	pair     delayline.Pair
 	pool     *parallel.Pool
 	tel      coreTel
-	rec      telemetry.Recorder
 	tracer   *telemetry.Tracer
 	flight   *telemetry.FlightRecorder
 	radarInj *fault.RadarInjector
@@ -212,9 +207,6 @@ type Network struct {
 	// always advances (one integer add), so identities stay aligned whether
 	// or not tracing is on.
 	seq uint64
-	// exchID is the current round's ExchangeID in hex, "" outside a round
-	// or when no sink wants it; event() stamps it onto every event.
-	exchID string
 }
 
 // exchangeScratch is the per-exchange buffer set the pipeline reuses: the
@@ -323,7 +315,6 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 		pair:     pair,
 		pool:     parallel.New(cfg.Workers).Instrument(cfg.Metrics),
 		tel:      newCoreTel(cfg.Metrics, len(cfg.Nodes)),
-		rec:      cfg.Recorder,
 		tracer:   cfg.Tracer,
 		flight:   cfg.Flight,
 		radarInj: fault.NewRadarInjector(cfg.Faults, cfg.Seed, cfg.Metrics),

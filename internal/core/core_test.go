@@ -313,17 +313,3 @@ func TestCountBitErrorsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSymbolsForMatchesPacket(t *testing.T) {
-	n, err := NewNetwork(oneNodeConfig(3, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	syms, err := n.SymbolsFor([]byte{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syms) != n.Packet().PacketChirps(3) {
-		t.Fatalf("symbol count %d", len(syms))
-	}
-}

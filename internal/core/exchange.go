@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"biscatter/internal/channel"
-	"biscatter/internal/cssk"
 	"biscatter/internal/dsp"
 	"biscatter/internal/fmcw"
 	"biscatter/internal/radar"
@@ -155,32 +154,23 @@ func (n *Network) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...Ex
 // count (see Config.Workers / WithWorkers).
 func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (res *ExchangeResult, err error) {
 	// The sequence counter always advances so exchange identities stay
-	// aligned whether or not any identity consumer is attached; the ID
-	// itself (and the context wrap) is built only when one is, keeping the
+	// aligned whether or not a trace consumer is attached; the trace itself
+	// (and the context wrap) is built only when one is, keeping the
 	// disabled path allocation-free.
 	seq := n.seq
 	n.seq++
 	var root *telemetry.SpanNode
 	var tr *telemetry.Trace
-	if n.tracer != nil || n.flight != nil || n.rec != nil {
+	if n.tracer != nil || n.flight != nil {
 		id := telemetry.NewExchangeID(n.cfg.Seed, n.cfg.NetworkID, seq)
-		if n.rec != nil {
-			n.exchID = id.String()
-		}
-		if n.tracer != nil || n.flight != nil {
-			tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, "exchange")
-			root = tr.Root
-			ctx = telemetry.ContextWithSpan(telemetry.ContextWithExchangeID(ctx, id), root)
-		}
+		tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, "exchange")
+		root = tr.Root
+		ctx = telemetry.ContextWithSpan(ctx, root)
 	}
 	xsp := n.tel.exchange.Span()
 	defer func() {
 		xsp.End()
 		outcome(err, n.tel.exchOK, n.tel.exchErr)
-		if n.rec != nil {
-			n.event("exchange.end", -1, map[string]any{"ok": err == nil})
-			n.exchID = ""
-		}
 		if tr != nil {
 			root.Fail(err)
 			root.SetAttr("nodes", len(n.nodes))
@@ -192,11 +182,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			}
 		}
 	}()
-	if n.rec != nil {
-		n.event("exchange.begin", -1, map[string]any{
-			"payload_bytes": len(payload), "nodes": len(n.nodes),
-		})
-	}
 	var eo exchangeOptions
 	for _, opt := range opts {
 		opt(&eo)
@@ -235,7 +220,7 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
 		if !active[i] {
 			// A scheduled-out tag sleeps through the frame (the §4.1 power
-			// story): no decode, no telemetry, no events.
+			// story): no decode, no telemetry.
 			res.Nodes[i].DownlinkErr = ErrNodeInactive
 			return nil
 		}
@@ -261,9 +246,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			e, t := CountBitErrors(payload, pl)
 			n.tel.dlBitErrs.Add(int64(e))
 			n.tel.dlBits.Add(int64(t))
-		}
-		if n.rec != nil {
-			n.event("node.downlink", i, map[string]any{"ok": derr == nil, "snr_db": snr})
 		}
 		return nil
 	}); err != nil {
@@ -332,11 +314,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 		nt := n.tel.node(i)
 		outcome(derrs[i], n.tel.detOK, n.tel.detErr)
 		outcome(derrs[i], nt.detOK, nt.detErr)
-		if n.rec != nil {
-			n.event("node.detect", i, map[string]any{
-				"ok": derrs[i] == nil, "bin": diags[i].PeakBin, "psl_db": diags[i].PeakToSidelobeDB,
-			})
-		}
 		if derrs[i] != nil {
 			if bits, ok := uplinkBits[i]; ok && len(bits) > 0 && n.tel.enabled() {
 				// A missed detection loses the whole uplink message:
@@ -364,9 +341,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			if n.tel.enabled() {
 				n.tel.upBitErrs.Add(int64(countBitMismatches(bits, got)))
 				n.tel.upBits.Add(int64(len(bits)))
-			}
-			if n.rec != nil {
-				n.event("node.uplink", i, map[string]any{"ok": uerr == nil, "bits": len(bits)})
 			}
 		}
 		return nil
@@ -783,10 +757,4 @@ func popcount8(b byte) int {
 		n++
 	}
 	return n
-}
-
-// SymbolsFor exposes the encoded chirp schedule for a payload, useful for
-// experiments that need ground-truth symbols.
-func (n *Network) SymbolsFor(payload []byte) ([]cssk.Symbol, error) {
-	return n.pkt.Encode(payload)
 }

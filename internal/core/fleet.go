@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"biscatter/internal/fmcw"
-	"biscatter/internal/radar"
 	"biscatter/internal/telemetry"
 )
 
@@ -32,9 +30,6 @@ type FleetConfig struct {
 	// shared with every network the fleet builds, so per-stage pipeline
 	// metrics aggregate fleet-wide. Nil disables collection.
 	Metrics *telemetry.Metrics
-	// Recorder receives the structured pipeline events of every network
-	// the fleet builds; nil disables them.
-	Recorder telemetry.Recorder
 	// Tracer collects exchange span trees from every network the fleet
 	// builds (trace Network fields carry the fleet-assigned ids, so the
 	// shared stream stays attributable); nil disables tracing.
@@ -223,8 +218,8 @@ func (f *Fleet) do(ctx context.Context, e *engine, run func(ctx context.Context)
 // AddNetwork builds a network from the configuration, the fleet defaults
 // and the per-network options (fleet defaults run first, so per-network
 // options override them), and pins it to an engine round-robin. The fleet's
-// metrics registry and recorder are attached ahead of the option list, so
-// an explicit WithMetrics/WithTelemetry still wins.
+// metrics registry, tracer and flight recorder are attached ahead of the
+// option list, so an explicit WithMetrics still wins.
 func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -235,12 +230,9 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.networks++
 	f.mu.Unlock()
 
-	all := make([]Option, 0, len(f.defaults)+len(opts)+5)
+	all := make([]Option, 0, len(f.defaults)+len(opts)+4)
 	if f.cfg.Metrics != nil {
 		all = append(all, WithMetrics(f.cfg.Metrics))
-	}
-	if f.cfg.Recorder != nil {
-		all = append(all, WithTelemetry(f.cfg.Recorder))
 	}
 	if f.cfg.Tracer != nil {
 		all = append(all, WithTracer(f.cfg.Tracer))
@@ -251,7 +243,7 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	all = append(all, f.defaults...)
 	all = append(all, opts...)
 	// The fleet-assigned dense id always wins: it is what keys the shared
-	// tracer's and recorder's streams.
+	// tracer's stream.
 	all = append(all, WithNetworkID(id))
 	net, err := NewNetwork(cfg, all...)
 	if err != nil {
@@ -305,12 +297,11 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// FleetNetwork is one resident network of a Fleet: a handle whose methods
-// mirror Network's pipeline entry points but execute on the network's
-// engine, serialized with the network's other requests. The handle is safe
-// for concurrent use; concurrent calls on the same handle are run one at a
-// time in queue order (results follow the per-network ownership contract —
-// valid until the handle's next call).
+// FleetNetwork is one resident network of a Fleet: a handle whose Exchange
+// and Do run on the network's engine, serialized with the network's other
+// requests. The handle is safe for concurrent use; concurrent calls on the
+// same handle are run one at a time in queue order (results follow the
+// per-network ownership contract — valid until the handle's next call).
 type FleetNetwork struct {
 	fleet *Fleet
 	eng   *engine
@@ -325,19 +316,16 @@ type FleetNetwork struct {
 // order); telemetry counters are published under fleet.network.<id>.
 func (fn *FleetNetwork) ID() int { return fn.id }
 
-// Engine returns the index of the engine this network is pinned to.
-func (fn *FleetNetwork) Engine() int { return fn.eng.id }
-
 // Network returns the underlying network for configuration inspection
 // (Config, Alphabet, DownlinkDataRate, ...). Do NOT call pipeline methods
 // (Exchange, Localize, ...) on it directly while the fleet serves it — that
-// would race the engine; go through the FleetNetwork methods instead.
+// would race the engine; go through Exchange or Do instead.
 func (fn *FleetNetwork) Network() *Network { return fn.net }
 
 // Do runs f on the network's engine, serialized with the network's other
-// requests — the escape hatch for recorder-bound drivers (a GatewayMux
-// running an ExchangeRecorder against the resident network) that need
-// engine affinity for a call pattern the method wrappers don't cover. f
+// requests — the way to run any pipeline call other than a plain Exchange
+// (a scheduled cycle, a sensing round, a GatewayMux driving an
+// ExchangeRecorder against the resident network) with engine affinity. f
 // receives the resident network; everything it produces follows the
 // per-network ownership contract (valid until the handle's next request).
 // The returned error is f's own unless scheduling failed (context done,
@@ -386,72 +374,4 @@ func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, upl
 // queue slot indefinitely.
 func (fn *FleetNetwork) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
 	return fn.ExchangeContext(context.Background(), payload, uplinkBits, opts...)
-}
-
-// ExchangeScheduledContext schedules one full frame-schedule cycle (every
-// node served once) as a single engine request, so the cycle's rounds are
-// never interleaved with other requests on this network; see
-// Network.ExchangeScheduledContext.
-func (fn *FleetNetwork) ExchangeScheduledContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	var (
-		res  *ScheduledResult
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		res, rerr = fn.net.ExchangeScheduledContext(ctx, payload, uplinkBits, opts...)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return res, rerr
-}
-
-// ExchangeScheduled is ExchangeScheduledContext with a background context.
-func (fn *FleetNetwork) ExchangeScheduled(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	return fn.ExchangeScheduledContext(context.Background(), payload, uplinkBits, opts...)
-}
-
-// LocalizeContext schedules a sensing round on the network's engine; see
-// Network.LocalizeContext.
-func (fn *FleetNetwork) LocalizeContext(ctx context.Context, frame *fmcw.Frame, chirps int) ([]radar.Detection, error) {
-	var (
-		dets []radar.Detection
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		dets, rerr = fn.net.LocalizeContext(ctx, frame, chirps)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return dets, rerr
-}
-
-// Localize is LocalizeContext with a background context.
-func (fn *FleetNetwork) Localize(frame *fmcw.Frame, chirps int) ([]radar.Detection, error) {
-	return fn.LocalizeContext(context.Background(), frame, chirps)
-}
-
-// MapEnvironmentContext schedules an environment-mapping round on the
-// network's engine; see Network.MapEnvironmentContext.
-func (fn *FleetNetwork) MapEnvironmentContext(ctx context.Context, chirps int) ([]radar.MapTarget, error) {
-	var (
-		targets []radar.MapTarget
-		rerr    error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		targets, rerr = fn.net.MapEnvironmentContext(ctx, chirps)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return targets, rerr
-}
-
-// MapEnvironment is MapEnvironmentContext with a background context.
-func (fn *FleetNetwork) MapEnvironment(chirps int) ([]radar.MapTarget, error) {
-	return fn.MapEnvironmentContext(context.Background(), chirps)
 }

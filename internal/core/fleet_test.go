@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"biscatter/internal/radar"
 	"biscatter/internal/telemetry"
 )
 
@@ -305,14 +306,21 @@ func TestFleetLocalizeAndMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets, err := fn.Localize(nil, 128)
-	if err != nil {
+	ctx := context.Background()
+	var dets []radar.Detection
+	if err := fn.Do(ctx, func(ctx context.Context, n *Network) (err error) {
+		dets, err = n.LocalizeContext(ctx, nil, 128)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(dets) != 2 {
 		t.Fatalf("got %d detections, want 2", len(dets))
 	}
-	if _, err := fn.MapEnvironment(128); err != nil {
+	if err := fn.Do(ctx, func(ctx context.Context, n *Network) error {
+		_, err := n.MapEnvironmentContext(ctx, 128)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

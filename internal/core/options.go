@@ -90,19 +90,6 @@ func WithMetrics(m *telemetry.Metrics) Option {
 	return func(c *Config) { c.Metrics = m }
 }
 
-// WithTelemetry attaches a structured event recorder (exchange begin/end,
-// per-node decode / detection / demod outcomes) and ensures a metrics
-// registry exists — the one-call way to turn the full observability surface
-// on. A nil recorder still enables metrics.
-func WithTelemetry(rec telemetry.Recorder) Option {
-	return func(c *Config) {
-		c.Recorder = rec
-		if c.Metrics == nil {
-			c.Metrics = telemetry.New()
-		}
-	}
-}
-
 // WithTracer attaches an exchange tracer: every Exchange round produces a
 // causal span tree (frame build, per-node downlink decodes, radar observe
 // and IF correction, detection, per-node uplink demods) under a
@@ -113,14 +100,14 @@ func WithTracer(t *telemetry.Tracer) Option {
 }
 
 // WithFlightRecorder attaches a flight recorder: the last N exchange traces
-// stay resident in a lock-free ring and dump automatically when an exchange
-// fails or a link controller's circuit breaker opens.
+// stay resident in a lock-free ring, and an exchange failure or a link
+// controller's circuit breaker opening is recorded as a trip in its dump.
 func WithFlightRecorder(f *telemetry.FlightRecorder) Option {
 	return func(c *Config) { c.Flight = f }
 }
 
-// WithNetworkID sets the network identity stamped into exchange IDs, traces
-// and events. The Fleet applies its dense id automatically.
+// WithNetworkID sets the network identity stamped into exchange IDs and
+// traces. The Fleet applies its dense id automatically.
 func WithNetworkID(id int) Option {
 	return func(c *Config) { c.NetworkID = id }
 }

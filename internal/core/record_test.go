@@ -259,34 +259,6 @@ func TestExchangeTraceDeterministicIDs(t *testing.T) {
 	}
 }
 
-func TestEventExchangeTagging(t *testing.T) {
-	sink := &telemetry.SliceRecorder{}
-	net, err := NewNetwork(Config{
-		Nodes:     []NodeConfig{{ID: 1, Range: 2.5}},
-		Seed:      31,
-		NetworkID: 7,
-	}, WithTelemetry(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Exchange([]byte{0x01}, map[int][]bool{0: {true}}); err != nil {
-		t.Fatal(err)
-	}
-	events := sink.Events()
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	wantID := telemetry.NewExchangeID(31, 7, 0).String()
-	for _, e := range events {
-		if e.Exchange != wantID {
-			t.Fatalf("event %q exchange = %q, want %q", e.Name, e.Exchange, wantID)
-		}
-		if e.Network != 7 {
-			t.Fatalf("event %q network = %d, want 7", e.Name, e.Network)
-		}
-	}
-}
-
 func TestFlightRecorderCapturesExchanges(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(4)
 	net, err := NewNetwork(Config{

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"biscatter/internal/telemetry"
 )
@@ -118,25 +117,6 @@ func outcome(err error, ok, errC *telemetry.Counter) {
 		return
 	}
 	ok.Inc()
-}
-
-// event emits a structured event to the configured recorder; a nil recorder
-// drops it before any allocation at the call sites that guard on rec. Every
-// event carries the current round's deterministic ExchangeID and the
-// network identity, so events from concurrent Fleet networks stay
-// attributable after they interleave into one stream.
-func (n *Network) event(name string, node int, fields map[string]any) {
-	if n.rec == nil {
-		return
-	}
-	n.rec.Record(telemetry.Event{
-		Time:     time.Now(),
-		Name:     name,
-		Node:     node,
-		Exchange: n.exchID,
-		Network:  n.cfg.NetworkID,
-		Fields:   fields,
-	})
 }
 
 // Metrics returns a point-in-time snapshot of the network's telemetry

@@ -44,9 +44,8 @@ func fourNodeUplink() map[int][]bool {
 // scripts/bench_exchange.sh uses that to embed a per-stage breakdown in its
 // report.
 func TestExchangeTelemetryStages(t *testing.T) {
-	rec := &telemetry.SliceRecorder{}
 	m := telemetry.New()
-	n, err := NewNetwork(fourNodeConfig(0), WithMetrics(m), WithTelemetry(rec))
+	n, err := NewNetwork(fourNodeConfig(0), WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +107,6 @@ func TestExchangeTelemetryStages(t *testing.T) {
 		t.Errorf("uplink bit errors on a clean exchange: %d", snap.Counters["core.uplink.bit_errors"])
 	}
 
-	byName := rec.CountByName()
-	for _, e := range []string{"exchange.begin", "exchange.end", "node.downlink", "node.detect", "node.uplink"} {
-		if byName[e] == 0 {
-			t.Errorf("event %s: none recorded", e)
-		}
-	}
-	if byName["node.downlink"] != len(res.Nodes) {
-		t.Errorf("node.downlink events = %d, want %d", byName["node.downlink"], len(res.Nodes))
-	}
-
 	if path := os.Getenv("BISCATTER_METRICS_OUT"); path != "" {
 		if err := telemetry.WriteSnapshotFile(path, snap); err != nil {
 			t.Fatalf("BISCATTER_METRICS_OUT: %v", err)
@@ -126,15 +115,14 @@ func TestExchangeTelemetryStages(t *testing.T) {
 }
 
 // TestExchangeTelemetryDeterminism extends the worker-count invariance
-// contract to telemetry: counter values, histogram sample counts, gauges
-// outside the live "parallel." pool group, and the event multiset must all
-// depend only on the work done, never on how many workers did it. Timings
-// (histogram sums and quantiles) are exempt.
+// contract to telemetry: counter values, histogram sample counts and gauges
+// outside the live "parallel." pool group must all depend only on the work
+// done, never on how many workers did it. Timings (histogram sums and
+// quantiles) are exempt.
 func TestExchangeTelemetryDeterminism(t *testing.T) {
 	payload := RandomPayload(5, 8)
-	run := func(workers int) (telemetry.Snapshot, map[string]int) {
-		rec := &telemetry.SliceRecorder{}
-		n, err := NewNetwork(fourNodeConfig(workers), WithTelemetry(rec))
+	run := func(workers int) telemetry.Snapshot {
+		n, err := NewNetwork(fourNodeConfig(workers), WithMetrics(telemetry.New()))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -143,10 +131,10 @@ func TestExchangeTelemetryDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d round=%d: %v", workers, round, err)
 			}
 		}
-		return n.Metrics(), rec.CountByName()
+		return n.Metrics()
 	}
-	serialSnap, serialEvents := run(1)
-	wideSnap, wideEvents := run(8)
+	serialSnap := run(1)
+	wideSnap := run(8)
 
 	for name, v := range serialSnap.Counters {
 		if w := wideSnap.Counters[name]; w != v {
@@ -168,14 +156,6 @@ func TestExchangeTelemetryDeterminism(t *testing.T) {
 		if w := wideSnap.Gauges[name]; w != v {
 			t.Errorf("gauge %s: serial=%v wide=%v", name, v, w)
 		}
-	}
-	for name, c := range serialEvents {
-		if w := wideEvents[name]; w != c {
-			t.Errorf("event %s: serial=%d wide=%d", name, c, w)
-		}
-	}
-	if len(serialEvents) != len(wideEvents) {
-		t.Errorf("event name sets differ: %v vs %v", serialEvents, wideEvents)
 	}
 }
 

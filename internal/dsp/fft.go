@@ -1,6 +1,6 @@
 // Package dsp provides the digital signal processing substrate used by the
 // BiScatter simulator: FFTs, the Goertzel algorithm, window functions,
-// filters, interpolation, autocorrelation and peak search.
+// moving-average smoothing, interpolation, autocorrelation and CFAR.
 //
 // Everything is implemented on plain []complex128 / []float64 slices with no
 // external dependencies. Functions that allocate have Into-variants that
@@ -77,9 +77,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// Size returns the transform size of the plan.
-func (p *FFTPlan) Size() int { return p.n }
-
 // planCache holds one FFTPlan per transform size. CSSK frames mix chirp
 // durations, so the tag decoder and the slow-time processors request many
 // different (but recurring) power-of-two sizes per frame; caching the
@@ -124,17 +121,6 @@ func (p *FFTPlan) ForwardInto(dst, src []complex128) {
 		copy(dst, src)
 	}
 	p.execute(dst, false)
-}
-
-// Inverse computes the inverse DFT (with 1/n normalization) of src into a new
-// slice.
-//
-// Test/oracle use only, like Forward: production code uses InverseInto with
-// its own scratch.
-func (p *FFTPlan) Inverse(src []complex128) []complex128 {
-	dst := make([]complex128, p.n)
-	p.InverseInto(dst, src)
-	return dst
 }
 
 // InverseInto computes the inverse DFT (with 1/n normalization) of src into
@@ -305,15 +291,6 @@ func MagnitudesInto(dst []float64, spec []complex128) {
 	}
 }
 
-// PowerSpectrum returns |spec[i]|² for every bin.
-func PowerSpectrum(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, c := range spec {
-		out[i] = real(c)*real(c) + imag(c)*imag(c)
-	}
-	return out
-}
-
 // BinFrequency converts an FFT bin index to the frequency in Hz for a
 // transform of size n over samples taken at rate fs. Bins above n/2 map to
 // negative frequencies.
@@ -322,16 +299,4 @@ func BinFrequency(bin, n int, fs float64) float64 {
 		bin -= n
 	}
 	return float64(bin) * fs / float64(n)
-}
-
-// FrequencyBin converts a frequency in Hz to the nearest FFT bin index for a
-// transform of size n at sample rate fs. Negative frequencies wrap to the
-// upper half.
-func FrequencyBin(freq float64, n int, fs float64) int {
-	bin := int(math.Round(freq * float64(n) / fs))
-	bin %= n
-	if bin < 0 {
-		bin += n
-	}
-	return bin
 }

@@ -7,101 +7,9 @@ import (
 	"testing/quick"
 )
 
-func TestNewFIRFilterValidation(t *testing.T) {
-	if _, err := NewFIRFilter(nil); err == nil {
-		t.Fatal("empty taps should fail")
-	}
-}
-
-func TestNewLowPassFIRValidation(t *testing.T) {
-	if _, err := NewLowPassFIR(0, 1e6, 31); err == nil {
-		t.Error("zero cutoff should fail")
-	}
-	if _, err := NewLowPassFIR(600e3, 1e6, 31); err == nil {
-		t.Error("cutoff above Nyquist should fail")
-	}
-	if _, err := NewLowPassFIR(100e3, 1e6, 0); err == nil {
-		t.Error("zero taps should fail")
-	}
-}
-
-func TestLowPassFIRUnityDCGain(t *testing.T) {
-	f, err := NewLowPassFIR(100e3, 1e6, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, tap := range f.Taps() {
-		sum += tap
-	}
-	if !approxEq(sum, 1, 1e-9) {
-		t.Fatalf("DC gain %v, want 1", sum)
-	}
-}
-
-func TestLowPassFIRPassesLowBlocksHigh(t *testing.T) {
-	const fs = 1e6
-	f, err := NewLowPassFIR(150e3, fs, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low := realTone(4000, 50e3, fs, 1, 0)
-	high := realTone(4000, 400e3, fs, 1, 0)
-	outLow := f.ProcessBlock(low)[200:]
-	f.Reset()
-	outHigh := f.ProcessBlock(high)[200:]
-	if RMS(outLow) < 0.6 {
-		t.Fatalf("passband tone attenuated too much: RMS %v", RMS(outLow))
-	}
-	if RMS(outHigh) > 0.05 {
-		t.Fatalf("stopband tone leaked: RMS %v", RMS(outHigh))
-	}
-}
-
-func TestFIRFilterStatePersistsAcrossBlocks(t *testing.T) {
-	f1, _ := NewLowPassFIR(100e3, 1e6, 31)
-	f2, _ := NewLowPassFIR(100e3, 1e6, 31)
-	rng := rand.New(rand.NewSource(11))
-	sig := make([]float64, 1000)
-	for i := range sig {
-		sig[i] = rng.NormFloat64()
-	}
-	whole := f1.ProcessBlock(sig)
-	part := append(f2.ProcessBlock(sig[:500]), f2.ProcessBlock(sig[500:])...)
-	for i := range whole {
-		if !approxEq(whole[i], part[i], 1e-12) {
-			t.Fatalf("sample %d differs: %v vs %v", i, whole[i], part[i])
-		}
-	}
-}
-
-func TestFIRFilterReset(t *testing.T) {
-	f, _ := NewLowPassFIR(100e3, 1e6, 31)
-	f.Process(123)
-	f.Reset()
-	// After reset, impulse response must match a fresh filter.
-	g, _ := NewLowPassFIR(100e3, 1e6, 31)
-	for i := 0; i < 40; i++ {
-		in := 0.0
-		if i == 0 {
-			in = 1
-		}
-		if a, b := f.Process(in), g.Process(in); !approxEq(a, b, 1e-15) {
-			t.Fatalf("impulse response differs at %d: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestFIRGroupDelay(t *testing.T) {
-	f, _ := NewLowPassFIR(100e3, 1e6, 41)
-	if gd := f.GroupDelay(); !approxEq(gd, 20, 1e-12) {
-		t.Fatalf("group delay %v, want 20", gd)
-	}
-}
-
 func TestMovingAverageSmoothing(t *testing.T) {
 	x := []float64{0, 0, 10, 0, 0}
-	out := MovingAverage(x, 3)
+	out := MovingAverageInto(nil, x, 3)
 	if !approxEq(out[2], 10.0/3, 1e-12) {
 		t.Fatalf("center sample %v, want %v", out[2], 10.0/3)
 	}
@@ -112,7 +20,7 @@ func TestMovingAverageSmoothing(t *testing.T) {
 
 func TestMovingAverageWidthOneCopies(t *testing.T) {
 	x := []float64{1, 2, 3}
-	out := MovingAverage(x, 1)
+	out := MovingAverageInto(nil, x, 1)
 	for i := range x {
 		if out[i] != x[i] {
 			t.Fatalf("width-1 moving average should copy input")
@@ -132,34 +40,37 @@ func TestMovingAveragePreservesMeanProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		w := 1 + 2*(int(width)%5) // odd widths 1..9
-		out := MovingAverage(x, w)
+		out := MovingAverageInto(nil, x, w)
 		// Reflection padding keeps the mean approximately unchanged.
-		return math.Abs(Mean(out)-Mean(x)) < 0.15
+		return math.Abs(mean(out)-mean(x)) < 0.15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// mean returns the arithmetic mean of x.
+func mean(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s / float64(len(x))
+}
+
 func TestRemoveDC(t *testing.T) {
 	x := []float64{5, 6, 7}
 	RemoveDC(x)
-	if !approxEq(Mean(x), 0, 1e-12) {
-		t.Fatalf("mean after RemoveDC = %v", Mean(x))
+	if !approxEq(mean(x), 0, 1e-12) {
+		t.Fatalf("mean after RemoveDC = %v", mean(x))
 	}
 }
 
 func TestStats(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || RMS(nil) != 0 {
-		t.Fatal("empty-input stats should be 0")
+	if RMS(nil) != 0 {
+		t.Fatal("empty-input RMS should be 0")
 	}
 	x := []float64{1, 2, 3, 4}
-	if !approxEq(Mean(x), 2.5, 1e-12) {
-		t.Fatalf("mean %v", Mean(x))
-	}
-	if !approxEq(Variance(x), 1.25, 1e-12) {
-		t.Fatalf("variance %v", Variance(x))
-	}
 	if !approxEq(RMS(x), math.Sqrt(7.5), 1e-12) {
 		t.Fatalf("rms %v", RMS(x))
 	}

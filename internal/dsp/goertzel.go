@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -61,125 +60,4 @@ func GoertzelPowerWith(x []float64, c GoertzelCoeff) float64 {
 func GoertzelPower(x []float64, freq, fs float64) float64 {
 	c := Goertzel(x, freq, fs)
 	return real(c)*real(c) + imag(c)*imag(c)
-}
-
-// GoertzelBank evaluates the signal power at a fixed set of candidate
-// frequencies. It mirrors the tag decoder's working set: one frequency per
-// CSSK symbol. A bank is safe for concurrent use.
-type GoertzelBank struct {
-	freqs []float64
-	fs    float64
-}
-
-// NewGoertzelBank builds a bank for the given candidate frequencies (Hz) at
-// sample rate fs. Frequencies must lie in (0, fs/2) to be unambiguous.
-func NewGoertzelBank(freqs []float64, fs float64) (*GoertzelBank, error) {
-	if fs <= 0 {
-		return nil, fmt.Errorf("dsp: GoertzelBank sample rate %v must be positive", fs)
-	}
-	if len(freqs) == 0 {
-		return nil, fmt.Errorf("dsp: GoertzelBank needs at least one frequency")
-	}
-	for _, f := range freqs {
-		if f <= 0 || f >= fs/2 {
-			return nil, fmt.Errorf("dsp: GoertzelBank frequency %v Hz outside (0, fs/2=%v)", f, fs/2)
-		}
-	}
-	b := &GoertzelBank{freqs: append([]float64(nil), freqs...), fs: fs}
-	return b, nil
-}
-
-// Frequencies returns the bank's candidate frequencies.
-func (b *GoertzelBank) Frequencies() []float64 {
-	return append([]float64(nil), b.freqs...)
-}
-
-// Powers evaluates |X(f)|² for every candidate frequency over the window x.
-func (b *GoertzelBank) Powers(x []float64) []float64 {
-	out := make([]float64, len(b.freqs))
-	b.PowersInto(out, x)
-	return out
-}
-
-// PowersInto writes per-frequency powers into dst, which must have
-// len(dst) == number of bank frequencies.
-func (b *GoertzelBank) PowersInto(dst []float64, x []float64) {
-	if len(dst) != len(b.freqs) {
-		panic("dsp: GoertzelBank PowersInto length mismatch")
-	}
-	for i, f := range b.freqs {
-		dst[i] = GoertzelPower(x, f, b.fs)
-	}
-}
-
-// Strongest returns the index of the candidate frequency with the highest
-// power over x, together with that power and the runner-up power (useful as
-// a decision-confidence margin).
-func (b *GoertzelBank) Strongest(x []float64) (idx int, power, runnerUp float64) {
-	best, second := math.Inf(-1), math.Inf(-1)
-	bestIdx := 0
-	for i, f := range b.freqs {
-		p := GoertzelPower(x, f, b.fs)
-		switch {
-		case p > best:
-			second = best
-			best = p
-			bestIdx = i
-		case p > second:
-			second = p
-		}
-	}
-	return bestIdx, best, second
-}
-
-// SlidingDFT maintains a single-bin DFT over a sliding window using the
-// sliding Goertzel recurrence (Chicharo & Kilani 1996, cited by the paper).
-// Push adds a sample and evicts the oldest once the window is full.
-type SlidingDFT struct {
-	window []float64
-	head   int
-	filled int
-	freq   float64
-	fs     float64
-}
-
-// NewSlidingDFT creates a sliding single-bin DFT of the given window size.
-func NewSlidingDFT(windowSize int, freq, fs float64) (*SlidingDFT, error) {
-	if windowSize <= 0 {
-		return nil, fmt.Errorf("dsp: SlidingDFT window size %d must be positive", windowSize)
-	}
-	if fs <= 0 {
-		return nil, fmt.Errorf("dsp: SlidingDFT sample rate %v must be positive", fs)
-	}
-	return &SlidingDFT{window: make([]float64, windowSize), freq: freq, fs: fs}, nil
-}
-
-// Push adds one sample to the window.
-func (s *SlidingDFT) Push(v float64) {
-	s.window[s.head] = v
-	s.head = (s.head + 1) % len(s.window)
-	if s.filled < len(s.window) {
-		s.filled++
-	}
-}
-
-// Full reports whether the window has seen at least windowSize samples.
-func (s *SlidingDFT) Full() bool { return s.filled == len(s.window) }
-
-// Power evaluates the bin power over the current window contents in their
-// arrival order. For simplicity and robustness this re-evaluates Goertzel
-// over the window; the window sizes used by the tag (≤ a few thousand
-// samples) keep this cheap while avoiding the numeric drift of the pure
-// recursive update.
-func (s *SlidingDFT) Power() float64 {
-	n := s.filled
-	buf := make([]float64, n)
-	start := s.head - s.filled
-	if start < 0 {
-		start += len(s.window)
-	}
-	for i := 0; i < n; i++ {
-		buf[i] = s.window[(start+i)%len(s.window)]
-	}
-	return GoertzelPower(buf, s.freq, s.fs)
 }

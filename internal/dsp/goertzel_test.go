@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func realTone(n int, freq, fs, amp, phase float64) []float64 {
@@ -60,149 +59,10 @@ func TestGoertzelEmptyInput(t *testing.T) {
 	}
 }
 
-func TestGoertzelBankValidation(t *testing.T) {
-	if _, err := NewGoertzelBank(nil, 1e6); err == nil {
-		t.Error("empty frequency list should fail")
-	}
-	if _, err := NewGoertzelBank([]float64{1e3}, -1); err == nil {
-		t.Error("negative fs should fail")
-	}
-	if _, err := NewGoertzelBank([]float64{600e3}, 1e6); err == nil {
-		t.Error("frequency above Nyquist should fail")
-	}
-	if _, err := NewGoertzelBank([]float64{0}, 1e6); err == nil {
-		t.Error("zero frequency should fail")
-	}
-}
-
-func TestGoertzelBankStrongestSelectsTone(t *testing.T) {
-	const fs = 1e6
-	freqs := []float64{11e3, 30e3, 55e3, 80e3, 110e3}
-	bank, err := NewGoertzelBank(freqs, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for want, f := range freqs {
-		x := realTone(1000, f, fs, 1, 0)
-		got, power, runnerUp := bank.Strongest(x)
-		if got != want {
-			t.Fatalf("tone %v Hz decoded as index %d, want %d", f, got, want)
-		}
-		if power <= runnerUp {
-			t.Fatalf("tone %v Hz: power %v not above runner-up %v", f, power, runnerUp)
-		}
-	}
-}
-
-func TestGoertzelBankStrongestProperty(t *testing.T) {
-	const fs = 1e6
-	freqs := []float64{20e3, 45e3, 70e3, 95e3, 120e3, 145e3}
-	bank, err := NewGoertzelBank(freqs, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64, sel uint8, noiseScale uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		want := int(sel) % len(freqs)
-		sigma := 0.2 * float64(noiseScale%4) / 4 // up to mild noise
-		x := realTone(2000, freqs[want], fs, 1, rng.Float64()*2*math.Pi)
-		for i := range x {
-			x[i] += sigma * rng.NormFloat64()
-		}
-		got, _, _ := bank.Strongest(x)
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGoertzelBankPowersInto(t *testing.T) {
-	bank, err := NewGoertzelBank([]float64{10e3, 20e3}, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := realTone(512, 10e3, 1e6, 1, 0)
-	dst := make([]float64, 2)
-	bank.PowersInto(dst, x)
-	if dst[0] <= dst[1] {
-		t.Fatalf("expected first frequency to dominate: %v", dst)
-	}
-	alloc := bank.Powers(x)
-	for i := range alloc {
-		if !approxEq(alloc[i], dst[i], 1e-9) {
-			t.Fatalf("Powers and PowersInto disagree at %d: %v vs %v", i, alloc[i], dst[i])
-		}
-	}
-}
-
-func TestGoertzelBankFrequenciesCopies(t *testing.T) {
-	orig := []float64{10e3, 20e3}
-	bank, err := NewGoertzelBank(orig, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := bank.Frequencies()
-	fs[0] = 999
-	if got := bank.Frequencies()[0]; got != 10e3 {
-		t.Fatalf("bank state mutated through returned slice: %v", got)
-	}
-}
-
-func TestSlidingDFTValidation(t *testing.T) {
-	if _, err := NewSlidingDFT(0, 1e3, 1e6); err == nil {
-		t.Error("zero window should fail")
-	}
-	if _, err := NewSlidingDFT(8, 1e3, 0); err == nil {
-		t.Error("zero fs should fail")
-	}
-}
-
-func TestSlidingDFTTracksTone(t *testing.T) {
-	const fs = 1e6
-	const f1, f2 = 30e3, 90e3
-	sd, err := NewSlidingDFT(400, f1, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed f1 tone: power should be high once full.
-	for i, v := range realTone(400, f1, fs, 1, 0) {
-		sd.Push(v)
-		if i < 399 && sd.Full() {
-			t.Fatal("window reported full too early")
-		}
-	}
-	if !sd.Full() {
-		t.Fatal("window should be full")
-	}
-	pOn := sd.Power()
-	// Slide in an f2 tone: power at f1 should collapse.
-	for _, v := range realTone(400, f2, fs, 1, 0) {
-		sd.Push(v)
-	}
-	pOff := sd.Power()
-	if pOn < 50*pOff {
-		t.Fatalf("sliding window did not track tone change: on=%v off=%v", pOn, pOff)
-	}
-}
-
 func BenchmarkGoertzel1000(b *testing.B) {
 	x := realTone(1000, 50e3, 1e6, 1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GoertzelPower(x, 50e3, 1e6)
-	}
-}
-
-func BenchmarkGoertzelBank32Symbols(b *testing.B) {
-	freqs := make([]float64, 32)
-	for i := range freqs {
-		freqs[i] = 11e3 + float64(i)*3e3
-	}
-	bank, _ := NewGoertzelBank(freqs, 1e6)
-	x := realTone(1000, freqs[13], 1e6, 1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.Strongest(x)
 	}
 }

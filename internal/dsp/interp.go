@@ -2,80 +2,7 @@ package dsp
 
 import (
 	"fmt"
-	"math"
-	"sort"
 )
-
-// LinearInterp evaluates the piecewise-linear interpolant through the sample
-// points (xs[i], ys[i]) at query point x. xs must be strictly increasing.
-// Queries outside [xs[0], xs[len-1]] are clamped to the end values, which is
-// the behaviour wanted when rescaling range profiles (Fig. 7): bins beyond
-// a shorter chirp's maximum range saturate rather than extrapolate.
-func LinearInterp(xs, ys []float64, x float64) float64 {
-	if len(xs) != len(ys) {
-		panic("dsp: LinearInterp length mismatch")
-	}
-	if len(xs) == 0 {
-		panic("dsp: LinearInterp requires at least one point")
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	n := len(xs)
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	// Find the first index with xs[i] > x.
-	i := sort.SearchFloat64s(xs, x)
-	if i == 0 {
-		return ys[0]
-	}
-	x0, x1 := xs[i-1], xs[i]
-	y0, y1 := ys[i-1], ys[i]
-	if x1 == x0 {
-		return y0
-	}
-	t := (x - x0) / (x1 - x0)
-	return y0 + t*(y1-y0)
-}
-
-// ResampleLinear resamples the uniformly spaced signal ys (samples at
-// srcX[i] = srcStart + i·srcStep) onto the query grid dstX using pairwise
-// linear interpolation, writing the result into a new slice.
-func ResampleLinear(ys []float64, srcStart, srcStep float64, dstX []float64) []float64 {
-	return ResampleLinearInto(make([]float64, len(dstX)), ys, srcStart, srcStep, dstX)
-}
-
-// ResampleLinearInto is ResampleLinear writing into dst, which must have
-// length len(dstX) and must not alias ys. It returns dst.
-func ResampleLinearInto(dst, ys []float64, srcStart, srcStep float64, dstX []float64) []float64 {
-	if srcStep <= 0 {
-		panic(fmt.Sprintf("dsp: ResampleLinear requires srcStep > 0, got %v", srcStep))
-	}
-	if len(dst) != len(dstX) {
-		panic("dsp: ResampleLinearInto length mismatch")
-	}
-	out := dst
-	n := len(ys)
-	if n == 0 {
-		clear(out)
-		return out
-	}
-	for i, x := range dstX {
-		pos := (x - srcStart) / srcStep
-		switch {
-		case pos <= 0:
-			out[i] = ys[0]
-		case pos >= float64(n-1):
-			out[i] = ys[n-1]
-		default:
-			j := int(pos)
-			t := pos - float64(j)
-			out[i] = ys[j] + t*(ys[j+1]-ys[j])
-		}
-	}
-	return out
-}
 
 // ResampleCubic resamples the uniformly spaced signal ys (samples at
 // srcX[i] = srcStart + i·srcStep) onto the query grid dstX using Catmull-Rom
@@ -190,34 +117,10 @@ func MaxIndexRange(x []float64, lo, hi int) (int, float64) {
 	return idx, best
 }
 
-// Peak describes a local maximum found by FindPeaks.
-type Peak struct {
-	Index int     // sample index of the maximum
-	Value float64 // value at the maximum
-}
-
-// FindPeaks returns all strict local maxima of x whose value is at least
-// threshold, in descending value order.
-func FindPeaks(x []float64, threshold float64) []Peak {
-	var peaks []Peak
-	for i := 1; i < len(x)-1; i++ {
-		if x[i] >= threshold && x[i] > x[i-1] && x[i] >= x[i+1] {
-			peaks = append(peaks, Peak{Index: i, Value: x[i]})
-		}
-	}
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i].Value > peaks[j].Value })
-	return peaks
-}
-
-// Autocorrelation returns the biased autocorrelation of x for lags
-// 0..maxLag inclusive: r[l] = Σ x[i]·x[i+l] / n.
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	return AutocorrelationInto(nil, x, maxLag)
-}
-
-// AutocorrelationInto is Autocorrelation writing into dst, which is grown as
+// AutocorrelationInto writes the biased autocorrelation of x for lags
+// 0..maxLag inclusive, r[l] = Σ x[i]·x[i+l] / n, into dst, which is grown as
 // needed (pass the returned slice back in to reuse it). dst must not alias
-// x.
+// x. It is the direct-sum oracle FFTAutocorr is checked against.
 func AutocorrelationInto(dst, x []float64, maxLag int) []float64 {
 	if maxLag >= len(x) {
 		maxLag = len(x) - 1
@@ -235,33 +138,4 @@ func AutocorrelationInto(dst, x []float64, maxLag int) []float64 {
 		r[lag] = acc / n
 	}
 	return r
-}
-
-// DominantPeriod estimates the period (in samples) of a periodic signal by
-// locating the highest autocorrelation peak at a lag in [minLag, maxLag].
-// It refines the integer lag with parabolic interpolation and returns the
-// fractional period. Returns 0 if no peak exists in the range.
-func DominantPeriod(x []float64, minLag, maxLag int) float64 {
-	if minLag < 1 {
-		minLag = 1
-	}
-	r := Autocorrelation(x, maxLag+1)
-	if len(r) <= minLag+1 {
-		return 0
-	}
-	hi := maxLag
-	if hi > len(r)-2 {
-		hi = len(r) - 2
-	}
-	bestLag, bestVal := 0, math.Inf(-1)
-	for lag := minLag; lag <= hi; lag++ {
-		if r[lag] > r[lag-1] && r[lag] >= r[lag+1] && r[lag] > bestVal {
-			bestLag, bestVal = lag, r[lag]
-		}
-	}
-	if bestLag == 0 {
-		return 0
-	}
-	delta, _ := ParabolicPeak(r, bestLag)
-	return float64(bestLag) + delta
 }

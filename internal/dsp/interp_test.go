@@ -1,88 +1,8 @@
 package dsp
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestLinearInterpExactAtKnots(t *testing.T) {
-	xs := []float64{0, 1, 2, 4}
-	ys := []float64{10, 20, 15, 5}
-	for i := range xs {
-		if got := LinearInterp(xs, ys, xs[i]); !approxEq(got, ys[i], 1e-12) {
-			t.Fatalf("knot %d: got %v want %v", i, got, ys[i])
-		}
-	}
-}
-
-func TestLinearInterpMidpointsAndClamping(t *testing.T) {
-	xs := []float64{0, 2}
-	ys := []float64{0, 10}
-	if got := LinearInterp(xs, ys, 1); !approxEq(got, 5, 1e-12) {
-		t.Fatalf("midpoint got %v", got)
-	}
-	if got := LinearInterp(xs, ys, -5); got != 0 {
-		t.Fatalf("left clamp got %v", got)
-	}
-	if got := LinearInterp(xs, ys, 99); got != 10 {
-		t.Fatalf("right clamp got %v", got)
-	}
-}
-
-func TestLinearInterpBetweenBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		x := 0.0
-		for i := range xs {
-			x += 0.1 + rng.Float64()
-			xs[i] = x
-			ys[i] = rng.NormFloat64()
-		}
-		q := xs[0] + rng.Float64()*(xs[n-1]-xs[0])
-		v := LinearInterp(xs, ys, q)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, y := range ys {
-			lo = math.Min(lo, y)
-			hi = math.Max(hi, y)
-		}
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResampleLinearIdentity(t *testing.T) {
-	ys := []float64{1, 3, 2, 5}
-	dst := []float64{0, 1, 2, 3}
-	out := ResampleLinear(ys, 0, 1, dst)
-	for i := range ys {
-		if !approxEq(out[i], ys[i], 1e-12) {
-			t.Fatalf("identity resample differs at %d: %v vs %v", i, out[i], ys[i])
-		}
-	}
-}
-
-func TestResampleLinearHalfStep(t *testing.T) {
-	ys := []float64{0, 10}
-	out := ResampleLinear(ys, 0, 1, []float64{0.5})
-	if !approxEq(out[0], 5, 1e-12) {
-		t.Fatalf("half-step got %v", out[0])
-	}
-}
-
-func TestResampleLinearClamps(t *testing.T) {
-	ys := []float64{2, 4}
-	out := ResampleLinear(ys, 10, 1, []float64{0, 100})
-	if out[0] != 2 || out[1] != 4 {
-		t.Fatalf("clamping failed: %v", out)
-	}
-}
 
 func TestParabolicPeakRecoversSubBinOffset(t *testing.T) {
 	// Sample a parabola y = 1 - (x-x0)² at integer points; the interpolator
@@ -128,71 +48,10 @@ func TestMaxIndexRange(t *testing.T) {
 	}
 }
 
-func TestFindPeaksOrdering(t *testing.T) {
-	x := []float64{0, 3, 0, 9, 0, 5, 0}
-	peaks := FindPeaks(x, 1)
-	if len(peaks) != 3 {
-		t.Fatalf("found %d peaks, want 3", len(peaks))
-	}
-	if peaks[0].Index != 3 || peaks[1].Index != 5 || peaks[2].Index != 1 {
-		t.Fatalf("wrong ordering: %+v", peaks)
-	}
-}
-
-func TestFindPeaksThreshold(t *testing.T) {
-	x := []float64{0, 3, 0, 9, 0}
-	peaks := FindPeaks(x, 5)
-	if len(peaks) != 1 || peaks[0].Index != 3 {
-		t.Fatalf("threshold filter failed: %+v", peaks)
-	}
-}
-
 func TestAutocorrelationZeroLagIsEnergy(t *testing.T) {
 	x := []float64{1, -2, 3}
-	r := Autocorrelation(x, 2)
+	r := AutocorrelationInto(nil, x, 2)
 	if !approxEq(r[0], (1+4+9)/3.0, 1e-12) {
 		t.Fatalf("r[0]=%v", r[0])
-	}
-}
-
-func TestDominantPeriodFindsSquareWavePeriod(t *testing.T) {
-	// 1 kHz square wave sampled at 100 kHz → period 100 samples.
-	const fs = 100e3
-	const period = 100
-	x := make([]float64, 4000)
-	for i := range x {
-		if (i/(period/2))%2 == 0 {
-			x[i] = 1
-		} else {
-			x[i] = -1
-		}
-	}
-	got := DominantPeriod(x, 10, 500)
-	if math.Abs(got-period) > 1 {
-		t.Fatalf("estimated period %v, want %v", got, period)
-	}
-}
-
-func TestDominantPeriodNoisyToneProperty(t *testing.T) {
-	f := func(seed int64, sel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		period := 40 + 10*int(sel%8) // 40..110 samples
-		x := make([]float64, 3000)
-		for i := range x {
-			x[i] = math.Sin(2*math.Pi*float64(i)/float64(period)) + 0.2*rng.NormFloat64()
-		}
-		got := DominantPeriod(x, 20, 200)
-		return math.Abs(got-float64(period)) < 2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDominantPeriodNoPeriodicity(t *testing.T) {
-	x := make([]float64, 100)
-	x[0] = 1 // single impulse: autocorrelation has no interior peak
-	if got := DominantPeriod(x, 1, 50); got != 0 {
-		t.Fatalf("expected 0 for aperiodic input, got %v", got)
 	}
 }

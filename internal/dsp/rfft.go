@@ -42,9 +42,6 @@ func NewRealFFTPlan(n int) (*RealFFTPlan, error) {
 	return p, nil
 }
 
-// Size returns the real transform size n.
-func (p *RealFFTPlan) Size() int { return p.n }
-
 // SpectrumLen returns the packed half-spectrum length n/2 + 1.
 func (p *RealFFTPlan) SpectrumLen() int { return p.n/2 + 1 }
 

@@ -85,39 +85,3 @@ func ApplyWindow(x, w []float64) []float64 {
 	}
 	return x
 }
-
-// ApplyWindowComplex multiplies x element-wise by the real window w in place
-// and returns x.
-func ApplyWindowComplex(x []complex128, w []float64) []complex128 {
-	if len(x) != len(w) {
-		panic("dsp: ApplyWindowComplex length mismatch")
-	}
-	for i := range x {
-		x[i] *= complex(w[i], 0)
-	}
-	return x
-}
-
-// CoherentGain returns the normalized DC gain of the window (sum/n), used to
-// correct amplitude estimates taken from windowed spectra.
-func CoherentGain(w []float64) float64 {
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	return sum / float64(len(w))
-}
-
-// NoiseBandwidth returns the equivalent noise bandwidth of the window in
-// bins: n·Σw²/(Σw)².
-func NoiseBandwidth(w []float64) float64 {
-	var sum, sumSq float64
-	for _, v := range w {
-		sum += v
-		sumSq += v * v
-	}
-	if sum == 0 {
-		return math.Inf(1)
-	}
-	return float64(len(w)) * sumSq / (sum * sum)
-}

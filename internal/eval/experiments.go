@@ -810,16 +810,3 @@ func Ablations(o Options) (*Result, error) {
 		"without background subtraction the strongest 'signature' is static clutter leakage — the detector locks onto a wall, not the tag")
 	return res, nil
 }
-
-// All runs every registered experiment in order.
-func All(o Options) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Registry {
-		r, err := e.Run(o)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

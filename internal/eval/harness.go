@@ -6,8 +6,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"biscatter/internal/parallel"
@@ -24,13 +22,6 @@ type Series struct {
 	Name string
 	// Points are the samples in x order.
 	Points []Point
-}
-
-// Sorted returns the series with points sorted by X.
-func (s Series) Sorted() Series {
-	pts := append([]Point(nil), s.Points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-	return Series{Name: s.Name, Points: pts}
 }
 
 // Table is a rendered result table.
@@ -115,46 +106,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// SeriesTable renders several series sharing an x-axis as one table.
-func SeriesTable(title, xLabel string, series ...Series) Table {
-	t := Table{Title: title, Columns: []string{xLabel}}
-	xs := map[float64]bool{}
-	for _, s := range series {
-		t.Columns = append(t.Columns, s.Name)
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	for _, x := range sorted {
-		row := []string{fmt.Sprintf("%g", x)}
-		for _, s := range series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%g", round4(p.Y))
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func round4(v float64) float64 {
-	if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return v
-	}
-	mag := math.Pow(10, 3-math.Floor(math.Log10(math.Abs(v))))
-	return math.Round(v*mag) / mag
-}
-
 // Result is the output of one experiment.
 type Result struct {
 	// ID is the experiment identifier (e.g. "fig12").
@@ -211,25 +162,6 @@ func (c *BERCounter) FloorRate() float64 {
 		return 1 / float64(c.Total)
 	}
 	return c.Rate()
-}
-
-// Wilson returns the 95% Wilson score interval for the error rate.
-func (c *BERCounter) Wilson() (lo, hi float64) {
-	if c.Total == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	n := float64(c.Total)
-	// Clamp the point estimate into [0, 1]: CountBitErrors can report more
-	// errors than sent bits when a decode returns extra bytes, and a rate
-	// above 1 would drive the sqrt argument negative (NaN bounds).
-	p := math.Min(1, math.Max(0, c.Rate()))
-	den := 1 + z*z/n
-	center := (p + z*z/(2*n)) / den
-	half := z * math.Sqrt(p*(1-p)/n+z*z/(4*n*n)) / den
-	lo = math.Max(0, center-half)
-	hi = math.Min(1, center+half)
-	return lo, hi
 }
 
 // ParallelMap runs fn over indices 0..n-1 on all cores and returns the

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestTableRenderAlignment(t *testing.T) {
@@ -41,32 +40,6 @@ func TestTableCSVEscaping(t *testing.T) {
 	}
 }
 
-func TestSeriesSorted(t *testing.T) {
-	s := Series{Name: "x", Points: []Point{{3, 1}, {1, 2}, {2, 3}}}
-	sorted := s.Sorted()
-	if sorted.Points[0].X != 1 || sorted.Points[2].X != 3 {
-		t.Fatalf("not sorted: %+v", sorted.Points)
-	}
-	if s.Points[0].X != 3 {
-		t.Fatal("Sorted must not mutate the receiver")
-	}
-}
-
-func TestSeriesTableMergesXAxes(t *testing.T) {
-	a := Series{Name: "A", Points: []Point{{1, 10}, {2, 20}}}
-	b := Series{Name: "B", Points: []Point{{2, 200}, {3, 300}}}
-	tbl := SeriesTable("t", "x", a, b)
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("expected 3 x values, got %d", len(tbl.Rows))
-	}
-	if tbl.Rows[0][2] != "" {
-		t.Fatal("B has no value at x=1")
-	}
-	if tbl.Rows[1][1] != "20" || tbl.Rows[1][2] != "200" {
-		t.Fatalf("row 2 wrong: %v", tbl.Rows[1])
-	}
-}
-
 func TestBERCounter(t *testing.T) {
 	var c BERCounter
 	if c.Rate() != 0 || c.FloorRate() != 0 {
@@ -82,59 +55,6 @@ func TestBERCounter(t *testing.T) {
 	c.Add(10, 1000)
 	if math.Abs(c.Rate()-10.0/2000) > 1e-12 {
 		t.Fatalf("rate %v", c.Rate())
-	}
-}
-
-func TestWilsonIntervalContainsRate(t *testing.T) {
-	f := func(errsRaw, totalRaw uint16) bool {
-		total := int(totalRaw%5000) + 1
-		errs := int(errsRaw) % (total + 1)
-		c := BERCounter{Errors: errs, Total: total}
-		lo, hi := c.Wilson()
-		return lo <= c.Rate()+1e-12 && hi >= c.Rate()-1e-12 && lo >= 0 && hi <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWilsonShrinksWithSamples(t *testing.T) {
-	small := BERCounter{Errors: 5, Total: 100}
-	large := BERCounter{Errors: 500, Total: 10000}
-	sLo, sHi := small.Wilson()
-	lLo, lHi := large.Wilson()
-	if lHi-lLo >= sHi-sLo {
-		t.Fatalf("interval did not shrink: %v vs %v", lHi-lLo, sHi-sLo)
-	}
-}
-
-func TestWilsonEdgeCases(t *testing.T) {
-	cases := []struct {
-		name string
-		c    BERCounter
-	}{
-		{"zero total", BERCounter{}},
-		{"all errors", BERCounter{Errors: 50, Total: 50}},
-		// CountBitErrors scores extra decoded bytes as errors, so a counter
-		// can legitimately hold more errors than sent bits; the interval
-		// must clamp instead of going NaN.
-		{"errors exceed total", BERCounter{Errors: 80, Total: 50}},
-	}
-	for _, tc := range cases {
-		lo, hi := tc.c.Wilson()
-		if math.IsNaN(lo) || math.IsNaN(hi) {
-			t.Errorf("%s: Wilson() = (%v, %v), want finite bounds", tc.name, lo, hi)
-			continue
-		}
-		if lo < 0 || hi > 1 || lo > hi {
-			t.Errorf("%s: Wilson() = (%v, %v), want 0 <= lo <= hi <= 1", tc.name, lo, hi)
-		}
-	}
-	if lo, hi := (&BERCounter{}).Wilson(); lo != 0 || hi != 1 {
-		t.Errorf("zero-total interval = (%v, %v), want the vacuous (0, 1)", lo, hi)
-	}
-	if _, hi := (&BERCounter{Errors: 50, Total: 50}).Wilson(); hi != 1 {
-		t.Errorf("all-errors upper bound = %v, want 1", hi)
 	}
 }
 

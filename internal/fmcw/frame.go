@@ -2,7 +2,6 @@ package fmcw
 
 import (
 	"fmt"
-	"math"
 )
 
 // MaxDutyCycle is the largest fraction of the chirp period a chirp may
@@ -39,15 +38,6 @@ type Frame struct {
 // Duration returns the total frame duration in seconds.
 func (f *Frame) Duration() float64 {
 	return float64(len(f.Chirps)) * f.Period
-}
-
-// Slopes returns the per-chirp slopes in Hz/s.
-func (f *Frame) Slopes() []float64 {
-	out := make([]float64, len(f.Chirps))
-	for i, c := range f.Chirps {
-		out[i] = c.Params.Slope()
-	}
-	return out
 }
 
 // FrameBuilder assembles frames with a fixed chirp period from a base chirp
@@ -123,8 +113,3 @@ func (b *FrameBuilder) BuildUniform(n int, duration float64) (*Frame, error) {
 // program chirp durations (seconds). We use 0.1 µs, consistent with the
 // timer resolution of TI/ADI synthesizers.
 const DurationQuantum = 100e-9
-
-// QuantizeDuration rounds a chirp duration to the synthesizer quantum.
-func QuantizeDuration(d float64) float64 {
-	return math.Round(d/DurationQuantum) * DurationQuantum
-}

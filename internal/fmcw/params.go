@@ -12,7 +12,6 @@ package fmcw
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // SpeedOfLight is the propagation speed used for all range math (m/s).
@@ -58,21 +57,10 @@ func (p ChirpParams) CenterFrequency() float64 {
 	return p.StartFrequency + p.Bandwidth/2
 }
 
-// Wavelength returns the wavelength at the chirp center frequency in meters.
-func (p ChirpParams) Wavelength() float64 {
-	return SpeedOfLight / p.CenterFrequency()
-}
-
 // IFFrequency returns the dechirped beat frequency for a reflector at
 // distance r meters (Eq. 3): f_IF = 2·α·r/c.
 func (p ChirpParams) IFFrequency(r float64) float64 {
 	return 2 * p.Slope() * r / SpeedOfLight
-}
-
-// RangeFromIF inverts Eq. 3: the reflector distance for a measured beat
-// frequency fIF.
-func (p ChirpParams) RangeFromIF(fIF float64) float64 {
-	return fIF * SpeedOfLight / (2 * p.Slope())
 }
 
 // MaxRange returns the maximum unambiguous range (Eq. 4):
@@ -93,21 +81,8 @@ func (p ChirpParams) SamplesPerChirp() int {
 	return int(math.Round(p.SampleRate * p.Duration))
 }
 
-// WithDuration returns a copy of p with the duration (and hence slope)
-// changed. This is the CSSK symbol operation.
-func (p ChirpParams) WithDuration(d float64) ChirpParams {
-	p.Duration = d
-	return p
-}
-
 // String implements fmt.Stringer.
 func (p ChirpParams) String() string {
 	return fmt.Sprintf("fmcw.Chirp{f0=%.3f GHz B=%.0f MHz T=%.1f µs fs=%.1f MHz}",
 		p.StartFrequency/1e9, p.Bandwidth/1e6, p.Duration*1e6, p.SampleRate/1e6)
-}
-
-// DurationAsTime returns the chirp duration as a time.Duration, for
-// scheduling in the networked demo.
-func (p ChirpParams) DurationAsTime() time.Duration {
-	return time.Duration(p.Duration * float64(time.Second))
 }

@@ -56,11 +56,3 @@ func Radar24GHz() Preset {
 		DefaultPeriod:  120e-6,
 	}
 }
-
-// WithBandwidth returns a copy of the preset with the chirp bandwidth
-// changed — used by the Fig. 12 bandwidth sweep and the Fig. 17 fair
-// comparison (both radars at 250 MHz).
-func (p Preset) WithBandwidth(b float64) Preset {
-	p.Chirp.Bandwidth = b
-	return p
-}

@@ -89,20 +89,6 @@ func (s *FrameSchedule) Assignment(tag int) (group, slot int) {
 	return tag / s.capacity, tag % s.capacity
 }
 
-// GroupSize returns the number of tags in frame group g (the last group of
-// a cycle may be short). Out-of-range groups return 0.
-func (s *FrameSchedule) GroupSize(g int) int {
-	if g < 0 || g >= s.frames {
-		return 0
-	}
-	lo := g * s.capacity
-	hi := lo + s.capacity
-	if hi > s.nTags {
-		hi = s.nTags
-	}
-	return hi - lo
-}
-
 // AppendGroup appends the tag indices active in frame group g (g taken
 // modulo the cycle length) to dst and returns the extended slice, so a
 // steady-state caller reuses one backing buffer across frames.
@@ -117,11 +103,6 @@ func (s *FrameSchedule) AppendGroup(dst []int, g int) []int {
 		dst = append(dst, t)
 	}
 	return dst
-}
-
-// Group returns the tag indices active in frame group g as a fresh slice.
-func (s *FrameSchedule) Group(g int) []int {
-	return s.AppendGroup(nil, g)
 }
 
 // Throughput evaluates the schedule against the deployment's slow-time

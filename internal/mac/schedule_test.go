@@ -26,12 +26,9 @@ func TestFrameSchedulePartition(t *testing.T) {
 		}
 		seen := make([]int, tc.nTags)
 		for g := 0; g < s.Frames(); g++ {
-			grp := s.Group(g)
+			grp := s.AppendGroup(nil, g)
 			if len(grp) > tc.cap {
 				t.Errorf("group %d size %d exceeds capacity %d", g, len(grp), tc.cap)
-			}
-			if len(grp) != s.GroupSize(g) {
-				t.Errorf("group %d: GroupSize %d != len(Group) %d", g, s.GroupSize(g), len(grp))
 			}
 			for slot, tag := range grp {
 				seen[tag]++
@@ -59,7 +56,7 @@ func TestFrameScheduleSlotReuseAcrossGroups(t *testing.T) {
 	// Slots repeat across groups but never within one.
 	for g := 0; g < s.Frames(); g++ {
 		slots := map[int]bool{}
-		for _, tag := range s.Group(g) {
+		for _, tag := range s.AppendGroup(nil, g) {
 			sl := s.SlotOf(tag)
 			if sl < 0 || sl >= s.Capacity() {
 				t.Fatalf("tag %d slot %d out of [0,%d)", tag, sl, s.Capacity())
@@ -80,13 +77,13 @@ func TestFrameScheduleGroupWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g0, g2 := s.Group(0), s.Group(2)
+	g0, g2 := s.AppendGroup(nil, 0), s.AppendGroup(nil, 2)
 	if len(g0) != len(g2) {
-		t.Fatalf("Group(2) should wrap to Group(0): %v vs %v", g2, g0)
+		t.Fatalf("group 2 should wrap to group 0: %v vs %v", g2, g0)
 	}
 	for i := range g0 {
 		if g0[i] != g2[i] {
-			t.Fatalf("Group(2) should wrap to Group(0): %v vs %v", g2, g0)
+			t.Fatalf("group 2 should wrap to group 0: %v vs %v", g2, g0)
 		}
 	}
 }
@@ -101,9 +98,6 @@ func TestFrameScheduleOutOfRange(t *testing.T) {
 	}
 	if s.SlotOf(-1) != -1 || s.SlotOf(3) != -1 {
 		t.Fatal("out-of-range SlotOf should return -1")
-	}
-	if s.GroupSize(-1) != 0 || s.GroupSize(2) != 0 {
-		t.Fatal("out-of-range GroupSize should return 0")
 	}
 }
 

@@ -55,19 +55,10 @@ type DetectionDiag struct {
 	PeakToSidelobeDB float64
 }
 
-// SignatureDiag computes detection-quality diagnostics for a signature
-// profile and a candidate peak bin. A bin outside the profile yields the
-// zero diagnostics.
-func SignatureDiag(prof []float64, bin int) DetectionDiag {
-	if bin < 0 || bin >= len(prof) {
-		return DetectionDiag{PeakBin: bin}
-	}
-	return SignatureDiagWithMedian(prof, bin, dsp.Median(prof))
-}
-
-// SignatureDiagWithMedian is SignatureDiag for callers that already hold the
-// profile's median power (the detection loops compute it for thresholding
-// anyway), skipping the sort-copy a second median would cost.
+// SignatureDiagWithMedian computes detection-quality diagnostics for a
+// signature profile and a candidate peak bin, given the profile's median
+// power (the detection loops compute it for thresholding anyway). A bin
+// outside the profile yields the zero diagnostics.
 func SignatureDiagWithMedian(prof []float64, bin int, median float64) DetectionDiag {
 	d := DetectionDiag{PeakBin: bin}
 	if bin < 0 || bin >= len(prof) {
@@ -272,7 +263,7 @@ func (r *Radar) DetectTagExcluding(matrix [][]float64, grid []float64, fMod, per
 	if r.tel.detSNR != nil {
 		r.tel.detSNR.Set(det.SNRdB)
 		// med is the same noise estimate the threshold above used; reusing
-		// it skips the sort a fresh SignatureDiag median would cost.
+		// it skips the sort a fresh median would cost.
 		r.tel.detPSL.Set(SignatureDiagWithMedian(prof, bin, med).PeakToSidelobeDB)
 	}
 	return det, nil

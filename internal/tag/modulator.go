@@ -112,14 +112,3 @@ func (m *Modulator) StatesInto(dst []bool, bits []bool, period float64, n int) [
 	}
 	return out
 }
-
-// BitWindows returns how many complete bit windows fit in n chirps.
-func (m *Modulator) BitWindows(n int) int {
-	return n / m.ChirpsPerBit
-}
-
-// UplinkBitRate returns the uplink data rate in bit/s for the given chirp
-// period.
-func (m *Modulator) UplinkBitRate(period float64) float64 {
-	return 1 / (float64(m.ChirpsPerBit) * period)
-}

@@ -78,12 +78,6 @@ func New(cfg Config) (*Tag, error) {
 	}, nil
 }
 
-// ReceiveDownlink captures a downlink frame at the given SNR and decodes it
-// to a payload.
-func (t *Tag) ReceiveDownlink(frame *fmcw.Frame, snrDB float64, pktCfg packet.Config) ([]byte, Diagnostics, error) {
-	return t.ReceiveDownlinkContext(context.Background(), frame, snrDB, pktCfg)
-}
-
 // ReceiveDownlinkContext is ReceiveDownlink with exchange tracing: when ctx
 // carries an active trace span, the analog capture and the digital decode
 // each record a child span. With tracing disabled (the common case) the

@@ -2,6 +2,7 @@ package tag
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -405,17 +406,6 @@ func TestModulatorFSKStatesFrequency(t *testing.T) {
 	}
 }
 
-func TestModulatorRates(t *testing.T) {
-	m, _ := NewModulator(SchemeFSK, 1e3, 2e3, testPeriod, 16)
-	if got := m.BitWindows(100); got != 6 {
-		t.Fatalf("BitWindows(100) = %d, want 6", got)
-	}
-	want := 1 / (16 * testPeriod)
-	if got := m.UplinkBitRate(testPeriod); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("bit rate %v, want %v", got, want)
-	}
-}
-
 func TestUplinkSchemeString(t *testing.T) {
 	if SchemeOOK.String() != "ook" || SchemeFSK.String() != "fsk" ||
 		UplinkScheme(5).String() != "UplinkScheme(5)" {
@@ -497,7 +487,7 @@ func TestTagAssembly(t *testing.T) {
 	}
 	payload := []byte("assembled")
 	frame := s.frameFor(t, payload)
-	got, _, err := tg.ReceiveDownlink(frame, 40, s.pkt)
+	got, _, err := tg.ReceiveDownlinkContext(context.Background(), frame, 40, s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,10 @@ import (
 // FlightRecorder keeps the last N exchange traces in a bounded lock-free
 // ring — always on, always cheap — so that when something goes wrong the
 // recent history is already captured: the "black box" to attach to a bug
-// report. It dumps automatically when tripped (the exchange engine trips it
-// on exchange errors, the link controller when a circuit breaker opens) and
-// on demand via FlightRecorder.WriteJSON / the /debug/flight endpoint.
+// report. The exchange engine trips it on exchange errors and the link
+// controller when a circuit breaker opens; each trip stamps its count and
+// reason into the dump, which FlightRecorder.WriteJSON and the
+// /debug/flight endpoint write on demand.
 //
 // Add is wait-free: one atomic fetch-add plus one atomic pointer store, so
 // recording a completed trace never contends with the pipeline or with a
@@ -30,7 +30,6 @@ type FlightRecorder struct {
 	trips atomic.Int64
 
 	mu         sync.Mutex
-	onTrip     func(reason string, traces []*Trace)
 	lastReason string
 	lastTrip   time.Time
 }
@@ -96,49 +95,17 @@ func (f *FlightRecorder) Snapshot() []*Trace {
 	return out
 }
 
-// OnTrip installs the auto-dump hook invoked by Trip with the trip reason
-// and a snapshot of the ring. Safe on a nil receiver (no-op).
-func (f *FlightRecorder) OnTrip(fn func(reason string, traces []*Trace)) {
+// Trip records an abnormal event — an exchange error, a node quarantine —
+// as the dump's latest trip. Safe on a nil receiver and for concurrent use.
+func (f *FlightRecorder) Trip(reason string) {
 	if f == nil {
 		return
-	}
-	f.mu.Lock()
-	f.onTrip = fn
-	f.mu.Unlock()
-}
-
-// DumpToFileOnTrip installs an OnTrip hook that writes the full JSON dump
-// to path on every trip (overwriting — the newest trip wins, and the dump
-// contains the recent-history ring anyway). Errors writing the dump are
-// dropped: the flight recorder must never fail the pipeline it observes.
-func (f *FlightRecorder) DumpToFileOnTrip(path string) {
-	f.OnTrip(func(string, []*Trace) {
-		if out, err := os.Create(path); err == nil {
-			_ = f.WriteJSON(out)
-			_ = out.Close()
-		}
-	})
-}
-
-// Trip records an abnormal event — an exchange error, a node quarantine —
-// and invokes the OnTrip hook with the current ring snapshot. It returns
-// the number of traces in the snapshot. Safe on a nil receiver (returns 0)
-// and for concurrent use.
-func (f *FlightRecorder) Trip(reason string) int {
-	if f == nil {
-		return 0
 	}
 	f.trips.Add(1)
 	f.mu.Lock()
 	f.lastReason = reason
 	f.lastTrip = time.Now()
-	fn := f.onTrip
 	f.mu.Unlock()
-	traces := f.Snapshot()
-	if fn != nil {
-		fn(reason, traces)
-	}
-	return len(traces)
 }
 
 // Trips returns how many times the recorder has been tripped.

@@ -13,8 +13,8 @@ import (
 
 // current is the registry the process-wide expvar export reads. expvar
 // variables cannot be unpublished, so the export is published once and
-// indirects through this pointer; the latest ServeDebug/PublishExpvar call
-// wins.
+// indirects through this pointer; the latest DebugHandler/PublishExpvar
+// call wins.
 var (
 	current     atomic.Pointer[Metrics]
 	publishOnce sync.Once
@@ -43,10 +43,6 @@ type DebugConfig struct {
 	// Flight backs /debug/flight.
 	Flight *FlightRecorder
 }
-
-// Handler returns the live-introspection mux for a registry; equivalent to
-// DebugHandler(DebugConfig{Metrics: m}).
-func Handler(m *Metrics) http.Handler { return DebugHandler(DebugConfig{Metrics: m}) }
 
 // DebugHandler returns the live-introspection mux:
 //
@@ -93,15 +89,9 @@ func DebugHandler(c DebugConfig) http.Handler {
 	return mux
 }
 
-// ServeDebug binds addr and serves Handler(m) in a background goroutine,
-// returning the listener so callers can log the resolved address (use
-// ":0" to pick a free port) and close it on shutdown.
-func ServeDebug(addr string, m *Metrics) (net.Listener, error) {
-	return ServeDebugConfig(addr, DebugConfig{Metrics: m})
-}
-
-// ServeDebugConfig is ServeDebug for the full observability surface —
-// metrics plus tracer plus flight recorder.
+// ServeDebugConfig binds addr and serves DebugHandler(c) in a background
+// goroutine, returning the listener so callers can log the resolved address
+// (use ":0" to pick a free port) and close it on shutdown.
 func ServeDebugConfig(addr string, c DebugConfig) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 func TestHandlerServesSnapshot(t *testing.T) {
 	m := New()
 	m.Counter("http.test.hits").Add(3)
-	srv := httptest.NewServer(Handler(m))
+	srv := httptest.NewServer(DebugHandler(DebugConfig{Metrics: m}))
 	defer srv.Close()
 
 	res, err := srv.Client().Get(srv.URL + "/metrics.json")
@@ -48,7 +48,7 @@ func TestHandlerServesSnapshot(t *testing.T) {
 // command-line tools wire the handler up before deciding whether telemetry
 // is enabled.
 func TestHandlerNilRegistry(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(DebugHandler(DebugConfig{}))
 	defer srv.Close()
 
 	for _, path := range []string{"/metrics.json", "/debug/vars"} {
@@ -86,7 +86,7 @@ func TestPublishExpvarRedirects(t *testing.T) {
 	b.Counter("redirect.probe").Add(2)
 	PublishExpvar(b)
 
-	srv := httptest.NewServer(Handler(b))
+	srv := httptest.NewServer(DebugHandler(DebugConfig{Metrics: b}))
 	defer srv.Close()
 	res, err := srv.Client().Get(srv.URL + "/debug/vars")
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package telemetry is the observability core of the simulator: lock-cheap
 // metric primitives (atomic counters, float gauges, ring-buffer histograms
-// with windowed quantiles), a per-stage timer API (Span/End), a pluggable
-// structured event sink (Recorder), and snapshot/export plumbing (expvar,
+// with windowed quantiles), a per-stage timer API (Span/End), exchange span
+// trees (Tracer, FlightRecorder), and snapshot/export plumbing (expvar,
 // JSON, a debug HTTP server).
 //
 // Everything is nil-tolerant by design: a nil *Metrics hands out nil
@@ -10,11 +10,10 @@
 // telemetry is disabled the hot path pays a nil check and nothing else, and
 // no time.Now calls are made.
 //
-// Determinism contract: metric *counts* (Counter values, Histogram.Count,
-// event counts) depend only on the work performed, never on worker-pool
-// width or scheduling; timing values (histogram quantiles, span durations)
-// and live pool gauges are exempt. Tests pin the counts across worker
-// counts.
+// Determinism contract: metric *counts* (Counter values, Histogram.Count)
+// depend only on the work performed, never on worker-pool width or
+// scheduling; timing values (histogram quantiles, span durations) and live
+// pool gauges are exempt. Tests pin the counts across worker counts.
 package telemetry
 
 import (

@@ -242,37 +242,11 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestRecorders(t *testing.T) {
-	var sr SliceRecorder
-	var sb strings.Builder
-	jr := NewJSONLRecorder(&sb)
-	for i := 0; i < 3; i++ {
-		e := Event{Name: "node.downlink", Node: i, Fields: map[string]any{"ok": true}}
-		sr.Record(e)
-		jr.Record(e)
-	}
-	sr.Record(Event{Name: "exchange.end", Node: -1})
-	if got := sr.CountByName()["node.downlink"]; got != 3 {
-		t.Fatalf("slice recorder counted %d node.downlink events, want 3", got)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("jsonl recorder wrote %d lines, want 3", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
-		t.Fatalf("jsonl line not valid JSON: %v", err)
-	}
-	if e.Name != "node.downlink" || e.Node != 1 {
-		t.Fatalf("round-tripped event = %+v", e)
-	}
-}
-
 func TestServeDebugEndpoints(t *testing.T) {
 	m := New()
 	m.Counter("demo.count").Add(7)
 	m.Span("demo.stage").End()
-	ln, err := ServeDebug("127.0.0.1:0", m)
+	ln, err := ServeDebugConfig("127.0.0.1:0", DebugConfig{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}

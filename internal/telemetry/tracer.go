@@ -31,8 +31,8 @@ func NewExchangeID(seed int64, network int, seq uint64) ExchangeID {
 	return ExchangeID(splitmix.Mix(uint64(seed)*splitmix.Gamma ^ uint64(network)<<48 ^ seq))
 }
 
-// String renders the ID as 16 hex digits, the form used in Event.Exchange
-// and trace files.
+// String renders the ID as 16 hex digits, the form used in trace files and
+// replay records.
 func (id ExchangeID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // SpanNode is one node of an exchange's causal span tree: a named stage (or
@@ -140,7 +140,6 @@ func (s *SpanNode) Walk(fn func(*SpanNode)) {
 // allocation-free Value call.
 type (
 	spanCtxKey struct{}
-	exchCtxKey struct{}
 )
 
 // ContextWithSpan returns ctx carrying s as the active trace span.
@@ -155,49 +154,24 @@ func SpanFromContext(ctx context.Context) *SpanNode {
 	return s
 }
 
-// ContextWithExchangeID returns ctx carrying the exchange identity.
-func ContextWithExchangeID(ctx context.Context, id ExchangeID) context.Context {
-	return context.WithValue(ctx, exchCtxKey{}, id)
-}
-
-// ExchangeIDFromContext returns the exchange identity in ctx, if any.
-func ExchangeIDFromContext(ctx context.Context) (ExchangeID, bool) {
-	id, ok := ctx.Value(exchCtxKey{}).(ExchangeID)
-	return id, ok
-}
-
-// Tracer collects completed exchange traces, bounded in memory: beyond the
-// limit the oldest traces are evicted (and counted in Dropped). A nil
-// *Tracer is the disabled tracer; Collect on it is a no-op.
+// Tracer collects completed exchange traces, bounded in memory: beyond
+// DefaultTracerLimit the oldest traces are evicted (and counted in
+// Dropped). A nil *Tracer is the disabled tracer; Collect on it is a no-op.
 //
 // Collect is safe for concurrent use (Fleet engines collect into one
 // shared tracer); a collected trace must no longer be mutated.
 type Tracer struct {
 	mu      sync.Mutex
 	traces  []*Trace
-	limit   int
 	dropped int64
 }
 
-// DefaultTracerLimit bounds a Tracer's resident traces unless WithLimit
-// overrides it.
+// DefaultTracerLimit bounds a Tracer's resident traces.
 const DefaultTracerLimit = 4096
 
 // NewTracer returns an empty tracer holding at most DefaultTracerLimit
 // traces.
-func NewTracer() *Tracer { return &Tracer{limit: DefaultTracerLimit} }
-
-// WithLimit sets the resident-trace bound (minimum 1) and returns the
-// tracer for chaining.
-func (t *Tracer) WithLimit(n int) *Tracer {
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
-	return t
-}
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Collect stores one completed trace, evicting the oldest past the limit.
 // Safe on a nil receiver and for concurrent use.
@@ -207,7 +181,7 @@ func (t *Tracer) Collect(tr *Trace) {
 	}
 	t.mu.Lock()
 	t.traces = append(t.traces, tr)
-	if over := len(t.traces) - t.limit; over > 0 {
+	if over := len(t.traces) - DefaultTracerLimit; over > 0 {
 		t.dropped += int64(over)
 		t.traces = append(t.traces[:0], t.traces[over:]...)
 	}
@@ -244,12 +218,6 @@ func (t *Tracer) Dropped() int64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// WriteJSONL streams the resident traces as one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error { return WriteTraceJSONL(w, t.Traces()) }
-
-// WriteChromeTrace writes the resident traces in Chrome trace_event format.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, t.Traces()) }
 
 // WriteTraceJSONL writes traces as JSON lines — the grep-friendly export.
 func WriteTraceJSONL(w io.Writer, traces []*Trace) error {

@@ -113,17 +113,10 @@ func TestSpanContextPropagation(t *testing.T) {
 	if s := SpanFromContext(ctx); s != nil {
 		t.Fatal("unwrapped context carried a span")
 	}
-	if _, ok := ExchangeIDFromContext(ctx); ok {
-		t.Fatal("unwrapped context carried an exchange ID")
-	}
 	tr := BeginTrace(NewExchangeID(7, 0, 0), 0, 0, "root")
-	id := NewExchangeID(7, 0, 0)
-	ctx = ContextWithSpan(ContextWithExchangeID(ctx, id), tr.Root)
+	ctx = ContextWithSpan(ctx, tr.Root)
 	if got := SpanFromContext(ctx); got != tr.Root {
 		t.Fatal("span did not round-trip through context")
-	}
-	if got, ok := ExchangeIDFromContext(ctx); !ok || got != id {
-		t.Fatal("exchange ID did not round-trip through context")
 	}
 }
 
@@ -148,19 +141,19 @@ func TestConcurrentChildAppend(t *testing.T) {
 }
 
 func TestTracerLimitEviction(t *testing.T) {
-	tr := NewTracer().WithLimit(3)
-	for i := 0; i < 5; i++ {
+	tr := NewTracer()
+	for i := 0; i < DefaultTracerLimit+3; i++ {
 		tr.Collect(BeginTrace(NewExchangeID(0, 0, uint64(i)), 0, uint64(i), "root"))
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
+	if tr.Len() != DefaultTracerLimit {
+		t.Fatalf("Len = %d, want %d", tr.Len(), DefaultTracerLimit)
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
+	if tr.Dropped() != 3 {
+		t.Fatalf("Dropped = %d, want 3", tr.Dropped())
 	}
 	traces := tr.Traces()
-	if traces[0].Seq != 2 || traces[2].Seq != 4 {
-		t.Fatalf("eviction kept wrong traces: seqs %d..%d", traces[0].Seq, traces[2].Seq)
+	if first, last := traces[0].Seq, traces[len(traces)-1].Seq; first != 3 || last != DefaultTracerLimit+2 {
+		t.Fatalf("eviction kept wrong traces: seqs %d..%d", first, last)
 	}
 }
 

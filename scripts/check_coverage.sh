@@ -11,9 +11,17 @@ cd "$(dirname "$0")/.."
 
 floor="${1:-87}"
 profile="$(mktemp)"
-trap 'rm -f "$profile"' EXIT
+log="$(mktemp)"
+trap 'rm -f "$profile" "$log"' EXIT
 
-go test -count=1 -coverprofile="$profile" -coverpkg=./internal/... ./... >/dev/null
+# The full test log is too long to print, but a failing run must say what
+# failed: print its FAIL and panic lines and the file:line messages (test
+# failures and compile errors) around them.
+if ! go test -count=1 -coverprofile="$profile" -coverpkg=./internal/... ./... >"$log" 2>&1; then
+  grep -E -e '^[[:space:]]*(--- FAIL|FAIL|panic:)' -e '\.go:[0-9]+:' "$log" >&2 || cat "$log" >&2
+  echo "check_coverage.sh: go test failed" >&2
+  exit 1
+fi
 
 total="$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%$/, "", $NF); print $NF}')"
 if [ -z "$total" ]; then
