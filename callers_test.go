@@ -48,6 +48,7 @@ var testOnlyCallers = map[string]string{
 	// Accessors that tests use to observe production state.
 	"core.LinkController.NodeState":     "observes breaker and mode state",
 	"parallel.Pool.ArenaFootprintBytes": "observes arena growth",
+	"radar.Radar.PhasorCacheBytes":      "observes phasor cache growth",
 	"telemetry.Tracer.Dropped":          "observes the tracer bound",
 	"dsp.ToneTable.Cap":                 "observes the tone table",
 	"dsp.ToneTable.Freq":                "observes the tone table",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -53,6 +54,54 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	const pin = 120
 	if allocs > pin {
 		t.Fatalf("steady-state Exchange allocated %.0f times, pin is %d", allocs, pin)
+	}
+}
+
+// TestExchangeVaryingPayloadAllocs is the steady-state pin under payloads
+// that change every round. The pin above reuses one payload, so it cannot
+// see a cache that grows the first time a symbol appears: here every
+// measured exchange sends a fresh random payload, the rounds continue until
+// every data symbol has been on the air, and the radar's phasor cache,
+// filled at construction for the whole alphabet, must not grow.
+func TestExchangeVaryingPayloadAllocs(t *testing.T) {
+	n, _, uplink := allocTestNetwork(t)
+	cacheBytes := n.Radar().PhasorCacheBytes()
+	if cacheBytes == 0 {
+		t.Fatal("NewNetwork left the radar's phasor cache empty")
+	}
+	rng := rand.New(rand.NewSource(1))
+	payload := make([]byte, 8)
+	seen := map[float64]bool{}
+	exchange := func() {
+		rng.Read(payload)
+		res, err := n.Exchange(payload, uplink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Frame.Chirps {
+			seen[c.Params.Duration] = true
+		}
+	}
+	exchange()
+	want := n.Alphabet().DataSymbolCount() + 2 // plus the header and sync
+	const pin = 120
+	var worst float64
+	round := 0
+	for ; len(seen) < want; round++ {
+		if round == 50 {
+			t.Fatalf("%d of %d chirp durations on the air after %d rounds", len(seen), want, round)
+		}
+		// AllocsPerRun warms up with one call of its own; each call draws
+		// a fresh payload, so the measured exchange still sends a new one.
+		allocs := testing.AllocsPerRun(1, exchange)
+		if allocs > pin {
+			t.Fatalf("round %d: Exchange with a fresh payload allocated %.0f times, pin is %d", round, allocs, pin)
+		}
+		worst = max(worst, allocs)
+	}
+	t.Logf("every symbol on the air after %d rounds; at most %.0f allocs per exchange", round, worst)
+	if got := n.Radar().PhasorCacheBytes(); got != cacheBytes {
+		t.Fatalf("phasor cache went from %d B at construction to %d B", cacheBytes, got)
 	}
 }
 

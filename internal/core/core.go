@@ -387,6 +387,9 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 			},
 		})
 	}
+	if err := n.warmRadar(); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 

@@ -97,15 +97,7 @@ func (n *Network) setActive(list []int) []bool {
 // they stay physically present as constant echoes that background
 // subtraction removes, exactly like clutter.
 func (n *Network) buildScene(frame *fmcw.Frame, uplinkBits map[int][]bool) (radar.Scene, error) {
-	scene := radar.Scene{Clutter: n.cfg.Clutter, Faults: n.radarInj}
-	if f := n.cfg.Faults; f != nil && len(f.Clutter) > 0 {
-		// Fault-profile clutter (typically moving reflectors) rides on top of
-		// the static environment; copy so the config slices stay untouched.
-		merged := make([]channel.Reflector, 0, len(n.cfg.Clutter)+len(f.Clutter))
-		merged = append(merged, n.cfg.Clutter...)
-		merged = append(merged, f.Clutter...)
-		scene.Clutter = merged
-	}
+	scene := radar.Scene{Clutter: n.sceneClutter(), Faults: n.radarInj}
 	n.scr.states = growRows(n.scr.states, len(n.nodes))
 	tags := n.scr.tags[:0]
 	for i, node := range n.nodes {
@@ -130,6 +122,45 @@ func (n *Network) buildScene(frame *fmcw.Frame, uplinkBits map[int][]bool) (rada
 	n.scr.tags = tags
 	scene.Tags = tags
 	return scene, nil
+}
+
+// sceneClutter returns the reflectors every frame's scene holds besides
+// the nodes: the configured clutter, plus any fault-profile clutter.
+func (n *Network) sceneClutter() []channel.Reflector {
+	f := n.cfg.Faults
+	if f == nil || len(f.Clutter) == 0 {
+		return n.cfg.Clutter
+	}
+	// Fault-profile clutter (typically moving reflectors) rides on top of
+	// the static environment; copy so the config slices stay untouched.
+	merged := make([]channel.Reflector, 0, len(n.cfg.Clutter)+len(f.Clutter))
+	merged = append(merged, n.cfg.Clutter...)
+	return append(merged, f.Clutter...)
+}
+
+// warmRadar fills the radar's phasor cache for every chirp duration the
+// network's packets use (the header, sync and data symbols of its
+// alphabet) under the scene geometry buildScene lays out, so that no
+// exchange, whatever its payload, fills a table.
+func (n *Network) warmRadar() error {
+	durs := []float64{n.alphabet.Header().Duration, n.alphabet.Sync().Duration}
+	for i := 0; i < n.alphabet.DataSymbolCount(); i++ {
+		s, err := n.alphabet.DataSymbol(i)
+		if err != nil {
+			return err
+		}
+		durs = append(durs, s.Duration)
+	}
+	frame, err := n.builder.Build(durs)
+	if err != nil {
+		return err
+	}
+	scene := radar.Scene{Clutter: n.sceneClutter(), Tags: make([]radar.TagEcho, len(n.nodes))}
+	for i, node := range n.nodes {
+		scene.Tags[i].Range = node.Range
+	}
+	n.radar.WarmPhasors(frame, scene)
+	return nil
 }
 
 // Exchange runs one integrated round: the radar transmits the downlink

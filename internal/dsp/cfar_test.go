@@ -72,20 +72,42 @@ func TestCFARAdaptsToVaryingFloor(t *testing.T) {
 	}
 }
 
+// cfarNoiseAlarms runs the false-alarm detector over one 512-cell draw of
+// chi-square (one degree of freedom) noise and returns how many cells fire.
+func cfarNoiseAlarms(seed int64) int {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, 512)
+	for i := range x {
+		e := rng.NormFloat64()
+		x[i] = e * e
+	}
+	cfar, _ := NewCFAR(16, 2, 14)
+	return len(cfar.Detect(x))
+}
+
+// TestCFARFalseAlarmRateLow bounds the false alarms of pure noise twice: at
+// most 3 in any one 512-cell draw, over 40 draws whose seeds come from a
+// fixed source (fresh time-seeded draws would exceed it in about 0.07% of
+// draws, failing the test now and then), and pooled over a fixed set of
+// 2000 draws, where the rate per cell must stay under 1e-3. Measured, it is
+// 7.3e-4; the per-draw bound alone allows up to 5.9e-3.
 func TestCFARFalseAlarmRateLow(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, 512)
-		for i := range x {
-			e := rng.NormFloat64()
-			x[i] = e * e
-		}
-		cfar, _ := NewCFAR(16, 2, 14)
 		// Pure noise: expect at most a couple of false alarms.
-		return len(cfar.Detect(x)) <= 3
+		return cfarNoiseAlarms(seed) <= 3
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+	const draws = 2000
+	alarms := 0
+	for seed := int64(1); seed <= draws; seed++ {
+		alarms += cfarNoiseAlarms(seed)
+	}
+	rate := float64(alarms) / (draws * 512)
+	t.Logf("pooled false-alarm rate %.2e per cell (%d alarms)", rate, alarms)
+	if rate > 1e-3 {
+		t.Fatalf("pooled false-alarm rate %.2e per cell over %d draws, want ≤ 1e-3", rate, draws)
 	}
 }
 

@@ -89,7 +89,7 @@ type Radar struct {
 	tel   radarTel
 
 	// scr holds the frame-shaped buffers the hot pipeline reuses: scene
-	// scatterers, pre-drawn noise rows, the capture's IF rows and the
+	// scatterers, per-chirp echo terms, the capture's IF rows and the
 	// corrected matrix rows. Rows grow to the largest frame seen and are
 	// never shrunk, so steady-state frames allocate nothing.
 	scr radarScratch
@@ -104,12 +104,27 @@ type scatterer struct {
 	vel float64
 	amp float64
 	tag int // -1 for clutter, else index into scene.Tags
+	// static is the scatterer's index into the phasor cache's ranges, or -1
+	// when its phasors are computed per chirp (see phasorCache).
+	static int
+}
+
+// synthBlock is how many IF samples ObserveContext sums on the stack at a
+// time before adding them onto the noise in the row.
+const synthBlock = 128
+
+// echoTerm is one scatterer's echo in one chirp: its amplitude, and either
+// its index into the chirp's phasor tables or, for a moving scatterer (static
+// -1), its running phase.
+type echoTerm struct {
+	amp, ph, dphi float64
+	static        int
 }
 
 // radarScratch is the Radar's reusable per-frame buffer set.
 type radarScratch struct {
 	scats  []scatterer
-	noise  [][]complex128
+	terms  [][]echoTerm
 	ifRows [][]complex128
 	cmRows [][]complex128
 	// coeffs holds the per-tone Goertzel constants of the batched signature
@@ -120,6 +135,154 @@ type radarScratch struct {
 	// constellation point), so the window samples and their running sum are
 	// computed once per duration instead of once per chirp.
 	wins map[float64]*hannTable
+	// phasors caches the static scatterers' unit phasor tables, and
+	// chirpPh[i] holds the tables chirp i of the current frame reads.
+	phasors phasorCache
+	chirpPh [][][]complex128
+}
+
+// phasorCache holds the unit phasor sequences exp(j·ph_k) of the current
+// scene's static scatterers, one table per (chirp parameters, range). A
+// scatterer that does not move contributes the same sequence to every chirp
+// of one CSSK duration, in every frame, so the synthesis loop scales a
+// cached table instead of calling cos and sin per sample. Each table is
+// filled by exactly the ph += dphi recurrence the uncached loop runs, so
+// the products, and the sums into the IF rows, are bit-identical to it.
+//
+// The cache is keyed on scene geometry: it holds the tables of one ordered
+// set of static ranges, and a scene whose static ranges differ replaces it.
+type phasorCache struct {
+	ranges []float64
+	// tabs maps chirp parameters to one table per entry of ranges, each
+	// SamplesPerChirp long.
+	tabs map[fmcw.ChirpParams][][]complex128
+}
+
+// isStatic reports whether a scatterer may use the phasor cache: it does
+// not move, and its range is finite and non-zero, so the range the
+// uncached loop derives, rng + vel·chirpStart, is rng itself bit for bit
+// whenever chirpStart is finite.
+func isStatic(sc scatterer) bool {
+	return sc.vel == 0 && sc.rng != 0 && !math.IsInf(sc.rng, 0) && !math.IsNaN(sc.rng)
+}
+
+// phaseStart returns the carrier phase of the first IF sample of a chirp
+// with parameters p for a scatterer at range rng, and the per-sample phase
+// step of its beat tone (Eq. 3).
+func (r *Radar) phaseStart(rng float64, p fmcw.ChirpParams) (ph, dphi float64) {
+	fIF := p.IFFrequency(rng)
+	dphi = 2 * math.Pi * fIF / r.cfg.Chirp.SampleRate
+	return geomPhase(rng, r.cfg.Chirp.StartFrequency), dphi
+}
+
+// phasorsFor returns the cached tables of the current static ranges under
+// chirp parameters p, filling them on first use. It writes the cache, so
+// only serial code may call it.
+func (r *Radar) phasorsFor(p fmcw.ChirpParams) [][]complex128 {
+	pc := &r.scr.phasors
+	if tabs, ok := pc.tabs[p]; ok {
+		return tabs
+	}
+	if pc.tabs == nil {
+		pc.tabs = make(map[fmcw.ChirpParams][][]complex128, 8)
+	}
+	n := p.SamplesPerChirp()
+	tabs := make([][]complex128, len(pc.ranges))
+	for j, rng := range pc.ranges {
+		t := make([]complex128, n)
+		ph, dphi := r.phaseStart(rng, p)
+		for k := range t {
+			t[k] = complex(math.Cos(ph), math.Sin(ph))
+			ph += dphi
+		}
+		tabs[j] = t
+	}
+	pc.tabs[p] = tabs
+	return tabs
+}
+
+// PhasorCacheBytes returns the size of the phasor tables the radar holds.
+func (r *Radar) PhasorCacheBytes() int {
+	n := 0
+	for _, tabs := range r.scr.phasors.tabs {
+		for _, t := range tabs {
+			n += 16 * len(t)
+		}
+	}
+	return n
+}
+
+// WarmPhasors fills the phasor cache for the scene's static scatterers
+// under every chirp of frame, exactly as ObserveContext would before
+// synthesizing it. A caller that knows every chirp its frames will use can
+// warm them once up front, so later frames allocate no tables.
+func (r *Radar) WarmPhasors(frame *fmcw.Frame, scene Scene) {
+	r.prepareScene(frame, scene)
+}
+
+// prepareScene loads the scene's scatterers into the radar's scratch and
+// resolves, serially, each chirp's phasor tables into scr.chirpPh, so the
+// per-chirp fan-out reads the cache without writing it. A scene whose
+// static ranges differ from the cached ones replaces the cache.
+func (r *Radar) prepareScene(frame *fmcw.Frame, scene Scene) []scatterer {
+	scats := r.scr.scats[:0]
+	for _, c := range scene.Clutter {
+		scats = append(scats, scatterer{
+			rng: c.Range,
+			vel: c.Velocity,
+			amp: math.Pow(10, r.cfg.Link.EchoPowerDBm(c)/20),
+			tag: -1,
+		})
+	}
+	for ti, tg := range scene.Tags {
+		scats = append(scats, scatterer{
+			rng: tg.Range,
+			vel: tg.Velocity,
+			amp: math.Pow(10, tg.PowerDBm/20),
+			tag: ti,
+		})
+	}
+	r.scr.scats = scats
+
+	// Number the static scatterers. Chirp starts must be finite for their
+	// ranges to stay exact (see isStatic); the last chirp starts latest.
+	span := float64(len(frame.Chirps)) * frame.Period
+	cacheable := !math.IsInf(span, 0) && !math.IsNaN(span)
+	pc := &r.scr.phasors
+	nStatic := 0
+	same := true
+	for i := range scats {
+		sc := &scats[i]
+		sc.static = -1
+		if cacheable && isStatic(*sc) {
+			same = same && nStatic < len(pc.ranges) && pc.ranges[nStatic] == sc.rng
+			sc.static = nStatic
+			nStatic++
+		}
+	}
+	if !same || nStatic != len(pc.ranges) {
+		// A new geometry replaces the cache rather than adding to it.
+		pc.ranges = pc.ranges[:0]
+		for _, sc := range scats {
+			if sc.static >= 0 {
+				pc.ranges = append(pc.ranges, sc.rng)
+			}
+		}
+		clear(pc.tabs)
+		clear(r.scr.chirpPh)
+	}
+
+	r.scr.chirpPh = ensureRows(r.scr.chirpPh, len(frame.Chirps))
+	for i, c := range frame.Chirps {
+		if i > 0 && c.Params == frame.Chirps[i-1].Params {
+			r.scr.chirpPh[i] = r.scr.chirpPh[i-1]
+		} else if nStatic > 0 {
+			r.scr.chirpPh[i] = r.phasorsFor(c.Params)
+		} else {
+			r.scr.chirpPh[i] = nil
+		}
+	}
+	return scats
 }
 
 // hannTable is one cached range-FFT window: the sample values and their
@@ -327,79 +490,74 @@ func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Sce
 	cap := &Capture{Frame: frame, IF: r.scr.ifRows[:nChirps]}
 	noiseSigma := math.Pow(10, channel.ThermalNoiseDBm(r.cfg.Chirp.SampleRate, r.cfg.Link.RadarNoiseFigureDB)/20)
 
-	scats := r.scr.scats[:0]
-	for _, c := range scene.Clutter {
-		scats = append(scats, scatterer{
-			rng: c.Range,
-			vel: c.Velocity,
-			amp: math.Pow(10, r.cfg.Link.EchoPowerDBm(c)/20),
-			tag: -1,
-		})
-	}
-	for ti, tg := range scene.Tags {
-		scats = append(scats, scatterer{
-			rng: tg.Range,
-			vel: tg.Velocity,
-			amp: math.Pow(10, tg.PowerDBm/20),
-			tag: ti,
-		})
-	}
-	r.scr.scats = scats
+	scats := r.prepareScene(frame, scene)
 
-	// Pre-draw each chirp's noise sequentially: the RNG stream is consumed
-	// in exactly the order the serial loop consumed it, and the draws are
-	// added onto the synthesized echoes afterwards in the same order as
-	// before (echo sum first, noise last), keeping the capture bit-exact.
-	// The noise rows persist across frames; AddComplex accumulates onto its
-	// argument, so each row is cleared before the fresh draw.
-	haveNoise := noiseSigma > 0
-	if haveNoise {
-		r.scr.noise = ensureRows(r.scr.noise, nChirps)
-		for i, c := range frame.Chirps {
-			nb := dsp.Resize(r.scr.noise[i], c.Params.SamplesPerChirp())
-			clear(nb)
-			r.noise.AddComplex(nb, noiseSigma)
-			r.scr.noise[i] = nb
-		}
+	// Draw each chirp's receiver noise into its IF row serially, in chirp
+	// order, so the noise stream is consumed identically for any worker
+	// count. The rows persist across frames; AddComplex accumulates onto
+	// its argument, so each row is cleared before the fresh draw.
+	for i, c := range frame.Chirps {
+		buf := dsp.Resize(cap.IF[i], c.Params.SamplesPerChirp())
+		clear(buf)
+		r.noise.AddComplex(buf, noiseSigma)
+		cap.IF[i] = buf
 	}
 
 	residual := math.Pow(10, AbsorptiveResidualDB/20)
-	fs := r.cfg.Chirp.SampleRate
+	r.scr.terms = ensureRows(r.scr.terms, nChirps)
 	err := r.pool.ForContext(ctx, nChirps, func(i int) error {
 		sp := r.tel.synthesis.Span()
 		defer sp.End()
 		c := frame.Chirps[i]
-		n := c.Params.SamplesPerChirp()
-		buf := dsp.Resize(cap.IF[i], n)
-		clear(buf)
-		cap.IF[i] = buf
+		buf := cap.IF[i]
 		chirpStart := float64(i) * frame.Period
 		// A TX dropout silences the echo (entirely, or beyond a clipped
-		// prefix) while the receiver noise below stays untouched.
-		keep := scene.Faults.EchoSamples(i, n)
-		for _, sc := range scats {
-			amp := sc.amp
+		// prefix) while the receiver noise stays untouched.
+		keep := scene.Faults.EchoSamples(i, len(buf))
+		terms := dsp.Resize(r.scr.terms[i], len(scats))
+		for j, sc := range scats {
+			t := echoTerm{amp: sc.amp, static: sc.static}
 			if sc.tag >= 0 {
 				st := scene.Tags[sc.tag].States
 				if i < len(st) && !st[i] {
-					amp *= residual
+					t.amp *= residual
 				}
 			}
-			// Range at this chirp's start: moving scatterers migrate across
-			// the frame and accrue the Doppler phase progression.
-			rng := sc.rng + sc.vel*chirpStart
-			fIF := c.Params.IFFrequency(rng)
-			dphi := 2 * math.Pi * fIF / fs
-			ph := geomPhase(rng, r.cfg.Chirp.StartFrequency)
-			for k := 0; k < keep; k++ {
-				buf[k] += complex(amp*math.Cos(ph), amp*math.Sin(ph))
-				ph += dphi
+			if sc.static < 0 {
+				// Range at this chirp's start: moving scatterers migrate
+				// across the frame and accrue the Doppler phase progression.
+				t.ph, t.dphi = r.phaseStart(sc.rng+sc.vel*chirpStart, c.Params)
 			}
+			terms[j] = t
 		}
-		if haveNoise {
-			nb := r.scr.noise[i]
-			for k := range buf {
-				buf[k] += nb[k]
+		r.scr.terms[i] = terms
+		// Echoes are summed in blocks on the stack, scatterer by scatterer
+		// in scene order from zero, and the noise is added last: per
+		// sample, the order of the former per-scatterer passes over a
+		// cleared row, so every sample keeps its bits.
+		tabs := r.scr.chirpPh[i]
+		var block [synthBlock]complex128
+		for lo := 0; lo < keep; lo += synthBlock {
+			echo := block[:min(synthBlock, keep-lo)]
+			clear(echo)
+			for j := range terms {
+				t := &terms[j]
+				if t.static >= 0 {
+					for k, p := range tabs[t.static][lo : lo+len(echo)] {
+						echo[k] += complex(t.amp*real(p), t.amp*imag(p))
+					}
+					continue
+				}
+				ph := t.ph
+				for k := range echo {
+					echo[k] += complex(t.amp*math.Cos(ph), t.amp*math.Sin(ph))
+					ph += t.dphi
+				}
+				t.ph = ph
+			}
+			row := buf[lo : lo+len(echo)]
+			for k, e := range echo {
+				row[k] = e + row[k]
 			}
 		}
 		scene.Faults.Jam(buf, i)
