@@ -402,10 +402,9 @@ func countBitMismatches(sent, got []bool) int {
 // fundamentals always dominate another node's spectral splatter — and then
 // each node peaks only over the bins it owns.
 //
-// Each tone scan is bin-parallel inside the radar, so the outer loop over
-// tones runs serially: nesting a second fan-out around it would contend for
-// the radar pool's worker-local scratch arenas without adding parallelism.
-// A cancelled ctx aborts between scans and returns ctx.Err().
+// All tones are scanned in one bin-parallel radar loop, never under a second
+// fan-out: the radar pool runs one arena loop at a time and panics on a
+// nested one. A cancelled ctx aborts before the scan and returns ctx.Err().
 //
 // The returned slices are network-owned scratch, valid until the next
 // detectNodes call; callers that keep them across exchanges must copy. The

@@ -4,20 +4,23 @@
 // points in the experiment harness.
 //
 // The pool is deliberately minimal. It holds no goroutines between calls —
-// every For spawns its workers, distributes indices through an atomic
-// counter, and joins — so a Pool is just a worker-count policy (plus an
-// optional telemetry hook, see Instrument) and is safe to share and embed
-// freely. Determinism is the caller's contract: fn must
-// write results into pre-sized slices by index (never append) and must not
-// share mutable state across indices; under that contract the result is
-// byte-identical for any worker count, because only the execution order
-// varies.
+// every loop spawns its workers and joins them — so a Pool is just a
+// worker-count policy (plus an optional telemetry hook, see Instrument) and
+// is safe to share and embed freely. Worker g runs index g first and then
+// claims further indices from a shared atomic counter that starts at the
+// width, so every worker takes at least one task per loop however late the
+// scheduler starts its goroutine, and load balancing stays dynamic.
+// Determinism is the caller's contract: fn must write results into
+// pre-sized slices by index (never append) and must not share mutable state
+// across indices; under that contract the result is byte-identical for any
+// worker count, because only the execution order varies.
 //
 // For loops that need per-index scratch memory, ForArena/ForContextArena
 // hand each worker its own pool-owned dsp.Arena: checkouts are lock-free on
 // the hot path (no worker shares an arena) and every buffer is reclaimed
 // after each index, so a steady-state loop touches the heap only on its
-// first iterations.
+// first loop. A pool runs one arena loop at a time; overlapping or nested
+// arena loops on the same pool panic.
 package parallel
 
 import (
@@ -37,26 +40,18 @@ type Pool struct {
 	workers int
 	stats   *poolStats
 
-	// arenas are the pool-owned worker-local scratch arenas handed out by
-	// ForArena/ForContextArena; arenas[g] belongs to worker g for the
-	// duration of one loop. arenasBusy guards against overlapping arena
-	// loops on the same pool (legal but rare — e.g. a caller running two
-	// pool loops from different goroutines); the loser of the CAS borrows
-	// arenas from the package-level spare pool instead, trading a few
-	// allocations for correctness.
+	// arenas[g] is worker g's pool-owned scratch arena in ForArena and
+	// ForContextArena loops; arenasBusy catches a second arena loop started
+	// on the pool while one runs, which would share them.
 	arenas     []*dsp.Arena
 	arenasBusy atomic.Bool
 }
-
-// spareArenas backs the fallback path when a pool's own arenas are already
-// checked out by a concurrently running loop.
-var spareArenas = sync.Pool{New: func() any { return dsp.NewArena() }}
 
 // poolStats holds the pool's pre-resolved telemetry handles. All fields are
 // nil-tolerant telemetry primitives, but the pool additionally gates on the
 // struct pointer so the disabled path takes no clock readings.
 type poolStats struct {
-	queued    *telemetry.Counter   // tasks handed to For/ForContext
+	queued    *telemetry.Counter   // tasks handed to a loop
 	completed *telemetry.Counter   // tasks whose fn returned
 	duration  *telemetry.Histogram // seconds spent inside fn
 	busy      *telemetry.Gauge     // workers currently inside fn
@@ -105,43 +100,7 @@ func (p *Pool) Workers() int {
 // width clamps the worker count to the job count; a width of 1 selects the
 // serial fast path (no goroutines, no atomics).
 func (p *Pool) width(n int) int {
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// acquireArenas hands out w worker-local arenas for one loop. The common
-// case takes the pool's own arenas (growing the set on first use); if
-// another loop on this pool currently holds them, fresh arenas are borrowed
-// from the package spare pool. owned reports which case applied.
-func (p *Pool) acquireArenas(w int) (arenas []*dsp.Arena, owned bool) {
-	if p.arenasBusy.CompareAndSwap(false, true) {
-		for len(p.arenas) < w {
-			p.arenas = append(p.arenas, dsp.NewArena())
-		}
-		return p.arenas[:w], true
-	}
-	arenas = make([]*dsp.Arena, w)
-	for i := range arenas {
-		arenas[i] = spareArenas.Get().(*dsp.Arena)
-	}
-	return arenas, false
-}
-
-// releaseArenas returns arenas acquired by acquireArenas. Pool-owned arenas
-// are kept (their buckets persist across loops — that is the whole point);
-// borrowed spares go back to the package pool reset.
-func (p *Pool) releaseArenas(arenas []*dsp.Arena, owned bool) {
-	if owned {
-		p.arenasBusy.Store(false)
-		return
-	}
-	for _, a := range arenas {
-		a.Reset()
-		spareArenas.Put(a)
-	}
+	return min(p.Workers(), n)
 }
 
 // ArenaFootprintBytes sums the high-water marks of the pool-owned worker
@@ -155,172 +114,120 @@ func (p *Pool) ArenaFootprintBytes() int {
 	return total
 }
 
-// instrument wraps a worker-indexed fn with per-task telemetry when the
-// pool is instrumented: task duration, busy gauge and completion count.
-// Returns fn unchanged on an uninstrumented pool.
-func (p *Pool) instrument(n, width int, fn func(g, i int)) func(g, i int) {
+// run executes fn(g, i) for every i in [0, n) on worker g of the loop's
+// width and returns the first fn error, else ctx.Err() if an index was left
+// unrun, else nil. Workers stop claiming once ctx is done or an fn call has
+// failed; in-flight calls run to completion. Worker g runs index g first,
+// then claims from the shared counter, which starts at the width.
+func (p *Pool) run(ctx context.Context, n int, fn func(g, i int) error) error {
+	w := p.width(n)
 	st := p.stats
-	if st == nil {
-		return fn
+	if st != nil {
+		st.queued.Add(int64(n))
+		st.width.Set(float64(w))
 	}
-	st.queued.Add(int64(n))
-	st.width.Set(float64(width))
-	return func(g, i int) {
-		claimed := time.Now()
-		st.busy.Add(1)
-		fn(g, i)
-		st.busy.Add(-1)
-		st.duration.Observe(time.Since(claimed).Seconds())
-		st.completed.Inc()
-	}
-}
-
-// instrumentErr is instrument for error-returning fns (the ForContext
-// variants).
-func (p *Pool) instrumentErr(n, width int, fn func(g, i int) error) func(g, i int) error {
-	st := p.stats
-	if st == nil {
-		return fn
-	}
-	st.queued.Add(int64(n))
-	st.width.Set(float64(width))
-	return func(g, i int) error {
-		claimed := time.Now()
-		st.busy.Add(1)
-		err := fn(g, i)
-		st.busy.Add(-1)
-		st.duration.Observe(time.Since(claimed).Seconds())
-		st.completed.Inc()
-		return err
-	}
-}
-
-// run executes fn(g, i) for every i in [0, n) across w workers; worker g
-// claims indices from a shared atomic counter. w <= 1 degenerates to a
-// plain loop on worker 0.
-func (p *Pool) run(n, w int, fn func(g, i int)) {
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(g, i)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// runContext is run with cooperative cancellation and error propagation;
-// see ForContext for the contract.
-func (p *Pool) runContext(ctx context.Context, n, w int, fn func(g, i int) error) error {
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := st.call(fn, 0, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		mu      sync.Mutex
-		callErr error
-		wg      sync.WaitGroup
+		next     atomic.Int64
+		stop     atomic.Bool // an fn call failed
+		cut      atomic.Bool // ctx ended the loop with an index unrun
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
 	)
+	next.Store(int64(w))
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for {
-				if stop.Load() || ctx.Err() != nil {
+			for i := g; i < n; i = int(next.Add(1)) - 1 {
+				if stop.Load() {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				if ctx.Err() != nil {
+					cut.Store(true)
 					return
 				}
-				if err := fn(g, i); err != nil {
-					mu.Lock()
-					if callErr == nil {
-						callErr = err
-					}
-					mu.Unlock()
+				if err := st.call(fn, g, i); err != nil {
+					errOnce.Do(func() { firstErr = err })
 					stop.Store(true)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if callErr != nil {
-		return callErr
+	if firstErr == nil && cut.Load() {
+		return ctx.Err()
 	}
-	return ctx.Err()
+	return firstErr
+}
+
+// call runs one task, timed and counted when the pool is instrumented.
+func (st *poolStats) call(fn func(g, i int) error, g, i int) error {
+	if st == nil {
+		return fn(g, i)
+	}
+	start := time.Now()
+	st.busy.Add(1)
+	err := fn(g, i)
+	st.busy.Add(-1)
+	st.duration.Observe(time.Since(start).Seconds())
+	st.completed.Inc()
+	return err
 }
 
 // For runs fn(i) for every i in [0, n), spread across the pool's workers,
 // and returns when all calls have finished. With one worker (or one index)
 // it degenerates to a plain loop.
 func (p *Pool) For(n int, fn func(i int)) {
-	w := p.width(n)
-	body := p.instrument(n, w, func(_, i int) { fn(i) })
-	p.run(n, w, body)
+	p.run(context.Background(), n, func(_, i int) error {
+		fn(i)
+		return nil
+	})
 }
 
 // ForArena is For with worker-local scratch: fn additionally receives the
-// claiming worker's dsp.Arena, from which it may check out slices that are
+// running worker's dsp.Arena, from which it may check out slices that are
 // valid for that one index — the pool resets the arena after every fn
 // return. No locking happens on the checkout path because no two workers
 // ever share an arena. The arenas (and their buffers) are pool-owned and
 // persist across loops, so steady-state iterations allocate nothing.
+// Starting an arena loop while another runs on the same pool panics.
 func (p *Pool) ForArena(n int, fn func(i int, a *dsp.Arena)) {
-	w := p.width(n)
-	arenas, owned := p.acquireArenas(w)
-	defer p.releaseArenas(arenas, owned)
-	body := p.instrument(n, w, func(g, i int) {
-		a := arenas[g]
+	p.ForContextArena(context.Background(), n, func(i int, a *dsp.Arena) error {
 		fn(i, a)
-		a.Reset()
+		return nil
 	})
-	p.run(n, w, body)
 }
 
 // ForContext is For with cooperative cancellation and error propagation:
 // workers stop claiming new indices as soon as ctx is done or any fn call
 // returns an error. In-flight calls run to completion (fn is never
 // interrupted mid-index), then ForContext returns the first fn error, or
-// ctx.Err() when the context ended the loop early. A context that is
-// already done returns immediately without calling fn.
+// ctx.Err() when the context ended the loop before every index ran. A
+// context that is already done returns immediately without calling fn.
 func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := p.width(n)
 	sp := telemetry.SpanFromContext(ctx).Child("parallel.for", -1)
 	if sp != nil {
 		sp.SetAttr("tasks", n)
-		sp.SetAttr("width", w)
+		sp.SetAttr("width", p.width(n))
 		defer sp.End()
 	}
-	body := p.instrumentErr(n, w, func(_, i int) error { return fn(i) })
-	return p.runContext(ctx, n, w, body)
+	return p.run(ctx, n, func(_, i int) error { return fn(i) })
 }
 
 // ForContextArena is ForContext with the worker-local scratch arenas of
@@ -329,14 +236,17 @@ func (p *Pool) ForContextArena(ctx context.Context, n int, fn func(i int, a *dsp
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := p.width(n)
-	arenas, owned := p.acquireArenas(w)
-	defer p.releaseArenas(arenas, owned)
-	body := p.instrumentErr(n, w, func(g, i int) error {
-		a := arenas[g]
+	if !p.arenasBusy.CompareAndSwap(false, true) {
+		panic("parallel: overlapping arena loops on one pool")
+	}
+	defer p.arenasBusy.Store(false)
+	for len(p.arenas) < p.width(n) {
+		p.arenas = append(p.arenas, dsp.NewArena())
+	}
+	return p.run(ctx, n, func(g, i int) error {
+		a := p.arenas[g]
 		err := fn(i, a)
 		a.Reset()
 		return err
 	})
-	return p.runContext(ctx, n, w, body)
 }

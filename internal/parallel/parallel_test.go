@@ -264,32 +264,6 @@ func TestForContextArenaPropagatesErrorsAndCancellation(t *testing.T) {
 	}
 }
 
-// TestForArenaOverlappingLoops drives two arena loops on the same pool from
-// concurrent goroutines under -race: the second loop must fall back to
-// borrowed spare arenas rather than sharing the pool-owned set.
-func TestForArenaOverlappingLoops(t *testing.T) {
-	p := New(2)
-	start := make(chan struct{})
-	done := make(chan struct{}, 2)
-	for g := 0; g < 2; g++ {
-		go func() {
-			<-start
-			for rep := 0; rep < 20; rep++ {
-				p.ForArena(100, func(i int, a *dsp.Arena) {
-					f := a.Float(64)
-					for j := range f {
-						f[j] = float64(i + j)
-					}
-				})
-			}
-			done <- struct{}{}
-		}()
-	}
-	close(start)
-	<-done
-	<-done
-}
-
 func TestArenaFootprintStabilizes(t *testing.T) {
 	p := New(2)
 	var after2 int
@@ -310,41 +284,70 @@ func TestArenaFootprintStabilizes(t *testing.T) {
 	}
 }
 
-// TestForArenaNestedFanOutFootprintBounded pins the overlapping-checkout
-// contract: an inner ForArena issued from inside an outer ForArena body
-// finds the pool's own arenas checked out and must borrow package spares
-// instead. The inner loop's (larger) checkouts therefore never inflate
-// ArenaFootprintBytes — the pool-owned footprint stays at the outer loop's
-// high-water mark no matter how often the nested fan-out runs.
-func TestForArenaNestedFanOutFootprintBounded(t *testing.T) {
-	// Width 1 makes the pool-owned arena set deterministic (a wider pool
-	// warms its arenas in scheduler order, so the footprint baseline races
-	// the warm-up); the nested borrow path is identical at any width.
-	p := New(1)
-	// Reach the outer loop's steady-state high-water mark first.
-	for i := 0; i < 2; i++ {
-		p.ForArena(8, func(_ int, a *dsp.Arena) { a.Float(256) })
-	}
-	base := p.ArenaFootprintBytes()
-	if base == 0 {
-		t.Fatal("pool arena footprint should be nonzero after warm-up")
-	}
-	for iter := 0; iter < 20; iter++ {
-		p.ForArena(8, func(i int, a *dsp.Arena) {
-			outer := a.Float(256)
-			outer[0] = float64(i)
-			// Nested fan-out with checkouts far beyond the outer loop's:
-			// these must land in borrowed spares, not the pool's arenas.
-			p.ForArena(4, func(j int, inner *dsp.Arena) {
-				f := inner.Float(8192)
-				f[0] = float64(i + j)
-			})
-			if outer[0] != float64(i) {
-				t.Errorf("outer checkout clobbered by nested loop at i=%d", i)
+// TestForContextCancelAfterLastIndex pins the loop result to the work done,
+// not to the width: a context cancelled by the call that completes the last
+// index leaves nothing unrun, so the loop returns nil at every width.
+func TestForContextCancelAfterLastIndex(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, 4} {
+		for _, arena := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			body := func() error {
+				if calls.Add(1) == n {
+					cancel()
+				}
+				return nil
 			}
-		})
+			var err error
+			if arena {
+				err = New(workers).ForContextArena(ctx, n, func(int, *dsp.Arena) error { return body() })
+			} else {
+				err = New(workers).ForContext(ctx, n, func(int) error { return body() })
+			}
+			cancel()
+			if err != nil {
+				t.Errorf("workers=%d arena=%v: err = %v after every index ran, want nil", workers, arena, err)
+			}
+			if got := calls.Load(); got != n {
+				t.Errorf("workers=%d arena=%v: ran %d indices, want %d", workers, arena, got, n)
+			}
+		}
 	}
-	if got := p.ArenaFootprintBytes(); got != base {
-		t.Fatalf("nested fan-out inflated pool footprint: %d before, %d after", base, got)
+}
+
+// TestForArenaEveryWorkerWarmsInFirstLoop pins first-index seeding: on one
+// OS thread the scheduler may run the last-spawned worker until the loop is
+// drained, yet every worker still runs its own first index, so one loop
+// warms every worker arena.
+func TestForArenaEveryWorkerWarmsInFirstLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := New(2)
+	p.ForArena(64, func(_ int, a *dsp.Arena) { a.Float(256) })
+	if len(p.arenas) != 2 {
+		t.Fatalf("pool holds %d arenas, want 2", len(p.arenas))
 	}
+	for g, a := range p.arenas {
+		if a.HighWaterBytes() == 0 {
+			t.Errorf("worker %d arena is cold after one width-2 loop", g)
+		}
+	}
+}
+
+// TestForArenaNestedLoopPanics pins the one-arena-loop-per-pool contract: an
+// arena loop started inside another on the same pool would share its worker
+// arenas, so it panics. Width 1 keeps the panic on the test goroutine.
+func TestForArenaNestedLoopPanics(t *testing.T) {
+	p := New(1)
+	defer func() {
+		if r := recover(); r != "parallel: overlapping arena loops on one pool" {
+			t.Fatalf("recovered %v, want the overlap panic", r)
+		}
+		if p.arenasBusy.Load() {
+			t.Error("arena loop left the pool marked busy after the panic")
+		}
+	}()
+	p.ForArena(4, func(int, *dsp.Arena) {
+		p.ForArena(4, func(int, *dsp.Arena) {})
+	})
 }
