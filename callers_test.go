@@ -2,12 +2,14 @@ package biscatter
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,6 +27,8 @@ var testOnlyCallers = map[string]string{
 	"dsp.FFTPlan.Forward":      "oracle for ForwardPrefix and the frozen kernel",
 	"dsp.AutocorrelationInto":  "direct-sum oracle for FFTAutocorr",
 	"dsp.ResampleCubic":        "oracle for ResampleCubicInto",
+	"dsp.GoertzelPower":        "single-tone oracle for the batched signature scan",
+	"dsp.Median":               "oracle for MedianWith and the frozen detectors",
 	"radar.SubtractBackground": "oracle for SubtractBackgroundMagInto",
 	"fmcw.SynthesizeRealChirp": "waveform.go: time-domain check of the IF model",
 	"fmcw.MixToIF":             "waveform.go: time-domain check of the IF model",
@@ -46,42 +50,38 @@ var testOnlyCallers = map[string]string{
 	"cssk.Config.WithSymbolBits":               "the mode-ladder rationale in DESIGN.md",
 
 	// Accessors that tests use to observe production state.
-	"core.LinkController.NodeState":     "observes breaker and mode state",
 	"parallel.Pool.ArenaFootprintBytes": "observes arena growth",
 	"radar.Radar.PhasorCacheBytes":      "observes phasor cache growth",
-	"telemetry.Tracer.Dropped":          "observes the tracer bound",
 	"dsp.ToneTable.Cap":                 "observes the tone table",
 	"dsp.ToneTable.Freq":                "observes the tone table",
 	"dsp.RMS":                           "observes signal level",
 	"packet.Config.PacketChirps":        "observes frame length",
 
+	// Comparators that tests assert with.
+	"netio.Outcome.Equal": "bit-exact outcome check of the gateway, chaos and service tests",
+
 	// Reported by the root benchmarks.
 	"eval.BERCounter.FloorRate": "bench_test.go reports it",
-
-	// Called through an interface.
-	"netio.streamTimeoutError.Temporary": "implements net.Error",
 }
 
 // TestInternalFuncsHaveCallers fails on any top-level function or method
-// under internal/ that no non-test Go file in the module calls outside its
-// own declaration, unless testOnlyCallers names it with a reason. A function
-// counts as called when its own package names it, or another file names it
-// through its package's import. A method counts as called when any non-test
-// file selects a method of that name, so a dead method can hide behind a
-// live namesake, but nothing a program calls is ever flagged.
+// under internal/ that no non-test Go file in the module (roundbench/
+// included) calls outside its own declaration, unless testOnlyCallers names
+// it with a reason. The non-test files are type-checked with go/types, so a
+// method counts as called only when a selection resolves to it by receiver
+// type, never through a namesake on another type. A method also counts as
+// called when its type satisfies an interface that has it (the module's own
+// interfaces, exported standard-library interfaces and error), or when it
+// is an exported method of a type biscatter.go re-exports as public API.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	const module = "biscatter/"
-	type decl struct {
-		key, ref, file string
-		pos, end       token.Pos
-	}
-	fset := token.NewFileSet()
-	var decls []decl
-	// refs maps "dir.Func" for package-level names, and ".Method" for
-	// selected names, to the positions where non-test code uses them.
-	refs := map[string][]token.Pos{}
-	use := func(key string, p token.Pos) { refs[key] = append(refs[key], p) }
+	// The standard library is type-checked from source; its pure-Go
+	// variants need no C toolchain.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	defer func() { build.Default.CgoEnabled = cgo }()
 
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → non-test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -92,99 +92,88 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			if !strings.HasPrefix(ip, module) {
-				continue
-			}
-			name := ip[strings.LastIndex(ip, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = strings.TrimPrefix(ip, module)
+		ip := "biscatter"
+		if dir != "" {
+			ip += "/" + filepath.ToSlash(filepath.Clean(dir))
 		}
-		if strings.HasPrefix(dir, "internal/") {
-			for _, dd := range f.Decls {
-				fd, ok := dd.(*ast.FuncDecl)
-				if !ok || fd.Name.Name == "init" {
-					continue
-				}
-				d := decl{key: f.Name.Name + "." + fd.Name.Name, ref: dir + "." + fd.Name.Name,
-					file: path, pos: fd.Pos(), end: fd.End()}
-				if fd.Recv != nil {
-					d.key = f.Name.Name + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-					d.ref = "." + fd.Name.Name
-				}
-				decls = append(decls, d)
-			}
-		}
-		// declared holds identifiers that name a declaration or a struct
-		// field rather than use a function.
-		declared := map[*ast.Ident]bool{}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				declared[x.Name] = true
-			case *ast.TypeSpec:
-				declared[x.Name] = true
-			case *ast.Field:
-				for _, name := range x.Names {
-					declared[name] = true
-				}
-			case *ast.KeyValueExpr:
-				if key, ok := x.Key.(*ast.Ident); ok {
-					declared[key] = true
-				}
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-					use(imports[pkg.Name]+"."+x.Sel.Name, x.Sel.Pos())
-					return false
-				}
-				use("."+x.Sel.Name, x.Sel.Pos())
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				if !declared[x] {
-					use(dir+"."+x.Name, x.Pos())
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	imp := &moduleImporter{fset: fset, files: files, info: info,
+		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+	paths := make([]string, 0, len(files))
+	for ip := range files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := imp.Import(ip); err != nil {
+			t.Fatalf("type-check %s: %v", ip, err)
+		}
+	}
+
+	// uses maps each function or method to the positions where non-test
+	// code names it.
+	uses := map[*types.Func][]token.Pos{}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			uses[fn] = append(uses[fn], id.Pos())
+		}
+	}
+	public := publicMethods(files["biscatter"], info)
+	byName := interfacesByMethod(imp.pkgs)
+
 	var uncalled []string
 	exists := map[string]bool{}
-	for _, d := range decls {
-		called := false
-		for _, p := range refs[d.ref] {
-			if p < d.pos || p >= d.end {
-				called = true
-				break
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, "biscatter/internal/") {
+			continue
+		}
+		for _, f := range files[ip] {
+			for _, dd := range f.Decls {
+				fd, ok := dd.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "init" {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				key := f.Name.Name + "." + fd.Name.Name
+				if fd.Recv != nil {
+					key = f.Name.Name + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				called := public[fn] || satisfiesInterface(fn, byName[fn.Name()])
+				for _, p := range uses[fn] {
+					if p < fd.Pos() || p >= fd.End() {
+						called = true
+						break
+					}
+				}
+				_, kept := testOnlyCallers[key]
+				switch {
+				case called && kept:
+					t.Errorf("testOnlyCallers names %s, which a program calls: drop it from the list", key)
+				case !called && !kept:
+					uncalled = append(uncalled, key+" ("+fset.Position(fd.Pos()).Filename+")")
+				}
+				exists[key] = true
 			}
 		}
-		_, kept := testOnlyCallers[d.key]
-		switch {
-		case called && kept:
-			t.Errorf("testOnlyCallers names %s, which a program calls: drop it from the list", d.key)
-		case !called && !kept:
-			uncalled = append(uncalled, d.key+" ("+d.file+")")
-		}
-		exists[d.key] = true
 	}
 	sort.Strings(uncalled)
 	for _, u := range uncalled {
@@ -195,6 +184,120 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			t.Errorf("testOnlyCallers names %s, which no longer exists", key)
 		}
 	}
+}
+
+// moduleImporter type-checks the module's packages from the parsed files,
+// recording every identifier's object into one shared types.Info, and
+// leaves the standard library to std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// publicMethods returns the exported methods of the named types the facade
+// files re-export through type aliases.
+func publicMethods(facade []*ast.File, info *types.Info) map[*types.Func]bool {
+	out := map[*types.Func]bool{}
+	for _, f := range facade {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !ts.Assign.IsValid() {
+				return true
+			}
+			if named, ok := types.Unalias(info.Defs[ts.Name].Type()).(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						out[m] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// interfacesByMethod indexes, by method name, the interfaces a module value
+// can be handed to: every named interface the module declares, every
+// exported named interface of the standard-library packages it reaches,
+// and error.
+func interfacesByMethod(module map[string]*types.Package) map[string][]*types.Interface {
+	out := map[string][]*types.Interface{}
+	add := func(it *types.Interface) {
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			out[name] = append(out[name], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		own := module[p.Path()] == p
+		if !own && (strings.Contains(p.Path(), "internal") || strings.Contains(p.Path(), "vendor")) {
+			return
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !(own || tn.Exported()) {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				add(it)
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range module {
+		visit(p)
+	}
+	return out
+}
+
+// satisfiesInterface reports whether fn is a method whose receiver type, or
+// a pointer to it, implements one of the interfaces (which all have a
+// method of fn's name).
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for _, it := range ifaces {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // recvTypeName returns the type name of a method receiver, without pointer

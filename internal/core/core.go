@@ -211,25 +211,13 @@ type Network struct {
 
 // exchangeScratch is the per-exchange buffer set the pipeline reuses: the
 // scene's tag echoes and switch states, the magnitude matrix and background
-// row, the joint detector's tone/combined profiles, bin ownership, median
-// sort scratch, and the per-node detection outputs.
+// row, and each node's tone pair for the radar's joint tag search.
 type exchangeScratch struct {
 	tags   []radar.TagEcho
 	states [][]bool
 	mag    [][]float64
 	bg     []float64
 	tones  [][]float64
-	profs  [][]float64
-	owner  []int
-	med    []float64
-	// toneFreqs/toneIdx/sigRows back the batched signature scan: the active
-	// tone frequencies, their slots in tones, and the radar's profile rows.
-	toneFreqs []float64
-	toneIdx   []int
-	sigRows   [][]float64
-	dets      []radar.Detection
-	diags     []radar.DetectionDiag
-	errs      []error
 	// active[i] reports whether node i modulates in the current round;
 	// inactive nodes hold a static switch state and are skipped by the
 	// decode/detect stages. Set by setActive before every round.

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
 	"biscatter/internal/channel"
 	"biscatter/internal/dsp"
@@ -313,22 +311,11 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 
 	dtsp := n.tel.detect.Span()
 	dspan := root.Child("detect", -1)
-	dets, diags, derrs, err := n.detectNodes(ctx, matrix, grid)
+	dets, diags, derrs, err := n.detect(ctx, matrix, grid)
 	dspan.End()
 	dtsp.End()
 	if err != nil {
 		return nil, err
-	}
-	if n.tel.enabled() {
-		// Gauges are last-write-wins; set them in node order here rather
-		// than inside the parallel loop so the surviving value is
-		// deterministic at any worker count.
-		for j := range dets {
-			if derrs[j] == nil {
-				n.tel.detSNR.Set(dets[j].SNRdB)
-				n.tel.detPSL.Set(diags[j].PeakToSidelobeDB)
-			}
-		}
 	}
 	// Demodulate every detected node's uplink; the matrix is read-only
 	// here and each node writes its own result slot.
@@ -337,11 +324,12 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
 		node := n.nodes[i]
 		res.Nodes[i].Detection = dets[i]
-		res.Nodes[i].DetectionErr = derrs[i]
 		res.Nodes[i].UplinkDiag = diags[i]
 		if !active[i] {
+			res.Nodes[i].DetectionErr = ErrNodeInactive
 			return nil
 		}
+		res.Nodes[i].DetectionErr = derrs[i]
 		nt := n.tel.node(i)
 		outcome(derrs[i], n.tel.detOK, n.tel.detErr)
 		outcome(derrs[i], nt.detOK, nt.detErr)
@@ -370,7 +358,7 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			outcome(uerr, n.tel.upOK, n.tel.upErr)
 			outcome(uerr, nt.upOK, nt.upErr)
 			if n.tel.enabled() {
-				n.tel.upBitErrs.Add(int64(countBitMismatches(bits, got)))
+				n.tel.upBitErrs.Add(int64(CountBitMismatches(bits, got)))
 				n.tel.upBits.Add(int64(len(bits)))
 			}
 		}
@@ -381,9 +369,9 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	return res, nil
 }
 
-// countBitMismatches scores a decoded uplink bit vector against the sent
+// CountBitMismatches scores a decoded uplink bit vector against the sent
 // ground truth: a mismatch, or a sent bit missing from got, is one error.
-func countBitMismatches(sent, got []bool) int {
+func CountBitMismatches(sent, got []bool) int {
 	errs := 0
 	for i, b := range sent {
 		if i >= len(got) || got[i] != b {
@@ -393,153 +381,20 @@ func countBitMismatches(sent, got []bool) int {
 	return errs
 }
 
-// detectNodes locates every node jointly. A single-node search per tone is
-// not enough in multi-tag deployments: a strong nearby node's modulation
-// harmonics and bit-pattern sidebands can out-power a weak distant node's
-// fundamental at the strong node's own range bin (the backscatter near-far
-// problem, §6). The joint rule assigns each range bin to the node whose
-// combined F0+F1 signature is strongest there — at a node's true bin its own
-// fundamentals always dominate another node's spectral splatter — and then
-// each node peaks only over the bins it owns.
-//
-// All tones are scanned in one bin-parallel radar loop, never under a second
-// fan-out: the radar pool runs one arena loop at a time and panics on a
-// nested one. A cancelled ctx aborts before the scan and returns ctx.Err().
-//
-// The returned slices are network-owned scratch, valid until the next
-// detectNodes call; callers that keep them across exchanges must copy. The
-// diagnostics are populated for every active node — on a failed detection
-// they describe the best candidate bin, so callers can see how far below
-// threshold the miss was. Nodes outside the round's active set are not
-// searched; their errs entry is ErrNodeInactive.
-func (n *Network) detectNodes(ctx context.Context, matrix [][]float64, grid []float64) ([]radar.Detection, []radar.DetectionDiag, []error, error) {
-	nn := len(n.nodes)
-	dets := dsp.Resize(n.scr.dets, nn)
-	diags := dsp.Resize(n.scr.diags, nn)
-	errs := dsp.Resize(n.scr.errs, nn)
-	clear(dets)
-	clear(diags)
-	clear(errs)
-	n.scr.dets, n.scr.diags, n.scr.errs = dets, diags, errs
-	if nn == 0 {
-		return dets, diags, errs, nil
-	}
-	// Only the round's active nodes are searched: a scheduled-out node's
-	// switch holds a static state, so its tones carry nothing — and under a
-	// frame schedule it may share its FSK pair with an active node, whose
-	// bins it must not contest.
-	active := n.scr.active
-	if len(active) != nn {
-		active = n.setActive(nil)
-	}
-	nActive := 0
-	for j := 0; j < nn; j++ {
-		if active[j] {
-			nActive++
-		} else {
-			errs[j] = ErrNodeInactive
-		}
-	}
-	if nActive == 0 {
-		return dets, diags, errs, nil
-	}
-	// tones[2j] and tones[2j+1] are node j's F0 and F1 profiles. All active
-	// tones are scanned in one batched matrix traversal: the per-bin
-	// slow-time column is gathered once and every tone's Goertzel runs over
-	// it (bit-identical to one SignatureProfileInto per tone, which
-	// re-traversed the whole matrix 2·nodes times). The batch is bin-
-	// parallel inside the radar; cancellation is checked once up front.
+// detect runs the radar's joint tag search over the round's active nodes,
+// each searched on its F0 and F1 tones. The results are radar-owned scratch
+// (see radar.DetectTags); an inactive node's entries are zero, with a nil
+// error. A cancelled ctx aborts before the search and returns ctx.Err().
+func (n *Network) detect(ctx context.Context, matrix [][]float64, grid []float64) ([]radar.Detection, []radar.DetectionDiag, []error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	n.scr.tones = growRows(n.scr.tones, 2*nn)
-	tones := n.scr.tones[:2*nn]
-	freqs := n.scr.toneFreqs[:0]
-	idx := n.scr.toneIdx[:0]
-	for k := 0; k < 2*nn; k++ {
-		if !active[k/2] {
-			continue
-		}
-		node := n.nodes[k/2]
-		f := node.Uplink.F0
-		if k%2 == 1 {
-			f = node.Uplink.F1
-		}
-		freqs = append(freqs, f)
-		idx = append(idx, k)
+	n.scr.tones = growRows(n.scr.tones, len(n.nodes))
+	tones := n.scr.tones[:len(n.nodes)]
+	for i, node := range n.nodes {
+		tones[i] = append(tones[i][:0], node.Uplink.F0, node.Uplink.F1)
 	}
-	n.scr.toneFreqs, n.scr.toneIdx = freqs, idx
-	n.scr.sigRows = n.radar.SignatureProfilesInto(n.scr.sigRows, matrix, freqs, n.cfg.Period)
-	for j, k := range idx {
-		tones[k] = n.scr.sigRows[j]
-	}
-	n.scr.profs = growRows(n.scr.profs, nn)
-	profs := n.scr.profs[:nn]
-	nBins := 0
-	for j := range profs {
-		if !active[j] {
-			continue
-		}
-		p0, p1 := tones[2*j], tones[2*j+1]
-		s := dsp.Resize(profs[j], len(p0))
-		for b := range s {
-			s[b] = p0[b] + p1[b]
-		}
-		profs[j] = s
-		nBins = len(s)
-	}
-	owner := dsp.Resize(n.scr.owner, nBins)
-	n.scr.owner = owner
-	for b := 0; b < nBins; b++ {
-		best := -1
-		for j := 0; j < nn; j++ {
-			if !active[j] {
-				continue
-			}
-			if best < 0 || profs[j][b] > profs[best][b] {
-				best = j
-			}
-		}
-		owner[b] = best
-	}
-	binWidth := grid[1] - grid[0]
-	for j := range n.nodes {
-		if !active[j] {
-			continue
-		}
-		prof := profs[j]
-		med, ms := dsp.MedianWith(n.scr.med, prof)
-		n.scr.med = ms
-		bestBin, bestVal := -1, 0.0
-		for b := 0; b < nBins; b++ {
-			if owner[b] == j && prof[b] > bestVal {
-				bestBin, bestVal = b, prof[b]
-			}
-		}
-		candBin := bestBin
-		if candBin < 0 {
-			candBin, _ = dsp.MaxIndex(prof)
-		}
-		diags[j] = radar.SignatureDiagWithMedian(prof, candBin, med)
-		if bestBin < 0 || med <= 0 || bestVal < radar.DetectionThreshold*med {
-			errs[j] = radar.ErrTagNotFound
-			continue
-		}
-		delta := 0.0
-		if bestBin > 0 && bestBin < nBins-1 {
-			var amps [3]float64
-			amps[0] = math.Sqrt(prof[bestBin-1])
-			amps[1] = math.Sqrt(prof[bestBin])
-			amps[2] = math.Sqrt(prof[bestBin+1])
-			d, _ := dsp.ParabolicPeak(amps[:], 1)
-			delta = d
-		}
-		dets[j] = radar.Detection{
-			Range: grid[bestBin] + delta*binWidth,
-			Bin:   bestBin,
-			SNRdB: 10 * math.Log10(bestVal/med),
-		}
-	}
+	dets, diags, errs := n.radar.DetectTags(matrix, grid, tones, n.scr.active, n.cfg.Period)
 	return dets, diags, errs, nil
 }
 
@@ -693,12 +548,12 @@ func (n *Network) LocalizeContext(ctx context.Context, frame *fmcw.Frame, chirps
 		n.scr.mag = radar.MagnitudeMatrixInto(n.scr.mag, cm)
 		matrix, bg := radar.SubtractBackgroundMagInto(n.scr.mag, n.scr.bg)
 		n.scr.bg = bg
-		dets, _, derrs, err := n.detectNodes(ctx, matrix, grid)
+		dets, _, derrs, err := n.detect(ctx, matrix, grid)
 		if err != nil {
 			return nil, err
 		}
 		for i, derr := range derrs {
-			if errors.Is(derr, ErrNodeInactive) {
+			if !n.scr.active[i] {
 				continue
 			}
 			if derr != nil {

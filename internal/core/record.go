@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"biscatter/internal/channel"
 	"biscatter/internal/mac"
@@ -341,22 +342,10 @@ func compareOutcome(r *ReplayReport, round, node int, want, got trace.NodeOutcom
 	if want.DetectionErr != got.DetectionErr {
 		r.add(round, pre+"detection_err", quoteOr(want.DetectionErr), quoteOr(got.DetectionErr))
 	}
-	if !equalBits(want.UplinkBits, got.UplinkBits) {
+	if !slices.Equal(want.UplinkBits, got.UplinkBits) {
 		r.add(round, pre+"uplink_bits", fmt.Sprint(want.UplinkBits), fmt.Sprint(got.UplinkBits))
 	}
 	if want.UplinkErr != got.UplinkErr {
 		r.add(round, pre+"uplink_err", quoteOr(want.UplinkErr), quoteOr(got.UplinkErr))
 	}
-}
-
-func equalBits(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

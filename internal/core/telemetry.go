@@ -44,8 +44,6 @@ type coreTel struct {
 	dlBitErrs, dlBits *telemetry.Counter
 	upBitErrs, upBits *telemetry.Counter
 
-	detSNR, detPSL *telemetry.Gauge
-
 	nodes []nodeTel
 }
 
@@ -93,8 +91,6 @@ func newCoreTel(m *telemetry.Metrics, nNodes int) coreTel {
 		dlBits:     m.Counter("core.downlink.bits"),
 		upBitErrs:  m.Counter("core.uplink.bit_errors"),
 		upBits:     m.Counter("core.uplink.bits"),
-		detSNR:     m.Gauge("radar.detection.snr_db"),
-		detPSL:     m.Gauge("radar.detection.psl_db"),
 	}
 	for i := 0; i < nNodes; i++ {
 		p := "core.node." + strconv.Itoa(i)

@@ -185,22 +185,10 @@ func RunScenario(sc Scenario, rounds int, o Options) (ScenarioStats, error) {
 			if nr.DetectionErr == nil {
 				st.DetectHits++
 			}
-			st.Uplink.Add(bitMismatches(uplink[i], nr.UplinkBits), len(uplink[i]))
+			st.Uplink.Add(core.CountBitMismatches(uplink[i], nr.UplinkBits), len(uplink[i]))
 		}
 	}
 	return st, nil
-}
-
-// bitMismatches scores decoded uplink bits against the sent ground truth; a
-// sent bit missing from got counts as an error.
-func bitMismatches(sent, got []bool) int {
-	errs := 0
-	for i, b := range sent {
-		if i >= len(got) || got[i] != b {
-			errs++
-		}
-	}
-	return errs
 }
 
 // InterferenceDutySweep runs the jammed scenario across duty cycles with a

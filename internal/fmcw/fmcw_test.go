@@ -145,7 +145,7 @@ func TestFramePeriodInvariant(t *testing.T) {
 			return false
 		}
 		for _, c := range frame.Chirps {
-			if !approxEq(c.Period(), 120e-6, 1e-12) {
+			if !approxEq(c.Params.Duration+c.InterChirpDelay, 120e-6, 1e-12) {
 				return false
 			}
 		}

@@ -21,11 +21,6 @@ type Chirp struct {
 	Index int
 }
 
-// Period returns the total chirp period T_period = T_chirp + T_interC.
-func (c Chirp) Period() float64 {
-	return c.Params.Duration + c.InterChirpDelay
-}
-
 // Frame is a sequence of chirps with a common period and bandwidth but
 // (potentially) varying slopes — the unit of BiScatter's ISAC protocol.
 type Frame struct {
@@ -62,9 +57,6 @@ func NewFrameBuilder(base ChirpParams, period float64) (*FrameBuilder, error) {
 	}
 	return &FrameBuilder{base: base, period: period}, nil
 }
-
-// Period returns the builder's chirp period.
-func (b *FrameBuilder) Period() float64 { return b.period }
 
 // MaxChirpDuration returns the longest chirp duration the period admits.
 func (b *FrameBuilder) MaxChirpDuration() float64 { return b.period * MaxDutyCycle }

@@ -113,11 +113,6 @@ func (s *Scheme) DataRate() float64 {
 	return float64(s.BitsPerChirp()) / s.cfg.Period
 }
 
-// Beats returns the per-segment beat alphabet.
-func (s *Scheme) Beats() []float64 {
-	return append([]float64(nil), s.beats...)
-}
-
 // EncodeChirp maps bits (len == BitsPerChirp) to per-segment slope indices,
 // Gray-coded within each segment.
 func (s *Scheme) EncodeChirp(bits []bool) ([]int, error) {

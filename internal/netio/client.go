@@ -340,49 +340,6 @@ func (c *Client) handleEcho(now time.Time, msg *Heartbeat) {
 	}
 }
 
-// Wait keeps the session alive while the tag has nothing to submit: it
-// heartbeats at the session interval until d elapses (or ctx is done),
-// servicing echoes and evictions meanwhile. A tag process idling between
-// rounds calls this instead of sleeping so the gateway's liveness deadline
-// never passes.
-func (c *Client) Wait(ctx context.Context, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		now := time.Now()
-		if !now.Before(deadline) {
-			return nil
-		}
-		c.maybeHeartbeat(now)
-		wait := time.Until(deadline)
-		if hbDue := c.hb - now.Sub(c.lastHB); hbDue > 0 && hbDue < wait {
-			wait = hbDue
-		}
-		m, _, err := c.conn.Recv(wait)
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return err
-			}
-			continue
-		}
-		switch msg := m.(type) {
-		case *Heartbeat:
-			c.handleEcho(now, msg)
-		case *Evict:
-			if msg.SessionID != c.sid {
-				continue
-			}
-			c.cEvicted.Inc()
-			c.logf("client %d: evicted while idle (%s), re-handshaking", c.cfg.TagID, msg.Reason)
-			if err := c.reconnect(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
 // reconnect re-handshakes after an eviction, resuming at the gateway's
 // current round.
 func (c *Client) reconnect(ctx context.Context) error {

@@ -289,10 +289,6 @@ func NewGateway(conn Conn, cfg GatewayConfig, fn ExchangeFunc) *Gateway {
 	return g
 }
 
-// Round returns the next round the gateway will run (rounds completed so
-// far). Safe only after Run returns or before it starts.
-func (g *Gateway) Round() uint64 { return g.round }
-
 func (g *Gateway) logf(format string, args ...any) {
 	if g.cfg.Logf != nil {
 		g.cfg.Logf(format, args...)

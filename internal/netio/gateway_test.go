@@ -189,7 +189,7 @@ func TestGatewayHeartbeatKeepsSessionAlive(t *testing.T) {
 	if got := m.Counter("netio.evicted").Value(); got != 0 {
 		t.Fatalf("heartbeating session evicted (%d)", got)
 	}
-	if m.Histogram("netio.heartbeat.rtt_seconds").Count() == 0 {
+	if m.Snapshot().Histograms["netio.heartbeat.rtt_seconds"].Count == 0 {
 		t.Fatal("no heartbeat RTTs observed")
 	}
 	if got := m.Gauge("netio.sessions").Value(); got != 1 {

@@ -89,7 +89,7 @@ func TestFECCorrectsSymbolErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms2[dataStart+3] = swapped2
-	if _, err := plain.Decode(syms2); err == nil {
+	if _, err := decode(plain, syms2); err == nil {
 		t.Fatal("uncoded packet should have failed CRC (test premise broken)")
 	}
 }
@@ -144,7 +144,7 @@ func TestFECAllSymbolWidths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		got, err := c.Decode(syms)
+		got, err := decode(c, syms)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("bits=%d: round trip failed: %v", bits, err)
 		}

@@ -87,7 +87,7 @@ func FuzzPacketDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stream := symbolsFromBytes(a, data)
-		payload, err := cfg.Decode(stream)
+		payload, err := decode(cfg, stream)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -98,7 +98,7 @@ func FuzzPacketDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted payload failed to re-encode: %v", err)
 		}
-		back, err := cfg.Decode(syms)
+		back, err := decode(cfg, syms)
 		if err != nil {
 			t.Fatalf("re-encoded packet failed to decode: %v", err)
 		}

@@ -122,17 +122,12 @@ func (c Config) Durations(payload []byte) ([]float64, error) {
 	return out, nil
 }
 
-// Decode parses a received symbol stream (as classified by the tag decoder)
-// back into the payload. The stream may contain leading garbage before the
-// preamble; Decode searches for a run of at least HeaderLen/2 header symbols
-// followed by at least one sync symbol — tolerating a partially missed
-// header, which happens when the tag wakes mid-packet.
-func (c Config) Decode(stream []cssk.Symbol) ([]byte, error) {
-	payload, _, err := c.DecodeStats(stream)
-	return payload, err
-}
-
-// DecodeStats is Decode plus the FEC layer's diagnostics: how many coded
+// DecodeStats parses a received symbol stream (as classified by the tag
+// decoder) back into the payload. The stream may contain leading garbage
+// before the preamble; DecodeStats searches for a run of at least
+// HeaderLen/2 header symbols followed by at least one sync symbol —
+// tolerating a partially missed header, which happens when the tag wakes
+// mid-packet. It also returns the FEC layer's diagnostics: how many coded
 // bits were consumed and how many channel errors the code repaired. The
 // stats are meaningful even when decoding ultimately fails (e.g. the CRC
 // still mismatches after correction) — the link controller uses them as a
@@ -185,7 +180,7 @@ func (c Config) DecodeStats(stream []cssk.Symbol) ([]byte, fec.Stats, error) {
 
 // FindPayloadStart locates the index of the first data symbol after the
 // preamble, tolerating a partially missed header. It is the sync-search
-// primitive Decode uses, exported for consumers that need symbol-level
+// primitive DecodeStats uses, exported for consumers that need symbol-level
 // alignment (e.g. BER counting against a known transmitted stream).
 func (c Config) FindPayloadStart(stream []cssk.Symbol) (int, bool) {
 	return c.findPayloadStart(stream)

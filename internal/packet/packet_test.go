@@ -10,6 +10,12 @@ import (
 	"biscatter/internal/cssk"
 )
 
+// decode is DecodeStats without the FEC diagnostics.
+func decode(c Config, stream []cssk.Symbol) ([]byte, error) {
+	payload, _, err := c.DecodeStats(stream)
+	return payload, err
+}
+
 func testAlphabet(t testing.TB, bits int) *cssk.Alphabet {
 	t.Helper()
 	const deltaL = 45 * 0.0254
@@ -90,7 +96,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		got, err := c.Decode(syms)
+		got, err := decode(c, syms)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
@@ -110,7 +116,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := c.Decode(syms)
+		got, err := decode(c, syms)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -131,7 +137,7 @@ func TestDecodeWithLeadingGarbage(t *testing.T) {
 		}
 		garbage = append(garbage, s)
 	}
-	got, err := c.Decode(append(garbage, syms...))
+	got, err := decode(c, append(garbage, syms...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestDecodeToleratesPartialHeader(t *testing.T) {
 	c := testConfig(t, 5)
 	payload := []byte{1, 2, 3}
 	syms, _ := c.Encode(payload)
-	got, err := c.Decode(syms[c.HeaderLen/2:])
+	got, err := decode(c, syms[c.HeaderLen/2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +164,10 @@ func TestDecodeMissingPreamble(t *testing.T) {
 	c := testConfig(t, 5)
 	s, _ := c.Alphabet.DataSymbol(0)
 	stream := []cssk.Symbol{s, s, s, s}
-	if _, err := c.Decode(stream); !errors.Is(err, ErrNoPreamble) {
+	if _, err := decode(c, stream); !errors.Is(err, ErrNoPreamble) {
 		t.Fatalf("expected ErrNoPreamble, got %v", err)
 	}
-	if _, err := c.Decode(nil); !errors.Is(err, ErrNoPreamble) {
+	if _, err := decode(c, nil); !errors.Is(err, ErrNoPreamble) {
 		t.Fatalf("expected ErrNoPreamble on empty stream, got %v", err)
 	}
 }
@@ -173,7 +179,7 @@ func TestDecodeSyncWithoutHeaderRejected(t *testing.T) {
 	// Strip the entire header: a bare sync must not be accepted, because a
 	// random data symbol near the sync beat would otherwise cause framing
 	// errors.
-	if _, err := c.Decode(syms[c.HeaderLen:]); !errors.Is(err, ErrNoPreamble) {
+	if _, err := decode(c, syms[c.HeaderLen:]); !errors.Is(err, ErrNoPreamble) {
 		t.Fatalf("expected ErrNoPreamble, got %v", err)
 	}
 }
@@ -182,7 +188,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 	c := testConfig(t, 5)
 	syms, _ := c.Encode([]byte("hello world"))
 	cut := syms[:len(syms)-5]
-	if _, err := c.Decode(cut); !errors.Is(err, ErrTruncated) {
+	if _, err := decode(c, cut); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("expected ErrTruncated, got %v", err)
 	}
 }
@@ -200,7 +206,7 @@ func TestDecodeCorruptedPayloadFailsCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms[di] = alt
-	if _, err := c.Decode(syms); !errors.Is(err, ErrCRC) {
+	if _, err := decode(c, syms); !errors.Is(err, ErrCRC) {
 		t.Fatalf("expected ErrCRC, got %v", err)
 	}
 }
@@ -211,7 +217,7 @@ func TestDecodeEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(syms)
+	got, err := decode(c, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +270,14 @@ func TestBackToBackPackets(t *testing.T) {
 	s1, _ := c.Encode(p1)
 	s2, _ := c.Encode(p2)
 	stream := append(append([]cssk.Symbol{}, s1...), s2...)
-	got1, err := c.Decode(stream)
+	got1, err := decode(c, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got1, p1) {
 		t.Fatalf("first packet: got %q", got1)
 	}
-	got2, err := c.Decode(stream[len(s1):])
+	got2, err := decode(c, stream[len(s1):])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestDecodeNeverPanicsOnRandomStreams(t *testing.T) {
 				stream[i] = s
 			}
 		}
-		payload, err := c.Decode(stream)
+		payload, err := decode(c, stream)
 		if err != nil {
 			return true
 		}
@@ -42,7 +42,7 @@ func TestDecodeNeverPanicsOnRandomStreams(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := c.Decode(re)
+		back, err := decode(c, re)
 		return err == nil && bytes.Equal(back, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -75,7 +75,7 @@ func TestDecodeWithSymbolErasures(t *testing.T) {
 			}
 			stream[i] = s
 		}
-		got, err := c.Decode(stream)
+		got, err := decode(c, stream)
 		if err == nil && !bytes.Equal(got, payload) {
 			wrongDeliveries++
 		}
@@ -98,7 +98,7 @@ func TestDecodeWithLostChirps(t *testing.T) {
 		stream := append([]cssk.Symbol(nil), clean...)
 		drop := rng.Intn(len(stream))
 		stream = append(stream[:drop], stream[drop+1:]...)
-		got, err := c.Decode(stream)
+		got, err := decode(c, stream)
 		if err == nil && !bytes.Equal(got, payload) {
 			// Dropping a preamble symbol is harmless; dropping a data
 			// symbol shifts the payload and must be caught by the CRC.

@@ -10,10 +10,28 @@ import (
 	"biscatter/internal/fmcw"
 )
 
+// singleToneProfile is the test oracle for the batched signature scan: for
+// every range bin, gather the slow-time column and take its Goertzel power
+// at fMod, one tone and one bin at a time.
+func singleToneProfile(matrix [][]float64, fMod, period float64) []float64 {
+	if len(matrix) == 0 {
+		return nil
+	}
+	prof := make([]float64, len(matrix[0]))
+	col := make([]float64, len(matrix))
+	for b := range prof {
+		for i := range col {
+			col[i] = matrix[i][b]
+		}
+		prof[b] = dsp.GoertzelPower(col, fMod, 1/period)
+	}
+	return prof
+}
+
 // TestSignatureProfilesIntoMatchesSingle pins the batched multi-tone
-// signature scan against one SignatureProfileInto call per tone, bit for
-// bit, and requires the result to be byte-identical at 1, 4, and 8 workers
-// — the worker-invariance contract extended to the batched fast path.
+// signature scan against the single-tone oracle, bit for bit, and requires
+// the result to be byte-identical at 1, 4, and 8 workers — the
+// worker-invariance contract extended to the batched fast path.
 func TestSignatureProfilesIntoMatchesSingle(t *testing.T) {
 	chirp := fmcw.ChirpParams{StartFrequency: 9e9, Bandwidth: 1e9, Duration: 60e-6, SampleRate: 2e6}
 	builder, err := fmcw.NewFrameBuilder(chirp, 120e-6)
@@ -49,7 +67,7 @@ func TestSignatureProfilesIntoMatchesSingle(t *testing.T) {
 			t.Fatalf("workers=%d: %d rows, want %d", workers, len(batch), len(freqs))
 		}
 		for i, f := range freqs {
-			single := rd.SignatureProfileInto(nil, matrix, f, period)
+			single := singleToneProfile(matrix, f, period)
 			if len(batch[i]) != len(single) {
 				t.Fatalf("workers=%d f=%v: batch row %d bins, single %d", workers, f, len(batch[i]), len(single))
 			}

@@ -128,56 +128,15 @@ func SubtractBackgroundMagInto(matrix [][]float64, bg []float64) ([][]float64, [
 	return matrix, bg
 }
 
-// slowTimeTonePower returns the power of the slow-time tone at the given
-// modulation frequency for one range bin of the magnitude matrix. col is
-// caller scratch with capacity for one slow-time column (len(matrix)).
-func slowTimeTonePower(col []float64, matrix [][]float64, bin int, fMod, chirpRate float64) float64 {
-	col = col[:len(matrix)]
-	for i := range col {
-		col[i] = matrix[i][bin]
-	}
-	return dsp.GoertzelPower(col, fMod, chirpRate)
-}
-
-// SignatureProfile computes, for every range bin, the power of the
-// modulation tone at fMod across slow time. The tag's square-wave switching
-// concentrates power at its modulation frequency (the sinc signature of
-// §3.3), so this is the matched-filter statistic. The per-bin Goertzel
-// scans are independent and fan out across the radar's worker pool; each
-// bin is written by index, so the profile is identical for any worker
-// count.
-func (r *Radar) SignatureProfile(matrix [][]float64, fMod, period float64) []float64 {
-	return r.SignatureProfileInto(nil, matrix, fMod, period)
-}
-
-// SignatureProfileInto is SignatureProfile writing into dst (grown as
-// needed; pass the returned profile back in to reuse it). Per-bin slow-time
-// columns come from the claiming worker's arena.
-func (r *Radar) SignatureProfileInto(dst []float64, matrix [][]float64, fMod, period float64) []float64 {
-	sp := r.tel.matched.Span()
-	defer sp.End()
-	if len(matrix) == 0 {
-		return nil
-	}
-	chirpRate := 1 / period
-	nBins := len(matrix[0])
-	out := dsp.Resize(dst, nBins)
-	r.pool.ForArena(nBins, func(b int, a *dsp.Arena) {
-		out[b] = slowTimeTonePower(a.Float(len(matrix)), matrix, b, fMod, chirpRate)
-	})
-	return out
-}
-
-// SignatureProfilesInto computes SignatureProfile for many modulation
-// frequencies in one traversal of the magnitude matrix: each range bin's
-// slow-time column is gathered once and every tone's Goertzel recurrence
-// runs over that same column, with the per-tone trig constants hoisted out
-// of the bin loop. Per (tone, bin) the arithmetic is identical to
-// SignatureProfileInto — same column values, same recurrence — so the
-// profiles are bit-identical for any worker count; only the memory traffic
-// changes. The joint multi-node detection scan previously re-traversed the
-// whole matrix once per tone (2 tones per node), which made it the second-
-// largest stage of the exchange after tag decoding.
+// SignatureProfilesInto computes, for every range bin and every modulation
+// frequency in freqs, the power of that tone across slow time. The tag's
+// square-wave switching concentrates power at its modulation frequency (the
+// sinc signature of §3.3), so this is the matched-filter statistic. Each
+// range bin's slow-time column is gathered once and every tone's Goertzel
+// recurrence runs over that same column, with the per-tone trig constants
+// hoisted out of the bin loop. The per-bin scans fan out across the radar's
+// worker pool and each bin is written by index, so the profiles are
+// bit-identical for any worker count.
 //
 // dst is grown to one row per frequency (rows reused across calls) and
 // returned; rows follow the usual radar-owned-scratch ownership rules.
@@ -214,59 +173,143 @@ func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs
 // DetectTag locates the backscatter tag that modulates at fMod by finding
 // the range bin with the strongest signature and refining the peak with
 // parabolic interpolation — the step that turns bin-width resolution into
-// centimeter-level localization.
+// centimeter-level localization. It is the one-tag, one-tone DetectTags.
 func (r *Radar) DetectTag(matrix [][]float64, grid []float64, fMod, period float64) (Detection, error) {
-	return r.DetectTagExcluding(matrix, grid, fMod, period, nil, 0)
+	dets, _, errs := r.DetectTags(matrix, grid, [][]float64{{fMod}}, []bool{true}, period)
+	return dets[0], errs[0]
 }
 
-// DetectTagExcluding is DetectTag with an exclusion mask: bins within
-// maskWidth of any excluded bin are skipped. Multi-tag deployments detect
-// nodes in order of decreasing signature strength and mask the claimed bins,
-// because a strong nearby tag's modulation harmonics and bit-pattern
-// sidebands can out-power a weak distant tag's fundamental at the strong
-// tag's own range bin (the backscatter near-far problem, §6).
-func (r *Radar) DetectTagExcluding(matrix [][]float64, grid []float64, fMod, period float64, exclude []int, maskWidth int) (Detection, error) {
-	prof := r.SignatureProfile(matrix, fMod, period)
-	if len(prof) < 3 {
-		return Detection{}, fmt.Errorf("radar: signature profile too short (%d bins)", len(prof))
-	}
-	med := dsp.Median(prof) // from the unmasked profile: a stable noise estimate
-	for _, e := range exclude {
-		lo, hi := e-maskWidth, e+maskWidth
-		if lo < 0 {
-			lo = 0
+// DetectTags locates every active tag in one joint search. tones[j] lists
+// tag j's modulation tones (F0 and F1 for an FSK tag; at least one for an
+// active tag) and active[j] says whether tag j is searched; a tag outside the active set holds a static
+// switch state, so its tones carry nothing, and it must not contest the
+// bins of an active tag that shares them.
+//
+// A tag's signature is the sum of its tones' profiles, all taken from one
+// batched SignatureProfilesInto scan. A single-tag search per tone is not
+// enough in multi-tag deployments: a strong nearby tag's modulation
+// harmonics and bit-pattern sidebands can out-power a weak distant tag's
+// fundamental at the strong tag's own range bin (the backscatter near-far
+// problem, §6). So every range bin is owned by the active tag whose
+// signature is strongest there — at a tag's true bin its own fundamentals
+// always dominate another tag's spectral splatter — and each tag peaks only
+// over the bins it owns. The peak must reach DetectionThreshold times the
+// median signature across all bins; parabolic interpolation on amplitude
+// then refines it.
+//
+// The returned slices are radar-owned scratch, valid until the next
+// DetectTags or DetectTag call; callers that keep them must copy. The
+// diagnostics are populated for every active tag — on a failed detection
+// they describe the best candidate bin, so callers can see how far below
+// threshold the miss was. Entries of inactive tags stay zero, with a nil
+// error. The detection gauges are set once per found tag, in tag order, so
+// the surviving value does not depend on the worker count.
+func (r *Radar) DetectTags(matrix [][]float64, grid []float64, tones [][]float64, active []bool, period float64) ([]Detection, []DetectionDiag, []error) {
+	sc := &r.scr.det
+	nt := len(tones)
+	sc.dets = dsp.Resize(sc.dets, nt)
+	sc.diags = dsp.Resize(sc.diags, nt)
+	sc.errs = dsp.Resize(sc.errs, nt)
+	dets, diags, errs := sc.dets, sc.diags, sc.errs
+	clear(dets)
+	clear(diags)
+	clear(errs)
+	freqs := sc.freqs[:0]
+	for j, ts := range tones {
+		if active[j] {
+			freqs = append(freqs, ts...)
 		}
-		if hi >= len(prof) {
-			hi = len(prof) - 1
+	}
+	sc.freqs = freqs
+	if len(freqs) == 0 {
+		return dets, diags, errs
+	}
+	nBins := 0
+	if len(matrix) > 0 {
+		nBins = len(matrix[0])
+	}
+	if nBins < 3 {
+		err := fmt.Errorf("radar: signature profile too short (%d bins)", nBins)
+		for j := range tones {
+			if active[j] {
+				errs[j] = err
+			}
 		}
-		for b := lo; b <= hi; b++ {
-			prof[b] = 0
+		return dets, diags, errs
+	}
+	// Sum each active tag's tone rows into its first row; profs[j] is that
+	// row.
+	sc.rows = r.SignatureProfilesInto(sc.rows, matrix, freqs, period)
+	sc.profs = ensureRows(sc.profs, nt)
+	profs := sc.profs[:nt]
+	row := 0
+	for j, ts := range tones {
+		profs[j] = nil
+		if !active[j] {
+			continue
 		}
+		s := sc.rows[row]
+		for _, t := range sc.rows[row+1 : row+len(ts)] {
+			for b := range s {
+				s[b] += t[b]
+			}
+		}
+		profs[j] = s
+		row += len(ts)
 	}
-	bin, peak := dsp.MaxIndex(prof)
-	if med <= 0 || peak < DetectionThreshold*med {
-		return Detection{}, ErrTagNotFound
+	owner := dsp.Resize(sc.owner, nBins)
+	sc.owner = owner
+	for b := range owner {
+		best := -1
+		for j, p := range profs {
+			if p != nil && (best < 0 || p[b] > profs[best][b]) {
+				best = j
+			}
+		}
+		owner[b] = best
 	}
-	delta := 0.0
-	if bin > 0 && bin < len(prof)-1 {
-		// Interpolate on amplitude (√power) for a less biased vertex.
-		amps := []float64{math.Sqrt(prof[bin-1]), math.Sqrt(prof[bin]), math.Sqrt(prof[bin+1])}
-		d, _ := dsp.ParabolicPeak(amps, 1)
-		delta = d
-	}
-	binWidth := grid[1] - grid[0]
-	det := Detection{
-		Range: grid[bin] + delta*binWidth,
-		Bin:   bin,
-		SNRdB: 10 * math.Log10(peak/med),
+	for j, prof := range profs {
+		if prof == nil {
+			continue
+		}
+		var med float64
+		med, sc.med = dsp.MedianWith(sc.med, prof)
+		bestBin, bestVal := -1, 0.0
+		for b, v := range prof {
+			if owner[b] == j && v > bestVal {
+				bestBin, bestVal = b, v
+			}
+		}
+		candBin := bestBin
+		if candBin < 0 {
+			candBin, _ = dsp.MaxIndex(prof)
+		}
+		diags[j] = SignatureDiagWithMedian(prof, candBin, med)
+		if bestBin < 0 || med <= 0 || bestVal < DetectionThreshold*med {
+			errs[j] = ErrTagNotFound
+			continue
+		}
+		delta := 0.0
+		if bestBin > 0 && bestBin < nBins-1 {
+			// Interpolate on amplitude (√power) for a less biased vertex.
+			amps := [3]float64{math.Sqrt(prof[bestBin-1]), math.Sqrt(bestVal), math.Sqrt(prof[bestBin+1])}
+			delta, _ = dsp.ParabolicPeak(amps[:], 1)
+		}
+		dets[j] = Detection{
+			Range: grid[bestBin] + delta*(grid[1]-grid[0]),
+			Bin:   bestBin,
+			SNRdB: 10 * math.Log10(bestVal/med),
+		}
 	}
 	if r.tel.detSNR != nil {
-		r.tel.detSNR.Set(det.SNRdB)
-		// med is the same noise estimate the threshold above used; reusing
-		// it skips the sort a fresh median would cost.
-		r.tel.detPSL.Set(SignatureDiagWithMedian(prof, bin, med).PeakToSidelobeDB)
+		for j, prof := range profs {
+			if prof != nil && errs[j] == nil {
+				r.tel.detSNR.Set(dets[j].SNRdB)
+				r.tel.detPSL.Set(diags[j].PeakToSidelobeDB)
+			}
+		}
 	}
-	return det, nil
+	return dets, diags, errs
 }
 
 // UplinkFSKConfig describes the tag's slow-time FSK parameters as known to
@@ -294,8 +337,7 @@ func (r *Radar) DecodeUplinkFSK(matrix [][]float64, bin int, cfg UplinkFSKConfig
 	nBits := len(matrix) / cfg.ChirpsPerBit
 	bits := make([]bool, 0, nBits)
 	// Gather each bit window's slow-time column once and evaluate both tones
-	// over it with hoisted Goertzel constants — bit-identical to two
-	// slowTimeTonePower calls, at half the gathers and none of the trig.
+	// over it with hoisted Goertzel constants.
 	c0 := dsp.NewGoertzelCoeff(cfg.F0, chirpRate)
 	c1 := dsp.NewGoertzelCoeff(cfg.F1, chirpRate)
 	col := make([]float64, cfg.ChirpsPerBit) // one column buffer for all windows
@@ -322,14 +364,17 @@ func (r *Radar) DecodeUplinkOOK(matrix [][]float64, bin int, fMod float64, chirp
 	if bin < 0 || len(matrix) == 0 || bin >= len(matrix[0]) {
 		return nil, fmt.Errorf("radar: range bin %d out of bounds", bin)
 	}
-	chirpRate := 1 / period
+	c := dsp.NewGoertzelCoeff(fMod, 1/period)
 	nBits := len(matrix) / chirpsPerBit
 	powers := make([]float64, nBits)
 	col := make([]float64, chirpsPerBit)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for w := 0; w < nBits; w++ {
 		sub := matrix[w*chirpsPerBit : (w+1)*chirpsPerBit]
-		p := slowTimeTonePower(col, sub, bin, fMod, chirpRate)
+		for i := range col {
+			col[i] = sub[i][bin]
+		}
+		p := dsp.GoertzelPowerWith(col, c)
 		powers[w] = p
 		lo = math.Min(lo, p)
 		hi = math.Max(hi, p)

@@ -90,9 +90,14 @@ func FuzzIFCorrection(f *testing.F) {
 			t.Fatalf("corrected matrix %dx%d, want %dx64", len(cm), len(grid), nChirps)
 		}
 		matrix := SubtractBackgroundMag(MagnitudeMatrix(cm))
-		prof := rd.SignatureProfile(matrix, 1250, 120e-6)
+		prof := rd.SignatureProfilesInto(nil, matrix, []float64{1250}, 120e-6)[0]
 		if len(prof) != len(grid) {
 			t.Fatalf("signature profile %d bins, want %d", len(prof), len(grid))
+		}
+		for b, v := range singleToneProfile(matrix, 1250, 120e-6) {
+			if math.Float64bits(v) != math.Float64bits(prof[b]) {
+				t.Fatalf("bin %d: batched scan %v, single-tone oracle %v", b, prof[b], v)
+			}
 		}
 		cfg := UplinkFSKConfig{F0: 1250, F1: 1770, ChirpsPerBit: 2, Period: 120e-6}
 		if _, err := rd.DecodeUplinkFSK(matrix, 0, cfg); err != nil {

@@ -93,26 +93,3 @@ func TestUplinkRobustToMissingTrailingChirps(t *testing.T) {
 		}
 	}
 }
-
-// TestDetectTagExcludingMasksBins verifies the exclusion mask used by the
-// multi-tag successive detection.
-func TestDetectTagExcludingMasksBins(t *testing.T) {
-	r := testRadar(t, 42)
-	b := testBuilder(t)
-	const nChirps = 64
-	const fMod = 2e3
-	frame, _ := b.BuildUniform(nChirps, 60e-6)
-	scene := Scene{Tags: []TagEcho{{Range: 3.0, States: toneStates(fMod, nChirps), PowerDBm: -95}}}
-	cap := r.Observe(frame, scene)
-	cm, grid := r.CorrectedMatrix(cap)
-	matrix := SubtractBackgroundMag(MagnitudeMatrix(cm))
-	det, err := r.DetectTag(matrix, grid, fMod, tPeriod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Masking the detected bin must move or kill the detection.
-	det2, err := r.DetectTagExcluding(matrix, grid, fMod, tPeriod, []int{det.Bin}, 8)
-	if err == nil && det2.Bin == det.Bin {
-		t.Fatal("excluded bin was detected again")
-	}
-}

@@ -31,8 +31,7 @@ const (
 	StageMatchedFilter = "radar.matched_filter"
 )
 
-// Telemetry gauge names shared by the radar detection paths (the core
-// exchange engine writes the same gauges for its joint multi-node search).
+// Telemetry gauge names of the tag search (DetectTags), set per found tag.
 const (
 	GaugeDetectionSNR = "radar.detection.snr_db"
 	GaugeDetectionPSL = "radar.detection.psl_db"
@@ -130,6 +129,8 @@ type radarScratch struct {
 	// coeffs holds the per-tone Goertzel constants of the batched signature
 	// scan (SignatureProfilesInto).
 	coeffs []dsp.GoertzelCoeff
+	// det backs the joint tag search (DetectTags).
+	det detectScratch
 	// wins caches the per-duration Hann windows of rangeFFTInto. A
 	// CSSK frame reuses a few dozen distinct chirp durations (one per
 	// constellation point), so the window samples and their running sum are
@@ -139,6 +140,20 @@ type radarScratch struct {
 	// chirpPh[i] holds the tables chirp i of the current frame reads.
 	phasors phasorCache
 	chirpPh [][][]complex128
+}
+
+// detectScratch is the joint tag search's buffer set: the active tones,
+// their signature rows (summed per tag in place), each tag's signature row,
+// bin ownership, median sort scratch and the per-tag outputs.
+type detectScratch struct {
+	freqs []float64
+	rows  [][]float64
+	profs [][]float64
+	owner []int
+	med   []float64
+	dets  []Detection
+	diags []DetectionDiag
+	errs  []error
 }
 
 // phasorCache holds the unit phasor sequences exp(j·ph_k) of the current

@@ -344,7 +344,7 @@ func TestDecodeUplinkFSKRoundTrip(t *testing.T) {
 	}
 	bits := []bool{true, false, true, true, false, false, true, false}
 	nChirps := len(bits) * mod.ChirpsPerBit
-	states := mod.States(bits, tPeriod, nChirps)
+	states := mod.StatesInto(nil, bits, tPeriod, nChirps)
 	frame, _ := b.BuildUniform(nChirps, 60e-6)
 	const dist = 2.8
 	scene := Scene{Tags: []TagEcho{{Range: dist, States: states, PowerDBm: -100}}}
@@ -381,7 +381,7 @@ func TestDecodeUplinkFSKPropertyAcrossPayloads(t *testing.T) {
 			bits[i] = raw&(1<<uint(i)) != 0
 		}
 		nChirps := len(bits) * mod.ChirpsPerBit
-		states := mod.States(bits, tPeriod, nChirps)
+		states := mod.StatesInto(nil, bits, tPeriod, nChirps)
 		frame, err := b.BuildUniform(nChirps, 60e-6)
 		if err != nil {
 			return false
@@ -425,7 +425,7 @@ func TestDecodeUplinkOOKRoundTrip(t *testing.T) {
 	}
 	bits := []bool{true, false, true, false, false, true}
 	nChirps := len(bits) * mod.ChirpsPerBit
-	states := mod.States(bits, tPeriod, nChirps)
+	states := mod.StatesInto(nil, bits, tPeriod, nChirps)
 	frame, _ := b.BuildUniform(nChirps, 60e-6)
 	scene := Scene{Tags: []TagEcho{{Range: 3.1, States: states, PowerDBm: -100}}}
 	cap := r.Observe(frame, scene)

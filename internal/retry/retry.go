@@ -85,14 +85,19 @@ const jitter = 0.25
 
 // Backoff returns the delay before retry i (0 = the first retry): nominal
 // first × factor^i grown as an iterative product, placed in the jitter band
-// by the caller's uniform draw u ∈ [0, 1), then capped at 16 × first. The
+// by the caller's uniform draw u ∈ [0, 1), and never above 16 × first. The
 // cap keeps a long retry run from sleeping for minutes, past any liveness
-// deadline.
+// deadline. Once the nominal delay reaches the cap, the draw lands in the
+// band [1-jitter, 1) × cap just below it, so capped retries stay spread out
+// instead of piling up on the cap itself.
 func Backoff(first time.Duration, factor float64, i int, u float64) time.Duration {
 	nominal := float64(first)
 	limit := 16 * nominal
 	for k := 0; k < i && nominal < limit; k++ {
 		nominal *= factor
+	}
+	if nominal >= limit {
+		return time.Duration(limit * (1 - jitter*(1-u)))
 	}
 	return time.Duration(min(nominal*(1-jitter+2*jitter*u), limit))
 }

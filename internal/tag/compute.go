@@ -1,7 +1,6 @@
 package tag
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -28,20 +27,6 @@ func DefaultComputeModel() ComputeModel {
 		Candidates:     34,
 		EnergyPerMACpJ: 5,
 	}
-}
-
-// Validate checks the model.
-func (c ComputeModel) Validate() error {
-	if c.WindowSamples < 1 {
-		return fmt.Errorf("tag: window samples %d must be positive", c.WindowSamples)
-	}
-	if c.Candidates < 1 {
-		return fmt.Errorf("tag: candidates %d must be positive", c.Candidates)
-	}
-	if c.EnergyPerMACpJ <= 0 {
-		return fmt.Errorf("tag: energy per MAC %v must be positive", c.EnergyPerMACpJ)
-	}
-	return nil
 }
 
 // GoertzelMACs returns the multiply-accumulates per symbol for the Goertzel

@@ -5,22 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestDefaultComputeModelValid(t *testing.T) {
-	if err := DefaultComputeModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []ComputeModel{
-		{WindowSamples: 0, Candidates: 1, EnergyPerMACpJ: 1},
-		{WindowSamples: 1, Candidates: 0, EnergyPerMACpJ: 1},
-		{WindowSamples: 1, Candidates: 1, EnergyPerMACpJ: 0},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
 func TestGoertzelMACsLinearInWindow(t *testing.T) {
 	a := ComputeModel{WindowSamples: 60, Candidates: 34, EnergyPerMACpJ: 5}
 	b := a

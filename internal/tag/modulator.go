@@ -79,15 +79,10 @@ func NewModulator(scheme UplinkScheme, f0, f1, period float64, chirpsPerBit int)
 	return &Modulator{Scheme: scheme, F0: f0, F1: f1, ChirpsPerBit: chirpsPerBit}, nil
 }
 
-// States returns the per-chirp switch states (true = reflective) for the
-// given uplink bits over n chirps with the given chirp period. Chirps beyond
-// the last bit keep modulating at F0, preserving the tag's localization
-// signature.
-func (m *Modulator) States(bits []bool, period float64, n int) []bool {
-	return m.StatesInto(make([]bool, n), bits, period, n)
-}
-
-// StatesInto is States writing into dst, which is grown as needed and
+// StatesInto returns the per-chirp switch states (true = reflective) for
+// the given uplink bits over n chirps with the given chirp period. Chirps
+// beyond the last bit keep modulating at F0, preserving the tag's
+// localization signature. It writes into dst, which is grown as needed and
 // returned; every element is assigned, so dst may hold stale contents.
 func (m *Modulator) StatesInto(dst []bool, bits []bool, period float64, n int) []bool {
 	out := dsp.Resize(dst, n)

@@ -243,7 +243,7 @@ func TestDecodeSymbolsCleanChannel(t *testing.T) {
 	if diag.Symbols < len(frame.Chirps)-1 {
 		t.Fatalf("decoded %d symbols from %d chirps", diag.Symbols, len(frame.Chirps))
 	}
-	got, err := s.pkt.Decode(syms)
+	got, _, err := s.pkt.DecodeStats(syms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestModulatorOOKStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0-bit: statically reflective.
-	states := m.States([]bool{false}, testPeriod, 8)
+	states := m.StatesInto(nil, []bool{false}, testPeriod, 8)
 	for i, st := range states {
 		if !st {
 			t.Fatalf("0-bit chirp %d should be reflective", i)
@@ -370,7 +370,7 @@ func TestModulatorOOKStates(t *testing.T) {
 	// 1-bit: toggling at F0 = 1 kHz (period 1 ms ≈ 8.3 chirps): both states
 	// must appear within a bit of 8 chirps... use a faster tone.
 	m2, _ := NewModulator(SchemeOOK, 4e3, 0, testPeriod, 8)
-	states = m2.States([]bool{true}, testPeriod, 8)
+	states = m2.StatesInto(nil, []bool{true}, testPeriod, 8)
 	var on, off int
 	for _, st := range states {
 		if st {
@@ -398,8 +398,8 @@ func TestModulatorFSKStatesFrequency(t *testing.T) {
 		}
 		return n
 	}
-	s0 := m.States([]bool{false}, testPeriod, 32)
-	s1 := m.States([]bool{true}, testPeriod, 32)
+	s0 := m.StatesInto(nil, []bool{false}, testPeriod, 32)
+	s1 := m.StatesInto(nil, []bool{true}, testPeriod, 32)
 	if countTransitions(s1) <= countTransitions(s0) {
 		t.Fatalf("F1 bit should toggle faster: %d vs %d transitions",
 			countTransitions(s1), countTransitions(s0))

@@ -10,8 +10,8 @@
 // telemetry is disabled the hot path pays a nil check and nothing else, and
 // no time.Now calls are made.
 //
-// Determinism contract: metric *counts* (Counter values, Histogram.Count)
-// depend only on the work performed, never on worker-pool width or
+// Determinism contract: metric *counts* (Counter values, histogram sample
+// counts) depend only on the work performed, never on worker-pool width or
 // scheduling; timing values (histogram quantiles, span durations) and live
 // pool gauges are exempt. Tests pin the counts across worker counts.
 package telemetry
@@ -110,14 +110,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-}
-
-// Count returns the lifetime observation count (zero on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Span returns a running timer that records its duration into h at End.

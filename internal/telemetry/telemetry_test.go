@@ -208,7 +208,7 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 	if got := m.Counter("shared.count").Value(); got != goroutines*perG {
 		t.Fatalf("shared counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := m.Histogram("shared.hist").Count(); got != goroutines*perG {
+	if got := m.Snapshot().Histograms["shared.hist"].Count; got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	if got := m.Gauge("shared.level").Value(); got != 0 {
