@@ -268,8 +268,11 @@ func BenchmarkAblationSyncTolerance(b *testing.B) {
 		maxSkip = 0
 		for skip := 0.0; skip < 5; skip += 0.5 {
 			x := node.Tag.FrontEnd.Capture(frame, snr, skip*n.Config().Period, 0)
-			got, _, err := node.Tag.Decoder.DecodePacket(x, n.Packet())
-			if err != nil || string(got) != string(payload) {
+			syms, _, err := node.Tag.Decoder.DecodeFrame(x)
+			if err != nil {
+				break
+			}
+			if got, _, err := n.Packet().DecodeStats(syms); err != nil || string(got) != string(payload) {
 				break
 			}
 			maxSkip = skip

@@ -211,7 +211,8 @@ type Network struct {
 
 // exchangeScratch is the per-exchange buffer set the pipeline reuses: the
 // scene's tag echoes and switch states, the magnitude matrix and background
-// row, and each node's tone pair for the radar's joint tag search.
+// row, each node's tone pair for the radar's joint tag search, and the
+// round's stage state.
 type exchangeScratch struct {
 	tags   []radar.TagEcho
 	states [][]bool
@@ -222,10 +223,10 @@ type exchangeScratch struct {
 	// inactive nodes hold a static switch state and are skipped by the
 	// decode/detect stages. Set by setActive before every round.
 	active []bool
-	// group and roundBits are the scheduled-exchange loop's reusable
-	// per-round group list and uplink-bit subset.
-	group     []int
-	roundBits map[int][]bool
+	// group is the schedule loop's reusable group list (eachGroup).
+	group []int
+	// x is the current round's stage state.
+	x exchangeState
 }
 
 // growRows extends a row set to at least n entries (appending nil rows)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"biscatter/internal/channel"
 	"biscatter/internal/dsp"
@@ -161,6 +162,157 @@ func (n *Network) warmRadar() error {
 	return nil
 }
 
+// The exchange is one ordered list of named stages. Each stage is timed
+// once, from its name (telemetry.Metrics.StartSpan): one span feeds both
+// the histogram "<name>.seconds" and, on a traced round, the trace span
+// <name>. The names are roundbench's: the round (stageExchange, the trace
+// root), the round stages below, and the per-node units (tag.capture,
+// tag.decode, packet.deframe in tag.downlink; radar.uplink_demod after).
+const stageExchange = "core.exchange"
+
+// stage is one named round-level step of the exchange.
+type stage struct {
+	name string
+	run  func(n *Network, ctx context.Context, x *exchangeState) error
+}
+
+// exchangeStages is the exchange's round-level pipeline, in order.
+var exchangeStages = []stage{
+	{"packet.frame_build", (*Network).frameBuildStage},
+	{"tag.downlink", (*Network).downlinkStage},
+	{"tag.uplink_states", func(n *Network, _ context.Context, x *exchangeState) (err error) {
+		x.scene, err = n.buildScene(x.frame, x.bits)
+		return err
+	}},
+	{"radar.observe", func(n *Network, ctx context.Context, x *exchangeState) (err error) {
+		x.capt, err = n.radar.ObserveContext(ctx, x.frame, x.scene)
+		return err
+	}},
+	{"radar.corrected", func(n *Network, ctx context.Context, x *exchangeState) (err error) {
+		x.cm, x.grid, err = n.radar.CorrectedMatrixContext(ctx, x.capt)
+		return err
+	}},
+	{"radar.background", func(n *Network, _ context.Context, x *exchangeState) error {
+		n.scr.mag = radar.MagnitudeMatrixInto(n.scr.mag, x.cm)
+		x.matrix, n.scr.bg = radar.SubtractBackgroundMagInto(n.scr.mag, n.scr.bg)
+		return nil
+	}},
+	{"radar.detect", func(n *Network, ctx context.Context, x *exchangeState) (err error) {
+		x.dets, x.diags, x.derrs, err = n.detect(ctx, x.matrix, x.grid)
+		return err
+	}},
+}
+
+// The sensing rounds run the radar side of the same list: Localize from the
+// scene up to detection, MapEnvironment up to the corrected matrix.
+var (
+	localizeStages = exchangeStages[2:7]
+	mapStages      = exchangeStages[2:5]
+)
+
+// exchangeState is one round's inputs and what each stage leaves for the
+// next; it lives in exchangeScratch.
+type exchangeState struct {
+	payload   []byte
+	bits      map[int][]bool
+	minChirps int
+
+	frame  *fmcw.Frame
+	res    *ExchangeResult
+	scene  radar.Scene
+	capt   *radar.Capture
+	cm     [][]complex128
+	grid   []float64
+	matrix [][]float64
+	dets   []radar.Detection
+	diags  []radar.DetectionDiag
+	derrs  []error
+}
+
+// runStages runs stages in order, checking ctx between them.
+func (n *Network) runStages(ctx context.Context, x *exchangeState, stages []stage) error {
+	for _, s := range stages {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sp, sctx := n.tel.m.StartSpan(ctx, s.name, -1)
+		err := s.run(n, sctx, x)
+		sp.Fail(err)
+		sp.End()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameBuildStage builds a frame long enough for the packet, the padding
+// asked for and the longest active uplink message, and opens the result.
+func (n *Network) frameBuildStage(_ context.Context, x *exchangeState) error {
+	minChirps := x.minChirps
+	for i, bits := range x.bits {
+		if i >= 0 && i < len(n.scr.active) && n.scr.active[i] {
+			minChirps = max(minChirps, len(bits)*n.cfg.ChirpsPerBit)
+		}
+	}
+	frame, err := n.BuildDownlinkFrame(x.payload, minChirps)
+	if err != nil {
+		return err
+	}
+	x.frame = frame
+	x.res = &ExchangeResult{Frame: frame, Nodes: make([]NodeResult, len(n.nodes))}
+	return nil
+}
+
+// downlinkStage has each active node capture the frame at its own SNR and
+// decode it. The decodes are independent (each tag owns its front-end noise
+// source), so they fan out across the pool. The telemetry handles are
+// atomic, so the counter totals are deterministic for any worker count.
+func (n *Network) downlinkStage(ctx context.Context, x *exchangeState) error {
+	return n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
+		nr := &x.res.Nodes[i]
+		if !n.scr.active[i] {
+			// A scheduled-out tag sleeps through the frame (the §4.1 power
+			// story): no decode, no telemetry.
+			nr.DownlinkErr = ErrNodeInactive
+			return nil
+		}
+		node := n.nodes[i]
+		snr := n.link.DownlinkSNRdB(node.Range)
+		sp, _ := n.tel.m.StartSpan(ctx, "tag.capture", i)
+		capt := node.Tag.FrontEnd.CaptureFrame(x.frame, snr)
+		sp.End()
+		nr.DownlinkPayload, nr.DownlinkDiag, nr.DownlinkErr = n.decodeDownlink(ctx, i, capt)
+		nt := n.tel.node(i)
+		outcome(nr.DownlinkErr, n.tel.dlOK, n.tel.dlErr)
+		outcome(nr.DownlinkErr, nt.dlOK, nt.dlErr)
+		if n.tel.enabled() {
+			e, t := CountBitErrors(x.payload, nr.DownlinkPayload)
+			n.tel.dlBitErrs.Add(int64(e))
+			n.tel.dlBits.Add(int64(t))
+		}
+		return nil
+	})
+}
+
+// decodeDownlink decodes node i's capture and deframes the symbols.
+func (n *Network) decodeDownlink(ctx context.Context, i int, capt []float64) ([]byte, tag.Diagnostics, error) {
+	sp, _ := n.tel.m.StartSpan(ctx, "tag.decode", i)
+	syms, diag, err := n.nodes[i].Tag.Decoder.DecodeFrame(capt)
+	sp.Fail(err)
+	sp.End()
+	if err != nil {
+		return nil, diag, err
+	}
+	sp, _ = n.tel.m.StartSpan(ctx, "packet.deframe", i)
+	payload, st, err := n.pkt.DecodeStats(syms)
+	sp.Fail(err)
+	sp.End()
+	diag.FECCodedBits = st.CodedBits
+	diag.FECCorrectedBits = st.CorrectedBits
+	return payload, diag, err
+}
+
 // Exchange runs one integrated round: the radar transmits the downlink
 // packet as a CSSK frame; every node receives it through its own link SNR
 // and decodes it; every node simultaneously modulates its uplink bits onto
@@ -181,29 +333,33 @@ func (n *Network) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...Ex
 // per-node uplink demodulation — all write results by index, and every
 // node owns its seeded RNG, so the result is byte-identical for any worker
 // count (see Config.Workers / WithWorkers).
-func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (res *ExchangeResult, err error) {
+func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
+	eo := collectExchangeOptions(opts)
+	n.setActive(eo.active)
+	return n.exchange(ctx, payload, uplinkBits, eo.minChirps)
+}
+
+// exchange runs one round over the active set setActive left.
+func (n *Network) exchange(ctx context.Context, payload []byte, uplinkBits map[int][]bool, minChirps int) (res *ExchangeResult, err error) {
 	// The sequence counter always advances so exchange identities stay
 	// aligned whether or not a trace consumer is attached; the trace itself
 	// (and the context wrap) is built only when one is, keeping the
 	// disabled path allocation-free.
 	seq := n.seq
 	n.seq++
-	var root *telemetry.SpanNode
 	var tr *telemetry.Trace
 	if n.tracer != nil || n.flight != nil {
 		id := telemetry.NewExchangeID(n.cfg.Seed, n.cfg.NetworkID, seq)
-		tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, "exchange")
-		root = tr.Root
-		ctx = telemetry.ContextWithSpan(ctx, root)
+		tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, stageExchange)
+		ctx = telemetry.ContextWithSpan(ctx, tr.Root)
 	}
-	xsp := n.tel.exchange.Span()
+	sp := tr.Span(n.tel.m.Histogram(stageExchange + ".seconds"))
 	defer func() {
-		xsp.End()
 		outcome(err, n.tel.exchOK, n.tel.exchErr)
+		sp.Fail(err)
+		sp.End()
 		if tr != nil {
-			root.Fail(err)
-			root.SetAttr("nodes", len(n.nodes))
-			root.End()
+			tr.Root.SetAttr("nodes", len(n.nodes))
 			n.tracer.Collect(tr)
 			n.flight.Add(tr)
 			if err != nil {
@@ -211,130 +367,42 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			}
 		}
 	}()
-	var eo exchangeOptions
-	for _, opt := range opts {
-		opt(&eo)
-	}
-	active := n.setActive(eo.active)
-	// Size the frame for the packet, the longest active uplink message, and
-	// any explicitly requested padding; bits for inactive nodes are ignored
-	// (their switches hold a static state this round).
-	minChirps := eo.minChirps
-	for i, bits := range uplinkBits {
-		if i < 0 || i >= len(active) || !active[i] {
-			continue
-		}
-		if c := len(bits) * n.cfg.ChirpsPerBit; c > minChirps {
-			minChirps = c
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	x := &n.scr.x
+	*x = exchangeState{payload: payload, bits: uplinkBits, minChirps: minChirps}
+	if err := n.runStages(ctx, x, exchangeStages); err != nil {
 		return nil, err
 	}
-	fsp := n.tel.frameBuild.Span()
-	fspan := root.Child("frame.build", -1)
-	frame, err := n.BuildDownlinkFrame(payload, minChirps)
-	fspan.End()
-	fsp.End()
-	if err != nil {
-		return nil, err
-	}
-	res = &ExchangeResult{Frame: frame, Nodes: make([]NodeResult, len(n.nodes))}
-
-	// Downlink: each node captures the frame at its own SNR. The decodes
-	// are independent (each tag owns its front-end noise source), so they
-	// fan out across the pool. The telemetry handles are atomic, so the
-	// counter totals are deterministic for any worker count.
-	dlStage := root.Child("downlink", -1)
-	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
-		if !active[i] {
-			// A scheduled-out tag sleeps through the frame (the §4.1 power
-			// story): no decode, no telemetry.
-			res.Nodes[i].DownlinkErr = ErrNodeInactive
-			return nil
-		}
-		node := n.nodes[i]
-		snr := n.link.DownlinkSNRdB(node.Range)
-		dlsp := n.tel.downlink.Span()
-		nspan := dlStage.Child("node.downlink", i)
-		dctx := ctx
-		if nspan != nil {
-			dctx = telemetry.ContextWithSpan(ctx, nspan)
-		}
-		pl, diag, derr := node.Tag.ReceiveDownlinkContext(dctx, frame, snr, n.pkt)
-		nspan.Fail(derr)
-		nspan.End()
-		dlsp.End()
-		res.Nodes[i].DownlinkPayload = pl
-		res.Nodes[i].DownlinkErr = derr
-		res.Nodes[i].DownlinkDiag = diag
-		nt := n.tel.node(i)
-		outcome(derr, n.tel.dlOK, n.tel.dlErr)
-		outcome(derr, nt.dlOK, nt.dlErr)
-		if n.tel.enabled() {
-			e, t := CountBitErrors(payload, pl)
-			n.tel.dlBitErrs.Add(int64(e))
-			n.tel.dlBits.Add(int64(t))
-		}
-		return nil
-	}); err != nil {
-		dlStage.End()
-		return nil, err
-	}
-	dlStage.End()
-
-	// Uplink: build the radar scene with every node's switch states.
-	sspan := root.Child("scene.build", -1)
-	scene, err := n.buildScene(frame, uplinkBits)
-	sspan.End()
-	if err != nil {
-		return nil, err
-	}
-	capt, err := n.radar.ObserveContext(ctx, frame, scene)
-	if err != nil {
-		return nil, err
-	}
-	cm, grid, err := n.radar.CorrectedMatrixContext(ctx, capt)
-	if err != nil {
-		return nil, err
-	}
-	n.scr.mag = radar.MagnitudeMatrixInto(n.scr.mag, cm)
-	matrix, bg := radar.SubtractBackgroundMagInto(n.scr.mag, n.scr.bg)
-	n.scr.bg = bg
 	if n.tel.enabled() {
-		// Introspection only: the exchange decode path never consumes the
-		// range-Doppler map, so this runs solely to light up the Doppler
-		// stage span and peak gauges. Decode results are identical either
-		// way.
-		n.observeDoppler(cm)
+		n.observeDoppler(x.cm) // introspection only: nothing decoded reads it
 	}
-
-	dtsp := n.tel.detect.Span()
-	dspan := root.Child("detect", -1)
-	dets, diags, derrs, err := n.detect(ctx, matrix, grid)
-	dspan.End()
-	dtsp.End()
-	if err != nil {
+	if err := n.uplinkDemod(ctx, x); err != nil {
 		return nil, err
 	}
-	// Demodulate every detected node's uplink; the matrix is read-only
-	// here and each node writes its own result slot.
-	upStage := root.Child("uplink", -1)
-	defer upStage.End()
-	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
-		node := n.nodes[i]
-		res.Nodes[i].Detection = dets[i]
-		res.Nodes[i].UplinkDiag = diags[i]
-		if !active[i] {
-			res.Nodes[i].DetectionErr = ErrNodeInactive
+	return x.res, nil
+}
+
+// uplinkDemod fills every node's detection and demodulates each detected
+// active node's uplink, each node into its own result slot.
+func (n *Network) uplinkDemod(ctx context.Context, x *exchangeState) error {
+	return n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
+		nr := &x.res.Nodes[i]
+		nr.Detection = x.dets[i]
+		nr.UplinkDiag = x.diags[i]
+		if !n.scr.active[i] {
+			nr.DetectionErr = ErrNodeInactive
 			return nil
 		}
-		res.Nodes[i].DetectionErr = derrs[i]
+		derr := x.derrs[i]
+		nr.DetectionErr = derr
 		nt := n.tel.node(i)
-		outcome(derrs[i], n.tel.detOK, n.tel.detErr)
-		outcome(derrs[i], nt.detOK, nt.detErr)
-		if derrs[i] != nil {
-			if bits, ok := uplinkBits[i]; ok && len(bits) > 0 && n.tel.enabled() {
+		outcome(derr, n.tel.detOK, n.tel.detErr)
+		outcome(derr, nt.detOK, nt.detErr)
+		bits := x.bits[i]
+		if len(bits) == 0 {
+			return nil
+		}
+		if derr != nil {
+			if n.tel.enabled() {
 				// A missed detection loses the whole uplink message:
 				// score every pending bit as an error.
 				n.tel.upBitErrs.Add(int64(len(bits)))
@@ -342,31 +410,23 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			}
 			return nil
 		}
-		if bits, ok := uplinkBits[i]; ok && len(bits) > 0 {
-			usp := n.tel.demod.Span()
-			uspan := upStage.Child("node.uplink", i)
-			got, uerr := n.radar.DecodeUplinkFSK(matrix, dets[i].Bin, node.Uplink)
-			uspan.Fail(uerr)
-			uspan.SetAttr("bits", len(bits))
-			uspan.End()
-			usp.End()
-			if uerr == nil && len(got) > len(bits) {
-				got = got[:len(bits)]
-			}
-			res.Nodes[i].UplinkBits = got
-			res.Nodes[i].UplinkErr = uerr
-			outcome(uerr, n.tel.upOK, n.tel.upErr)
-			outcome(uerr, nt.upOK, nt.upErr)
-			if n.tel.enabled() {
-				n.tel.upBitErrs.Add(int64(CountBitMismatches(bits, got)))
-				n.tel.upBits.Add(int64(len(bits)))
-			}
+		sp, _ := n.tel.m.StartSpan(ctx, "radar.uplink_demod", i)
+		got, uerr := n.radar.DecodeUplinkFSK(x.matrix, x.dets[i].Bin, n.nodes[i].Uplink)
+		sp.Fail(uerr)
+		sp.End()
+		if uerr == nil && len(got) > len(bits) {
+			got = got[:len(bits)]
+		}
+		nr.UplinkBits = got
+		nr.UplinkErr = uerr
+		outcome(uerr, n.tel.upOK, n.tel.upErr)
+		outcome(uerr, nt.upOK, nt.upErr)
+		if n.tel.enabled() {
+			n.tel.upBitErrs.Add(int64(CountBitMismatches(bits, got)))
+			n.tel.upBits.Add(int64(len(bits)))
 		}
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
+	})
 }
 
 // CountBitMismatches scores a decoded uplink bit vector against the sent
@@ -398,6 +458,33 @@ func (n *Network) detect(ctx context.Context, matrix [][]float64, grid []float64
 	return dets, diags, errs, nil
 }
 
+// eachGroup runs round once per schedule frame group, with the active set
+// being the group (intersected with only, when non-nil; a group left empty
+// is skipped). An unscheduled network is one round over only (nil: all).
+func (n *Network) eachGroup(only []int, round func(g int) error) error {
+	sched := n.cfg.Schedule
+	if sched == nil {
+		n.setActive(only)
+		return round(0)
+	}
+	for g := 0; g < sched.Frames(); g++ {
+		grp := sched.AppendGroup(n.scr.group[:0], g)
+		if only != nil {
+			in := n.setActive(only)
+			grp = slices.DeleteFunc(grp, func(i int) bool { return !in[i] })
+			if len(grp) == 0 {
+				continue
+			}
+		}
+		n.scr.group = grp
+		n.setActive(grp)
+		if err := round(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ScheduledResult is the outcome of one full frame-schedule cycle: every
 // node served exactly once across the cycle's rounds.
 type ScheduledResult struct {
@@ -427,75 +514,34 @@ func (n *Network) ExchangeScheduled(payload []byte, uplinkBits map[int][]bool, o
 // intersected with the set and empty groups are skipped (a distributed
 // gateway serving a partially-attended round pays only for the frames that
 // carry traffic). On a network without a schedule the cycle is a single
-// all-active round.
+// round, as Exchange runs it.
 //
 // The merged Nodes view aliases the per-round results, which follow the
 // Network ownership contract: valid until the next call on this Network.
 func (n *Network) ExchangeScheduledContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
+	eo := collectExchangeOptions(opts)
 	sched := n.cfg.Schedule
-	if sched == nil {
-		res, err := n.ExchangeContext(ctx, payload, uplinkBits, opts...)
+	out := &ScheduledResult{Nodes: make([]NodeResult, len(n.nodes))}
+	// A skipped group consumes no sequence number, so a partially-attended
+	// cycle replays deterministically from its recorded active set.
+	err := n.eachGroup(eo.active, func(g int) error {
+		res, err := n.exchange(ctx, payload, uplinkBits, eo.minChirps)
 		if err != nil {
-			return nil, err
-		}
-		return &ScheduledResult{Rounds: []*ExchangeResult{res}, Nodes: res.Nodes}, nil
-	}
-	out := &ScheduledResult{
-		Rounds: make([]*ExchangeResult, 0, sched.Frames()),
-		Nodes:  make([]NodeResult, len(n.nodes)),
-	}
-	// A caller-supplied active subset (WithActiveNodes) intersects each
-	// frame group: only the named nodes modulate, and a group with no
-	// active member sits the cycle out entirely — no frame is spent on it,
-	// and no sequence number is consumed, so a partially-attended cycle
-	// replays deterministically from its recorded active set.
-	var eo exchangeOptions
-	for _, opt := range opts {
-		opt(&eo)
-	}
-	var activeSet map[int]bool
-	if eo.active != nil {
-		activeSet = make(map[int]bool, len(eo.active))
-		for _, i := range eo.active {
-			activeSet[i] = true
-		}
-	}
-	if n.scr.roundBits == nil {
-		n.scr.roundBits = make(map[int][]bool)
-	}
-	for g := 0; g < sched.Frames(); g++ {
-		grp := sched.AppendGroup(n.scr.group[:0], g)
-		n.scr.group = grp
-		if activeSet != nil {
-			k := 0
-			for _, i := range grp {
-				if activeSet[i] {
-					grp[k] = i
-					k++
-				}
+			if sched == nil {
+				return err
 			}
-			grp = grp[:k]
-			if len(grp) == 0 {
-				continue
-			}
-		}
-		clear(n.scr.roundBits)
-		for _, i := range grp {
-			if bits, ok := uplinkBits[i]; ok {
-				n.scr.roundBits[i] = bits
-			}
-		}
-		ropts := make([]ExchangeOption, 0, len(opts)+1)
-		ropts = append(ropts, opts...)
-		ropts = append(ropts, WithActiveNodes(grp...))
-		res, err := n.ExchangeContext(ctx, payload, n.scr.roundBits, ropts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: schedule group %d: %w", g, err)
+			return fmt.Errorf("core: schedule group %d: %w", g, err)
 		}
 		out.Rounds = append(out.Rounds, res)
-		for _, i := range grp {
-			out.Nodes[i] = res.Nodes[i]
+		for i, a := range n.scr.active {
+			if a || sched == nil {
+				out.Nodes[i] = res.Nodes[i]
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -519,48 +565,26 @@ func (n *Network) LocalizeContext(ctx context.Context, frame *fmcw.Frame, chirps
 			return nil, err
 		}
 	}
-	sched := n.cfg.Schedule
-	groups := 1
-	if sched != nil {
-		groups = sched.Frames()
-	}
 	out := make([]radar.Detection, len(n.nodes))
-	for g := 0; g < groups; g++ {
-		if sched == nil {
-			n.setActive(nil)
-		} else {
-			grp := sched.AppendGroup(n.scr.group[:0], g)
-			n.scr.group = grp
-			n.setActive(grp)
+	err = n.eachGroup(nil, func(int) error {
+		x := &n.scr.x
+		*x = exchangeState{frame: frame}
+		if err := n.runStages(ctx, x, localizeStages); err != nil {
+			return err
 		}
-		scene, err := n.buildScene(frame, nil)
-		if err != nil {
-			return nil, err
-		}
-		capt, err := n.radar.ObserveContext(ctx, frame, scene)
-		if err != nil {
-			return nil, err
-		}
-		cm, grid, err := n.radar.CorrectedMatrixContext(ctx, capt)
-		if err != nil {
-			return nil, err
-		}
-		n.scr.mag = radar.MagnitudeMatrixInto(n.scr.mag, cm)
-		matrix, bg := radar.SubtractBackgroundMagInto(n.scr.mag, n.scr.bg)
-		n.scr.bg = bg
-		dets, _, derrs, err := n.detect(ctx, matrix, grid)
-		if err != nil {
-			return nil, err
-		}
-		for i, derr := range derrs {
+		for i, derr := range x.derrs {
 			if !n.scr.active[i] {
 				continue
 			}
 			if derr != nil {
-				return nil, fmt.Errorf("core: node %d: %w", i, derr)
+				return fmt.Errorf("core: node %d: %w", i, derr)
 			}
-			out[i] = dets[i]
+			out[i] = x.dets[i]
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -580,19 +604,13 @@ func (n *Network) MapEnvironmentContext(ctx context.Context, chirps int) ([]rada
 		return nil, err
 	}
 	n.setActive(nil)
-	scene, err := n.buildScene(frame, nil)
-	if err != nil {
+	x := &n.scr.x
+	*x = exchangeState{frame: frame}
+	if err := n.runStages(ctx, x, mapStages); err != nil {
 		return nil, err
 	}
-	capt, err := n.radar.ObserveContext(ctx, frame, scene)
-	if err != nil {
-		return nil, err
-	}
-	cm, grid, err := n.radar.CorrectedMatrixContext(ctx, capt)
-	if err != nil {
-		return nil, err
-	}
-	return n.radar.EnvironmentMap(radar.MagnitudeMatrix(cm), grid)
+	n.scr.mag = radar.MagnitudeMatrixInto(n.scr.mag, x.cm)
+	return n.radar.EnvironmentMap(n.scr.mag, x.grid)
 }
 
 // RandomPayload generates a deterministic pseudo-random payload of n bytes

@@ -74,7 +74,6 @@ type engine struct {
 type fleetTel struct {
 	m         *telemetry.Metrics
 	queueWait *telemetry.Histogram // fleet.queue_wait.seconds: enqueue → claim
-	service   *telemetry.Histogram // fleet.service.seconds: time inside run
 	latency   *telemetry.Histogram // fleet.latency.seconds: submit → done
 	busy      *telemetry.Gauge     // fleet.busy_engines
 	engines   *telemetry.Gauge     // fleet.engines (static width)
@@ -90,7 +89,6 @@ func newFleetTel(m *telemetry.Metrics) fleetTel {
 	return fleetTel{
 		m:         m,
 		queueWait: m.Histogram("fleet.queue_wait.seconds"),
-		service:   m.Histogram("fleet.service.seconds"),
 		latency:   m.Histogram("fleet.latency.seconds"),
 		busy:      m.Gauge("fleet.busy_engines"),
 		engines:   m.Gauge("fleet.engines"),
@@ -172,7 +170,7 @@ func (f *Fleet) engineLoop(e *engine) {
 			f.tel.queueWait.Observe(time.Since(req.enq).Seconds())
 		}
 		f.tel.busy.Add(1)
-		sp := f.tel.service.Span()
+		sp := f.tel.m.Span("fleet.service")
 		req.run(req.ctx)
 		sp.End()
 		f.tel.busy.Add(-1)
@@ -355,19 +353,12 @@ func (fn *FleetNetwork) outcome(err error) {
 // semantics. Submission blocks while the engine queue is full (backpressure
 // — bound it with a context deadline); ctx also cancels the round itself
 // cooperatively once it runs.
-func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
-	var (
-		res  *ExchangeResult
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		res, rerr = fn.net.ExchangeContext(ctx, payload, uplinkBits, opts...)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return res, rerr
+func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (res *ExchangeResult, err error) {
+	err = fn.Do(ctx, func(ctx context.Context, n *Network) (err error) {
+		res, err = n.ExchangeContext(ctx, payload, uplinkBits, opts...)
+		return err
+	})
+	return res, err
 }
 
 // Exchange is ExchangeContext with a background context: it waits for a

@@ -129,6 +129,15 @@ type exchangeOptions struct {
 	active []int
 }
 
+// collectExchangeOptions applies opts in order.
+func collectExchangeOptions(opts []ExchangeOption) exchangeOptions {
+	var eo exchangeOptions
+	for _, opt := range opts {
+		opt(&eo)
+	}
+	return eo
+}
+
 // ExchangeOption customizes a single Exchange/ExchangeContext round
 // without touching the network configuration.
 type ExchangeOption func(*exchangeOptions)

@@ -185,11 +185,7 @@ func (r *ExchangeRecorder) record(in trace.RoundInput, seq uint64, nodes []NodeR
 
 // Exchange runs one recorded round on the wrapped network.
 func (r *ExchangeRecorder) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
-	var eo exchangeOptions
-	for _, opt := range opts {
-		opt(&eo)
-	}
-	in := captureInput(payload, uplinkBits, eo, false)
+	in := captureInput(payload, uplinkBits, collectExchangeOptions(opts), false)
 	seq := r.net.seq
 	res, err := r.net.Exchange(payload, uplinkBits, opts...)
 	var nodes []NodeResult
@@ -204,11 +200,7 @@ func (r *ExchangeRecorder) Exchange(payload []byte, uplinkBits map[int][]bool, o
 // network. The cycle consumes one exchange sequence number per frame group;
 // the round record carries the first.
 func (r *ExchangeRecorder) ExchangeScheduled(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	var eo exchangeOptions
-	for _, opt := range opts {
-		opt(&eo)
-	}
-	in := captureInput(payload, uplinkBits, eo, true)
+	in := captureInput(payload, uplinkBits, collectExchangeOptions(opts), true)
 	seq := r.net.seq
 	res, err := r.net.ExchangeScheduled(payload, uplinkBits, opts...)
 	var nodes []NodeResult
@@ -267,24 +259,19 @@ func ReplayRecord(rec *trace.ExchangeRecord, opts ...Option) (*ReplayReport, err
 		if gotID != round.ExchangeID {
 			report.add(ri, "exchange_id", round.ExchangeID, gotID)
 		}
-		ropts := make([]ExchangeOption, 0, 2)
-		if round.Input.MinChirps > 0 {
-			ropts = append(ropts, WithMinChirps(round.Input.MinChirps))
-		}
-		if round.Input.Active != nil {
-			ropts = append(ropts, WithActiveNodes(round.Input.Active...))
-		}
+		in := round.Input
+		opt := func(o *exchangeOptions) { o.minChirps, o.active = in.MinChirps, in.Active }
 		var nodes []NodeResult
 		var rerr error
-		if round.Input.Scheduled {
+		if in.Scheduled {
 			var res *ScheduledResult
-			res, rerr = net.ExchangeScheduled(round.Input.Payload, round.Input.UplinkBits, ropts...)
+			res, rerr = net.ExchangeScheduled(in.Payload, in.UplinkBits, opt)
 			if res != nil {
 				nodes = res.Nodes
 			}
 		} else {
 			var res *ExchangeResult
-			res, rerr = net.Exchange(round.Input.Payload, round.Input.UplinkBits, ropts...)
+			res, rerr = net.Exchange(in.Payload, in.UplinkBits, opt)
 			if res != nil {
 				nodes = res.Nodes
 			}

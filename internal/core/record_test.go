@@ -192,18 +192,18 @@ func TestExchangeTraceTree(t *testing.T) {
 	counts := map[string]int{}
 	tr.Root.Walk(func(s *telemetry.SpanNode) { counts[s.Name]++ })
 	for name, want := range map[string]int{
-		"exchange":            1,
-		"frame.build":         1,
-		"downlink":            1,
-		"node.downlink":       2,
-		"tag.capture":         2,
-		"tag.decode":          2,
-		"scene.build":         1,
-		"radar.observe":       1,
-		"radar.if_correction": 1,
-		"detect":              1,
-		"uplink":              1,
-		"node.uplink":         1,
+		"core.exchange":      1,
+		"packet.frame_build": 1,
+		"tag.downlink":       1,
+		"tag.capture":        2,
+		"tag.decode":         2,
+		"packet.deframe":     2,
+		"tag.uplink_states":  1,
+		"radar.observe":      1,
+		"radar.corrected":    1,
+		"radar.background":   1,
+		"radar.detect":       1,
+		"radar.uplink_demod": 1,
 	} {
 		if counts[name] != want {
 			t.Errorf("span %q count = %d, want %d (all: %v)", name, counts[name], want, counts)

@@ -6,30 +6,12 @@ import (
 	"biscatter/internal/telemetry"
 )
 
-// Telemetry stage names for the exchange engine. Each stage records its
-// per-unit durations into the histogram "<stage>.seconds": per round for
-// exchange / frame build / the joint detect search, per node for downlink
-// decode and uplink demod. See DESIGN.md "Telemetry".
-const (
-	StageExchange       = "core.exchange"
-	StageFrameBuild     = "core.frame_build"
-	StageDownlinkDecode = "core.downlink_decode"
-	StageDetect         = "core.detect"
-	StageUplinkDemod    = "core.uplink_demod"
-)
-
 // coreTel holds the network's pre-resolved telemetry handles. The zero
 // value (all nil) is the disabled state: every handle method is a nil-safe
 // no-op, so the exchange hot path carries no conditionals beyond the ones
 // guarding real extra work (BER tallies, the Doppler introspection pass).
 type coreTel struct {
 	m *telemetry.Metrics
-
-	exchange   *telemetry.Histogram
-	frameBuild *telemetry.Histogram
-	downlink   *telemetry.Histogram
-	detect     *telemetry.Histogram
-	demod      *telemetry.Histogram
 
 	exchOK, exchErr *telemetry.Counter
 
@@ -73,24 +55,19 @@ func newCoreTel(m *telemetry.Metrics, nNodes int) coreTel {
 		return coreTel{}
 	}
 	t := coreTel{
-		m:          m,
-		exchange:   m.Histogram(StageExchange + ".seconds"),
-		frameBuild: m.Histogram(StageFrameBuild + ".seconds"),
-		downlink:   m.Histogram(StageDownlinkDecode + ".seconds"),
-		detect:     m.Histogram(StageDetect + ".seconds"),
-		demod:      m.Histogram(StageUplinkDemod + ".seconds"),
-		exchOK:     m.Counter("core.exchange.ok"),
-		exchErr:    m.Counter("core.exchange.err"),
-		dlOK:       m.Counter("core.downlink.ok"),
-		dlErr:      m.Counter("core.downlink.err"),
-		detOK:      m.Counter("core.detect.ok"),
-		detErr:     m.Counter("core.detect.err"),
-		upOK:       m.Counter("core.uplink.ok"),
-		upErr:      m.Counter("core.uplink.err"),
-		dlBitErrs:  m.Counter("core.downlink.bit_errors"),
-		dlBits:     m.Counter("core.downlink.bits"),
-		upBitErrs:  m.Counter("core.uplink.bit_errors"),
-		upBits:     m.Counter("core.uplink.bits"),
+		m:         m,
+		exchOK:    m.Counter("core.exchange.ok"),
+		exchErr:   m.Counter("core.exchange.err"),
+		dlOK:      m.Counter("core.downlink.ok"),
+		dlErr:     m.Counter("core.downlink.err"),
+		detOK:     m.Counter("core.detect.ok"),
+		detErr:    m.Counter("core.detect.err"),
+		upOK:      m.Counter("core.uplink.ok"),
+		upErr:     m.Counter("core.uplink.err"),
+		dlBitErrs: m.Counter("core.downlink.bit_errors"),
+		dlBits:    m.Counter("core.downlink.bits"),
+		upBitErrs: m.Counter("core.uplink.bit_errors"),
+		upBits:    m.Counter("core.uplink.bits"),
 	}
 	for i := 0; i < nNodes; i++ {
 		p := "core.node." + strconv.Itoa(i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -37,6 +38,15 @@ func fourNodeUplink() map[int][]bool {
 	}
 }
 
+// exchangeStageNames lists every stage the exchange times, each both as a
+// histogram "<name>.seconds" and as a trace span: the round, its round-level
+// stages and the per-node units.
+var exchangeStageNames = []string{
+	"core.exchange", "packet.frame_build", "tag.downlink", "tag.capture",
+	"tag.decode", "packet.deframe", "tag.uplink_states", "radar.observe",
+	"radar.corrected", "radar.background", "radar.detect", "radar.uplink_demod",
+}
+
 // TestExchangeTelemetryStages is the acceptance check of the telemetry
 // subsystem: one full exchange with telemetry attached must light up every
 // pipeline stage span and every per-node outcome counter. When
@@ -64,11 +74,10 @@ func TestExchangeTelemetryStages(t *testing.T) {
 	}
 	snap := n.Metrics()
 
-	stages := []string{
-		StageExchange, StageFrameBuild, StageDownlinkDecode, StageDetect, StageUplinkDemod,
+	stages := append([]string{
 		"radar.synthesis", "radar.range_fft", "radar.if_correction",
 		"radar.doppler_fft", "radar.matched_filter",
-	}
+	}, exchangeStageNames...)
 	for _, st := range stages {
 		h, ok := snap.Histograms[st+".seconds"]
 		if !ok || h.Count == 0 {
@@ -172,5 +181,75 @@ func TestExchangeWithoutTelemetryYieldsEmptySnapshot(t *testing.T) {
 	snap := n.Metrics()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("disabled telemetry must yield an empty snapshot: %+v", snap)
+	}
+}
+
+// TestStageTimersAgree pins that each exchange stage is timed once: with
+// metrics and a tracer attached together, every stage's histogram holds one
+// sample per span of that name, its sum is the spans' summed duration, and
+// every span lies inside its parent. It runs an unscheduled and a 2-group
+// scheduled network at widths 1 and 2.
+func TestStageTimersAgree(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("four-node/workers=%d", workers), func(t *testing.T) {
+			checkStageTimers(t, fourNodeConfig(workers), false)
+		})
+		t.Run(fmt.Sprintf("scheduled/workers=%d", workers), func(t *testing.T) {
+			cfg := fourNodeScheduledConfig(t)
+			cfg.Workers = workers
+			checkStageTimers(t, cfg, true)
+		})
+	}
+}
+
+func checkStageTimers(t *testing.T, cfg Config, scheduled bool) {
+	t.Helper()
+	m, tracer := telemetry.New(), telemetry.NewTracer()
+	n, err := NewNetwork(cfg, WithMetrics(m), WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheduled {
+		_, err = n.ExchangeScheduled(RandomPayload(5, 8), fourNodeUplink())
+	} else {
+		_, err = n.Exchange(RandomPayload(5, 8), fourNodeUplink())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int64{}
+	durNS := map[string]int64{}
+	var inside func(parent *telemetry.SpanNode)
+	inside = func(parent *telemetry.SpanNode) {
+		count[parent.Name]++
+		durNS[parent.Name] += parent.DurNS
+		for _, c := range parent.Children {
+			if c.StartNS < parent.StartNS || c.StartNS+c.DurNS > parent.StartNS+parent.DurNS {
+				t.Errorf("span %s [%d, +%d] outside its parent %s [%d, +%d]",
+					c.Name, c.StartNS, c.DurNS, parent.Name, parent.StartNS, parent.DurNS)
+			}
+			inside(c)
+		}
+	}
+	want := 1
+	if scheduled {
+		want = cfg.Schedule.Frames()
+	}
+	traces := tracer.Traces()
+	if len(traces) != want {
+		t.Fatalf("collected %d traces, want %d", len(traces), want)
+	}
+	for _, tr := range traces {
+		inside(tr.Root)
+	}
+	snap := n.Metrics()
+	for _, name := range exchangeStageNames {
+		h := snap.Histograms[name+".seconds"]
+		if h.Count == 0 || h.Count != count[name] {
+			t.Errorf("stage %s: histogram count %d, spans %d", name, h.Count, count[name])
+		}
+		if diff := h.Sum*1e9 - float64(durNS[name]); diff > float64(h.Count) || -diff > float64(h.Count) {
+			t.Errorf("stage %s: histogram sum %.0f ns, spans %d ns", name, h.Sum*1e9, durNS[name])
+		}
 	}
 }

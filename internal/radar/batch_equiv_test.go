@@ -93,7 +93,9 @@ func TestSignatureProfilesIntoMatchesSingle(t *testing.T) {
 }
 
 // TestSignatureProfilesIntoEdgeCases covers the degenerate shapes the batch
-// scan must tolerate: no tones, no chirps, and row reuse across calls.
+// scan must tolerate: no tones, fewer tones than the last call, no chirps
+// after a non-empty call, and row reuse across calls. Every call returns
+// exactly one row per tone, one bin per range bin, and no stale rows.
 func TestSignatureProfilesIntoEdgeCases(t *testing.T) {
 	chirp := fmcw.ChirpParams{StartFrequency: 9e9, Bandwidth: 1e9, Duration: 60e-6, SampleRate: 2e6}
 	rd, err := New(Config{Chirp: chirp, Link: channel.DefaultLink(), NFFT: 128, RangeBins: 32, Workers: 1})
@@ -104,13 +106,20 @@ func TestSignatureProfilesIntoEdgeCases(t *testing.T) {
 	if rows := rd.SignatureProfilesInto(nil, matrix, nil, 120e-6); len(rows) != 0 {
 		t.Fatalf("no tones: got %d rows", len(rows))
 	}
-	if rows := rd.SignatureProfilesInto(nil, nil, []float64{1250}, 120e-6); len(rows) != 1 {
-		t.Fatalf("empty matrix: got %d rows, want 1 (untouched)", len(rows))
-	}
 	first := rd.SignatureProfilesInto(nil, matrix, []float64{1250, 1770}, 120e-6)
+	if len(first) != 2 || len(first[0]) != 3 || len(first[1]) != 3 {
+		t.Fatalf("two tones over 3 bins: got %d rows", len(first))
+	}
 	second := rd.SignatureProfilesInto(first, matrix, []float64{1250}, 120e-6)
+	if len(second) != 1 || len(second[0]) != 3 {
+		t.Fatalf("one tone after two: got %d rows, want 1 of 3 bins", len(second))
+	}
 	if &second[0][0] != &first[0][0] {
 		t.Error("row storage not reused across calls")
+	}
+	empty := rd.SignatureProfilesInto(second, nil, []float64{1250, 1770}, 120e-6)
+	if len(empty) != 2 || len(empty[0]) != 0 || len(empty[1]) != 0 {
+		t.Fatalf("no chirps after a non-empty call: got %d rows (%v), want 2 empty rows", len(empty), empty)
 	}
 }
 

@@ -138,25 +138,28 @@ func SubtractBackgroundMagInto(matrix [][]float64, bg []float64) ([][]float64, [
 // worker pool and each bin is written by index, so the profiles are
 // bit-identical for any worker count.
 //
-// dst is grown to one row per frequency (rows reused across calls) and
-// returned; rows follow the usual radar-owned-scratch ownership rules.
+// It returns exactly one row per frequency, each one bin per range bin of
+// the matrix (no bins when the matrix has no chirps), reusing dst's row
+// storage; rows follow the usual radar-owned-scratch ownership rules.
 func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs []float64, period float64) [][]float64 {
 	sp := r.tel.matched.Span()
 	defer sp.End()
-	dst = ensureRows(dst, len(freqs))
-	if len(matrix) == 0 || len(freqs) == 0 {
-		return dst
+	out := ensureRows(dst, len(freqs))[:len(freqs)]
+	nBins := 0
+	if len(matrix) > 0 {
+		nBins = len(matrix[0])
+	}
+	for i := range out {
+		out[i] = dsp.Resize(out[i], nBins)
+	}
+	if nBins == 0 || len(freqs) == 0 {
+		return out
 	}
 	chirpRate := 1 / period
 	coeffs := dsp.Resize(r.scr.coeffs, len(freqs))
 	r.scr.coeffs = coeffs
 	for i, f := range freqs {
 		coeffs[i] = dsp.NewGoertzelCoeff(f, chirpRate)
-	}
-	nBins := len(matrix[0])
-	out := dst[:len(freqs)]
-	for i := range out {
-		out[i] = dsp.Resize(out[i], nBins)
 	}
 	r.pool.ForArena(nBins, func(b int, a *dsp.Arena) {
 		col := a.Float(len(matrix))
@@ -167,7 +170,7 @@ func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs
 			out[t][b] = dsp.GoertzelPowerWith(col, coeffs[t])
 		}
 	})
-	return dst
+	return out
 }
 
 // DetectTag locates the backscatter tag that modulates at fMod by finding

@@ -345,9 +345,11 @@ func (r *Radar) hannFor(duration float64, n int) *hannTable {
 	return t
 }
 
-// ensureRows grows rows to at least n entries (appending nil rows) without
-// ever shrinking, so row backing buffers persist across frames.
+// ensureRows grows rows to at least n entries without ever shrinking: it
+// takes back the rows an earlier shorter reslice left in capacity, then
+// appends nil rows, so row backing buffers persist across frames.
 func ensureRows[T any](rows [][]T, n int) [][]T {
+	rows = rows[:max(len(rows), min(n, cap(rows)))]
 	for len(rows) < n {
 		rows = append(rows, nil)
 	}
@@ -497,9 +499,6 @@ func (r *Radar) Observe(frame *fmcw.Frame, scene Scene) *Capture {
 // next Observe/ObserveContext call on the same Radar. Callers that keep a
 // capture across frames must copy the rows.
 func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Scene) (*Capture, error) {
-	osp := telemetry.SpanFromContext(ctx).Child("radar.observe", -1)
-	osp.SetAttr("chirps", len(frame.Chirps))
-	defer osp.End()
 	nChirps := len(frame.Chirps)
 	r.scr.ifRows = ensureRows(r.scr.ifRows, nChirps)
 	cap := &Capture{Frame: frame, IF: r.scr.ifRows[:nChirps]}
@@ -680,8 +679,6 @@ func (r *Radar) CorrectedMatrix(cap *Capture) ([][]complex128, []float64) {
 // CorrectedMatrix/CorrectedMatrixContext call on the same Radar; callers
 // that keep a matrix across frames must copy it.
 func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]complex128, []float64, error) {
-	csp := telemetry.SpanFromContext(ctx).Child("radar.if_correction", -1)
-	defer csp.End()
 	grid := r.RangeGrid(cap.Frame)
 	// Pre-warm the window cache serially for every duration in the frame:
 	// the workers below may then look windows up concurrently without any

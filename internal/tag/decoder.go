@@ -9,7 +9,6 @@ import (
 
 	"biscatter/internal/cssk"
 	"biscatter/internal/dsp"
-	"biscatter/internal/packet"
 )
 
 // Method selects the per-chirp spectral estimator.
@@ -712,17 +711,4 @@ func (d *Decoder) DecodeFrame(x []float64) ([]cssk.Symbol, Diagnostics, error) {
 	start := d.AlignChirpStart(x, period)
 	syms := d.DecodeSymbols(x, period, start)
 	return syms, Diagnostics{PeriodSamples: period, ChirpStart: start, Symbols: len(syms)}, nil
-}
-
-// DecodePacket decodes a capture all the way to a downlink payload using the
-// shared packet framing.
-func (d *Decoder) DecodePacket(x []float64, cfg packet.Config) ([]byte, Diagnostics, error) {
-	syms, diag, err := d.DecodeFrame(x)
-	if err != nil {
-		return nil, diag, err
-	}
-	payload, st, err := cfg.DecodeStats(syms)
-	diag.FECCodedBits = st.CodedBits
-	diag.FECCorrectedBits = st.CorrectedBits
-	return payload, diag, err
 }

@@ -17,7 +17,7 @@ func TestDecodeSurvivesRandomWakeOffsetsProperty(t *testing.T) {
 	f := func(raw uint16) bool {
 		offset := float64(raw%300) / 100 * testPeriod // 0 … 3 periods
 		x := s.fe.Capture(frame, 40, offset, 0)
-		got, _, err := s.dec.DecodePacket(x, s.pkt)
+		got, err := decodePacket(s.dec, x, s.pkt)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -42,7 +42,7 @@ func TestDecodeWithBurstInterference(t *testing.T) {
 		for i := start; i < start+burst; i++ {
 			x[i] += 3 * rng.NormFloat64()
 		}
-		got, _, err := s.dec.DecodePacket(x, s.pkt)
+		got, err := decodePacket(s.dec, x, s.pkt)
 		if err == nil && !bytes.Equal(got, payload) {
 			wrong++
 		}
@@ -59,7 +59,7 @@ func TestDecodeWithTrailingGarbage(t *testing.T) {
 	payload := []byte("tail")
 	frame := s.frameFor(t, payload)
 	x := s.fe.Capture(frame, 40, 0, 6*testPeriod) // long noise tail
-	got, _, err := s.dec.DecodePacket(x, s.pkt)
+	got, err := decodePacket(s.dec, x, s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestSlopeJitterDegradesDecoding(t *testing.T) {
 	const snr = 14
 	cleanErrs, jitterErrs := 0, 0
 	for trial := 0; trial < 12; trial++ {
-		if got, _, err := clean.dec.DecodePacket(clean.fe.CaptureFrame(frame, snr), clean.pkt); err != nil || !bytes.Equal(got, payload) {
+		if got, err := decodePacket(clean.dec, clean.fe.CaptureFrame(frame, snr), clean.pkt); err != nil || !bytes.Equal(got, payload) {
 			cleanErrs++
 		}
-		if got, _, err := jittery.dec.DecodePacket(jittery.fe.CaptureFrame(frame, snr), jittery.pkt); err != nil || !bytes.Equal(got, payload) {
+		if got, err := decodePacket(jittery.dec, jittery.fe.CaptureFrame(frame, snr), jittery.pkt); err != nil || !bytes.Equal(got, payload) {
 			jitterErrs++
 		}
 	}

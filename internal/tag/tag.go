@@ -1,14 +1,10 @@
 package tag
 
 import (
-	"context"
 	"fmt"
 
 	"biscatter/internal/cssk"
 	"biscatter/internal/delayline"
-	"biscatter/internal/fmcw"
-	"biscatter/internal/packet"
-	"biscatter/internal/telemetry"
 )
 
 // Tag assembles the full BiScatter node of Fig. 2: the delay-line decoder
@@ -76,22 +72,6 @@ func New(cfg Config) (*Tag, error) {
 		Power:     DefaultPowerModel(),
 		ID:        cfg.ID,
 	}, nil
-}
-
-// ReceiveDownlinkContext is ReceiveDownlink with exchange tracing: when ctx
-// carries an active trace span, the analog capture and the digital decode
-// each record a child span. With tracing disabled (the common case) the
-// span lookups are allocation-free no-ops.
-func (t *Tag) ReceiveDownlinkContext(ctx context.Context, frame *fmcw.Frame, snrDB float64, pktCfg packet.Config) ([]byte, Diagnostics, error) {
-	parent := telemetry.SpanFromContext(ctx)
-	csp := parent.Child("tag.capture", -1)
-	x := t.FrontEnd.CaptureFrame(frame, snrDB)
-	csp.End()
-	dsp := parent.Child("tag.decode", -1)
-	pl, diag, err := t.Decoder.DecodePacket(x, pktCfg)
-	dsp.Fail(err)
-	dsp.End()
-	return pl, diag, err
 }
 
 // UplinkStates returns the per-chirp reflect/absorb switch states carrying

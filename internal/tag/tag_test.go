@@ -2,7 +2,6 @@ package tag
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -72,6 +71,17 @@ func newSetup(t testing.TB, bits int, seed int64) *testSetup {
 		builder: builder,
 		pkt:     packet.Config{Alphabet: alpha, HeaderLen: 8, SyncLen: 2},
 	}
+}
+
+// decodePacket decodes a capture to its downlink payload: the decoder's
+// frame pipeline, then the packet framing.
+func decodePacket(d *Decoder, x []float64, pkt packet.Config) ([]byte, error) {
+	syms, _, err := d.DecodeFrame(x)
+	if err != nil {
+		return nil, err
+	}
+	payload, _, err := pkt.DecodeStats(syms)
+	return payload, err
 }
 
 func (s *testSetup) frameFor(t testing.TB, payload []byte) *fmcw.Frame {
@@ -257,7 +267,7 @@ func TestDecodePacketEndToEnd(t *testing.T) {
 	payload := []byte{0x42, 0x00, 0xFF, 0x17}
 	frame := s.frameFor(t, payload)
 	x := s.fe.CaptureFrame(frame, 40)
-	got, _, err := s.dec.DecodePacket(x, s.pkt)
+	got, err := decodePacket(s.dec, x, s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +282,7 @@ func TestDecodePacketSurvivesMidPacketWake(t *testing.T) {
 	payload := []byte("wake")
 	frame := s.frameFor(t, payload)
 	x := s.fe.Capture(frame, 40, 2.4*testPeriod, 0)
-	got, _, err := s.dec.DecodePacket(x, s.pkt)
+	got, err := decodePacket(s.dec, x, s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,7 @@ func TestDecodeRoundTripAcrossSymbolSizesProperty(t *testing.T) {
 		rng.Read(payload)
 		frame := s.frameFor(t, payload)
 		x := s.fe.CaptureFrame(frame, 45)
-		got, _, err := s.dec.DecodePacket(x, s.pkt)
+		got, err := decodePacket(s.dec, x, s.pkt)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -307,7 +317,7 @@ func TestFFTMethodDecodesCleanChannel(t *testing.T) {
 	payload := []byte("fft path")
 	frame := s.frameFor(t, payload)
 	x := s.fe.CaptureFrame(frame, 50)
-	got, _, err := s.dec.DecodePacket(x, s.pkt)
+	got, err := decodePacket(s.dec, x, s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +332,7 @@ func TestLowSNRProducesErrors(t *testing.T) {
 	payload := []byte("noise floor")
 	frame := s.frameFor(t, payload)
 	x := s.fe.CaptureFrame(frame, -20)
-	if got, _, err := s.dec.DecodePacket(x, s.pkt); err == nil && bytes.Equal(got, payload) {
+	if got, err := decodePacket(s.dec, x, s.pkt); err == nil && bytes.Equal(got, payload) {
 		t.Fatal("decoding at -20 dB SNR should not succeed")
 	}
 }
@@ -487,7 +497,7 @@ func TestTagAssembly(t *testing.T) {
 	}
 	payload := []byte("assembled")
 	frame := s.frameFor(t, payload)
-	got, _, err := tg.ReceiveDownlinkContext(context.Background(), frame, 40, s.pkt)
+	got, err := decodePacket(tg.Decoder, tg.FrontEnd.CaptureFrame(frame, 40), s.pkt)
 	if err != nil {
 		t.Fatal(err)
 	}

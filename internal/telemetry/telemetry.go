@@ -17,8 +17,10 @@
 package telemetry
 
 import (
+	"context"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,21 +191,31 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// Span times one stage execution; obtain it from Metrics.Span or
-// Histogram.Span and call End exactly once. The zero Span is inert.
+// Span times one stage execution; obtain it from Metrics.Span,
+// Metrics.StartSpan, Histogram.Span or Trace.Span and call End exactly
+// once. Its two clock readings give both the histogram sample and, on a
+// traced span, its trace node's timing. The zero Span is inert.
 type Span struct {
 	h     *Histogram
+	node  *SpanNode
 	start time.Time
 }
 
-// End records the elapsed seconds into the span's histogram. No-op on an
-// inert span.
+// End records the elapsed seconds into the span's histogram and closes its
+// trace node. No-op on an inert span.
 func (s Span) End() {
-	if s.h == nil {
+	if s.h == nil && s.node == nil {
 		return
 	}
-	s.h.Observe(time.Since(s.start).Seconds())
+	d := time.Since(s.start)
+	s.h.Observe(d.Seconds())
+	if s.node != nil {
+		s.node.DurNS = int64(d)
+	}
 }
+
+// Fail records a non-nil error on the span's trace node.
+func (s Span) Fail(err error) { s.node.Fail(err) }
 
 // Metrics is a named registry of counters, gauges and histograms. The nil
 // *Metrics is the disabled registry: it hands out nil primitives whose
@@ -282,7 +294,9 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	defer m.mu.Unlock()
 	if h = m.hists[name]; h == nil {
 		h = &Histogram{}
-		m.hists[name] = h
+		// Keyed by a copy, so name does not escape: a caller may build it
+		// on the stack.
+		m.hists[strings.Clone(name)] = h
 	}
 	return h
 }
@@ -294,6 +308,27 @@ func (m *Metrics) Span(stage string) Span {
 		return Span{}
 	}
 	return m.Histogram(stage + ".seconds").Span()
+}
+
+// StartSpan starts a pipeline stage's span: it records into the histogram
+// "<stage>.seconds" and, when ctx carries a trace span, into a new child of
+// it named stage (node is the network node index the stage concerns, or
+// -1). The returned context carries that child, so lower layers nest under
+// it. On a nil registry and an untraced ctx the span is inert: it reads no
+// clock, allocates nothing and returns ctx.
+func (m *Metrics) StartSpan(ctx context.Context, stage string, node int) (Span, context.Context) {
+	var h *Histogram
+	if m != nil {
+		h = m.Histogram(stage + ".seconds")
+	}
+	parent := SpanFromContext(ctx)
+	if parent == nil {
+		return h.Span(), ctx
+	}
+	// Time from the child's own opening reading, so the sample and the
+	// span's duration match to the nanosecond.
+	c := parent.Child(stage, node)
+	return Span{h: h, node: c, start: parent.tr.Start.Add(time.Duration(c.StartNS))}, ContextWithSpan(ctx, c)
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to marshal, diff and

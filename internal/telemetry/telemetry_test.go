@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -162,6 +164,43 @@ func TestDisabledSpanIsAllocationFree(t *testing.T) {
 		sp.End()
 	}); allocs != 0 {
 		t.Fatalf("disabled metrics Span/End allocated %v times per op", allocs)
+	}
+	// The stage span with metrics and tracer both off: no histogram, no
+	// parent trace node, no root trace.
+	ctx := context.Background()
+	var tr *Trace
+	errX := errors.New("x")
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp, sctx := m.StartSpan(ctx, "stage", 0)
+		if sctx != ctx {
+			t.Fatal("disabled stage span wrapped the context")
+		}
+		sp.Fail(errX)
+		sp.End()
+		root := tr.Span(h)
+		root.End()
+	}); allocs != 0 {
+		t.Fatalf("disabled stage span allocated %v times per op", allocs)
+	}
+}
+
+// TestStageSpanLookupIsAllocationFree pins that a stage span on a live
+// registry finds its histogram by name without touching the heap once the
+// histogram exists: the "<stage>.seconds" key is built on the stack.
+func TestStageSpanLookupIsAllocationFree(t *testing.T) {
+	m := New()
+	ctx := context.Background()
+	for _, stage := range []string{"tag.capture", "radar.uplink_demod"} {
+		m.Histogram(stage + ".seconds")
+		if allocs := testing.AllocsPerRun(100, func() {
+			sp, _ := m.StartSpan(ctx, stage, 0)
+			sp.End()
+		}); allocs != 0 {
+			t.Fatalf("stage %s: span allocated %v times per op", stage, allocs)
+		}
+		if got := m.Histogram(stage + ".seconds").Stats().Count; got != 101 {
+			t.Fatalf("stage %s: %d samples, want 101", stage, got)
+		}
 	}
 }
 

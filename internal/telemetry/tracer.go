@@ -79,6 +79,16 @@ func BeginTrace(id ExchangeID, network int, seq uint64, rootName string) *Trace 
 	return tr
 }
 
+// Span times the trace's root span into h from the trace's own start
+// reading, so the root's duration and h's sample agree; on a nil trace it
+// is h.Span().
+func (tr *Trace) Span(h *Histogram) Span {
+	if tr == nil {
+		return h.Span()
+	}
+	return Span{h: h, node: tr.Root, start: tr.Start}
+}
+
 // Child opens a child span under s, stamped with the current trace-relative
 // offset. node is the network node index the span concerns, or -1. Returns
 // nil (the inert span) on a nil receiver.
