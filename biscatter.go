@@ -226,18 +226,16 @@ type (
 	// (seed, network id, sequence number) — reproducible across runs, unique
 	// within a deployment.
 	ExchangeID = telemetry.ExchangeID
-	// Trace is one exchange's causal span tree, collected by a Tracer or
-	// FlightRecorder attached via WithTracer / WithFlightRecorder.
+	// Trace is one exchange's causal span tree, collected by a Tracer
+	// attached via WithTracer.
 	Trace = telemetry.Trace
 	// SpanNode is one node of a Trace: a named, timed pipeline stage.
 	SpanNode = telemetry.SpanNode
-	// Tracer collects exchange Traces up to a bounded limit; export them with
-	// WriteTraceJSONL or WriteChromeTrace.
+	// Tracer keeps the most recent exchange Traces in a bounded lock-free
+	// ring and records each trip (exchange error, circuit-breaker open, or
+	// an explicit Trip call) in its dump; export the traces with
+	// WriteTraceJSONL or WriteChromeTrace, the dump with WriteJSON.
 	Tracer = telemetry.Tracer
-	// FlightRecorder keeps a bounded lock-free ring of the most recent
-	// exchange Traces and records each trip (exchange error, circuit-breaker
-	// open, or an explicit Trip call) in its dump.
-	FlightRecorder = telemetry.FlightRecorder
 	// DebugConfig selects which observability surfaces the debug HTTP
 	// handler exposes (/metrics, /metrics.json, /debug/trace, /debug/flight,
 	// /debug/pprof).
@@ -352,25 +350,16 @@ func WithMetrics(m *Metrics) Option { return core.WithMetrics(m) }
 // NewMetrics returns an empty telemetry registry for WithMetrics.
 func NewMetrics() *Metrics { return telemetry.New() }
 
-// NewTracer returns a bounded trace collector for WithTracer.
-func NewTracer() *Tracer { return telemetry.NewTracer() }
-
-// NewFlightRecorder returns a flight recorder retaining the last depth
-// exchange traces (non-positive selects the default depth of 32) for
-// WithFlightRecorder.
-func NewFlightRecorder(depth int) *FlightRecorder { return telemetry.NewFlightRecorder(depth) }
+// NewTracer returns a trace collector for WithTracer retaining the last
+// depth exchange traces (non-positive selects the default depth of 4096).
+func NewTracer(depth int) *Tracer { return telemetry.NewTracer(depth) }
 
 // WithTracer attaches a trace collector: every exchange produces a causal
 // span tree covering frame build, per-node downlink decode, scene
-// synthesis, radar observation, detection and uplink demodulation. With no
-// tracer (and no flight recorder) attached, the tracing path is fully
-// disabled and allocation-free.
+// synthesis, radar observation, detection and uplink demodulation, and
+// exchange errors and circuit-breaker openings trip its dump. With no
+// tracer attached, the tracing path is fully disabled and allocation-free.
 func WithTracer(t *Tracer) Option { return core.WithTracer(t) }
-
-// WithFlightRecorder attaches a flight recorder that retains the most
-// recent exchange traces and records exchange errors and circuit-breaker
-// trips in its dump.
-func WithFlightRecorder(f *FlightRecorder) Option { return core.WithFlightRecorder(f) }
 
 // WithNetworkID assigns the network identity mixed into every ExchangeID
 // and stamped on traces. Fleet.AddNetwork assigns dense ids automatically.

@@ -88,16 +88,19 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		return err
 	}
 	metrics := telemetry.New()
-	flight := telemetry.NewFlightRecorder(64)
-	var tracer *telemetry.Tracer
-	if o.traceOut != "" || o.debugAddr != "" {
-		tracer = telemetry.NewTracer()
+	// The tracer is always on as the black box behind /debug/flight: it
+	// keeps the last 64 rounds, or every round when -trace-out asks for the
+	// whole run.
+	depth := 64
+	if o.traceOut != "" {
+		depth = 0
 	}
+	tracer := telemetry.NewTracer(depth)
 	payloadFn := func(round uint64) []byte { return []byte(o.payload) }
 
 	var fleet *core.Fleet
 	if networks > 1 {
-		fleet = core.NewFleet(core.FleetConfig{Engines: networks, Metrics: metrics, Tracer: tracer, Flight: flight})
+		fleet = core.NewFleet(core.FleetConfig{Engines: networks, Metrics: metrics, Tracer: tracer})
 		defer fleet.Close()
 	}
 	recs := make([]*core.ExchangeRecorder, networks)
@@ -141,7 +144,6 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		ln, derr := telemetry.ServeDebugConfig(o.debugAddr, telemetry.DebugConfig{
 			Metrics: metrics,
 			Tracer:  tracer,
-			Flight:  flight,
 		})
 		if derr != nil {
 			return fmt.Errorf("debug server: %w", derr)
@@ -174,7 +176,7 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		HeartbeatInterval: sf.Heartbeat,
 		SessionTimeout:    sf.SessionTimeout,
 		Metrics:           metrics,
-		Flight:            flight,
+		Tracer:            tracer,
 		Logf:              log.Printf,
 	}, mux.ExchangeFunc())
 	if err := gw.Run(context.Background()); err != nil {

@@ -92,7 +92,7 @@ func main() {
 		opts.Metrics = telemetry.New()
 	}
 	if *debugAddr != "" || *traceOut != "" {
-		opts.Tracer = telemetry.NewTracer()
+		opts.Tracer = telemetry.NewTracer(0)
 	}
 	if *debugAddr != "" {
 		ln, err := telemetry.ServeDebugConfig(*debugAddr, telemetry.DebugConfig{
@@ -194,7 +194,7 @@ func runRecord(args []string) int {
 	var opts []core.Option
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
-		tracer = telemetry.NewTracer()
+		tracer = telemetry.NewTracer(0)
 		opts = append(opts, core.WithTracer(tracer))
 	}
 	net, err := core.NewNetwork(cfg, opts...)

@@ -186,8 +186,8 @@ func (lc *LinkController) rebuild() error {
 		return fmt.Errorf("core: rebuilding at mode %q: %w", mode.Name, err)
 	}
 	// Carry the exchange sequence across the rebuild so exchange IDs stay
-	// unique over the controller's lifetime (the tracer and flight
-	// recorder also ride along, via the base config).
+	// unique over the controller's lifetime (the tracer also rides along,
+	// via the base config).
 	if lc.net != nil {
 		net.seq = lc.net.seq
 	}
@@ -269,7 +269,7 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 		} else {
 			br.Fail(lc.cfg.BreakerThreshold)
 			lc.counter("core.recovery.breaker.reopen")
-			lc.net.flight.Trip("breaker reopen: node " + strconv.Itoa(nodeIdx))
+			lc.net.tracer.Trip("breaker reopen: node " + strconv.Itoa(nodeIdx))
 		}
 		return rep, nil
 	}
@@ -324,8 +324,8 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 			br.idleSlots = 0
 			lc.counter("core.recovery.breaker.open")
 			// Quarantining a node is exactly the moment the recent exchange
-			// history matters: mark it in the flight recorder's black box.
-			lc.net.flight.Trip("breaker open: node " + strconv.Itoa(nodeIdx))
+			// history matters: mark it in the tracer's black box.
+			lc.net.tracer.Trip("breaker open: node " + strconv.Itoa(nodeIdx))
 		}
 	}
 }

@@ -113,15 +113,13 @@ type Config struct {
 	// Tracer collects one causal span tree per exchange — the full pipeline
 	// breakdown (frame build, per-node downlink decodes, radar observe and
 	// IF correction, detection, per-node uplink demods) under a
-	// deterministic exchange identity. Nil disables tracing entirely: the
-	// hot path then never wraps the context or builds spans, so the
-	// zero-allocation exchange contract holds. A tracer may be shared
-	// across networks (a Fleet shares one).
+	// deterministic exchange identity — into its bounded ring, and records
+	// a trip on exchange errors and when a link controller's circuit
+	// breaker opens. Nil disables tracing entirely: the hot path then never
+	// wraps the context or builds spans, so the zero-allocation exchange
+	// contract holds. A tracer may be shared across networks (a Fleet
+	// shares one).
 	Tracer *telemetry.Tracer
-	// Flight keeps the last N exchange traces in a bounded ring and records
-	// a trip in its dump on exchange errors and when a link controller's
-	// circuit breaker opens. Nil disables it.
-	Flight *telemetry.FlightRecorder
 	// NetworkID identifies this network in exchange IDs and traces. A Fleet
 	// assigns its dense network id; standalone networks default to 0.
 	NetworkID int
@@ -198,7 +196,6 @@ type Network struct {
 	pool     *parallel.Pool
 	tel      coreTel
 	tracer   *telemetry.Tracer
-	flight   *telemetry.FlightRecorder
 	radarInj *fault.RadarInjector
 	scr      exchangeScratch
 
@@ -305,7 +302,6 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 		pool:     parallel.New(cfg.Workers).Instrument(cfg.Metrics),
 		tel:      newCoreTel(cfg.Metrics, len(cfg.Nodes)),
 		tracer:   cfg.Tracer,
-		flight:   cfg.Flight,
 		radarInj: fault.NewRadarInjector(cfg.Faults, cfg.Seed, cfg.Metrics),
 	}
 	chirpRate := 1 / cfg.Period

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"biscatter/internal/channel"
@@ -348,7 +349,7 @@ func (n *Network) exchange(ctx context.Context, payload []byte, uplinkBits map[i
 	seq := n.seq
 	n.seq++
 	var tr *telemetry.Trace
-	if n.tracer != nil || n.flight != nil {
+	if n.tracer != nil {
 		id := telemetry.NewExchangeID(n.cfg.Seed, n.cfg.NetworkID, seq)
 		tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, stageExchange)
 		ctx = telemetry.ContextWithSpan(ctx, tr.Root)
@@ -361,9 +362,8 @@ func (n *Network) exchange(ctx context.Context, payload []byte, uplinkBits map[i
 		if tr != nil {
 			tr.Root.SetAttr("nodes", len(n.nodes))
 			n.tracer.Collect(tr)
-			n.flight.Add(tr)
 			if err != nil {
-				n.flight.Trip("exchange error: " + err.Error())
+				n.tracer.Trip("exchange error: " + err.Error())
 			}
 		}
 	}()
@@ -647,17 +647,8 @@ func CountBitErrors(sent, got []byte) (errs, total int) {
 		case i >= len(got) || i >= len(sent):
 			errs += 8
 		default:
-			errs += popcount8(sent[i] ^ got[i])
+			errs += bits.OnesCount8(sent[i] ^ got[i])
 		}
 	}
 	return errs, total
-}
-
-func popcount8(b byte) int {
-	n := 0
-	for b != 0 {
-		b &= b - 1
-		n++
-	}
-	return n
 }

@@ -30,13 +30,10 @@ type FleetConfig struct {
 	// shared with every network the fleet builds, so per-stage pipeline
 	// metrics aggregate fleet-wide. Nil disables collection.
 	Metrics *telemetry.Metrics
-	// Tracer collects exchange span trees from every network the fleet
-	// builds (trace Network fields carry the fleet-assigned ids, so the
-	// shared stream stays attributable); nil disables tracing.
+	// Tracer collects exchange span trees and trips from every network the
+	// fleet builds (trace Network fields carry the fleet-assigned ids, so
+	// the shared stream stays attributable); nil disables tracing.
 	Tracer *telemetry.Tracer
-	// Flight is the shared flight recorder of every network the fleet
-	// builds; nil disables it.
-	Flight *telemetry.FlightRecorder
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -216,8 +213,8 @@ func (f *Fleet) do(ctx context.Context, e *engine, run func(ctx context.Context)
 // AddNetwork builds a network from the configuration, the fleet defaults
 // and the per-network options (fleet defaults run first, so per-network
 // options override them), and pins it to an engine round-robin. The fleet's
-// metrics registry, tracer and flight recorder are attached ahead of the
-// option list, so an explicit WithMetrics still wins.
+// metrics registry and tracer are attached ahead of the option list, so an
+// explicit WithMetrics still wins.
 func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -228,15 +225,12 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.networks++
 	f.mu.Unlock()
 
-	all := make([]Option, 0, len(f.defaults)+len(opts)+4)
+	all := make([]Option, 0, len(f.defaults)+len(opts)+3)
 	if f.cfg.Metrics != nil {
 		all = append(all, WithMetrics(f.cfg.Metrics))
 	}
 	if f.cfg.Tracer != nil {
 		all = append(all, WithTracer(f.cfg.Tracer))
-	}
-	if f.cfg.Flight != nil {
-		all = append(all, WithFlightRecorder(f.cfg.Flight))
 	}
 	all = append(all, f.defaults...)
 	all = append(all, opts...)

@@ -93,17 +93,12 @@ func WithMetrics(m *telemetry.Metrics) Option {
 // WithTracer attaches an exchange tracer: every Exchange round produces a
 // causal span tree (frame build, per-node downlink decodes, radar observe
 // and IF correction, detection, per-node uplink demods) under a
-// deterministic ExchangeID, collected into t and exportable as JSONL or
-// Chrome trace_event. Nil keeps tracing off — the default, and free.
+// deterministic ExchangeID, collected into t's ring and exportable as JSONL
+// or Chrome trace_event; an exchange failure or a link controller's circuit
+// breaker opening is recorded as a trip in t's dump. Nil keeps tracing off
+// — the default, and free.
 func WithTracer(t *telemetry.Tracer) Option {
 	return func(c *Config) { c.Tracer = t }
-}
-
-// WithFlightRecorder attaches a flight recorder: the last N exchange traces
-// stay resident in a lock-free ring, and an exchange failure or a link
-// controller's circuit breaker opening is recorded as a trip in its dump.
-func WithFlightRecorder(f *telemetry.FlightRecorder) Option {
-	return func(c *Config) { c.Flight = f }
 }
 
 // WithNetworkID sets the network identity stamped into exchange IDs and

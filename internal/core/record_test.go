@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -169,7 +173,7 @@ func TestReplayDetectsTamperedRecord(t *testing.T) {
 }
 
 func TestExchangeTraceTree(t *testing.T) {
-	tracer := telemetry.NewTracer()
+	tracer := telemetry.NewTracer(0)
 	net, err := NewNetwork(Config{
 		Nodes: []NodeConfig{{ID: 1, Range: 2.5}, {ID: 2, Range: 4}},
 		Seed:  11,
@@ -226,7 +230,7 @@ func TestExchangeTraceTree(t *testing.T) {
 
 func TestExchangeTraceDeterministicIDs(t *testing.T) {
 	run := func() []string {
-		tracer := telemetry.NewTracer()
+		tracer := telemetry.NewTracer(0)
 		net, err := NewNetwork(Config{
 			Nodes: []NodeConfig{{ID: 1, Range: 2.5}},
 			Seed:  23,
@@ -259,12 +263,15 @@ func TestExchangeTraceDeterministicIDs(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCapturesExchanges pins the tracer as the exchange's
+// black box: a bounded ring of the latest traces, and a failing exchange
+// both collects its trace and trips the same tracer.
 func TestFlightRecorderCapturesExchanges(t *testing.T) {
-	flight := telemetry.NewFlightRecorder(4)
+	flight := telemetry.NewTracer(4)
 	net, err := NewNetwork(Config{
 		Nodes: []NodeConfig{{ID: 1, Range: 2.5}},
 		Seed:  13,
-	}, WithFlightRecorder(flight))
+	}, WithTracer(flight))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,20 +280,52 @@ func TestFlightRecorderCapturesExchanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if flight.Recorded() != 6 {
-		t.Fatalf("flight recorded %d exchanges, want 6", flight.Recorded())
+	var dump struct {
+		Recorded   uint64 `json:"recorded"`
+		Trips      int64  `json:"trips"`
+		LastReason string `json:"last_reason"`
 	}
-	snap := flight.Snapshot()
+	readDump := func() {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := flight.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readDump()
+	if dump.Recorded != 6 || dump.Trips != 0 {
+		t.Fatalf("flight recorded %d exchanges with %d trips, want 6 and 0", dump.Recorded, dump.Trips)
+	}
+	snap := flight.Traces()
 	if len(snap) != 4 {
 		t.Fatalf("flight ring holds %d, want 4", len(snap))
 	}
 	if snap[len(snap)-1].Seq != 5 {
 		t.Fatalf("newest resident trace seq = %d, want 5", snap[len(snap)-1].Seq)
 	}
+
+	t.Run("failing exchange", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := net.ExchangeContext(ctx, []byte{6}, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		readDump()
+		if dump.Recorded != 7 || dump.Trips != 1 || !strings.Contains(dump.LastReason, context.Canceled.Error()) {
+			t.Fatalf("after a failed exchange: recorded %d, trips %d, last reason %q", dump.Recorded, dump.Trips, dump.LastReason)
+		}
+		snap := flight.Traces()
+		if last := snap[len(snap)-1]; last.Seq != 6 || last.Root.Err == "" {
+			t.Fatalf("newest trace seq %d err %q, want seq 6 with the exchange error", last.Seq, last.Root.Err)
+		}
+	})
 }
 
 func TestFleetPropagatesTracing(t *testing.T) {
-	tracer := telemetry.NewTracer()
+	tracer := telemetry.NewTracer(0)
 	fleet := NewFleet(FleetConfig{Engines: 2, Tracer: tracer})
 	defer fleet.Close()
 	var handles []*FleetNetwork

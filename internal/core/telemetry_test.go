@@ -204,7 +204,7 @@ func TestStageTimersAgree(t *testing.T) {
 
 func checkStageTimers(t *testing.T, cfg Config, scheduled bool) {
 	t.Helper()
-	m, tracer := telemetry.New(), telemetry.NewTracer()
+	m, tracer := telemetry.New(), telemetry.NewTracer(0)
 	n, err := NewNetwork(cfg, WithMetrics(m), WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)

@@ -449,6 +449,44 @@ func DataRate(o Options) (*Result, error) {
 	return res, nil
 }
 
+// addBERGrid adds rows rows to tbl: each row's label(row) cells, then cols
+// DownlinkBER cells, each measured at the setup, SNR and seed that
+// cell(row, col) returns. The row × column grid is one flat fan-out: every
+// cell carries its own seed, so the sweep parallelizes without reordering
+// the table. A cell whose setup fails reads "over capacity"; the first such
+// error in table order is returned, and each figure picks its own policy.
+func addBERGrid(tbl *Table, o Options, rows, cols int, label func(row int) []string, cell func(row, col int) (DownlinkSetup, float64, int64)) error {
+	type result struct {
+		text string
+		err  error
+	}
+	cells := ParallelMapN(o.Workers, rows*cols, func(k int) result {
+		s, snr, seed := cell(k/cols, k%cols)
+		c, err := DownlinkBER(s, snr, o.Frames, seed)
+		if err != nil {
+			return result{"over capacity", err}
+		}
+		return result{text: FormatBER(c)}
+	})
+	var first error
+	for r := 0; r < rows; r++ {
+		row := label(r)
+		for _, c := range cells[r*cols : (r+1)*cols] {
+			if first == nil {
+				first = c.err
+			}
+			row = append(row, c.text)
+		}
+		tbl.AddRow(row...)
+	}
+	return first
+}
+
+// snrLabel labels a row by its SNR in whole dB.
+func snrLabel(snrs []float64) func(int) []string {
+	return func(r int) []string { return []string{fmt.Sprintf("%.0f", snrs[r])} }
+}
+
 // Fig12 regenerates Fig. 12: downlink BER vs symbol size for three radar
 // bandwidths.
 func Fig12(o Options) (*Result, error) {
@@ -459,24 +497,13 @@ func Fig12(o Options) (*Result, error) {
 		Title:   fmt.Sprintf("Fig. 12 — downlink BER vs symbol size (SNR %.0f dB, %d frames/point)", snr, o.Frames),
 		Columns: []string{"bits/symbol", "B=250 MHz", "B=500 MHz", "B=1 GHz"},
 	}
-	// The (symbol size × bandwidth) grid is one flat fan-out: every cell
-	// carries its own seed, so the sweep parallelizes without reordering
-	// the table.
-	const maxBits = 8
-	cells := ParallelMapN(o.Workers, maxBits*len(bands), func(k int) string {
-		bits, bi := k/len(bands)+1, k%len(bands)
-		s := DownlinkSetup{Bandwidth: bands[bi], SymbolBits: bits}
-		c, err := DownlinkBER(s, snr, o.Frames, o.Seed+int64(bits*10+bi))
-		if err != nil {
-			return "over capacity"
-		}
-		return FormatBER(c)
+	// Row r is symbol size r+1 bits; an over-capacity cell reads "over
+	// capacity" and the figure goes on.
+	_ = addBERGrid(&tbl, o, 8, len(bands), func(r int) []string {
+		return []string{fmt.Sprintf("%d", r+1)}
+	}, func(r, c int) (DownlinkSetup, float64, int64) {
+		return DownlinkSetup{Bandwidth: bands[c], SymbolBits: r + 1}, snr, o.Seed + int64((r+1)*10+c)
 	})
-	for bits := 1; bits <= maxBits; bits++ {
-		row := []string{fmt.Sprintf("%d", bits)}
-		row = append(row, cells[(bits-1)*len(bands):bits*len(bands)]...)
-		tbl.AddRow(row...)
-	}
 	res := &Result{
 		ID:          "fig12",
 		Description: "larger bandwidth supports larger symbols; BER grows as beat spacing shrinks",
@@ -497,20 +524,11 @@ func Fig13(o Options) (*Result, error) {
 		Title:   fmt.Sprintf("Fig. 13 — downlink BER vs distance (B=1 GHz, %d frames/point)", o.Frames),
 		Columns: []string{"distance (m)", "SNR (dB)", "3 bits", "5 bits", "7 bits"},
 	}
-	cells := ParallelMapN(o.Workers, len(distances)*len(sizes), func(k int) string {
-		di, si := k/len(sizes), k%len(sizes)
-		s := DownlinkSetup{SymbolBits: sizes[si]}
-		c, err := DownlinkBER(s, link.DownlinkSNRdB(distances[di]), o.Frames, o.Seed+int64(di*10+si))
-		if err != nil {
-			return "over capacity"
-		}
-		return FormatBER(c)
+	_ = addBERGrid(&tbl, o, len(distances), len(sizes), func(r int) []string {
+		return []string{fmt.Sprintf("%.1f", distances[r]), fmt.Sprintf("%.1f", link.DownlinkSNRdB(distances[r]))}
+	}, func(r, c int) (DownlinkSetup, float64, int64) {
+		return DownlinkSetup{SymbolBits: sizes[c]}, link.DownlinkSNRdB(distances[r]), o.Seed + int64(r*10+c)
 	})
-	for di, d := range distances {
-		row := []string{fmt.Sprintf("%.1f", d), fmt.Sprintf("%.1f", link.DownlinkSNRdB(d))}
-		row = append(row, cells[di*len(sizes):(di+1)*len(sizes)]...)
-		tbl.AddRow(row...)
-	}
 	res := &Result{
 		ID:          "fig13",
 		Description: "low BER to 7 m (≈16 dB equivalent SNR); larger symbols degrade first",
@@ -529,20 +547,9 @@ func Fig14(o Options) (*Result, error) {
 		Title:   fmt.Sprintf("Fig. 14 — downlink BER vs SNR per ΔL (5 bits/symbol, %d frames/point)", o.Frames),
 		Columns: []string{"SNR (dB)", "ΔL=18 in", "ΔL=30 in", "ΔL=45 in"},
 	}
-	cells := ParallelMapN(o.Workers, len(snrs)*len(lengths), func(k int) string {
-		si, li := k/len(lengths), k%len(lengths)
-		s := DownlinkSetup{DeltaL: lengths[li] * delayline.MetersPerInch, SymbolBits: 5}
-		c, err := DownlinkBER(s, snrs[si], o.Frames, o.Seed+int64(si*10+li))
-		if err != nil {
-			return "over capacity"
-		}
-		return FormatBER(c)
+	_ = addBERGrid(&tbl, o, len(snrs), len(lengths), snrLabel(snrs), func(r, c int) (DownlinkSetup, float64, int64) {
+		return DownlinkSetup{DeltaL: lengths[c] * delayline.MetersPerInch, SymbolBits: 5}, snrs[r], o.Seed + int64(r*10+c)
 	})
-	for si, snr := range snrs {
-		row := []string{fmt.Sprintf("%.0f", snr)}
-		row = append(row, cells[si*len(lengths):(si+1)*len(lengths)]...)
-		tbl.AddRow(row...)
-	}
 	res := &Result{
 		ID:          "fig14",
 		Description: "longer delay lines widen beat spacing and cut BER at a given SNR",
@@ -695,29 +702,12 @@ func Fig17(o Options) (*Result, error) {
 		{Bandwidth: 250e6, SymbolBits: 3, CenterFrequency: 9.125e9, SlopeJitter: 0.004},
 		{Bandwidth: 250e6, SymbolBits: 3, CenterFrequency: 24.125e9, SlopeJitter: 0.001},
 	}
-	type cell struct {
-		text string
-		err  error
-	}
-	cells := ParallelMapN(o.Workers, len(snrs)*len(setups), func(k int) cell {
-		si, bi := k/len(setups), k%len(setups)
-		c, err := DownlinkBER(setups[bi], snrs[si], o.Frames, o.Seed+int64(si*10+bi))
-		if err != nil {
-			return cell{err: err}
-		}
-		return cell{text: FormatBER(c)}
+	// Both platforms run well inside capacity: a failing cell is an error.
+	err := addBERGrid(&tbl, o, len(snrs), len(setups), snrLabel(snrs), func(r, c int) (DownlinkSetup, float64, int64) {
+		return setups[c], snrs[r], o.Seed + int64(r*10+c)
 	})
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-	}
-	for si, snr := range snrs {
-		row := []string{fmt.Sprintf("%.0f", snr)}
-		for bi := range setups {
-			row = append(row, cells[si*len(setups)+bi].text)
-		}
-		tbl.AddRow(row...)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		ID:          "fig17",

@@ -147,7 +147,7 @@ func TestChaosConformance(t *testing.T) {
 	}
 
 	m := telemetry.New()
-	fl := telemetry.NewFlightRecorder(32)
+	fl := telemetry.NewTracer(32)
 	gwConn, err := netio.Listen("127.0.0.1:0",
 		netio.WithMetrics(m), netio.WithNetFaults(chaosProfile(7)))
 	if err != nil {
@@ -163,7 +163,7 @@ func TestChaosConformance(t *testing.T) {
 		RoundTimeout:      2 * time.Second,
 		Poll:              5 * time.Millisecond,
 		Metrics:           m,
-		Flight:            fl,
+		Tracer:            fl,
 	}, fn)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -270,7 +270,7 @@ func TestChaosKillRestartResume(t *testing.T) {
 	}
 
 	m := telemetry.New()
-	fl := telemetry.NewFlightRecorder(32)
+	fl := telemetry.NewTracer(32)
 	gwConn, err := netio.Listen("127.0.0.1:0", netio.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestChaosKillRestartResume(t *testing.T) {
 		Poll:              5 * time.Millisecond,
 		Linger:            20 * time.Second,
 		Metrics:           m,
-		Flight:            fl,
+		Tracer:            fl,
 	}, fn)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)

@@ -139,9 +139,9 @@ type GatewayConfig struct {
 	Linger time.Duration
 	// Metrics receives netio.* counters/gauges/histograms (nil = disabled).
 	Metrics *telemetry.Metrics
-	// Flight receives a Trip on session eviction, breaker opening and
+	// Tracer receives a Trip on session eviction, breaker opening and
 	// exchange errors (nil = disabled).
-	Flight *telemetry.FlightRecorder
+	Tracer *telemetry.Tracer
 	// Logf, when set, receives supervision-event logs.
 	Logf func(format string, args ...any)
 }
@@ -741,7 +741,7 @@ func (g *Gateway) runRound() {
 	g.cRounds.Inc()
 	if err != nil {
 		g.cExchangeErr.Inc()
-		g.trip(fmt.Sprintf("netio: exchange error round %d: %v", round, err))
+		g.cfg.Tracer.Trip(fmt.Sprintf("netio: exchange error round %d: %v", round, err))
 		g.logf("gateway: round %d exchange error: %v", round, err)
 	}
 
@@ -756,7 +756,7 @@ func (g *Gateway) runRound() {
 			rr = &RoundResult{SessionID: s.id, Round: round, Status: RoundSkipped}
 			if s.breaker.Fail(g.cfg.BreakerThreshold) {
 				g.cBreakerOpen.Inc()
-				g.trip(fmt.Sprintf("netio: breaker open: tag %d missed %d rounds", s.tagID, s.breaker.Fails))
+				g.cfg.Tracer.Trip(fmt.Sprintf("netio: breaker open: tag %d missed %d rounds", s.tagID, s.breaker.Fails))
 				g.logf("gateway: breaker open for tag %d after %d misses", s.tagID, s.breaker.Fails)
 			}
 		case err != nil:
@@ -817,17 +817,11 @@ func (g *Gateway) evictExpired(now time.Time) {
 			continue
 		}
 		g.cEvicted.Inc()
-		g.trip(fmt.Sprintf("netio: session evicted: tag %d silent for %v", s.tagID, now.Sub(s.seen).Round(time.Millisecond)))
+		g.cfg.Tracer.Trip(fmt.Sprintf("netio: session evicted: tag %d silent for %v", s.tagID, now.Sub(s.seen).Round(time.Millisecond)))
 		g.logf("gateway: evicting tag %d (session %d): silent past %v", s.tagID, s.id, g.cfg.SessionTimeout)
 		if addr := s.addr.Load(); addr != nil {
 			g.sendDirect(addr, &Evict{SessionID: s.id, Reason: "heartbeat deadline passed"})
 		}
 		g.dropSession(s)
-	}
-}
-
-func (g *Gateway) trip(reason string) {
-	if g.cfg.Flight != nil {
-		g.cfg.Flight.Trip(reason)
 	}
 }

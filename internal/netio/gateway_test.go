@@ -200,10 +200,10 @@ func TestGatewayHeartbeatKeepsSessionAlive(t *testing.T) {
 // TestGatewayEvictsSilentSession pins deadline-based eviction and its
 // observability (counter + flight recorder).
 func TestGatewayEvictsSilentSession(t *testing.T) {
-	flight := telemetry.NewFlightRecorder(8)
+	flight := telemetry.NewTracer(8)
 	node, m, stop := testGateway(t, GatewayConfig{
 		SessionTimeout: 200 * time.Millisecond,
-		Flight:         flight,
+		Tracer:         flight,
 	}, echoExchange)
 	defer stop()
 	defer node.Close()
@@ -242,13 +242,13 @@ func TestGatewayEvictsSilentSession(t *testing.T) {
 // fleet keeps exchanging, and its comeback submission is the half-open
 // probe that closes the breaker.
 func TestGatewayBreakerQuarantine(t *testing.T) {
-	flight := telemetry.NewFlightRecorder(8)
+	flight := telemetry.NewTracer(8)
 	node, m, stop := testGateway(t, GatewayConfig{
 		MinSessions: 2, Rounds: 4,
 		RoundTimeout:     150 * time.Millisecond,
 		BreakerThreshold: 1,
 		SessionTimeout:   time.Minute, // eviction out of the picture
-		Flight:           flight,
+		Tracer:           flight,
 	}, echoExchange)
 
 	slow, slowConn := dialTag(t, node.Addr(), 1, ClientConfig{})

@@ -21,20 +21,34 @@ func readFile(t *testing.T, path string) string {
 	return string(b)
 }
 
+// dumpOf decodes tr's WriteJSON dump.
+func dumpOf(t *testing.T, tr *Tracer) tracerDump {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var d tracerDump
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// The tests below pin the tracer's ring: it is the flight recorder that
+// /debug/flight dumps.
+
 func TestFlightRecorderWraparound(t *testing.T) {
-	f := NewFlightRecorder(4)
-	if f.Depth() != 4 {
-		t.Fatalf("Depth = %d, want 4", f.Depth())
-	}
+	f := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		f.Add(BeginTrace(NewExchangeID(0, 0, uint64(i)), 0, uint64(i), "root"))
+		f.Collect(BeginTrace(NewExchangeID(0, 0, uint64(i)), 0, uint64(i), "root"))
 	}
-	if f.Recorded() != 10 {
-		t.Fatalf("Recorded = %d, want 10", f.Recorded())
+	if d := dumpOf(t, f); d.Depth != 4 || d.Recorded != 10 {
+		t.Fatalf("depth = %d, recorded = %d, want 4 and 10", d.Depth, d.Recorded)
 	}
-	snap := f.Snapshot()
+	snap := f.Traces()
 	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
+		t.Fatalf("Traces len = %d, want 4", len(snap))
 	}
 	// Oldest-first: the surviving window is seqs 6..9.
 	for i, tr := range snap {
@@ -45,24 +59,24 @@ func TestFlightRecorderWraparound(t *testing.T) {
 }
 
 func TestFlightRecorderPartialRing(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Add(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
-	f.Add(BeginTrace(NewExchangeID(0, 0, 1), 0, 1, "root"))
-	snap := f.Snapshot()
+	f := NewTracer(8)
+	f.Collect(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
+	f.Collect(BeginTrace(NewExchangeID(0, 0, 1), 0, 1, "root"))
+	snap := f.Traces()
 	if len(snap) != 2 || snap[0].Seq != 0 || snap[1].Seq != 1 {
 		t.Fatalf("partial ring snapshot wrong: %d traces", len(snap))
 	}
 }
 
 func TestFlightRecorderNil(t *testing.T) {
-	var f *FlightRecorder
-	f.Add(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
-	if f.Depth() != 0 || f.Recorded() != 0 || f.Trips() != 0 || f.Snapshot() != nil {
-		t.Fatal("nil flight recorder is not inert")
+	var f *Tracer
+	f.Collect(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
+	if f.Trips() != 0 || f.Traces() != nil {
+		t.Fatal("nil tracer is not inert")
 	}
 	f.Trip("x")
 	if f.Trips() != 0 {
-		t.Fatal("Trip on nil recorder counted")
+		t.Fatal("Trip on nil tracer counted")
 	}
 	var buf bytes.Buffer
 	if err := f.WriteJSON(&buf); err != nil {
@@ -71,11 +85,14 @@ func TestFlightRecorderNil(t *testing.T) {
 	if !strings.Contains(buf.String(), `"traces": []`) {
 		t.Fatalf("nil dump missing empty traces array: %s", buf.String())
 	}
+	if d := dumpOf(t, f); d.Depth != 0 || d.Recorded != 0 {
+		t.Fatalf("nil dump = %+v", d)
+	}
 }
 
 func TestFlightRecorderTrip(t *testing.T) {
-	f := NewFlightRecorder(4)
-	f.Add(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
+	f := NewTracer(4)
+	f.Collect(BeginTrace(NewExchangeID(0, 0, 0), 0, 0, "root"))
 	f.Trip("breaker-open")
 	if f.Trips() != 1 {
 		t.Fatalf("Trips = %d, want 1", f.Trips())
@@ -97,10 +114,10 @@ func TestFlightRecorderTrip(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrent exercises Add racing Snapshot/WriteJSON/Trip —
-// the scenario the lock-free ring exists for. Run under -race.
+// TestFlightRecorderConcurrent exercises Collect racing Traces/WriteJSON/Trip
+// — the scenario the lock-free ring exists for. Run under -race.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(8)
+	f := NewTracer(8)
 	const writers, perWriter = 4, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -108,18 +125,18 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				f.Add(BeginTrace(NewExchangeID(int64(w), 0, uint64(i)), 0, uint64(i), "root"))
+				f.Collect(BeginTrace(NewExchangeID(int64(w), 0, uint64(i)), 0, uint64(i), "root"))
 			}
 		}(w)
 	}
 	for i := 0; i < 50; i++ {
-		_ = f.Snapshot()
+		_ = f.Traces()
 		_ = f.WriteJSON(io.Discard)
 		f.Trip("concurrent")
 	}
 	wg.Wait()
-	if f.Recorded() != writers*perWriter || f.Trips() != 50 {
-		t.Fatalf("recorded=%d trips=%d", f.Recorded(), f.Trips())
+	if d := dumpOf(t, f); d.Recorded != writers*perWriter || f.Trips() != 50 {
+		t.Fatalf("recorded=%d trips=%d", d.Recorded, f.Trips())
 	}
 }
 
@@ -172,11 +189,9 @@ func TestSanitizeMetricName(t *testing.T) {
 func TestDebugHandlerEndpoints(t *testing.T) {
 	m := New()
 	m.Counter("core.exchange.count").Inc()
-	tracer := NewTracer()
+	tracer := NewTracer(4)
 	tracer.Collect(fixedTrace())
-	flight := NewFlightRecorder(4)
-	flight.Add(fixedTrace())
-	srv := httptest.NewServer(DebugHandler(DebugConfig{Metrics: m, Tracer: tracer, Flight: flight}))
+	srv := httptest.NewServer(DebugHandler(DebugConfig{Metrics: m, Tracer: tracer}))
 	defer srv.Close()
 
 	get := func(path string) string {

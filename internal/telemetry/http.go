@@ -33,15 +33,14 @@ func PublishExpvar(m *Metrics) {
 }
 
 // DebugConfig selects what the debug mux serves: the metrics registry is
-// the baseline; a Tracer adds /debug/trace, a FlightRecorder /debug/flight.
-// Nil fields serve empty (but valid) responses on their endpoints.
+// the baseline; a Tracer adds /debug/trace and /debug/flight. Nil fields
+// serve empty (but valid) responses on their endpoints.
 type DebugConfig struct {
 	// Metrics backs /metrics.json, /metrics and the expvar export.
 	Metrics *Metrics
-	// Tracer backs /debug/trace.
+	// Tracer backs /debug/trace (its resident traces) and /debug/flight
+	// (its dump).
 	Tracer *Tracer
-	// Flight backs /debug/flight.
-	Flight *FlightRecorder
 }
 
 // DebugHandler returns the live-introspection mux:
@@ -50,7 +49,7 @@ type DebugConfig struct {
 //	/metrics       — OpenMetrics text exposition (Prometheus-scrapeable)
 //	/debug/trace   — collected exchange traces: Chrome trace_event JSON
 //	                 (open in Perfetto), or JSONL with ?format=jsonl
-//	/debug/flight  — flight-recorder dump (ring metadata + recent traces)
+//	/debug/flight  — the tracer's dump (ring depth, trips, resident traces)
 //	/debug/vars    — expvar (includes the "biscatter" snapshot and Go runtime vars)
 //	/debug/pprof/* — CPU, heap, goroutine and trace profiles
 func DebugHandler(c DebugConfig) http.Handler {
@@ -78,7 +77,7 @@ func DebugHandler(c DebugConfig) http.Handler {
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = c.Flight.WriteJSON(w)
+		_ = c.Tracer.WriteJSON(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,8 +1,8 @@
 // Package telemetry is the observability core of the simulator: lock-cheap
 // metric primitives (atomic counters, float gauges, ring-buffer histograms
 // with windowed quantiles), a per-stage timer API (Span/End), exchange span
-// trees (Tracer, FlightRecorder), and snapshot/export plumbing (expvar,
-// JSON, a debug HTTP server).
+// trees collected into one bounded ring with trip history (Tracer), and
+// snapshot/export plumbing (expvar, JSON, a debug HTTP server).
 //
 // Everything is nil-tolerant by design: a nil *Metrics hands out nil
 // primitives, and every method on a nil primitive is a no-op. Pipeline code

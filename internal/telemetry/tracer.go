@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"biscatter/internal/splitmix"
@@ -63,7 +64,7 @@ type SpanNode struct {
 }
 
 // Trace is one exchange's complete span tree plus its identity: the
-// flight-recorder entry, the JSONL line, and the Chrome trace_event unit.
+// tracer's ring entry, the JSONL line, and the Chrome trace_event unit.
 type Trace struct {
 	ID      string    `json:"exchange_id"`
 	Network int       `json:"network"`
@@ -164,69 +165,124 @@ func SpanFromContext(ctx context.Context) *SpanNode {
 	return s
 }
 
-// Tracer collects completed exchange traces, bounded in memory: beyond
-// DefaultTracerLimit the oldest traces are evicted (and counted in
-// Dropped). A nil *Tracer is the disabled tracer; Collect on it is a no-op.
+// Tracer keeps the most recent exchange traces in a bounded lock-free ring
+// and records trips — an exchange error, a circuit breaker opening, a
+// session eviction — so that when something goes wrong the recent history
+// is already captured: the black box to attach to a bug report. Beyond its
+// depth the oldest traces are overwritten; the dump's recorded count minus
+// its resident traces is how many were dropped. Build one with NewTracer;
+// a nil *Tracer is the disabled tracer: every method no-ops.
 //
-// Collect is safe for concurrent use (Fleet engines collect into one
-// shared tracer); a collected trace must no longer be mutated.
+// Collect is wait-free: one atomic fetch-add plus one atomic pointer store,
+// so collecting a completed trace never contends with the pipeline, with
+// other networks sharing the tracer (Fleet engines collect into one), or
+// with a concurrent dump. A dump taken while exchanges are landing sees
+// each slot as either its old or its new trace — both complete, immutable
+// trees — never a torn entry. A collected trace must no longer be mutated.
 type Tracer struct {
-	mu      sync.Mutex
-	traces  []*Trace
-	dropped int64
+	slots []atomic.Pointer[Trace]
+	next  atomic.Uint64
+	trips atomic.Int64
+
+	mu         sync.Mutex
+	lastReason string
+	lastTrip   time.Time
 }
 
-// DefaultTracerLimit bounds a Tracer's resident traces.
+// DefaultTracerLimit is the ring depth when NewTracer is given a
+// non-positive depth.
 const DefaultTracerLimit = 4096
 
-// NewTracer returns an empty tracer holding at most DefaultTracerLimit
-// traces.
-func NewTracer() *Tracer { return &Tracer{} }
+// NewTracer returns a tracer holding the last depth traces
+// (DefaultTracerLimit when depth <= 0).
+func NewTracer(depth int) *Tracer {
+	if depth <= 0 {
+		depth = DefaultTracerLimit
+	}
+	return &Tracer{slots: make([]atomic.Pointer[Trace], depth)}
+}
 
-// Collect stores one completed trace, evicting the oldest past the limit.
-// Safe on a nil receiver and for concurrent use.
+// Collect stores one completed trace, overwriting the oldest once the ring
+// is full. Safe on a nil receiver and for concurrent use.
 func (t *Tracer) Collect(tr *Trace) {
 	if t == nil || tr == nil {
 		return
 	}
-	t.mu.Lock()
-	t.traces = append(t.traces, tr)
-	if over := len(t.traces) - DefaultTracerLimit; over > 0 {
-		t.dropped += int64(over)
-		t.traces = append(t.traces[:0], t.traces[over:]...)
-	}
-	t.mu.Unlock()
+	i := t.next.Add(1) - 1
+	t.slots[i%uint64(len(t.slots))].Store(tr)
 }
 
-// Traces returns a copy of the resident traces in collection order. Empty
-// on a nil receiver.
+// Traces returns the resident traces, oldest first. Under concurrent
+// collectors a slot may resolve to a trace newer than the call's nominal
+// window — the ring is a best-effort recent history, not a serialized log.
+// Empty on a nil receiver.
 func (t *Tracer) Traces() []*Trace {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Trace(nil), t.traces...)
+	total := t.next.Load()
+	n := min(total, uint64(len(t.slots)))
+	out := make([]*Trace, 0, n)
+	for k := total - n; k < total; k++ {
+		if tr := t.slots[k%uint64(len(t.slots))].Load(); tr != nil {
+			out = append(out, tr)
+		}
+	}
+	return out
 }
 
-// Len returns the resident trace count (zero on a nil receiver).
-func (t *Tracer) Len() int {
+// Trip records an abnormal event as the dump's latest trip. Safe on a nil
+// receiver and for concurrent use.
+func (t *Tracer) Trip(reason string) {
+	if t == nil {
+		return
+	}
+	t.trips.Add(1)
+	t.mu.Lock()
+	t.lastReason = reason
+	t.lastTrip = time.Now()
+	t.mu.Unlock()
+}
+
+// Trips returns how many times the tracer has been tripped.
+func (t *Tracer) Trips() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.traces)
+	return t.trips.Load()
 }
 
-// Dropped returns how many traces were evicted past the limit.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
+// tracerDump is the JSON shape of a tracer dump.
+type tracerDump struct {
+	Depth      int       `json:"depth"`
+	Recorded   uint64    `json:"recorded"`
+	Trips      int64     `json:"trips"`
+	LastReason string    `json:"last_reason,omitempty"`
+	LastTrip   time.Time `json:"last_trip"`
+	Traces     []*Trace  `json:"traces"`
+}
+
+// WriteJSON writes the full dump — ring depth, lifetime count, trip
+// history, and the resident traces oldest first — as indented JSON: the
+// /debug/flight artifact. Safe on a nil receiver (writes an empty dump).
+func (t *Tracer) WriteJSON(w io.Writer) error {
+	d := tracerDump{Traces: []*Trace{}}
+	if t != nil {
+		t.mu.Lock()
+		d.LastReason, d.LastTrip = t.lastReason, t.lastTrip
+		t.mu.Unlock()
+		d.Depth = len(t.slots)
+		d.Recorded = t.next.Load()
+		d.Trips = t.trips.Load()
+		d.Traces = t.Traces()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(d); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // WriteTraceJSONL writes traces as JSON lines — the grep-friendly export.

@@ -103,7 +103,7 @@ func TestSpanNilSafety(t *testing.T) {
 
 	var tracer *Tracer
 	tracer.Collect(&Trace{})
-	if tracer.Len() != 0 || tracer.Traces() != nil || tracer.Dropped() != 0 {
+	if tracer.Traces() != nil || tracer.Trips() != 0 {
 		t.Fatal("nil tracer is not inert")
 	}
 }
@@ -141,15 +141,16 @@ func TestConcurrentChildAppend(t *testing.T) {
 }
 
 func TestTracerLimitEviction(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer(0)
 	for i := 0; i < DefaultTracerLimit+3; i++ {
 		tr.Collect(BeginTrace(NewExchangeID(0, 0, uint64(i)), 0, uint64(i), "root"))
 	}
-	if tr.Len() != DefaultTracerLimit {
-		t.Fatalf("Len = %d, want %d", tr.Len(), DefaultTracerLimit)
+	d := dumpOf(t, tr)
+	if len(d.Traces) != DefaultTracerLimit || d.Depth != DefaultTracerLimit {
+		t.Fatalf("resident = %d, depth = %d, want %d", len(d.Traces), d.Depth, DefaultTracerLimit)
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", tr.Dropped())
+	if dropped := d.Recorded - uint64(len(d.Traces)); dropped != 3 {
+		t.Fatalf("Dropped = %d, want 3", dropped)
 	}
 	traces := tr.Traces()
 	if first, last := traces[0].Seq, traces[len(traces)-1].Seq; first != 3 || last != DefaultTracerLimit+2 {
