@@ -816,12 +816,14 @@ func (g *Gateway) evictExpired(now time.Time) {
 		if now.Sub(s.seen) <= g.cfg.SessionTimeout {
 			continue
 		}
-		g.cEvicted.Inc()
-		g.cfg.Tracer.Trip(fmt.Sprintf("netio: session evicted: tag %d silent for %v", s.tagID, now.Sub(s.seen).Round(time.Millisecond)))
 		g.logf("gateway: evicting tag %d (session %d): silent past %v", s.tagID, s.id, g.cfg.SessionTimeout)
 		if addr := s.addr.Load(); addr != nil {
 			g.sendDirect(addr, &Evict{SessionID: s.id, Reason: "heartbeat deadline passed"})
 		}
+		// Drop first, so an observer that sees the eviction counted also
+		// sees the sessions gauge without it.
 		g.dropSession(s)
+		g.cEvicted.Inc()
+		g.cfg.Tracer.Trip(fmt.Sprintf("netio: session evicted: tag %d silent for %v", s.tagID, now.Sub(s.seen).Round(time.Millisecond)))
 	}
 }

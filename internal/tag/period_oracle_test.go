@@ -9,6 +9,7 @@ import (
 
 	"biscatter/internal/dsp"
 	"biscatter/internal/fault"
+	"biscatter/internal/fmcw"
 )
 
 // The frozen* functions below are the period search as it stood before the
@@ -195,10 +196,10 @@ func frozenSortedContrast(folded []float64) float64 {
 	return hi / (lo + 1e-3*hi)
 }
 
-// paddedCapture captures a downlink frame for payload, padded with header
+// paddedFrame builds the downlink frame for payload, padded with header
 // chirps to the given chirp count, as core.Network.BuildDownlinkFrame pads
 // a frame to the uplink's length.
-func (s *testSetup) paddedCapture(t *testing.T, payload []byte, chirps int, snrDB float64) []float64 {
+func (s *testSetup) paddedFrame(t *testing.T, payload []byte, chirps int) *fmcw.Frame {
 	t.Helper()
 	durs, err := s.pkt.Durations(payload)
 	if err != nil {
@@ -211,23 +212,82 @@ func (s *testSetup) paddedCapture(t *testing.T, payload []byte, chirps int, snrD
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.fe.CaptureFrame(frame, snrDB)
+	return frame
+}
+
+// paddedCapture captures the padded frame of paddedFrame.
+func (s *testSetup) paddedCapture(t *testing.T, payload []byte, chirps int, snrDB float64) []float64 {
+	t.Helper()
+	return s.fe.CaptureFrame(s.paddedFrame(t, payload, chirps), snrDB)
+}
+
+// alternatingTrain is a synthetic tag capture: tone bursts of the given
+// duty at a fractional period, every other burst carrying only the weak
+// fraction of the power, in white noise of standard deviation sigma. The
+// envelope then repeats at 2·period, where its autocorrelation peaks, so
+// the search must fold its way down to the sub-multiple.
+func alternatingTrain(n int, period, duty, weak, sigma, offset float64, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	for i := range x {
+		t := float64(i) + offset
+		k := int(t / period)
+		if t-float64(k)*period < duty*period {
+			a := 1.0
+			if k%2 == 1 {
+				a = math.Sqrt(weak)
+			}
+			x[i] = a * math.Cos(2*math.Pi*0.05*t)
+		}
+		x[i] += sigma * rng.NormFloat64()
+	}
+	return x
+}
+
+// refinedMultiples recomputes, from the autocorrelation that the last
+// EstimatePeriod call on d left in its scratch, the coarse lag of that
+// search and the sub-multiples m its gate let through to refinePeriod. all
+// counts every m the loop visits, which the search before the gate refined.
+// n is the capture length.
+func refinedMultiples(d *Decoder, n int) (coarse float64, refined []int, all int) {
+	r := d.scr.acorr
+	minLag := int(30e-6 * d.SampleRate)
+	maxLag := min(int(1e-3*d.SampleRate), n/2)
+	bestLag, bestVal := dsp.MaxIndexRange(r, minLag, maxLag+1)
+	delta, _ := dsp.ParabolicPeak(r, bestLag)
+	coarse = float64(bestLag) + delta
+	for m := 1; m <= 8; m++ {
+		p0 := coarse / float64(m)
+		if p0 < float64(minLag) {
+			break
+		}
+		all++
+		if m == 1 || r[int(math.Round(p0))] >= 0.5*bestVal {
+			refined = append(refined, m)
+		}
+	}
+	return coarse, refined, all
 }
 
 // TestEstimatePeriodMatchesFrozenSearch is the oracle for the period search
-// restructurings: on exchange-length (256-chirp, 30720-sample) and
-// round-length (64-chirp, 7680-sample) captures across SNR 5–30 dB, two
-// constellations and three noise seeds, plus a fault-injected capture and a
-// noise-only one, EstimatePeriod must agree with the frozen search bit for
-// bit, error included. One Decoder serves every capture, so scratch reuse
-// across lengths is covered too.
+// restructurings and for its sub-multiple gate: on exchange-length
+// (256-chirp, 30720-sample) and round-length (64-chirp, 7680-sample)
+// captures across SNR 5–30 dB, two constellations and three noise seeds,
+// plus fault-injected, desynchronized, late-waking, noise-only and
+// alternating-power captures, EstimatePeriod must agree with the frozen
+// search bit for bit, error included. One Decoder serves every capture, so
+// scratch reuse across lengths is covered too.
 func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 	type capture struct {
 		name string
 		x    []float64
+		// sub marks a capture on which the frozen search must return a
+		// sub-multiple of the autocorrelation peak, not the peak itself.
+		sub bool
 	}
 	var caps []capture
-	add := func(name string, x []float64) { caps = append(caps, capture{name, x}) }
+	// A front-end reuses its capture buffer, so each capture is copied out.
+	add := func(name string, x []float64) { caps = append(caps, capture{name: name, x: slices.Clone(x)}) }
 	clean := func(bits int, seed int64, chirps int, snr float64) {
 		x := newSetup(t, bits, seed).paddedCapture(t, []byte("period oracle"), chirps, snr)
 		if want := chirps * int(testPeriod*testFs); len(x) != want {
@@ -261,6 +321,45 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 		noise[i] = rng.NormFloat64()
 	}
 	add("noise", noise)
+	// The tag wakes up to three periods into the frame, as in
+	// TestDecodeSurvivesRandomWakeOffsetsProperty.
+	late := newSetup(t, 5, 60)
+	for i, chirps := range []int{64, 64, 64, 256} {
+		frame := late.paddedFrame(t, []byte("wake offsets"), chirps)
+		add("wake offset", late.fe.Capture(frame, 10+5*float64(i), rng.Float64()*3*testPeriod, 0))
+	}
+	ds := newSetup(t, 3, 9)
+	ds.fe.Faults = fault.NewTagInjector(&fault.Profile{
+		Tag: &fault.TagFaults{Desync: &fault.Desync{MaxOffset: 0.4}},
+	}, 0, 9, 0, nil)
+	add("desync", ds.paddedCapture(t, []byte("desync"), 64, 15))
+	// Alternating strong and weak bursts put the autocorrelation peak on
+	// twice the period, so the frozen search returns m = 2. Weaker
+	// alternate bursts (weak ≤ 0.4 at duty 0.5, ≤ 0.6 at duty 0.7) leave
+	// r[P] under half the peak: there the gate keeps 2P where the frozen
+	// search folds down to P, so the corpus stops at the gate's edge.
+	for _, n := range []int{7680, 30720} {
+		for _, tr := range []struct{ duty, weak float64 }{{0.5, 0.6}, {0.5, 0.7}, {0.5, 0.9}, {0.7, 0.7}, {0.7, 0.9}} {
+			x := alternatingTrain(n, 119.7, tr.duty, tr.weak, 0.1, 31.4, int64(n))
+			caps = append(caps, capture{name: "alternating", x: x, sub: true})
+		}
+	}
+	// At 0–2 dB the autocorrelation peak of a real capture often lands on
+	// 2–5 periods, and the frozen search folds down to the fundamental from
+	// there: the gate must let that sub-multiple through. Round-length
+	// captures at 0 dB and below are where the gate departs from the frozen
+	// search; TestPeriodGateDepartsTowardTheTruth covers them.
+	lowFirst := len(caps)
+	for _, seed := range []int64{41, 42, 43} {
+		low := newSetup(t, 5, seed)
+		for _, lc := range []struct {
+			chirps int
+			snr    float64
+		}{{256, 0}, {256, 2}, {64, 2}} {
+			add("low snr", low.paddedCapture(t, []byte("period oracle"), lc.chirps, lc.snr))
+		}
+	}
+	lowSubs := 0
 
 	d := s.dec
 	for i, c := range caps {
@@ -272,7 +371,112 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("capture %d (%s, %d samples): period %v, frozen search %v", i, c.name, len(c.x), got, want)
 		}
+		coarse, _, _ := refinedMultiples(d, len(c.x))
+		sub := wantErr == nil && want < 0.75*coarse
+		if c.sub && !sub {
+			t.Fatalf("capture %d (%s, %d samples): frozen search kept %v, not a sub-multiple of the peak %v", i, c.name, len(c.x), want, coarse)
+		}
+		if i >= lowFirst && sub {
+			lowSubs++
+		}
 	}
+	if lowSubs < 3 {
+		t.Fatalf("frozen search folded down from a multiple on %d low-SNR captures, want at least 3", lowSubs)
+	}
+	t.Logf("frozen search folded down from a multiple on %d of %d low-SNR captures", lowSubs, len(caps)-lowFirst)
+}
+
+// TestPeriodGateRefinesOnlyTheFundamental recomputes the sub-multiple gate
+// on clean exchange- and round-length captures. Where the autocorrelation
+// peaks on the period itself, only m = 1 reaches refinePeriod, where the
+// search before the gate refined every m down to the 30 µs floor; where it
+// peaks on k periods (at 5 dB it can), m = k must get through. The test
+// reports the per-frame fold accumulations of both searches from the loop
+// bounds: one add per sample per fold, each refine being the coarse and
+// fine grids of refinePeriod (about 81 + 21 folds).
+func TestPeriodGateRefinesOnlyTheFundamental(t *testing.T) {
+	s := newSetup(t, 5, 41)
+	period := testPeriod * testFs
+	for _, chirps := range []int{256, 64} {
+		fundamental := 0
+		for _, snr := range []float64{5, 10, 15, 20, 30} {
+			x := s.paddedCapture(t, []byte("fold count"), chirps, snr)
+			if _, err := s.dec.EstimatePeriod(x); err != nil {
+				t.Fatal(err)
+			}
+			coarse, refined, all := refinedMultiples(s.dec, len(x))
+			k := int(math.Round(coarse / period))
+			if k != 1 {
+				if !slices.Contains(refined, k) {
+					t.Fatalf("%d chirps at %v dB: peak at %d periods, refined m = %v", chirps, snr, k, refined)
+				}
+				continue
+			}
+			fundamental++
+			if !slices.Equal(refined, []int{1}) {
+				t.Fatalf("%d chirps at %v dB: refined m = %v, want [1]", chirps, snr, refined)
+			}
+			before := 0
+			for m := 1; m <= all; m++ {
+				before += refineFolds(coarse/float64(m)) * len(x)
+			}
+			after := refineFolds(coarse) * len(x)
+			if before < 3*after {
+				t.Fatalf("%d chirps at %v dB: %d fold accumulations before the gate, %d after", chirps, snr, before, after)
+			}
+			t.Logf("%d chirps at %v dB: fold accumulations per frame %d before the gate (m = 1…%d), %d after", chirps, snr, before, all, after)
+		}
+		if fundamental < 3 {
+			t.Fatalf("%d chirps: autocorrelation peaked on the period on %d of 5 captures", chirps, fundamental)
+		}
+	}
+}
+
+// TestPeriodGateDepartsTowardTheTruth covers round-length captures at −3
+// and 0 dB, where the frozen search can fold down to half the chirp
+// period: the gate blocks that sub-multiple, so wherever the two searches
+// disagree, the gated one must be nearer the true period.
+func TestPeriodGateDepartsTowardTheTruth(t *testing.T) {
+	period := testPeriod * testFs
+	departures := 0
+	for _, seed := range []int64{41, 42, 43} {
+		for _, bits := range []int{5, 3} {
+			s := newSetup(t, bits, seed)
+			for _, snr := range []float64{-3, 0} {
+				x := s.paddedCapture(t, []byte("period oracle"), 64, snr)
+				got, gotErr := s.dec.EstimatePeriod(x)
+				want, wantErr := frozenEstimatePeriod(s.dec, x)
+				if gotErr != nil || wantErr != nil {
+					t.Fatalf("seed %d, %d bits at %v dB: errors %v, frozen search %v", seed, bits, snr, gotErr, wantErr)
+				}
+				if got == want {
+					continue
+				}
+				departures++
+				if math.Abs(got-period) >= math.Abs(want-period) {
+					t.Fatalf("seed %d, %d bits at %v dB: period %v, frozen search %v, true %v", seed, bits, snr, got, want, period)
+				}
+				t.Logf("seed %d, %d bits at %v dB: period %.3f, frozen search %.3f", seed, bits, snr, got, want)
+			}
+		}
+	}
+	t.Logf("%d of 12 captures depart from the frozen search", departures)
+}
+
+// refineFolds counts the folds refinePeriod runs around p0 by walking its
+// two grids with the same bounds and steps. It centres the fine grid on p0,
+// not on the coarse winner, which can shift the count by one fold.
+func refineFolds(p0 float64) int {
+	n := 0
+	span := p0 * 0.02
+	step := span / 40
+	for p := p0 - span; p <= p0+span; p += step {
+		n++
+	}
+	for p := p0 - step; p <= p0+step; p += step / 10 {
+		n++
+	}
+	return n
 }
 
 // TestTailContrastMatchesFullSort pins the selected-tail contrast against
