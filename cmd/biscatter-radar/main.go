@@ -9,6 +9,13 @@
 //	biscatter-tag -connect 127.0.0.1:9100 -id 1   # × N, each with its own -id
 //	biscatter-sim replay run.bsctrace             # verify byte-identical
 //
+// The deployment is built by core.Serve, the one way every served
+// deployment is built (eval.Loopback and the chaos suites use it too).
+// With -networks N it serves N member networks on a core.Fleet behind one
+// gateway, their TDMA frame groups numbered globally. Under -admission
+// spill, a tag past the gateway's capacity is admitted into an overflow
+// frame group after every planned group, never into a planned one.
+//
 // The -net-* flags inject deterministic transport faults (drop, duplicate,
 // reorder, corrupt, delay) for chaos testing; see also biscatter-sim chaos.
 //
@@ -73,19 +80,12 @@ func main() {
 	}
 }
 
-// serveGateway runs the distributed fleet service: a netio.Gateway
-// supervising tag client sessions across one or more member networks, each
-// round executed on the in-process exchange pipeline and captured into a
-// replayable record per network. With -networks > 1 the members run on a
-// core.Fleet — one gateway, N networks, concurrent rounds.
+// serveGateway runs the distributed fleet service: one core.Serve
+// deployment of -networks member networks, each -tags wide, served through
+// one netio.Gateway and captured into a replayable record per network.
 func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o options) error {
-	tags, networks := o.tags, o.networks
-	if networks < 1 {
-		return fmt.Errorf("-networks must be positive, got %d", networks)
-	}
-	admission, err := netio.ParseAdmissionPolicy(sf.Admission)
-	if err != nil {
-		return err
+	if o.networks < 1 {
+		return fmt.Errorf("-networks must be positive, got %d", o.networks)
 	}
 	metrics := telemetry.New()
 	// The tracer is always on as the black box behind /debug/flight: it
@@ -96,49 +96,34 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		depth = 0
 	}
 	tracer := telemetry.NewTracer(depth)
-	payloadFn := func(round uint64) []byte { return []byte(o.payload) }
-
-	var fleet *core.Fleet
-	if networks > 1 {
-		fleet = core.NewFleet(core.FleetConfig{Engines: networks, Metrics: metrics, Tracer: tracer})
-		defer fleet.Close()
-	}
-	recs := make([]*core.ExchangeRecorder, networks)
-	members := make([]core.GatewayMember, networks)
-	for ni := 0; ni < networks; ni++ {
-		nodes, sched, err := core.LayoutTags(tags, sf.FrameCapacity, ni*tags)
+	cfgs := make([]core.Config, o.networks)
+	for ni := range cfgs {
+		nodes, sched, err := core.LayoutTags(o.tags, sf.FrameCapacity, ni*o.tags)
 		if err != nil {
 			return err
 		}
-		cfg := core.Config{Nodes: nodes, Schedule: sched, Seed: o.seed + int64(ni), Metrics: metrics, Tracer: tracer}
-		var netw *core.Network
-		var handle *core.FleetNetwork
-		if fleet != nil {
-			// The fleet attaches its shared metrics and tracer itself.
-			cfg.Metrics, cfg.Tracer = nil, nil
-			handle, err = fleet.AddNetwork(cfg)
-			if err != nil {
-				return err
-			}
-			netw = handle.Network()
-		} else {
-			netw, err = core.NewNetwork(cfg)
-			if err != nil {
-				return err
-			}
-		}
-		rec, err := core.NewExchangeRecorder(netw)
-		if err != nil {
-			return err
-		}
-		rec.SetMeta("tool", "biscatter-radar gateway")
-		rec.SetMeta("network", fmt.Sprint(ni))
-		recs[ni] = rec
-		members[ni] = core.GatewayMember{Recorder: rec, Handle: handle}
+		cfgs[ni] = core.Config{Nodes: nodes, Schedule: sched, Seed: o.seed + int64(ni), Metrics: metrics, Tracer: tracer}
 	}
-	mux, err := core.NewGatewayMux(payloadFn, members...)
+	s, err := core.Serve(core.Deployment{
+		Networks: cfgs,
+		Payload:  func(uint64) []byte { return []byte(o.payload) },
+		Gateway: netio.GatewayConfig{
+			MinSessions: o.minTags,
+			Rounds:      uint64(o.rounds),
+			Metrics:     metrics,
+			Tracer:      tracer,
+			Logf:        log.Printf,
+		},
+		Service: *sf,
+		Faults:  faults,
+	})
 	if err != nil {
 		return err
+	}
+	defer s.Close()
+	for ni, rec := range s.Recorders {
+		rec.SetMeta("tool", "biscatter-radar gateway")
+		rec.SetMeta("network", fmt.Sprint(ni))
 	}
 	if o.debugAddr != "" {
 		ln, derr := telemetry.ServeDebugConfig(o.debugAddr, telemetry.DebugConfig{
@@ -151,45 +136,19 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		defer ln.Close()
 		log.Printf("telemetry on http://%s/metrics.json", ln.Addr())
 	}
-	listen := sf.Listen
-	if listen == "" {
-		listen = "127.0.0.1:9100"
-	}
-	conn, err := netio.ListenTransport(sf.Transport, listen, netio.WithMetrics(metrics), netio.WithNetFaults(faults))
-	if err != nil {
+	log.Printf("gateway on %v (%s): %d networks × %d tags over %d frame groups, %d rounds, admission %s",
+		s.Conn.Addr(), sf.Transport, o.networks, o.tags, s.Mux.Groups(), o.rounds, sf.Admission)
+	if err := s.Gateway.Run(context.Background()); err != nil {
 		return err
 	}
-	defer conn.Close()
-	minTags := o.minTags
-	if minTags <= 0 {
-		minTags = mux.Sessions()
-	}
-	log.Printf("gateway on %v (%s): %d networks × %d tags over %d frame groups, %d rounds, min %d sessions, admission %v",
-		conn.Addr(), sf.Transport, networks, tags, mux.Groups(), o.rounds, minTags, admission)
-	gw := netio.NewGateway(conn, netio.GatewayConfig{
-		MinSessions:       minTags,
-		MaxSessions:       mux.Sessions(),
-		Rounds:            uint64(o.rounds),
-		GroupOf:           mux.GroupOf,
-		Admission:         admission,
-		FrameTimeout:      sf.FrameTimeout,
-		HeartbeatInterval: sf.Heartbeat,
-		SessionTimeout:    sf.SessionTimeout,
-		Metrics:           metrics,
-		Tracer:            tracer,
-		Logf:              log.Printf,
-	}, mux.ExchangeFunc())
-	if err := gw.Run(context.Background()); err != nil {
-		return err
-	}
-	for ni, rec := range recs {
+	for ni, rec := range s.Recorders {
 		record := rec.Record()
 		log.Printf("gateway done: network %d recorded %d rounds", ni, len(record.Rounds))
 		if o.recordOut == "" {
 			continue
 		}
 		out := o.recordOut
-		if networks > 1 {
+		if o.networks > 1 {
 			out = fmt.Sprintf("%s.net%d", o.recordOut, ni)
 		}
 		if err := trace.SaveExchange(out, record); err != nil {

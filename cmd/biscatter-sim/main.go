@@ -295,13 +295,7 @@ func runChaos(args []string) int {
 		// Chaos without faults proves nothing; default to the acceptance duty.
 		faults.Drop, faults.Reorder, faults.Duplicate = 0.10, 0.05, 0.03
 	}
-	rec, err := eval.NewLoopbackRecorder(*tags, sf.FrameCapacity, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		return 2
-	}
-	rec.SetMeta("tool", "biscatter-sim chaos")
-	pt, err := eval.Loopback{Recorder: rec, Rounds: *rounds, Service: *sf, Faults: faults}.Run()
+	pt, err := eval.Loopback{Tags: *tags, Seed: *seed, Rounds: *rounds, Service: *sf, Faults: faults}.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		return 1
@@ -309,7 +303,8 @@ func runChaos(args []string) int {
 	fmt.Printf("chaos: %d tags × %d rounds over loopback %s in %.1fs (%d faults injected, %d session retries)\n",
 		pt.Tags, pt.Rounds, sf.Transport, pt.Elapsed.Seconds(), pt.FaultsInjected, pt.GatewayRetries+pt.ClientRetries)
 	if *out != "" {
-		if err := trace.SaveExchange(*out, rec.Record()); err != nil {
+		pt.Record.Meta = map[string]string{"tool": "biscatter-sim chaos"}
+		if err := trace.SaveExchange(*out, pt.Record); err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			return 1
 		}

@@ -9,7 +9,8 @@
 //
 //	biscatter-tag -connect 127.0.0.1:9100 -id 1 -rounds 5
 //
-// The -net-* flags inject deterministic transport faults for chaos testing.
+// The tag heartbeats at the interval the gateway advertises. The -net-*
+// flags inject deterministic transport faults for chaos testing.
 // The radar owns the exchange pipeline, so its -trace-out holds every
 // round's span tree, this tag's included.
 package main
@@ -56,10 +57,9 @@ func runClient(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, id uint8, 
 	}
 	defer conn.Close()
 	c, err := netio.Dial(conn, sf.Connect, netio.ClientConfig{
-		TagID:             id,
-		Seed:              seed,
-		HeartbeatInterval: sf.Heartbeat,
-		Logf:              log.Printf,
+		TagID: id,
+		Seed:  seed,
+		Logf:  log.Printf,
 	})
 	if err != nil {
 		return err

@@ -147,25 +147,30 @@ func captureInput(payload []byte, uplinkBits map[int][]bool, eo exchangeOptions,
 func outcomesFromNodes(nodes []NodeResult) []trace.NodeOutcome {
 	out := make([]trace.NodeOutcome, len(nodes))
 	for i, nr := range nodes {
-		o := trace.NodeOutcome{
-			DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
-			DetectionRange:  nr.Detection.Range,
-			DetectionBin:    nr.Detection.Bin,
-			DetectionSNRdB:  nr.Detection.SNRdB,
-			UplinkBits:      append([]bool(nil), nr.UplinkBits...),
-		}
-		if nr.DownlinkErr != nil {
-			o.DownlinkErr = nr.DownlinkErr.Error()
-		}
-		if nr.DetectionErr != nil {
-			o.DetectionErr = nr.DetectionErr.Error()
-		}
-		if nr.UplinkErr != nil {
-			o.UplinkErr = nr.UplinkErr.Error()
-		}
-		out[i] = o
+		out[i] = nodeOutcome(nr)
 	}
 	return out
+}
+
+// nodeOutcome digests one node's result, deep-copying its slices.
+func nodeOutcome(nr NodeResult) trace.NodeOutcome {
+	o := trace.NodeOutcome{
+		DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
+		DetectionRange:  nr.Detection.Range,
+		DetectionBin:    nr.Detection.Bin,
+		DetectionSNRdB:  nr.Detection.SNRdB,
+		UplinkBits:      append([]bool(nil), nr.UplinkBits...),
+	}
+	if nr.DownlinkErr != nil {
+		o.DownlinkErr = nr.DownlinkErr.Error()
+	}
+	if nr.DetectionErr != nil {
+		o.DetectionErr = nr.DetectionErr.Error()
+	}
+	if nr.UplinkErr != nil {
+		o.UplinkErr = nr.UplinkErr.Error()
+	}
+	return o
 }
 
 // record appends one finished round.

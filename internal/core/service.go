@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -10,13 +11,10 @@ import (
 	"biscatter/internal/netio"
 )
 
-// GatewayMember is one network served by a GatewayMux: an ExchangeRecorder
-// (the conformance anchor — every round lands in its record for replay)
-// and, optionally, the network's Fleet handle. With a Handle set the
-// member's rounds run on its fleet engine — serialized with the network's
-// other requests under the fleet's reject-or-wait backpressure — and
-// different members run concurrently; without one the mux drives the
-// recorder inline on the gateway goroutine.
+// GatewayMember is one network served by a GatewayMux: the ExchangeRecorder
+// every round lands in and, optionally, the network's Fleet handle. With a
+// Handle the member's rounds run on its fleet engine, concurrently with
+// other members; without one the mux runs them on the gateway goroutine.
 type GatewayMember struct {
 	// Recorder wraps the member's network and captures every round.
 	Recorder *ExchangeRecorder
@@ -40,19 +38,13 @@ type muxNet struct {
 	groups    int // frame groups this network contributes
 }
 
-// GatewayMux multiplexes one netio.Gateway across N member networks: tags
-// are routed to their network by NodeConfig.ID (globally unique across
-// members), each round's submissions are partitioned per network, and every
-// involved network runs its own (scheduled, when configured) exchange —
-// concurrently when Fleet handles are attached. Frame groups are numbered
-// globally across members, so GroupOf plugs straight into
-// netio.GatewayConfig.GroupOf and the per-group round barrier paces each
-// network's cycle independently.
-//
-// The gateway (not the tags) owns the physics, so a distributed run
-// computes the exact pipeline the in-process oracle does — each member's
-// captured trace.ExchangeRecord replays byte-for-byte via ReplayRecord,
-// scheduled cycles included.
+// GatewayMux multiplexes one netio.Gateway across member networks: tags
+// route to their network by NodeConfig.ID (unique across members), each
+// round's submissions are split per network, and every involved network
+// runs its own (scheduled, when configured) exchange. Frame groups are
+// numbered globally, so GroupOf plugs into netio.GatewayConfig.GroupOf.
+// The gateway owns the physics, so each member's record replays
+// byte-for-byte via ReplayRecord, scheduled cycles included.
 type GatewayMux struct {
 	payload func(round uint64) []byte
 	nets    []muxNet
@@ -177,31 +169,17 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 		}
 		wg.Wait()
 
-		for ni := range m.nets {
-			if perNet[ni] == nil {
+		for tagID, t := range m.targets {
+			if _, submitted := perNet[t.net][t.node]; !submitted {
 				continue
 			}
-			if err := errs[ni]; err != nil {
-				if involved == 1 {
-					return nil, err
-				}
-				for tagID, t := range m.targets {
-					if t.net != ni {
-						continue
-					}
-					if _, submitted := perNet[ni][t.node]; submitted {
-						outcomes[tagID] = netio.Outcome{Err: fmt.Sprintf("core: network %d: %v", ni, err)}
-					}
-				}
-				continue
-			}
-			for tagID, t := range m.targets {
-				if t.net != ni {
-					continue
-				}
-				if _, submitted := perNet[ni][t.node]; submitted {
-					outcomes[tagID] = digestOutcome(nodeResults[ni][t.node])
-				}
+			switch err := errs[t.net]; {
+			case err == nil:
+				outcomes[tagID] = digestOutcome(nodeResults[t.net][t.node])
+			case involved == 1:
+				return nil, err
+			default:
+				outcomes[tagID] = netio.Outcome{Err: fmt.Sprintf("core: network %d: %v", t.net, err)}
 			}
 		}
 		return outcomes, nil
@@ -227,55 +205,178 @@ func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]N
 		// unattended groups are skipped.
 		opts = append(opts, WithActiveNodes(active...))
 	}
-	exec := func() ([]NodeResult, error) {
+	var nodes []NodeResult
+	exec := func(context.Context, *Network) error {
 		if mn.sched != nil {
 			res, err := mn.rec.ExchangeScheduled(payload, bits, opts...)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				nodes = res.Nodes
 			}
-			return res.Nodes, nil
+			return err
 		}
 		res, err := mn.rec.Exchange(payload, bits, opts...)
+		if err == nil {
+			nodes = res.Nodes
+		}
+		return err
+	}
+	if mn.handle != nil {
+		err := mn.handle.Do(context.Background(), exec)
+		return nodes, err
+	}
+	err := exec(nil, nil)
+	return nodes, err
+}
+
+// Deployment describes a served deployment for Serve.
+type Deployment struct {
+	// Networks are the member networks' configs, tag IDs unique across
+	// them. Several run on a Fleet, one engine each, with the gateway's
+	// metrics registry and tracer.
+	Networks []Config
+	// Payload supplies each round's downlink payload.
+	Payload func(round uint64) []byte
+	// Gateway holds the caller's budgets. Serve sets Schedule (one
+	// network), GroupOf and MaxSessions, and MinSessions when it is 0.
+	Gateway netio.GatewayConfig
+	// Client holds the budgets of the clients Dial opens; Dial sets TagID
+	// and Seed (the tag's network seed plus its ID).
+	Client netio.ClientConfig
+	// Service holds the shared service flags: Transport for every
+	// endpoint, Listen for the one Serve opens (default 127.0.0.1:9100),
+	// and Admission and the positive durations override Gateway's.
+	Service netio.ServiceFlags
+	// Faults impairs the gateway endpoint Serve opens and, reseeded to
+	// seed + 1000·ID, every client endpoint Dial opens (nil: no faults).
+	Faults *netio.NetFaultProfile
+	// Conn, when set, is the gateway's endpoint and Serve opens none.
+	Conn netio.Conn
+}
+
+// Served is a deployment served through one netio.Gateway over a
+// GatewayMux. Run its Gateway, Dial in-process clients, then Close.
+type Served struct {
+	Gateway *netio.Gateway
+	Mux     *GatewayMux
+	// Recorders capture each member's rounds, in Networks order.
+	Recorders []*ExchangeRecorder
+	// Conn is the gateway's endpoint.
+	Conn netio.Conn
+
+	d     Deployment
+	fleet *Fleet
+}
+
+// Serve is the one builder of a served deployment: the member networks
+// (on a Fleet when there are several), one recorder each, the mux (always
+// through NewGatewayMux) and the gateway with every field the deployment
+// determines. As GroupOf numbers every planned frame group, a tag admitted
+// by AdmitSpill lands past all of them.
+func Serve(d Deployment) (_ *Served, err error) {
+	g := &d.Gateway
+	if g.Admission, err = netio.ParseAdmissionPolicy(d.Service.Admission); err != nil {
+		return nil, err
+	}
+	if d.Service.Heartbeat > 0 {
+		g.HeartbeatInterval = d.Service.Heartbeat
+	}
+	if d.Service.SessionTimeout > 0 {
+		g.SessionTimeout = d.Service.SessionTimeout
+	}
+	if d.Service.FrameTimeout > 0 {
+		g.FrameTimeout = d.Service.FrameTimeout
+	}
+	s := &Served{d: d}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	if len(d.Networks) > 1 {
+		s.fleet = NewFleet(FleetConfig{Engines: len(d.Networks), Metrics: g.Metrics, Tracer: g.Tracer})
+	}
+	members := make([]GatewayMember, len(d.Networks))
+	for i, cfg := range d.Networks {
+		m := &members[i]
+		var netw *Network
+		if s.fleet == nil {
+			netw, err = NewNetwork(cfg)
+		} else if m.Handle, err = s.fleet.AddNetwork(cfg); err == nil {
+			netw = m.Handle.Network()
+		}
 		if err != nil {
 			return nil, err
 		}
-		return res.Nodes, nil
+		if m.Recorder, err = NewExchangeRecorder(netw); err != nil {
+			return nil, err
+		}
+		s.Recorders = append(s.Recorders, m.Recorder)
 	}
-	if mn.handle == nil {
-		return exec()
-	}
-	var nodes []NodeResult
-	err := mn.handle.Do(context.Background(), func(context.Context, *Network) error {
-		var rerr error
-		nodes, rerr = exec()
-		return rerr
-	})
-	if err != nil {
+	if s.Mux, err = NewGatewayMux(d.Payload, members...); err != nil {
 		return nil, err
 	}
-	return nodes, nil
+	if len(members) == 1 {
+		g.Schedule = s.Recorders[0].Network().Schedule()
+	}
+	g.GroupOf, g.MaxSessions = s.Mux.GroupOf, s.Mux.Sessions()
+	if g.MinSessions <= 0 {
+		g.MinSessions = g.MaxSessions
+	}
+	if s.Conn = d.Conn; s.Conn == nil {
+		node, err := netio.ListenTransport(d.Service.Transport, cmp.Or(d.Service.Listen, "127.0.0.1:9100"),
+			netio.WithMetrics(g.Metrics), netio.WithNetFaults(d.Faults))
+		if err != nil {
+			return nil, err
+		}
+		s.Conn = node
+	}
+	s.Gateway = netio.NewGateway(s.Conn, *g, s.Mux.ExchangeFunc())
+	return s, nil
 }
 
-// NewGatewayHandler bridges a netio.Gateway to the core exchange pipeline:
-// the returned netio.ExchangeFunc runs each submitted round on the
-// recorder's network and digests per-node results into wire outcomes. It is
-// the single-network form of GatewayMux — see there for the serving
-// semantics, and NewGatewayMux for multiplexing several networks (with
-// Fleet backing) behind one gateway.
-//
-// Tags are mapped to nodes by NodeConfig.ID. payload supplies the round's
-// downlink payload (so the record's inputs stay deterministic per round
-// index regardless of network timing). When only a subset of tags submits
-// a round, the round runs with WithActiveNodes over that subset — the rest
-// of the fleet keeps exchanging while quarantined or evicted tags sit out,
-// and the record captures the active set so replay reproduces it.
+// Dial opens an in-process client for a deployed tag on a loopback
+// endpoint of the deployment's transport, metered into Client.Metrics and
+// impaired by the tag's reseeded fault profile. The caller closes both.
+func (s *Served) Dial(tagID uint8) (*netio.Client, *netio.Node, error) {
+	t, ok := s.Mux.targets[tagID]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: tag %d is not deployed", tagID)
+	}
+	faults := s.d.Faults
+	if faults != nil {
+		p := *faults
+		p.Seed += 1000 * int64(tagID)
+		faults = &p
+	}
+	conn, err := netio.ListenTransport(s.d.Service.Transport, "127.0.0.1:0",
+		netio.WithMetrics(s.d.Client.Metrics), netio.WithNetFaults(faults))
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := s.d.Client
+	cfg.TagID, cfg.Seed = tagID, s.Recorders[t.net].Network().Config().Seed+int64(tagID)
+	c, err := netio.Dial(conn, s.Conn.Addr().String(), cfg)
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("tag %d: %w", tagID, err)
+	}
+	return c, conn, nil
+}
+
+// Close releases the gateway's endpoint, ending a running gateway, and
+// drains the fleet.
+func (s *Served) Close() {
+	if s.Conn != nil {
+		s.Conn.Close()
+	}
+	if s.fleet != nil {
+		s.fleet.Close()
+	}
+}
+
+// NewGatewayHandler is the ExchangeFunc of a one-network GatewayMux, for
+// callers that assemble a gateway by hand; Serve builds the whole path.
 func NewGatewayHandler(rec *ExchangeRecorder, payload func(round uint64) []byte) (netio.ExchangeFunc, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("core: gateway handler needs a recorder")
-	}
-	if payload == nil {
-		return nil, fmt.Errorf("core: gateway handler needs a payload source")
-	}
 	mux, err := NewGatewayMux(payload, GatewayMember{Recorder: rec})
 	if err != nil {
 		return nil, err
@@ -283,27 +384,19 @@ func NewGatewayHandler(rec *ExchangeRecorder, payload func(round uint64) []byte)
 	return mux.ExchangeFunc(), nil
 }
 
-// digestOutcome converts a NodeResult into its wire digest — the same
-// fields (and the same deep copies) as the replay layer's
-// outcomesFromNodes.
+// digestOutcome is a node's record outcome in its wire form.
 func digestOutcome(nr NodeResult) netio.Outcome {
-	o := netio.Outcome{
-		DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
-		DetectionRange:  nr.Detection.Range,
-		DetectionBin:    int32(nr.Detection.Bin),
-		DetectionSNRdB:  nr.Detection.SNRdB,
-		UplinkBits:      append([]bool(nil), nr.UplinkBits...),
+	o := nodeOutcome(nr)
+	return netio.Outcome{
+		DownlinkPayload: o.DownlinkPayload,
+		DownlinkErr:     o.DownlinkErr,
+		DetectionRange:  o.DetectionRange,
+		DetectionBin:    int32(o.DetectionBin),
+		DetectionSNRdB:  o.DetectionSNRdB,
+		DetectionErr:    o.DetectionErr,
+		UplinkBits:      o.UplinkBits,
+		UplinkErr:       o.UplinkErr,
 	}
-	if nr.DownlinkErr != nil {
-		o.DownlinkErr = nr.DownlinkErr.Error()
-	}
-	if nr.DetectionErr != nil {
-		o.DetectionErr = nr.DetectionErr.Error()
-	}
-	if nr.UplinkErr != nil {
-		o.UplinkErr = nr.UplinkErr.Error()
-	}
-	return o
 }
 
 // layoutTones is the validated 4-pair uplink tone table: every pair sits

@@ -10,6 +10,7 @@ import (
 	"biscatter/internal/mac"
 	"biscatter/internal/netio"
 	"biscatter/internal/telemetry"
+	"biscatter/internal/trace"
 )
 
 // The loopback run's straggler budgets. They bound how long the run waits
@@ -32,35 +33,27 @@ const (
 	loopbackDeadline       = 5 * time.Minute
 )
 
-// NewLoopbackRecorder builds a loopback fleet's network (tags placed by
-// core.LayoutTags, 16 chirps/bit) wrapped in an exchange recorder. opts are
-// extra network options such as the worker count or a metrics registry.
-func NewLoopbackRecorder(tags, frameCapacity int, seed int64, opts ...core.Option) (*core.ExchangeRecorder, error) {
-	nodes, sched, err := core.LayoutTags(tags, frameCapacity, 0)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{Nodes: nodes, Schedule: sched, Seed: seed, ChirpsPerBit: 16}
-	netw, err := core.NewNetwork(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewExchangeRecorder(netw)
-}
-
-// Loopback is one loopback fleet run: a netio gateway serving one client
-// session per node of the recorder's network, all in one process, every
-// round captured and then replayed against the in-process oracle.
+// Loopback is one loopback fleet run: a core.Serve deployment of one
+// network, its gateway serving one in-process client session per tag, every
+// round captured and then replayed against the in-process oracle. core.Serve
+// is the one builder of a served deployment, so this run's gateway is
+// wired as biscatter-radar's: the schedule, frame groups and session cap
+// come from the network, and under Service.Admission "spill" a tag past
+// the cap lands in an overflow frame group after every planned one.
 type Loopback struct {
-	// Recorder wraps the network under test: its nodes are the fleet, its
-	// schedule the TDMA plan, and its seed roots the round payloads.
-	Recorder *core.ExchangeRecorder
+	// Tags is the fleet size: tags placed by core.LayoutTags at 16
+	// chirps/bit, TDMA-scheduled past Service.FrameCapacity.
+	Tags int
+	// Seed roots the network's noise and the round payloads.
+	Seed int64
+	// Workers and Metrics configure the network, as in core.Config.
+	Workers int
+	Metrics *telemetry.Metrics
 	// Rounds is the number of rounds (scheduled cycles) to serve.
 	Rounds int
-	// Service carries the session flags: transport, gateway listen address,
-	// admission policy, frame timeout, heartbeat and session timeout (zero
-	// durations take the run's budgets). Connect and FrameCapacity are
-	// unused; the recorder's schedule already holds the capacity.
+	// Service carries the session flags, applied as core.Deployment does:
+	// the gateway listens on an ephemeral loopback port unless Listen
+	// names one, and zero durations keep the run's budgets.
 	Service netio.ServiceFlags
 	// Faults, when non-nil, impairs every endpoint: the gateway with the
 	// profile as given, the client of tag ID k with its seed plus 1000·k.
@@ -94,6 +87,8 @@ type LoopbackPoint struct {
 	// FaultsInjected totals dropped, duplicated, reordered and corrupted
 	// messages across the gateway and every client.
 	FaultsInjected int64
+	// Record is the captured exchange record.
+	Record *trace.ExchangeRecord
 	// ReplayOK reports whether the captured exchange record replayed
 	// byte-identically on the in-process pipeline; Mismatches lists any
 	// divergence.
@@ -109,51 +104,48 @@ type LoopbackPoint struct {
 // Run serves the rounds and replays the record. A client whose round fails
 // at exchange level, or that exhausts its retry budget, fails the run.
 func (l Loopback) Run() (LoopbackPoint, error) {
-	cfg := l.Recorder.Network().Config()
-	admission, err := netio.ParseAdmissionPolicy(l.Service.Admission)
-	if err != nil {
-		return LoopbackPoint{}, err
-	}
-	fn, err := core.NewGatewayHandler(l.Recorder, func(round uint64) []byte {
-		return core.RandomPayload(cfg.Seed+int64(round)*977, 4)
-	})
+	nodes, sched, err := core.LayoutTags(l.Tags, l.Service.FrameCapacity, 0)
 	if err != nil {
 		return LoopbackPoint{}, err
 	}
 	m := telemetry.New()
-	listen := func(addr string, faults *netio.NetFaultProfile) (*netio.Node, error) {
-		opts := []netio.Option{netio.WithMetrics(m)}
-		if faults != nil {
-			opts = append(opts, netio.WithNetFaults(faults))
-		}
-		return netio.ListenTransport(l.Service.Transport, addr, opts...)
+	svc := l.Service
+	if svc.Listen == "" {
+		svc.Listen = "127.0.0.1:0"
 	}
-	addr := l.Service.Listen
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	gwConn, err := listen(addr, l.Faults)
+	s, err := core.Serve(core.Deployment{
+		Networks: []core.Config{{Nodes: nodes, Schedule: sched, Seed: l.Seed, ChirpsPerBit: 16,
+			Workers: l.Workers, Metrics: l.Metrics}},
+		Payload: func(round uint64) []byte {
+			return core.RandomPayload(l.Seed+int64(round)*977, 4)
+		},
+		Gateway: netio.GatewayConfig{
+			Rounds:         uint64(l.Rounds),
+			SessionTimeout: loopbackSessionTimeout,
+			RoundTimeout:   loopbackRoundTimeout,
+			FrameTimeout:   loopbackFrameTimeout,
+			Linger:         loopbackLinger,
+			Poll:           loopbackPoll,
+			Metrics:        m,
+		},
+		Client: netio.ClientConfig{
+			AttemptTimeout: loopbackAttemptTimeout,
+			MaxAttempts:    loopbackAttempts,
+			DialAttempts:   loopbackAttempts,
+			Metrics:        m,
+		},
+		Service: svc,
+		Faults:  l.Faults,
+	})
 	if err != nil {
 		return LoopbackPoint{}, err
 	}
-	defer gwConn.Close()
-	gw := netio.NewGateway(gwConn, netio.GatewayConfig{
-		Schedule:          cfg.Schedule,
-		MinSessions:       len(cfg.Nodes),
-		Rounds:            uint64(l.Rounds),
-		Admission:         admission,
-		HeartbeatInterval: l.Service.Heartbeat,
-		SessionTimeout:    orDefault(l.Service.SessionTimeout, loopbackSessionTimeout),
-		RoundTimeout:      loopbackRoundTimeout,
-		FrameTimeout:      orDefault(l.Service.FrameTimeout, loopbackFrameTimeout),
-		Linger:            loopbackLinger,
-		Poll:              loopbackPoll,
-		Metrics:           m,
-	}, fn)
+	defer s.Close()
+	cfg := s.Recorders[0].Network().Config()
 	ctx, cancel := context.WithTimeout(context.Background(), loopbackDeadline)
 	defer cancel()
 	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.Run(ctx) }()
+	go func() { gwDone <- s.Gateway.Run(ctx) }()
 
 	start := time.Now()
 	completed := make([]int, len(cfg.Nodes))
@@ -164,30 +156,12 @@ func (l Loopback) Run() (LoopbackPoint, error) {
 		wg.Add(1)
 		go func(i int, id uint8) {
 			defer wg.Done()
-			var faults *netio.NetFaultProfile
-			if l.Faults != nil {
-				p := *l.Faults
-				p.Seed += int64(id) * 1000
-				faults = &p
-			}
-			conn, err := listen("127.0.0.1:0", faults)
+			c, conn, err := s.Dial(id)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer conn.Close()
-			c, err := netio.Dial(conn, gwConn.Addr().String(), netio.ClientConfig{
-				TagID:          id,
-				Seed:           cfg.Seed + int64(id),
-				AttemptTimeout: loopbackAttemptTimeout,
-				MaxAttempts:    loopbackAttempts,
-				DialAttempts:   loopbackAttempts,
-				Metrics:        m,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("tag %d: %w", id, err)
-				return
-			}
 			defer c.Close()
 			for r := 0; r < l.Rounds; r++ {
 				res, err := c.SubmitRound(ctx, []bool{r%2 == 0, i%2 == 0, true, false})
@@ -215,7 +189,7 @@ func (l Loopback) Run() (LoopbackPoint, error) {
 		return LoopbackPoint{}, fmt.Errorf("gateway: %w", err)
 	}
 
-	record := l.Recorder.Record()
+	record := s.Recorders[0].Record()
 	pt := LoopbackPoint{
 		Tags:           len(cfg.Nodes),
 		Rounds:         len(record.Rounds),
@@ -226,6 +200,7 @@ func (l Loopback) Run() (LoopbackPoint, error) {
 			m.Counter("netio.fault.duplicated").Value() +
 			m.Counter("netio.fault.reordered").Value() +
 			m.Counter("netio.fault.corrupted").Value(),
+		Record:  record,
 		Metrics: m,
 		Elapsed: time.Since(start),
 	}
@@ -233,10 +208,9 @@ func (l Loopback) Run() (LoopbackPoint, error) {
 		pt.Completed += completed[i]
 		pt.UplinkBits += uplink[i]
 	}
-	if s := pt.Elapsed.Seconds(); s > 0 {
-		pt.Goodput = float64(pt.UplinkBits) / s
+	if secs := pt.Elapsed.Seconds(); secs > 0 {
+		pt.Goodput = float64(pt.UplinkBits) / secs
 	}
-	sched := cfg.Schedule
 	if sched == nil {
 		// An unscheduled fleet modulates as one frame group of every tag.
 		if sched, err = mac.NewFrameSchedule(pt.Tags, pt.Tags); err != nil {
@@ -253,24 +227,12 @@ func (l Loopback) Run() (LoopbackPoint, error) {
 	return pt, nil
 }
 
-// orDefault returns d, or def when d is not positive.
-func orDefault(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
-}
-
 // DistributedSweep runs one loss-rate point of the distributed sweep: tags
 // sessions over loopback UDP, every endpoint impaired with the given drop
 // probability (plus light reordering and duplication so impairments
 // compose).
 func DistributedSweep(tags, rounds int, drop float64, o Options) (LoopbackPoint, error) {
-	rec, err := NewLoopbackRecorder(tags, 0, o.Seed, core.WithWorkers(1), core.WithMetrics(o.Metrics))
-	if err != nil {
-		return LoopbackPoint{}, err
-	}
-	run := Loopback{Recorder: rec, Rounds: rounds}
+	run := Loopback{Tags: tags, Seed: o.Seed, Workers: 1, Metrics: o.Metrics, Rounds: rounds}
 	if drop > 0 {
 		run.Faults = &netio.NetFaultProfile{Seed: o.Seed, Drop: drop, Reorder: drop / 2, Duplicate: drop / 4}
 	}
@@ -281,11 +243,8 @@ func DistributedSweep(tags, rounds int, drop float64, o Options) (LoopbackPoint,
 // transport, TDMA-scheduled into 4-tag frame groups when the fleet exceeds
 // the tone table, every cycle recorded and replay-verified.
 func GatewaySweep(tags, rounds int, transport string, o Options) (LoopbackPoint, error) {
-	rec, err := NewLoopbackRecorder(tags, 0, o.Seed, core.WithWorkers(1), core.WithMetrics(o.Metrics))
-	if err != nil {
-		return LoopbackPoint{}, err
-	}
-	return Loopback{Recorder: rec, Rounds: rounds, Service: netio.ServiceFlags{Transport: transport}}.Run()
+	return Loopback{Tags: tags, Seed: o.Seed, Workers: 1, Metrics: o.Metrics, Rounds: rounds,
+		Service: netio.ServiceFlags{Transport: transport}}.Run()
 }
 
 // Distributed sweeps the distributed gateway service across transport loss
@@ -311,10 +270,7 @@ func Distributed(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		replay := "OK"
-		if !pt.ReplayOK {
-			replay, allOK = "DIVERGED", false
-		}
+		allOK = allOK && pt.ReplayOK
 		tbl.AddRow(
 			fmt.Sprintf("%.0f%%", drop*100),
 			fmt.Sprintf("%d", pt.Rounds),
@@ -323,22 +279,18 @@ func Distributed(o Options) (*Result, error) {
 			fmt.Sprintf("%d", pt.ClientRetries),
 			fmt.Sprintf("%d", pt.Evicted),
 			fmt.Sprintf("%d", pt.FaultsInjected),
-			replay,
+			verdict(pt.ReplayOK, "OK", "DIVERGED"),
 			fmt.Sprintf("%.1f", pt.Elapsed.Seconds()),
 		)
 	}
-	res := &Result{
+	return &Result{
 		ID:          "distributed",
 		Description: "distributed gateway service under seeded transport faults (conformance vs in-process oracle)",
 		Tables:      []Table{tbl},
-	}
-	if allOK {
-		res.Notes = append(res.Notes,
-			"every loss point replayed byte-identically: transport faults cost retries and wall-clock, never correctness")
-	} else {
-		res.Notes = append(res.Notes, "REPLAY DIVERGED — the distributed pipeline is not conformant")
-	}
-	return res, nil
+		Notes: []string{verdict(allOK,
+			"every loss point replayed byte-identically: transport faults cost retries and wall-clock, never correctness",
+			"REPLAY DIVERGED — the distributed pipeline is not conformant")},
+	}, nil
 }
 
 // Gateway sweeps the scaled serving layer across fleet sizes and stream
@@ -365,10 +317,7 @@ func Gateway(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			replay := "OK"
-			if !pt.ReplayOK {
-				replay, allOK = "DIVERGED", false
-			}
+			allOK = allOK && pt.ReplayOK
 			tbl.AddRow(
 				fmt.Sprintf("%d", pt.Tags),
 				transport,
@@ -377,21 +326,25 @@ func Gateway(o Options) (*Result, error) {
 				fmt.Sprintf("%d", pt.UplinkBits),
 				fmt.Sprintf("%.1f", pt.Goodput),
 				fmt.Sprintf("%.1f", pt.AnalyticAggregate),
-				replay,
+				verdict(pt.ReplayOK, "OK", "DIVERGED"),
 				fmt.Sprintf("%.1f", pt.Elapsed.Seconds()),
 			)
 		}
 	}
-	res := &Result{
+	return &Result{
 		ID:          "gateway",
 		Description: "scaled gateway capacity: TDMA-scheduled fleets vs goodput per stream transport",
 		Tables:      []Table{tbl},
+		Notes: []string{verdict(allOK,
+			"every fleet×transport cell replayed byte-identically: scheduling and transport choice move goodput, never correctness",
+			"REPLAY DIVERGED — the scaled serving layer is not conformant")},
+	}, nil
+}
+
+// verdict returns pass when ok holds, else fail.
+func verdict(ok bool, pass, fail string) string {
+	if ok {
+		return pass
 	}
-	if allOK {
-		res.Notes = append(res.Notes,
-			"every fleet×transport cell replayed byte-identically: scheduling and transport choice move goodput, never correctness")
-	} else {
-		res.Notes = append(res.Notes, "REPLAY DIVERGED — the scaled serving layer is not conformant")
-	}
-	return res, nil
+	return fail
 }

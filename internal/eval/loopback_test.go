@@ -3,7 +3,6 @@ package eval
 import (
 	"testing"
 
-	"biscatter/internal/core"
 	"biscatter/internal/netio"
 )
 
@@ -11,14 +10,12 @@ import (
 // lossy run: the client-side counters sit in the run's snapshot beside the
 // gateway's, and the reported client retries are read from it.
 func TestLoopbackMetersClients(t *testing.T) {
-	rec, err := NewLoopbackRecorder(2, 0, 5, core.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pt, err := Loopback{
-		Recorder: rec,
-		Rounds:   2,
-		Faults:   &netio.NetFaultProfile{Seed: 5, Drop: 0.1, Reorder: 0.05},
+		Tags:    2,
+		Seed:    5,
+		Workers: 1,
+		Rounds:  2,
+		Faults:  &netio.NetFaultProfile{Seed: 5, Drop: 0.1, Reorder: 0.05},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

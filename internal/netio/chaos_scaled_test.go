@@ -59,53 +59,48 @@ func runScaledChaos(t *testing.T, transport string) {
 		rounds   = 2
 	)
 	cfg := scaledConfig(t, nTags, capacity)
-	net, err := core.NewNetwork(cfg, core.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := core.NewExchangeRecorder(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := func(round uint64) []byte { return core.RandomPayload(int64(round)+99, 2) }
-	fn, err := core.NewGatewayHandler(rec, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cfg.Workers = 1
 	m := telemetry.New()
-	gwConn, err := netio.ListenTransport(transport, "127.0.0.1:0",
-		netio.WithMetrics(m), netio.WithNetFaults(chaosProfile(7)))
+	s, err := core.Serve(core.Deployment{
+		Networks: []core.Config{cfg},
+		Payload:  func(round uint64) []byte { return core.RandomPayload(int64(round)+99, 2) },
+		Gateway: netio.GatewayConfig{
+			Rounds:            rounds,
+			HeartbeatInterval: 200 * time.Millisecond,
+			SessionTimeout:    60 * time.Second,
+			// The barrier must outwait a straggler's handshake retries (its
+			// session exists from the first lossy Hello, so MinSessions alone
+			// does not hold the round): a partial round here would break the
+			// full-fleet conformance this test pins. When all 16 tags submit,
+			// the barrier closes immediately — these are straggler budgets, not
+			// steady-state latency.
+			RoundTimeout: 30 * time.Second,
+			FrameTimeout: 10 * time.Second,
+			// With 16 lossy endpoints some Goodbye almost always drops; don't
+			// wait out SessionTimeout for the eviction before exiting.
+			Linger:  5 * time.Second,
+			Poll:    5 * time.Millisecond,
+			Metrics: m,
+		},
+		Client: netio.ClientConfig{
+			AttemptTimeout: 500 * time.Millisecond,
+			MaxAttempts:    40,
+			DialAttempts:   40,
+			Metrics:        m,
+		},
+		Service: netio.ServiceFlags{Listen: "127.0.0.1:0", Transport: transport},
+		Faults:  chaosProfile(7),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gwConn.Close()
-
-	gw := netio.NewGateway(gwConn, netio.GatewayConfig{
-		Schedule:          cfg.Schedule,
-		MinSessions:       nTags,
-		Rounds:            rounds,
-		HeartbeatInterval: 200 * time.Millisecond,
-		SessionTimeout:    60 * time.Second,
-		// The barrier must outwait a straggler's handshake retries (its
-		// session exists from the first lossy Hello, so MinSessions alone
-		// does not hold the round): a partial round here would break the
-		// full-fleet conformance this test pins. When all 16 tags submit,
-		// the barrier closes immediately — these are straggler budgets, not
-		// steady-state latency.
-		RoundTimeout: 30 * time.Second,
-		FrameTimeout: 10 * time.Second,
-		// With 16 lossy endpoints some Goodbye almost always drops; don't
-		// wait out SessionTimeout for the eviction before exiting.
-		Linger:  5 * time.Second,
-		Poll:    5 * time.Millisecond,
-		Metrics: m,
-	}, fn)
+	defer s.Close()
+	rec := s.Recorders[0]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.Run(ctx) }()
+	go func() { gwDone <- s.Gateway.Run(ctx) }()
 
 	errs := make([]error, nTags)
 	var wg sync.WaitGroup
@@ -114,25 +109,12 @@ func runScaledChaos(t *testing.T, transport string) {
 		go func(i int) {
 			defer wg.Done()
 			tag := uint8(i + 1)
-			conn, err := netio.ListenTransport(transport, "127.0.0.1:0",
-				netio.WithMetrics(m), netio.WithNetFaults(chaosProfile(100+int64(i))))
+			c, conn, err := s.Dial(tag)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer conn.Close()
-			c, err := netio.Dial(conn, gwConn.Addr().String(), netio.ClientConfig{
-				TagID:          tag,
-				Seed:           int64(tag),
-				AttemptTimeout: 500 * time.Millisecond,
-				MaxAttempts:    40,
-				DialAttempts:   40,
-				Metrics:        m,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("dial tag %d: %w", tag, err)
-				return
-			}
 			defer c.Close()
 			for r := uint64(0); r < rounds; r++ {
 				res, err := c.SubmitRound(ctx, tagBits(tag, r))

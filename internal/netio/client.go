@@ -41,8 +41,6 @@ type ClientConfig struct {
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds retransmissions per submitted round.
 	MaxAttempts int
-	// HeartbeatInterval overrides the gateway-advertised interval when > 0.
-	HeartbeatInterval time.Duration
 	// Metrics receives netio.client.* counters (nil = disabled).
 	Metrics *telemetry.Metrics
 	// Logf, when set, receives session-event logs.
@@ -172,10 +170,7 @@ func (c *Client) handshake(ctx context.Context) error {
 			if ack.NextRound > c.round {
 				c.round = ack.NextRound
 			}
-			c.hb = c.cfg.HeartbeatInterval
-			if c.hb <= 0 {
-				c.hb = time.Duration(ack.HeartbeatMillis) * time.Millisecond
-			}
+			c.hb = time.Duration(ack.HeartbeatMillis) * time.Millisecond
 			if c.hb <= 0 {
 				c.hb = DefaultHeartbeatInterval
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -18,9 +19,9 @@ import (
 // ExchangeFunc runs one exchange round for the submitted tags and returns a
 // per-tag outcome digest. The gateway owns round sequencing and session
 // supervision; the function owns the physics (in production it drives
-// core.Network.Exchange through an ExchangeRecorder — see
-// core.NewGatewayHandler). Called from the gateway's single supervision
-// goroutine, never concurrently.
+// core.Network.Exchange through an ExchangeRecorder — see core.Serve).
+// Called from the gateway's single supervision goroutine, never
+// concurrently.
 type ExchangeFunc func(round uint64, uplinkBits map[uint8][]bool) (map[uint8]Outcome, error)
 
 // Gateway defaults.
@@ -49,9 +50,9 @@ const (
 	// queue; its Hello retries re-test admission as sessions depart.
 	AdmitQueue
 	// AdmitSpill admits the tag anyway, assigning it to an overflow TDMA
-	// frame group past the schedule's planned groups — capacity grows by
-	// another frame per spill-group's worth of tags at the cost of cycle
-	// latency.
+	// frame group past the planned groups (GroupOf's, else the Schedule's)
+	// — capacity grows by another frame per spill-group's worth of tags at
+	// the cost of cycle latency.
 	AdmitSpill
 )
 
@@ -103,16 +104,15 @@ type GatewayConfig struct {
 	RoundTimeout time.Duration
 	// Schedule, when set, makes the gateway schedule-aware: sessions are
 	// admitted into the schedule's TDMA frame groups (tag ID 1+i maps to
-	// the schedule's tag index i unless GroupOf overrides it), the round
-	// barrier is evaluated per frame group, and — with a matching
-	// core.Config.Schedule on the handler side — each round runs as an
-	// ExchangeScheduled cycle with tone-pair reuse across groups. Build one
-	// with mac.NewFrameSchedule or derive capacity from the slow-time tone
-	// budget with mac.ScheduleFor.
+	// the schedule's tag index i unless GroupOf overrides it) and the round
+	// barrier is evaluated per frame group; with a matching
+	// core.Config.Schedule each round runs as one ExchangeScheduled cycle.
 	Schedule *mac.FrameSchedule
 	// GroupOf overrides the tag → frame-group mapping (e.g. a multi-network
 	// GatewayMux numbers groups across networks). Unknown tags return -1
-	// and land in group 0. Called only from the supervision goroutine.
+	// and land in group 0. The groups the mapping gives any tag ID are the
+	// planned cycle AdmitSpill overflows past. Called only from the
+	// supervision goroutine.
 	GroupOf func(tagID uint8) int
 	// MaxSessions caps concurrent sessions; at capacity a new tag's Hello
 	// goes through the Admission policy. 0 means Schedule.NTags() when a
@@ -391,7 +391,7 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 		code = HelloResume
 		g.dropSession(s)
 		s = g.newSession(h.TagID, from)
-		s.group = g.groupOf(h.TagID)
+		s.group = max(g.plannedGroup(h.TagID), 0)
 		g.cReplaced.Inc()
 	default:
 		ns, admitted := g.admit(now, h.TagID, from)
@@ -424,7 +424,7 @@ func (g *Gateway) admit(now time.Time, tagID uint8, from *net.UDPAddr) (*session
 		// fairness: a latecomer never jumps the wait queue).
 		g.unqueue(tagID)
 		s := g.newSession(tagID, from)
-		s.group = g.groupOf(tagID)
+		s.group = max(g.plannedGroup(tagID), 0)
 		g.cAdmAdmitted.Inc()
 		return s, true
 	}
@@ -498,37 +498,34 @@ func (g *Gateway) unqueue(tagID uint8) {
 	}
 }
 
-// groupOf derives a tag's frame group from the configured mapping (GroupOf
-// override first, then the schedule's tag-index convention). Unknown tags
-// fall into group 0 — their submissions still barrier somewhere, and the
-// handler answers them with an unknown-tag outcome.
-func (g *Gateway) groupOf(tagID uint8) int {
-	gid := 0
+// plannedGroup is a tag's planned frame group: GroupOf's, else the
+// schedule's tag-index convention, else 0; -1 for a tag outside the plan,
+// which is admitted into group 0 (the handler answers it as unknown).
+func (g *Gateway) plannedGroup(tagID uint8) int {
 	switch {
 	case g.cfg.GroupOf != nil:
-		gid = g.cfg.GroupOf(tagID)
+		return g.cfg.GroupOf(tagID)
 	case g.cfg.Schedule != nil:
-		gid = g.cfg.Schedule.GroupOf(int(tagID) - 1)
+		return g.cfg.Schedule.GroupOf(int(tagID) - 1)
 	}
-	if gid < 0 {
-		gid = 0
-	}
-	return gid
+	return 0
 }
 
 // spillGroup picks the overflow frame group for a spilled session: the
-// first group at or past the schedule's planned cycle with a free tone
-// slot, so spilled tags pack into as few extra frames as possible.
+// first group past every planned one with fewer sessions than the largest
+// planned group, so spilled tags pack into as few extra frames as possible.
 func (g *Gateway) spillGroup() int {
-	base, width := 1, len(g.sessions)+1
-	if s := g.cfg.Schedule; s != nil {
-		base, width = s.Frames(), s.Capacity()
-	}
+	base, width := 1, 1
 	counts := make(map[int]int)
-	for _, s := range g.sessions {
-		if s.group >= base {
-			counts[s.group]++
+	for id := range math.MaxUint8 + 1 {
+		if gid := g.plannedGroup(uint8(id)); gid >= 0 {
+			counts[gid]++
+			base, width = max(base, gid+1), max(width, counts[gid])
 		}
+	}
+	clear(counts)
+	for _, s := range g.sessions {
+		counts[s.group]++
 	}
 	for gid := base; ; gid++ {
 		if counts[gid] < width {
