@@ -12,9 +12,9 @@
 // The deployment is built by core.Serve, the one way every served
 // deployment is built (eval.Loopback and the chaos suites use it too).
 // With -networks N it serves N member networks on a core.Fleet behind one
-// gateway, their TDMA frame groups numbered globally. Under -admission
-// spill, a tag past the gateway's capacity is admitted into an overflow
-// frame group after every planned group, never into a planned one.
+// gateway, their TDMA frame groups numbered globally. The gateway admits
+// exactly the deployed tags (IDs 1 to networks × tags): any other tag's
+// handshake is rejected, naming the tag.
 //
 // The -net-* flags inject deterministic transport faults (drop, duplicate,
 // reorder, corrupt, delay) for chaos testing; see also biscatter-sim chaos.
@@ -136,8 +136,8 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		defer ln.Close()
 		log.Printf("telemetry on http://%s/metrics.json", ln.Addr())
 	}
-	log.Printf("gateway on %v (%s): %d networks × %d tags over %d frame groups, %d rounds, admission %s",
-		s.Conn.Addr(), sf.Transport, o.networks, o.tags, s.Mux.Groups(), o.rounds, sf.Admission)
+	log.Printf("gateway on %v (%s): %d networks × %d tags over %d frame groups, %d rounds",
+		s.Conn.Addr(), sf.Transport, o.networks, o.tags, s.Mux.Groups(), o.rounds)
 	if err := s.Gateway.Run(context.Background()); err != nil {
 		return err
 	}

@@ -175,86 +175,92 @@ func TestServeMuxMemberFailure(t *testing.T) {
 	}
 }
 
-// TestServeSpillsPastPlannedCycle pins AdmitSpill on every gateway Serve
-// builds: a tag past capacity lands in the first frame group after the
-// planned cycle, for one scheduled network and for two members.
-func TestServeSpillsPastPlannedCycle(t *testing.T) {
+// TestServeAdmitsOnlyDeployedTags pins admission on every gateway Serve
+// builds, for one scheduled network and for two members: an undeployed tag
+// that dials before the last deployed tag is rejected, naming the tag, and
+// takes no deployed tag's place — every deployed tag is admitted and round
+// 0 runs with all of them.
+func TestServeAdmitsOnlyDeployedTags(t *testing.T) {
+	const stray = 9
 	for _, tc := range []struct {
 		name       string
 		tags, caps []int
 	}{
-		{"one scheduled network", []int{8}, []int{4}},
-		{"two members", []int{4, 4}, []int{0, 0}},
+		{"one scheduled network", []int{5}, []int{4}},
+		{"two members", []int{2, 2}, []int{0, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var nets []Config
-			base := 0
+			deployed := 0
 			for ni, n := range tc.tags {
-				nodes, sched, err := LayoutTags(n, tc.caps[ni], base)
+				nodes, sched, err := LayoutTags(n, tc.caps[ni], deployed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				nets = append(nets, Config{Nodes: nodes, Schedule: sched, Seed: 5, ChirpsPerBit: 16, Workers: 1})
-				base += n
+				deployed += n
 			}
-			var mu sync.Mutex
-			var logs []string
 			s, err := Serve(Deployment{
 				Networks: nets,
 				Payload:  servicePayload,
 				Gateway: netio.GatewayConfig{
+					Rounds:         1,
+					RoundTimeout:   10 * time.Second,
 					SessionTimeout: time.Minute,
 					Poll:           5 * time.Millisecond,
-					Logf: func(format string, args ...any) {
-						mu.Lock()
-						logs = append(logs, fmt.Sprintf(format, args...))
-						mu.Unlock()
-					},
 				},
-				Client:  netio.ClientConfig{AttemptTimeout: time.Second, DialAttempts: 20},
-				Service: netio.ServiceFlags{Listen: "127.0.0.1:0", Admission: "spill"},
+				Client:  netio.ClientConfig{AttemptTimeout: 2 * time.Second, MaxAttempts: 10, DialAttempts: 20},
+				Service: netio.ServiceFlags{Listen: "127.0.0.1:0"},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
 			gwDone := make(chan error, 1)
 			go func() { gwDone <- s.Gateway.Run(ctx) }()
-			defer func() {
-				cancel()
-				<-gwDone
-			}()
 
-			for tag := uint8(1); tag <= 8; tag++ {
-				c, conn, err := s.Dial(tag)
+			clients := make([]*netio.Client, deployed)
+			for tag := 1; tag <= deployed; tag++ {
+				if tag == deployed {
+					conn, err := netio.Listen("127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = netio.Dial(conn, s.Conn.Addr().String(), netio.ClientConfig{TagID: stray, AttemptTimeout: time.Second})
+					conn.Close()
+					if !errors.Is(err, netio.ErrRejected) || !strings.Contains(err.Error(), fmt.Sprintf("tag %d ", stray)) {
+						t.Fatalf("undeployed tag %d dial: %v, want ErrRejected naming the tag", stray, err)
+					}
+				}
+				c, conn, err := s.Dial(uint8(tag))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer conn.Close()
-				defer c.Close()
+				clients[tag-1] = c
 			}
-			conn, err := netio.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			c, err := netio.Dial(conn, s.Conn.Addr().String(), netio.ClientConfig{TagID: 9, AttemptTimeout: time.Second})
-			if err != nil {
-				t.Fatalf("tag 9 was not admitted: %v", err)
-			}
-			defer c.Close()
 
-			mu.Lock()
-			defer mu.Unlock()
-			var spilled []string
-			for _, l := range logs {
-				if strings.Contains(l, "spilled") {
-					spilled = append(spilled, l)
-				}
+			var wg sync.WaitGroup
+			for i, c := range clients {
+				wg.Add(1)
+				go func(tag int, c *netio.Client) {
+					defer wg.Done()
+					defer c.Close()
+					res, err := c.SubmitRound(ctx, []bool{true, tag%2 == 0, true})
+					if err != nil {
+						t.Errorf("tag %d: %v", tag, err)
+						return
+					}
+					if res.Round != 0 || res.Status != netio.RoundOK || res.Outcome.Err != "" {
+						t.Errorf("tag %d: round %d %s %q, want round 0 ok", tag, res.Round, res.Status, res.Outcome.Err)
+					}
+				}(i+1, c)
 			}
-			if want := "tag 9 spilled to overflow frame group 2"; len(spilled) != 1 || !strings.Contains(spilled[0], want) {
-				t.Fatalf("spill log %q, want one line with %q", spilled, want)
+			wg.Wait()
+			if err := <-gwDone; err != nil {
+				t.Fatalf("gateway: %v", err)
 			}
 		})
 	}

@@ -96,8 +96,8 @@ func NewGatewayMux(payload func(round uint64) []byte, members ...GatewayMember) 
 	return m, nil
 }
 
-// Sessions returns the total tag population across members — the natural
-// netio.GatewayConfig.MaxSessions for a mux-backed gateway.
+// Sessions returns the total tag population across members — the default
+// netio.GatewayConfig.MinSessions for a mux-backed gateway.
 func (m *GatewayMux) Sessions() int { return len(m.targets) }
 
 // Groups returns the number of global frame groups across members.
@@ -237,14 +237,14 @@ type Deployment struct {
 	// Payload supplies each round's downlink payload.
 	Payload func(round uint64) []byte
 	// Gateway holds the caller's budgets. Serve sets Schedule (one
-	// network), GroupOf and MaxSessions, and MinSessions when it is 0.
+	// network) and GroupOf, and MinSessions when it is 0.
 	Gateway netio.GatewayConfig
 	// Client holds the budgets of the clients Dial opens; Dial sets TagID
 	// and Seed (the tag's network seed plus its ID).
 	Client netio.ClientConfig
 	// Service holds the shared service flags: Transport for every
 	// endpoint, Listen for the one Serve opens (default 127.0.0.1:9100),
-	// and Admission and the positive durations override Gateway's.
+	// and the positive durations override Gateway's.
 	Service netio.ServiceFlags
 	// Faults impairs the gateway endpoint Serve opens and, reseeded to
 	// seed + 1000·ID, every client endpoint Dial opens (nil: no faults).
@@ -270,13 +270,10 @@ type Served struct {
 // Serve is the one builder of a served deployment: the member networks
 // (on a Fleet when there are several), one recorder each, the mux (always
 // through NewGatewayMux) and the gateway with every field the deployment
-// determines. As GroupOf numbers every planned frame group, a tag admitted
-// by AdmitSpill lands past all of them.
+// determines. GroupOf places exactly the deployed tags, so the gateway
+// admits those and rejects any other tag's handshake.
 func Serve(d Deployment) (_ *Served, err error) {
 	g := &d.Gateway
-	if g.Admission, err = netio.ParseAdmissionPolicy(d.Service.Admission); err != nil {
-		return nil, err
-	}
 	if d.Service.Heartbeat > 0 {
 		g.HeartbeatInterval = d.Service.Heartbeat
 	}
@@ -318,9 +315,9 @@ func Serve(d Deployment) (_ *Served, err error) {
 	if len(members) == 1 {
 		g.Schedule = s.Recorders[0].Network().Schedule()
 	}
-	g.GroupOf, g.MaxSessions = s.Mux.GroupOf, s.Mux.Sessions()
+	g.GroupOf = s.Mux.GroupOf
 	if g.MinSessions <= 0 {
-		g.MinSessions = g.MaxSessions
+		g.MinSessions = s.Mux.Sessions()
 	}
 	if s.Conn = d.Conn; s.Conn == nil {
 		node, err := netio.ListenTransport(d.Service.Transport, cmp.Or(d.Service.Listen, "127.0.0.1:9100"),

@@ -37,9 +37,8 @@ const (
 // network, its gateway serving one in-process client session per tag, every
 // round captured and then replayed against the in-process oracle. core.Serve
 // is the one builder of a served deployment, so this run's gateway is
-// wired as biscatter-radar's: the schedule, frame groups and session cap
-// come from the network, and under Service.Admission "spill" a tag past
-// the cap lands in an overflow frame group after every planned one.
+// wired as biscatter-radar's: the schedule and frame groups come from the
+// network, and the gateway admits exactly its deployed tags.
 type Loopback struct {
 	// Tags is the fleet size: tags placed by core.LayoutTags at 16
 	// chirps/bit, TDMA-scheduled past Service.FrameCapacity.

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"biscatter/internal/channel"
+	"biscatter/internal/cssk"
 	"biscatter/internal/delayline"
 	"biscatter/internal/dsp"
 )
@@ -129,7 +130,7 @@ func (s *Scheme) EncodeChirp(bits []bool) ([]int, error) {
 				v |= 1
 			}
 		}
-		out[seg] = int(grayDecode(v))
+		out[seg] = int(cssk.GrayDecode(v))
 	}
 	return out, nil
 }
@@ -145,22 +146,12 @@ func (s *Scheme) DecodeChirp(segments []int) ([]bool, error) {
 		if idx < 0 || idx >= s.cfg.SlopesPerSegment {
 			return nil, fmt.Errorf("msck: segment index %d out of range", idx)
 		}
-		v := grayEncode(uint32(idx))
+		v := cssk.GrayEncode(uint32(idx))
 		for b := per - 1; b >= 0; b-- {
 			out = append(out, v&(1<<uint(b)) != 0)
 		}
 	}
 	return out, nil
-}
-
-func grayEncode(v uint32) uint32 { return v ^ (v >> 1) }
-
-func grayDecode(g uint32) uint32 {
-	v := g
-	for shift := uint(1); shift < 32; shift <<= 1 {
-		v ^= v >> shift
-	}
-	return v
 }
 
 // SynthesizeChirp produces the tag's envelope-detector samples for one chirp

@@ -28,8 +28,6 @@ const backoffFactor = 1.5
 type ClientConfig struct {
 	// TagID identifies this tag to the gateway.
 	TagID uint8
-	// Version is the protocol version to speak (default ProtocolVersion).
-	Version uint16
 	// Seed keys the deterministic backoff jitter (the ARQ discipline: a
 	// splitmix draw over (seed, tag, attempt), so retry schedules replay
 	// exactly per seed).
@@ -48,9 +46,6 @@ type ClientConfig struct {
 }
 
 func (c *ClientConfig) applyDefaults() {
-	if c.Version == 0 {
-		c.Version = ProtocolVersion
-	}
 	if c.DialAttempts <= 0 {
 		c.DialAttempts = DefaultDialAttempts
 	}
@@ -62,8 +57,8 @@ func (c *ClientConfig) applyDefaults() {
 	}
 }
 
-// ErrRejected means the gateway refused the handshake (e.g. protocol
-// version mismatch); retrying will not help.
+// ErrRejected means the gateway refused the handshake (a protocol version
+// mismatch, or a tag it does not serve); retrying will not help.
 var ErrRejected = errors.New("netio: handshake rejected")
 
 // Client is the tag side of a gateway session: it dials with retry, submits
@@ -133,7 +128,7 @@ func (c *Client) handshake(ctx context.Context) error {
 			return err
 		}
 		c.seq++
-		hello := &Hello{Version: c.cfg.Version, TagID: c.cfg.TagID, SessionID: c.sid, Seq: c.seq}
+		hello := &Hello{Version: ProtocolVersion, TagID: c.cfg.TagID, SessionID: c.sid, Seq: c.seq}
 		if err := c.conn.Send(c.gw, hello); err != nil {
 			return err
 		}
@@ -156,12 +151,6 @@ func (c *Client) handshake(ctx context.Context) error {
 			ack, ok := m.(*HelloAck)
 			if !ok {
 				continue // stale traffic from a previous session
-			}
-			if ack.Code == HelloQueued {
-				// Parked in the gateway's admission queue: back off and
-				// retry the handshake; DialAttempts bounds the total wait.
-				c.logf("client %d: queued for admission (%s)", c.cfg.TagID, ack.Reason)
-				break
 			}
 			if !ack.Code.Accepted() {
 				return fmt.Errorf("%w: %v (%s)", ErrRejected, ack.Code, ack.Reason)

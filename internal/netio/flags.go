@@ -21,9 +21,6 @@ type ServiceFlags struct {
 	SessionTimeout time.Duration
 	// Transport selects the session transport: TransportUDP or TransportTCP.
 	Transport string
-	// Admission names the gateway's session-overflow policy; parse it with
-	// ParseAdmissionPolicy.
-	Admission string
 	// FrameCapacity bounds concurrent tags per TDMA frame group (0 = the
 	// deployment's tone-table capacity; mac.ScheduleFor gives the analytic
 	// bound when tones are auto-assigned).
@@ -41,7 +38,6 @@ func RegisterServiceFlags(fs *flag.FlagSet) *ServiceFlags {
 	fs.DurationVar(&sf.Heartbeat, "heartbeat", DefaultHeartbeatInterval, "session heartbeat interval")
 	fs.DurationVar(&sf.SessionTimeout, "session-timeout", DefaultSessionTimeout, "evict a session silent for this long")
 	fs.StringVar(&sf.Transport, "transport", TransportUDP, "session transport: udp (datagrams) or tcp (length-prefixed stream)")
-	fs.StringVar(&sf.Admission, "admission", "reject", "gateway session-overflow policy: reject, queue or spill")
 	fs.IntVar(&sf.FrameCapacity, "frame-capacity", 0, "tags per TDMA frame group (0 = tone-table capacity)")
 	fs.DurationVar(&sf.FrameTimeout, "frame-timeout", 0, "per-frame-group round barrier timeout (0 = round timeout)")
 	return sf

@@ -8,8 +8,8 @@ import (
 // TestServiceFlagParity pins that all three binaries' FlagSets (each built
 // through RegisterServiceFlags, as biscatter-radar, biscatter-tag and
 // biscatter-sim do) expose identical shared flags: same names, defaults
-// and usage — including the transport, admission and frame-scheduling
-// flags the scaled gateway added.
+// and usage — including the transport and frame-scheduling flags the
+// scaled gateway added.
 func TestServiceFlagParity(t *testing.T) {
 	sets := map[string]*flag.FlagSet{
 		"biscatter-radar": flag.NewFlagSet("biscatter-radar", flag.ContinueOnError),
@@ -24,7 +24,7 @@ func TestServiceFlagParity(t *testing.T) {
 
 	for _, name := range []string{
 		"listen", "connect", "heartbeat", "session-timeout",
-		"transport", "admission", "frame-capacity", "frame-timeout",
+		"transport", "frame-capacity", "frame-timeout",
 		"net-seed", "net-drop", "net-duplicate", "net-reorder",
 		"net-corrupt", "net-delay", "net-max-delay",
 	} {
@@ -53,26 +53,23 @@ func TestServiceFlagParsing(t *testing.T) {
 	sf := RegisterServiceFlags(fs)
 	if err := fs.Parse([]string{
 		"-listen", "127.0.0.1:9100", "-heartbeat", "150ms", "-session-timeout", "3s",
-		"-transport", "tcp", "-admission", "spill", "-frame-capacity", "4", "-frame-timeout", "500ms",
+		"-transport", "tcp", "-frame-capacity", "4", "-frame-timeout", "500ms",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if sf.Listen != "127.0.0.1:9100" || sf.Heartbeat.String() != "150ms" || sf.SessionTimeout.String() != "3s" {
 		t.Fatalf("parsed %+v", sf)
 	}
-	if sf.Transport != TransportTCP || sf.Admission != "spill" || sf.FrameCapacity != 4 || sf.FrameTimeout.String() != "500ms" {
+	if sf.Transport != TransportTCP || sf.FrameCapacity != 4 || sf.FrameTimeout.String() != "500ms" {
 		t.Fatalf("parsed %+v", sf)
 	}
 	if sf.Connect != "" {
 		t.Fatalf("connect default should be empty, got %q", sf.Connect)
 	}
-	if p, err := ParseAdmissionPolicy(sf.Admission); err != nil || p != AdmitSpill {
-		t.Fatalf("ParseAdmissionPolicy(%q) = %v, %v", sf.Admission, p, err)
-	}
 }
 
 // TestServiceFlagDefaults pins that a default parse yields the UDP
-// transport and the reject admission policy — the pre-scaling behavior.
+// transport and no frame-scheduling overrides — the pre-scaling behavior.
 func TestServiceFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	sf := RegisterServiceFlags(fs)
@@ -82,14 +79,7 @@ func TestServiceFlagDefaults(t *testing.T) {
 	if sf.Transport != TransportUDP {
 		t.Fatalf("default transport %q, want %q", sf.Transport, TransportUDP)
 	}
-	p, err := ParseAdmissionPolicy(sf.Admission)
-	if err != nil || p != AdmitReject {
-		t.Fatalf("default admission %q → %v, %v", sf.Admission, p, err)
-	}
 	if sf.FrameCapacity != 0 || sf.FrameTimeout != 0 {
 		t.Fatalf("frame defaults %+v", sf)
-	}
-	if _, err := ParseAdmissionPolicy("bogus"); err == nil {
-		t.Fatal("ParseAdmissionPolicy accepted bogus policy")
 	}
 }

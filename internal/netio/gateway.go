@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,52 +36,6 @@ const (
 // answer retransmitted submissions idempotently.
 const resultCache = 8
 
-// AdmissionPolicy decides what happens to a new tag's Hello when the
-// gateway is at session capacity.
-type AdmissionPolicy uint8
-
-// Admission policies.
-const (
-	// AdmitReject answers HelloRejectFull: the tag is turned away.
-	AdmitReject AdmissionPolicy = iota
-	// AdmitQueue answers HelloQueued and parks the tag in a FIFO wait
-	// queue; its Hello retries re-test admission as sessions depart.
-	AdmitQueue
-	// AdmitSpill admits the tag anyway, assigning it to an overflow TDMA
-	// frame group past the planned groups (GroupOf's, else the Schedule's)
-	// — capacity grows by another frame per spill-group's worth of tags at
-	// the cost of cycle latency.
-	AdmitSpill
-)
-
-// String implements fmt.Stringer.
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitReject:
-		return "reject"
-	case AdmitQueue:
-		return "queue"
-	case AdmitSpill:
-		return "spill"
-	default:
-		return fmt.Sprintf("AdmissionPolicy(%d)", uint8(p))
-	}
-}
-
-// ParseAdmissionPolicy parses an -admission flag value.
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
-	switch strings.ToLower(s) {
-	case "", "reject":
-		return AdmitReject, nil
-	case "queue":
-		return AdmitQueue, nil
-	case "spill":
-		return AdmitSpill, nil
-	default:
-		return 0, fmt.Errorf("netio: unknown admission policy %q (want reject, queue or spill)", s)
-	}
-}
-
 // GatewayConfig parameterizes a Gateway. The zero value is usable: every
 // field has a default.
 type GatewayConfig struct {
@@ -109,17 +61,14 @@ type GatewayConfig struct {
 	// core.Config.Schedule each round runs as one ExchangeScheduled cycle.
 	Schedule *mac.FrameSchedule
 	// GroupOf overrides the tag → frame-group mapping (e.g. a multi-network
-	// GatewayMux numbers groups across networks). Unknown tags return -1
-	// and land in group 0. The groups the mapping gives any tag ID are the
-	// planned cycle AdmitSpill overflows past. Called only from the
+	// GatewayMux numbers groups across networks). Called only from the
 	// supervision goroutine.
+	//
+	// The planned group decides admission: a tag is admitted exactly when
+	// GroupOf, else the Schedule, places it (-1 means it is not deployed,
+	// and its Hello is answered HelloRejectUnknown). With neither set every
+	// tag is planned into group 0 and admitted.
 	GroupOf func(tagID uint8) int
-	// MaxSessions caps concurrent sessions; at capacity a new tag's Hello
-	// goes through the Admission policy. 0 means Schedule.NTags() when a
-	// Schedule is set, otherwise unlimited.
-	MaxSessions int
-	// Admission is the session-overflow policy (default AdmitReject).
-	Admission AdmissionPolicy
 	// FrameTimeout is the per-frame-group barrier timeout: a group whose
 	// first submission is this old stops waiting for its stragglers even
 	// though RoundTimeout has not passed globally (default RoundTimeout,
@@ -158,9 +107,6 @@ func (c *GatewayConfig) applyDefaults() {
 	}
 	if c.FrameTimeout <= 0 {
 		c.FrameTimeout = c.RoundTimeout
-	}
-	if c.MaxSessions <= 0 && c.Schedule != nil {
-		c.MaxSessions = c.Schedule.NTags()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
@@ -211,11 +157,11 @@ type session struct {
 }
 
 // Gateway supervises many tag sessions over one Conn and drives the
-// exchange round loop: handshake with protocol-version check, per-session
-// sequence tracking, heartbeat liveness with deadline-based eviction,
-// bounded send queues that reject when full, and per-session
-// circuit breakers that quarantine unresponsive tags while the rest of the
-// fleet keeps exchanging.
+// exchange round loop: handshake with protocol-version check and admission
+// of exactly the tags its frame plan places, per-session sequence tracking,
+// heartbeat liveness with deadline-based eviction, bounded send queues that
+// reject when full, and per-session circuit breakers that quarantine
+// unresponsive tags while the rest of the fleet keeps exchanging.
 type Gateway struct {
 	conn Conn
 	cfg  GatewayConfig
@@ -232,10 +178,6 @@ type Gateway struct {
 	// submission from that group arrived — the per-group barrier clock.
 	groupFirst map[int]time.Time
 
-	// waiters is the AdmitQueue FIFO: tags parked at capacity, in arrival
-	// order, each stamped with its last Hello so dead waiters expire.
-	waiters []admWaiter
-
 	// telemetry
 	gSessions                           *telemetry.Gauge
 	cAccepted, cResumed, cReplaced      *telemetry.Counter
@@ -244,15 +186,7 @@ type Gateway struct {
 	cBreakerOpen, cBreakerClose         *telemetry.Counter
 	cSendRejected, cExchangeErr, cHello *telemetry.Counter
 	cAdmAdmitted, cAdmRejected          *telemetry.Counter
-	cAdmQueued, cAdmSpilled             *telemetry.Counter
-	gAdmWaiting                         *telemetry.Gauge
 	hRTT                                *telemetry.Histogram
-}
-
-// admWaiter is one queued tag awaiting admission.
-type admWaiter struct {
-	tagID uint8
-	seen  time.Time
 }
 
 // NewGateway builds a Gateway serving fn over conn. Run starts it.
@@ -281,9 +215,6 @@ func NewGateway(conn Conn, cfg GatewayConfig, fn ExchangeFunc) *Gateway {
 		g.cExchangeErr = m.Counter("netio.exchange.errors")
 		g.cAdmAdmitted = m.Counter("netio.admission.admitted")
 		g.cAdmRejected = m.Counter("netio.admission.rejected")
-		g.cAdmQueued = m.Counter("netio.admission.queued")
-		g.cAdmSpilled = m.Counter("netio.admission.spilled")
-		g.gAdmWaiting = m.Gauge("netio.admission.waiting")
 		g.hRTT = m.Histogram("netio.heartbeat.rtt_seconds")
 	}
 	return g
@@ -376,30 +307,38 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 	}
 	code := HelloAccept
 	s, ok := g.sessions[h.TagID]
-	switch {
-	case ok && h.SessionID == s.id:
+	if ok && h.SessionID == s.id {
 		// The tag found its way back (new source address after a restart
 		// of its socket): adopt in place.
 		code = HelloResume
 		s.addr.Store(from)
 		g.cResumed.Inc()
-	case ok:
-		// Same tag, unknown/zero session: replace the stale session. The
-		// frame group is re-derived, so an assignment that changed while
-		// the tag was away takes effect here — while the round cursor in
-		// the ack below still resumes the tag at the gateway's next round.
-		code = HelloResume
-		g.dropSession(s)
-		s = g.newSession(h.TagID, from)
-		s.group = max(g.plannedGroup(h.TagID), 0)
-		g.cReplaced.Inc()
-	default:
-		ns, admitted := g.admit(now, h.TagID, from)
-		if !admitted {
+	} else {
+		group := g.plannedGroup(h.TagID)
+		if group < 0 {
+			g.cAdmRejected.Inc()
+			g.cRejected.Inc()
+			g.logf("gateway: tag %d rejected: not deployed", h.TagID)
+			g.sendDirect(from, &HelloAck{
+				Code:   HelloRejectUnknown,
+				Reason: fmt.Sprintf("tag %d is not deployed on this gateway", h.TagID),
+			})
 			return
 		}
-		s = ns
-		g.cAccepted.Inc()
+		if ok {
+			// Same tag, unknown/zero session: replace the stale session. The
+			// frame group is re-derived, so an assignment that changed while
+			// the tag was away takes effect here — while the round cursor in
+			// the ack below still resumes the tag at the gateway's next round.
+			code = HelloResume
+			g.dropSession(s)
+			g.cReplaced.Inc()
+		} else {
+			g.cAdmAdmitted.Inc()
+			g.cAccepted.Inc()
+		}
+		s = g.newSession(h.TagID, from)
+		s.group = group
 	}
 	s.seen = now
 	s.lastSeq = h.Seq
@@ -414,93 +353,8 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 	})
 }
 
-// admit applies session capacity and the admission policy to a new tag's
-// Hello. It returns the created session, or (nil, false) when the tag was
-// rejected or queued (both already answered).
-func (g *Gateway) admit(now time.Time, tagID uint8, from *net.UDPAddr) (*session, bool) {
-	limit := g.cfg.MaxSessions
-	if limit <= 0 || len(g.sessions)+g.queueAhead(tagID) < limit {
-		// Room for this tag and for everyone queued ahead of it (FIFO
-		// fairness: a latecomer never jumps the wait queue).
-		g.unqueue(tagID)
-		s := g.newSession(tagID, from)
-		s.group = max(g.plannedGroup(tagID), 0)
-		g.cAdmAdmitted.Inc()
-		return s, true
-	}
-	switch g.cfg.Admission {
-	case AdmitQueue:
-		g.enqueueWaiter(now, tagID, from)
-		return nil, false
-	case AdmitSpill:
-		s := g.newSession(tagID, from)
-		s.group = g.spillGroup()
-		g.cAdmAdmitted.Inc()
-		g.cAdmSpilled.Inc()
-		g.logf("gateway: tag %d spilled to overflow frame group %d", tagID, s.group)
-		return s, true
-	default: // AdmitReject
-		g.cAdmRejected.Inc()
-		g.cRejected.Inc()
-		g.logf("gateway: tag %d rejected at capacity (%d sessions)", tagID, limit)
-		g.sendDirect(from, &HelloAck{
-			Code:   HelloRejectFull,
-			Reason: fmt.Sprintf("the gateway is at capacity (%d sessions)", limit),
-		})
-		return nil, false
-	}
-}
-
-// queueAhead counts admission waiters ahead of tagID (all of them when the
-// tag is not queued yet).
-func (g *Gateway) queueAhead(tagID uint8) int {
-	for i, w := range g.waiters {
-		if w.tagID == tagID {
-			return i
-		}
-	}
-	return len(g.waiters)
-}
-
-// enqueueWaiter parks (or refreshes) a tag in the admission wait queue and
-// answers HelloQueued — not a rejection: the client's handshake retries
-// re-test admission as sessions depart, draining the queue in FIFO order.
-func (g *Gateway) enqueueWaiter(now time.Time, tagID uint8, from *net.UDPAddr) {
-	pos := -1
-	for i := range g.waiters {
-		if g.waiters[i].tagID == tagID {
-			g.waiters[i].seen = now
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		g.waiters = append(g.waiters, admWaiter{tagID: tagID, seen: now})
-		pos = len(g.waiters) - 1
-		g.cAdmQueued.Inc()
-		g.gAdmWaiting.Set(float64(len(g.waiters)))
-		g.logf("gateway: tag %d queued for admission at position %d", tagID, pos)
-	}
-	g.sendDirect(from, &HelloAck{
-		Code:   HelloQueued,
-		Reason: fmt.Sprintf("the gateway is at capacity; queued at position %d", pos),
-	})
-}
-
-// unqueue removes a tag from the admission wait queue, if present.
-func (g *Gateway) unqueue(tagID uint8) {
-	for i, w := range g.waiters {
-		if w.tagID == tagID {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			g.gAdmWaiting.Set(float64(len(g.waiters)))
-			return
-		}
-	}
-}
-
 // plannedGroup is a tag's planned frame group: GroupOf's, else the
-// schedule's tag-index convention, else 0; -1 for a tag outside the plan,
-// which is admitted into group 0 (the handler answers it as unknown).
+// schedule's tag-index convention, else 0; -1 for a tag outside the plan.
 func (g *Gateway) plannedGroup(tagID uint8) int {
 	switch {
 	case g.cfg.GroupOf != nil:
@@ -509,29 +363,6 @@ func (g *Gateway) plannedGroup(tagID uint8) int {
 		return g.cfg.Schedule.GroupOf(int(tagID) - 1)
 	}
 	return 0
-}
-
-// spillGroup picks the overflow frame group for a spilled session: the
-// first group past every planned one with fewer sessions than the largest
-// planned group, so spilled tags pack into as few extra frames as possible.
-func (g *Gateway) spillGroup() int {
-	base, width := 1, 1
-	counts := make(map[int]int)
-	for id := range math.MaxUint8 + 1 {
-		if gid := g.plannedGroup(uint8(id)); gid >= 0 {
-			counts[gid]++
-			base, width = max(base, gid+1), max(width, counts[gid])
-		}
-	}
-	clear(counts)
-	for _, s := range g.sessions {
-		counts[s.group]++
-	}
-	for gid := base; ; gid++ {
-		if counts[gid] < width {
-			return gid
-		}
-	}
 }
 
 func (g *Gateway) newSession(tagID uint8, from *net.UDPAddr) *session {
@@ -797,18 +628,8 @@ func (g *Gateway) cacheResult(s *session, rr *RoundResult) {
 }
 
 // evictExpired removes sessions whose liveness deadline passed, notifying
-// the client so it can re-handshake, and expires admission waiters that
-// stopped retrying (a dead waiter must not block the FIFO queue).
+// the client so it can re-handshake.
 func (g *Gateway) evictExpired(now time.Time) {
-	for i := 0; i < len(g.waiters); {
-		if now.Sub(g.waiters[i].seen) > g.cfg.SessionTimeout {
-			g.logf("gateway: dropping stale admission waiter tag %d", g.waiters[i].tagID)
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			g.gAdmWaiting.Set(float64(len(g.waiters)))
-			continue
-		}
-		i++
-	}
 	for _, s := range g.sessions {
 		if now.Sub(s.seen) <= g.cfg.SessionTimeout {
 			continue

@@ -3,18 +3,25 @@ package netio
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestGatewayAdmissionReject pins the default overflow policy: with
-// MaxSessions 2, the third tag's handshake is answered HelloRejectFull and
-// the admission counters split admitted vs rejected.
+// TestGatewayAdmissionReject pins admission by the frame plan: with a
+// GroupOf that places only tags 1 and 2, tag 3's handshake is answered
+// HelloRejectUnknown naming the tag, and the admission counters split
+// admitted vs rejected.
 func TestGatewayAdmissionReject(t *testing.T) {
 	node, m, stop := testGateway(t, GatewayConfig{
-		MaxSessions:    2,
 		SessionTimeout: time.Minute,
+		GroupOf: func(tagID uint8) int {
+			if tagID == 1 || tagID == 2 {
+				return 0
+			}
+			return -1
+		},
 	}, echoExchange)
 	defer stop()
 	defer node.Close()
@@ -31,8 +38,8 @@ func TestGatewayAdmissionReject(t *testing.T) {
 	defer conn3.Close()
 	_, err = Dial(conn3, node.Addr().String(), ClientConfig{
 		TagID: 3, AttemptTimeout: 300 * time.Millisecond, DialAttempts: 2})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("third dial: want ErrRejected, got %v", err)
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "reject-unknown (tag 3 ") {
+		t.Fatalf("tag 3 dial: want ErrRejected naming tag 3, got %v", err)
 	}
 	if got := m.Counter("netio.admission.admitted").Value(); got != 2 {
 		t.Errorf("netio.admission.admitted = %d, want 2", got)
@@ -40,129 +47,14 @@ func TestGatewayAdmissionReject(t *testing.T) {
 	if got := m.Counter("netio.admission.rejected").Value(); got == 0 {
 		t.Error("netio.admission.rejected not counted")
 	}
-	// A replaced session (same tag re-dialing) is not an overflow event.
+	// A replaced session (same tag re-dialing) is not an admission event.
 	_, conn1b := dialTag(t, node.Addr(), 1, ClientConfig{})
 	defer conn1b.Close()
 	if got := m.Counter("netio.sessions.replaced").Value(); got != 1 {
 		t.Errorf("netio.sessions.replaced = %d, want 1", got)
 	}
-}
-
-// TestGatewayAdmissionQueue pins the queue policy: an over-capacity tag is
-// parked (HelloQueued keeps its handshake retrying rather than failing),
-// and it is admitted as soon as a session departs.
-func TestGatewayAdmissionQueue(t *testing.T) {
-	node, m, stop := testGateway(t, GatewayConfig{
-		MaxSessions:    1,
-		Admission:      AdmitQueue,
-		SessionTimeout: time.Minute,
-	}, echoExchange)
-	defer stop()
-	defer node.Close()
-
-	c1, conn1 := dialTag(t, node.Addr(), 1, ClientConfig{})
-	defer conn1.Close()
-
-	// Tag 2 dials while the gateway is full: its handshake must park in the
-	// wait queue instead of erroring out.
-	type dialed struct {
-		c   *Client
-		err error
-	}
-	res := make(chan dialed, 1)
-	conn2, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	go func() {
-		c, err := Dial(conn2, node.Addr().String(), ClientConfig{
-			TagID: 2, AttemptTimeout: 200 * time.Millisecond, DialAttempts: 40})
-		res <- dialed{c, err}
-	}()
-
-	waitFor(t, func() bool { return m.Counter("netio.admission.queued").Value() == 1 })
-	if got := m.Gauge("netio.admission.waiting").Value(); got != 1 {
-		t.Fatalf("netio.admission.waiting = %v, want 1", got)
-	}
-	select {
-	case d := <-res:
-		t.Fatalf("queued dial returned early: %v, %v", d.c, d.err)
-	default:
-	}
-
-	// Free the slot; the queued tag's next handshake retry must be admitted.
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case d := <-res:
-		if d.err != nil {
-			t.Fatalf("queued dial: %v", d.err)
-		}
-		d.c.Close()
-	case <-time.After(30 * time.Second):
-		t.Fatal("queued tag never admitted")
-	}
 	if got := m.Counter("netio.admission.admitted").Value(); got != 2 {
-		t.Errorf("netio.admission.admitted = %d, want 2", got)
-	}
-	if got := m.Gauge("netio.admission.waiting").Value(); got != 0 {
-		t.Errorf("netio.admission.waiting = %v, want 0", got)
-	}
-}
-
-// TestGatewayAdmissionSpill pins the spill policy: over-capacity tags are
-// admitted into overflow frame groups past the schedule's planned cycle
-// instead of being turned away, and the overflow group still completes
-// rounds.
-func TestGatewayAdmissionSpill(t *testing.T) {
-	node, m, stop := testGateway(t, GatewayConfig{
-		MaxSessions:    2,
-		Admission:      AdmitSpill,
-		MinSessions:    3,
-		Rounds:         1,
-		RoundTimeout:   2 * time.Second,
-		FrameTimeout:   100 * time.Millisecond,
-		SessionTimeout: time.Minute,
-		GroupOf:        func(tagID uint8) int { return 0 },
-	}, echoExchange)
-	defer node.Close()
-
-	clients := make([]*Client, 3)
-	for i := range clients {
-		c, conn := dialTag(t, node.Addr(), uint8(i+1), ClientConfig{})
-		defer conn.Close()
-		clients[i] = c
-	}
-	if got := m.Counter("netio.admission.spilled").Value(); got != 1 {
-		t.Fatalf("netio.admission.spilled = %d, want 1", got)
-	}
-	if got := m.Counter("netio.admission.admitted").Value(); got != 3 {
-		t.Fatalf("netio.admission.admitted = %d, want 3", got)
-	}
-
-	// All three — planned groups and the overflow group — complete a round.
-	errs := make(chan error, len(clients))
-	for _, c := range clients {
-		go func(c *Client) {
-			rr, err := c.SubmitRound(context.Background(), []bool{true})
-			if err == nil && rr.Status != RoundOK {
-				err = errors.New(rr.Status.String())
-			}
-			errs <- err
-		}(c)
-	}
-	for range clients {
-		if err := <-errs; err != nil {
-			t.Fatalf("spilled round: %v", err)
-		}
-	}
-	for _, c := range clients {
-		c.Close()
-	}
-	if err := stop(); err != nil {
-		t.Fatalf("gateway: %v", err)
+		t.Errorf("netio.admission.admitted = %d after a replace, want 2", got)
 	}
 }
 

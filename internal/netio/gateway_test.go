@@ -143,17 +143,22 @@ func TestGatewayVersionReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, err = Dial(conn, node.Addr().String(), ClientConfig{
-		TagID: 1, Version: 99, AttemptTimeout: 500 * time.Millisecond})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
+	if err := conn.Send(node.Addr(), &Hello{Version: 99, TagID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := conn.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, ok := m2.(*HelloAck); !ok || ack.Code != HelloRejectVersion {
+		t.Fatalf("want a %v HelloAck, got %+v", HelloRejectVersion, m2)
 	}
 	node.Close()
 	if err := stop(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("gateway exit: %v", err)
 	}
-	if got := m.Counter("netio.sessions.rejected").Value(); got == 0 {
-		t.Error("netio.sessions.rejected not counted")
+	if got := m.Counter("netio.sessions.rejected").Value(); got != 1 {
+		t.Errorf("netio.sessions.rejected = %d, want 1", got)
 	}
 }
 

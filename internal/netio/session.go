@@ -177,12 +177,10 @@ const (
 	// HelloRejectVersion: protocol-version mismatch; Reason names the
 	// gateway's version.
 	HelloRejectVersion HelloCode = 2
-	// HelloRejectFull: the gateway is at capacity.
-	HelloRejectFull HelloCode = 3
-	// HelloQueued: the gateway is at capacity but parked the tag in its
-	// admission wait queue (AdmitQueue policy); the client should keep
-	// retrying the handshake — not a rejection.
-	HelloQueued HelloCode = 4
+	// HelloRejectUnknown: the tag is not deployed on this gateway (its
+	// frame plan places it in no group); Reason names the tag. Value 4 is
+	// retired and never reused.
+	HelloRejectUnknown HelloCode = 3
 )
 
 // String implements fmt.Stringer.
@@ -194,10 +192,8 @@ func (c HelloCode) String() string {
 		return "resume"
 	case HelloRejectVersion:
 		return "reject-version"
-	case HelloRejectFull:
-		return "reject-full"
-	case HelloQueued:
-		return "queued"
+	case HelloRejectUnknown:
+		return "reject-unknown"
 	default:
 		return fmt.Sprintf("HelloCode(%d)", uint8(c))
 	}

@@ -49,7 +49,7 @@ func (r *Radar) EnvironmentMap(matrix [][]float64, grid []float64) ([]MapTarget,
 		if bin < 2 { // skip the DC/leakage region
 			continue
 		}
-		mags := []float64{math.Sqrt(avg[maxInt(bin-1, 0)]), math.Sqrt(avg[bin]), math.Sqrt(avg[minInt(bin+1, nBins-1)])}
+		mags := []float64{math.Sqrt(avg[max(bin-1, 0)]), math.Sqrt(avg[bin]), math.Sqrt(avg[min(bin+1, nBins-1)])}
 		delta := 0.0
 		if bin > 0 && bin < nBins-1 {
 			d, _ := dsp.ParabolicPeak(mags, 1)
@@ -63,18 +63,4 @@ func (r *Radar) EnvironmentMap(matrix [][]float64, grid []float64) ([]MapTarget,
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Range < out[j].Range })
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
