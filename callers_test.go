@@ -26,7 +26,6 @@ var testOnlyCallers = map[string]string{
 	"dsp.Magnitudes":           "oracle for the fused magnitude paths",
 	"dsp.FFTPlan.Forward":      "oracle for ForwardPrefix and the frozen kernel",
 	"dsp.AutocorrelationInto":  "direct-sum oracle for FFTAutocorr",
-	"dsp.ResampleCubic":        "oracle for ResampleCubicInto",
 	"dsp.GoertzelPower":        "single-tone oracle for the batched signature scan",
 	"dsp.Median":               "oracle for MedianWith and the frozen detectors",
 	"radar.SubtractBackground": "oracle for SubtractBackgroundMagInto",
@@ -51,7 +50,7 @@ var testOnlyCallers = map[string]string{
 
 	// Accessors that tests use to observe production state.
 	"parallel.Pool.ArenaFootprintBytes": "observes arena growth",
-	"radar.Radar.PhasorCacheBytes":      "observes phasor cache growth",
+	"radar.Radar.CacheBytes":            "observes phasor and chirp-z cache growth",
 	"dsp.ToneTable.Cap":                 "observes the tone table",
 	"dsp.ToneTable.Freq":                "observes the tone table",
 	"dsp.RMS":                           "observes signal level",

@@ -61,13 +61,13 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 // that change every round. The pin above reuses one payload, so it cannot
 // see a cache that grows the first time a symbol appears: here every
 // measured exchange sends a fresh random payload, the rounds continue until
-// every data symbol has been on the air, and the radar's phasor cache,
-// filled at construction for the whole alphabet, must not grow.
+// every data symbol has been on the air, and the radar's phasor and chirp-z
+// caches, filled at construction for the whole alphabet, must not grow.
 func TestExchangeVaryingPayloadAllocs(t *testing.T) {
 	n, _, uplink := allocTestNetwork(t)
-	cacheBytes := n.Radar().PhasorCacheBytes()
+	cacheBytes := n.Radar().CacheBytes()
 	if cacheBytes == 0 {
-		t.Fatal("NewNetwork left the radar's phasor cache empty")
+		t.Fatal("NewNetwork left the radar's caches empty")
 	}
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, 8)
@@ -100,8 +100,8 @@ func TestExchangeVaryingPayloadAllocs(t *testing.T) {
 		worst = max(worst, allocs)
 	}
 	t.Logf("every symbol on the air after %d rounds; at most %.0f allocs per exchange", round, worst)
-	if got := n.Radar().PhasorCacheBytes(); got != cacheBytes {
-		t.Fatalf("phasor cache went from %d B at construction to %d B", cacheBytes, got)
+	if got := n.Radar().CacheBytes(); got != cacheBytes {
+		t.Fatalf("radar caches went from %d B at construction to %d B", cacheBytes, got)
 	}
 }
 

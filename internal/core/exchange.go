@@ -138,10 +138,12 @@ func (n *Network) sceneClutter() []channel.Reflector {
 	return append(merged, f.Clutter...)
 }
 
-// warmRadar fills the radar's phasor cache for every chirp duration the
-// network's packets use (the header, sync and data symbols of its
-// alphabet) under the scene geometry buildScene lays out, so that no
-// exchange, whatever its payload, fills a table.
+// warmRadar fills the radar's phasor and chirp-z caches for every chirp
+// duration the network's packets use (the header, sync and data symbols of
+// its alphabet) under the scene geometry buildScene lays out, so that no
+// exchange, whatever its payload, fills a table. Every packet carries the
+// sync chirp, the alphabet's steepest, so its frames share this frame's
+// common range grid and hence its chirp-z plans.
 func (n *Network) warmRadar() error {
 	durs := []float64{n.alphabet.Header().Duration, n.alphabet.Sync().Duration}
 	for i := 0; i < n.alphabet.DataSymbolCount(); i++ {
@@ -160,7 +162,7 @@ func (n *Network) warmRadar() error {
 		scene.Tags[i].Range = node.Range
 	}
 	n.radar.WarmPhasors(frame, scene)
-	return nil
+	return n.radar.WarmChirpZ(frame)
 }
 
 // The exchange is one ordered list of named stages. Each stage is timed

@@ -1,6 +1,7 @@
 // Package dsp provides the digital signal processing substrate used by the
-// BiScatter simulator: FFTs, the Goertzel algorithm, window functions,
-// moving-average smoothing, interpolation, autocorrelation and CFAR.
+// BiScatter simulator: FFTs, the chirp-z transform, the Goertzel algorithm,
+// window functions, moving-average smoothing, interpolation,
+// autocorrelation and CFAR.
 //
 // Everything is implemented on plain []complex128 / []float64 slices with no
 // external dependencies. Functions that allocate have Into-variants that

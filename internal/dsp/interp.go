@@ -4,59 +4,6 @@ import (
 	"fmt"
 )
 
-// ResampleCubic resamples the uniformly spaced signal ys (samples at
-// srcX[i] = srcStart + i·srcStep) onto the query grid dstX using Catmull-Rom
-// cubic interpolation, clamping at the edges. Compared to linear
-// interpolation the reconstruction error on smooth spectra drops from
-// O(Δ²) to O(Δ⁴) — which matters when resampled strong-clutter profiles are
-// subtracted across chirps and the residue must stay below a weak tag echo.
-func ResampleCubic(ys []float64, srcStart, srcStep float64, dstX []float64) []float64 {
-	return ResampleCubicInto(make([]float64, len(dstX)), ys, srcStart, srcStep, dstX)
-}
-
-// ResampleCubicInto is ResampleCubic writing into dst, which must have
-// length len(dstX) and must not alias ys. It returns dst. This is the
-// per-chirp IF-correction primitive, so the hot path feeds it worker-arena
-// scratch instead of allocating two NFFT-sized vectors per chirp.
-func ResampleCubicInto(dst, ys []float64, srcStart, srcStep float64, dstX []float64) []float64 {
-	if srcStep <= 0 {
-		panic(fmt.Sprintf("dsp: ResampleCubic requires srcStep > 0, got %v", srcStep))
-	}
-	if len(dst) != len(dstX) {
-		panic("dsp: ResampleCubicInto length mismatch")
-	}
-	out := dst
-	n := len(ys)
-	if n == 0 {
-		clear(out)
-		return out
-	}
-	at := func(i int) float64 {
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return ys[i]
-	}
-	for i, x := range dstX {
-		pos := (x - srcStart) / srcStep
-		switch {
-		case pos <= 0:
-			out[i] = ys[0]
-		case pos >= float64(n-1):
-			out[i] = ys[n-1]
-		default:
-			j := int(pos)
-			t := pos - float64(j)
-			p0, p1, p2, p3 := at(j-1), at(j), at(j+1), at(j+2)
-			out[i] = p1 + 0.5*t*(p2-p0+t*(2*p0-5*p1+4*p2-p3+t*(3*(p1-p2)+p3-p0)))
-		}
-	}
-	return out
-}
-
 // ParabolicPeak refines a discrete spectrum peak at index k using the
 // three-point parabolic (quadratic) interpolation over mags[k-1..k+1].
 // It returns the sub-bin offset δ ∈ [-0.5, 0.5] and the interpolated peak

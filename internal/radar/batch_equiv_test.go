@@ -2,7 +2,9 @@ package radar
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"biscatter/internal/channel"
@@ -149,64 +151,136 @@ func TestHannTableMatchesDirectWindow(t *testing.T) {
 	}
 }
 
-// TestCorrectedMatrixMatchesFullSpectrum pins the IF correction against the
-// path it replaced, bit for bit: window, full NFFT-point transform,
-// normalization of every bin, a full-length real/imaginary split and cubic
-// resampling. CorrectedMatrixContext transforms only the live prefix and
-// normalizes and splits only the bins the grid's stencils read, so this
-// covers both shortcuts, with and without a configured MaxRange (which sets
-// how far the grid reaches into each chirp's spectrum). Exact zeros may
-// differ in sign.
-func TestCorrectedMatrixMatchesFullSpectrum(t *testing.T) {
+// directDTFTRow is the IF-correction oracle: chirp i's windowed samples,
+// normalized by the window's coherent sum, evaluated as a direct DTFT at
+// each grid range's IF frequency for that chirp, grid[j]/rmax_i cycles per
+// sample. The product f·n is reduced modulo 1 before the angle is formed.
+func directDTFTRow(rd *Radar, cap *Capture, i int, grid []float64) []complex128 {
+	x := cap.IF[i]
+	d := cap.Frame.Chirps[i].Params.Duration
+	span := d * rd.cfg.Chirp.SampleRate
+	rmax := rd.maxRangeFor(d)
+	y := make([]complex128, len(x))
+	var sumW float64
+	for n := range x {
+		w := 0.5 * (1 - math.Cos(2*math.Pi*float64(n)/span))
+		y[n] = x[n] * complex(w, 0)
+		sumW += w
+	}
+	row := make([]complex128, len(grid))
+	for j, g := range grid {
+		f := g / rmax
+		var acc complex128
+		for n, v := range y {
+			s, c := math.Sincos(-2 * math.Pi * math.Mod(f*float64(n), 1))
+			acc += v * complex(c, s)
+		}
+		row[j] = acc / complex(sumW, 0)
+	}
+	return row
+}
+
+// correctionFrame builds a frame of CSSK-like chirps from 20 to 96 µs at
+// 4 MHz and 1 GHz (80–384 samples; the 20 µs chirp's unambiguous range is
+// 11.99 m) and a scene of two walls, a weak switching tag and receiver noise.
+func correctionFrame(t *testing.T) (fmcw.ChirpParams, *fmcw.Frame, Scene) {
+	t.Helper()
 	chirp := fmcw.ChirpParams{StartFrequency: 9e9, Bandwidth: 1e9, Duration: 60e-6, SampleRate: 4e6}
 	builder, err := fmcw.NewFrameBuilder(chirp, 120e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := builder.Build([]float64{20e-6, 31e-6, 45e-6, 60e-6, 77e-6, 96e-6})
+	durs := []float64{20e-6, 31e-6, 45e-6, 60e-6, 77e-6, 96e-6, 45e-6, 45e-6, 20e-6}
+	frame, err := builder.Build(durs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, maxRange := range []float64{0, 4, 9.5} {
-		rd, err := New(Config{Chirp: chirp, Link: channel.DefaultLink(), NFFT: 1024, RangeBins: 96, MaxRange: maxRange, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cap := rd.Observe(frame, Scene{Clutter: []channel.Reflector{{Range: 2.5, RCSdBsm: 5}, {Range: 3.7, RCSdBsm: -2}}})
-		got, grid := rd.CorrectedMatrix(cap)
-		for i, c := range frame.Chirps {
-			n := min(len(cap.IF[i]), rd.cfg.NFFT)
-			buf := make([]complex128, rd.cfg.NFFT)
-			win := rd.hannFor(c.Params.Duration, n)
-			for k := 0; k < n; k++ {
-				buf[k] = cap.IF[i][k] * complex(win.w[k], 0)
-			}
-			rd.plan.ForwardInto(buf, buf)
-			if sumW := win.cum[n]; sumW > 0 {
-				s := complex(1/sumW, 0)
-				for k := range buf {
-					buf[k] *= s
+	states := make([]bool, len(durs))
+	for i := range states {
+		states[i] = i%2 == 0
+	}
+	return chirp, frame, Scene{
+		Clutter: []channel.Reflector{{Range: 2.5, RCSdBsm: 5}, {Range: 3.7, RCSdBsm: -2}},
+		Tags:    []TagEcho{{Range: 1.9, States: states, PowerDBm: -80}},
+	}
+}
+
+// TestCorrectedMatrixMatchesDirectDTFT pins the chirp-z IF correction
+// against the direct-DTFT oracle: every row within 1e-12 of its own peak,
+// over grids that reach the steepest chirp's unambiguous range (MaxRange
+// 0), stop short of it (9.5 m) or cover only the first third (4 m), at 96
+// and 512 range bins. The rows are byte-identical at 1, 2 and 4 workers.
+func TestCorrectedMatrixMatchesDirectDTFT(t *testing.T) {
+	chirp, frame, scene := correctionFrame(t)
+	for _, bins := range []int{96, 512} {
+		for _, maxRange := range []float64{0, 4, 9.5} {
+			var ref [][]complex128
+			for _, workers := range []int{1, 2, 4} {
+				rd, err := New(Config{Chirp: chirp, Link: channel.DefaultLink(), RangeBins: bins, MaxRange: maxRange, Seed: 3, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			re := make([]float64, len(buf))
-			im := make([]float64, len(buf))
-			for k, v := range buf {
-				re[k], im[k] = real(v), imag(v)
-			}
-			step := rd.maxRangeFor(c.Params.Duration) / float64(rd.cfg.NFFT)
-			reG := dsp.ResampleCubic(re, 0, step, grid)
-			imG := dsp.ResampleCubic(im, 0, step, grid)
-			for b := range grid {
-				gr, gi := real(got[i][b]), imag(got[i][b])
-				if !sameOrZero(gr, reG[b]) || !sameOrZero(gi, imG[b]) {
-					t.Fatalf("MaxRange=%v chirp %d bin %d: %v, full-spectrum path %v",
-						maxRange, i, b, got[i][b], complex(reG[b], imG[b]))
+				cap := rd.Observe(frame, scene)
+				got, grid := rd.CorrectedMatrix(cap)
+				if got == nil {
+					t.Fatalf("bins=%d MaxRange=%v: no corrected matrix", bins, maxRange)
+				}
+				if ref != nil {
+					for i := range got {
+						for b := range got[i] {
+							g, w := got[i][b], ref[i][b]
+							if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+								t.Fatalf("bins=%d MaxRange=%v workers=%d chirp %d bin %d: %v, workers=1 %v", bins, maxRange, workers, i, b, g, w)
+							}
+						}
+					}
+					continue
+				}
+				ref = make([][]complex128, len(got))
+				for i := range got {
+					ref[i] = append([]complex128(nil), got[i]...)
+					want := directDTFTRow(rd, cap, i, grid)
+					var peak, worst float64
+					for b := range want {
+						peak = max(peak, cmplx.Abs(want[b]))
+						worst = max(worst, cmplx.Abs(got[i][b]-want[b]))
+					}
+					if worst > 1e-12*peak {
+						t.Fatalf("bins=%d MaxRange=%v chirp %d (%d samples): off the direct DTFT by %.3g of the row peak",
+							bins, maxRange, i, len(cap.IF[i]), worst/peak)
+					}
 				}
 			}
 		}
 	}
 }
 
-func sameOrZero(got, want float64) bool {
-	return math.Float64bits(got) == math.Float64bits(want) || (got == 0 && want == 0)
+// TestCorrectedMatrixRejectsAliasingGrid checks Config.MaxRange's bound:
+// the chirp-z evaluates a periodic DTFT, so a grid reaching past the
+// steepest chirp's unambiguous range (11.99 m for 20 µs at 4 MHz and 1 GHz)
+// would alias silently. It must fail, naming both ranges.
+func TestCorrectedMatrixRejectsAliasingGrid(t *testing.T) {
+	chirp, frame, scene := correctionFrame(t)
+	for _, tc := range []struct {
+		maxRange float64
+		ok       bool
+	}{{9.5, true}, {13, false}} {
+		rd, err := New(Config{Chirp: chirp, Link: channel.DefaultLink(), MaxRange: tc.maxRange, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, _, err := rd.CorrectedMatrixContext(t.Context(), rd.Observe(frame, scene))
+		if tc.ok {
+			if err != nil || len(cm) != len(frame.Chirps) {
+				t.Errorf("MaxRange %v: %d rows, err %v; want a matrix", tc.maxRange, len(cm), err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "13 m") || !strings.Contains(err.Error(), "11.99 m") {
+			t.Errorf("MaxRange %v: err %v, want one naming 13 m and 11.99 m", tc.maxRange, err)
+		}
+		if cm != nil {
+			t.Errorf("MaxRange %v: got a matrix alongside the error", tc.maxRange)
+		}
+	}
 }

@@ -49,18 +49,16 @@ type Config struct {
 	Chirp fmcw.ChirpParams
 	// Link is the budget used to scale echo and noise powers.
 	Link channel.Link
-	// NFFT is the range FFT size (zero-padded); default 4096. Generous
-	// zero-padding matters beyond resolution: the IF correction resamples
-	// each slope's spectrum onto the common range grid, and the residual
-	// interpolation error on strong clutter must stay far below the tag
-	// echo (tags sit ~50 dB below walls).
+	// NFFT is the size of RawRangeProfile's zero-padded range FFT, the
+	// uncorrected Fig. 7(a) view; default 4096. The IF correction evaluates
+	// each chirp's spectrum on the common grid directly and does not use it.
 	NFFT int
 	// RangeBins is the size of the common range grid after IF correction;
 	// default 512.
 	RangeBins int
 	// MaxRange is the extent of the common range grid in meters. It must
-	// not exceed the unambiguous range of the steepest chirp; default is
-	// that bound.
+	// not exceed the unambiguous range of the steepest chirp in a frame
+	// (CorrectedMatrixContext fails otherwise); default is that bound.
 	MaxRange float64
 	// Seed seeds the receiver noise.
 	Seed int64
@@ -131,7 +129,7 @@ type radarScratch struct {
 	coeffs []dsp.GoertzelCoeff
 	// det backs the joint tag search (DetectTags).
 	det detectScratch
-	// wins caches the per-duration Hann windows of rangeFFTInto. A
+	// wins caches the per-duration Hann windows of the range transforms. A
 	// CSSK frame reuses a few dozen distinct chirp durations (one per
 	// constellation point), so the window samples and their running sum are
 	// computed once per duration instead of once per chirp.
@@ -140,6 +138,25 @@ type radarScratch struct {
 	// chirpPh[i] holds the tables chirp i of the current frame reads.
 	phasors phasorCache
 	chirpPh [][][]complex128
+	// czPlans records the shared chirp-z plans the IF correction has used,
+	// and corr[i] holds the plan and window chirp i of the current frame
+	// reads.
+	czPlans map[chirpZKey]*dsp.ChirpZPlan
+	corr    []chirpCorr
+}
+
+// chirpCorr is what the IF correction of one chirp reads: its chirp-z plan
+// (nil for an empty row) and its Hann window.
+type chirpCorr struct {
+	plan *dsp.ChirpZPlan
+	win  *hannTable
+}
+
+// chirpZKey identifies one chirp's IF-correction plan within a radar, whose
+// RangeBins is fixed: the row length and the grid's frequency spacing.
+type chirpZKey struct {
+	m     int
+	delta float64
 }
 
 // detectScratch is the joint tag search's buffer set: the active tones,
@@ -216,13 +233,18 @@ func (r *Radar) phasorsFor(p fmcw.ChirpParams) [][]complex128 {
 	return tabs
 }
 
-// PhasorCacheBytes returns the size of the phasor tables the radar holds.
-func (r *Radar) PhasorCacheBytes() int {
+// CacheBytes returns the size of the phasor tables the radar holds plus
+// that of the chirp-z plans its IF correction has used (shared with every
+// radar of the same chirp configuration).
+func (r *Radar) CacheBytes() int {
 	n := 0
 	for _, tabs := range r.scr.phasors.tabs {
 		for _, t := range tabs {
 			n += 16 * len(t)
 		}
+	}
+	for _, p := range r.scr.czPlans {
+		n += p.Bytes()
 	}
 	return n
 }
@@ -300,9 +322,9 @@ func (r *Radar) prepareScene(frame *fmcw.Frame, scene Scene) []scatterer {
 	return scats
 }
 
-// hannTable is one cached range-FFT window: the sample values and their
-// prefix sums, both produced by exactly the loop rangeFFTInto used to
-// run per chirp — same formula, same accumulation order — so windowing and
+// hannTable is one cached range window: the sample values and their
+// prefix sums, both produced by exactly the loop the range FFT used to run
+// per chirp — same formula, same accumulation order — so windowing and
 // normalization stay bit-identical to the uncached path.
 type hannTable struct {
 	w   []float64
@@ -329,9 +351,9 @@ func (t *hannTable) grow(span float64, n int) {
 }
 
 // hannFor returns the cached window for a chirp duration, grown to cover n
-// samples. Building mutates the window map, so only serial code may call it
-// — the parallel IF-correction fan-out pre-warms every duration in its
-// frame first and then reads the map without writes.
+// samples. Building mutates the window map and the table, so only serial
+// code may call it: the parallel IF-correction fan-out reads the tables
+// prepareCorrection resolved for it.
 func (r *Radar) hannFor(duration float64, n int) *hannTable {
 	t := r.scr.wins[duration]
 	if t == nil {
@@ -434,11 +456,17 @@ func (r *Radar) maxRangeFor(duration float64) float64 {
 
 // commonMaxRange returns the extent of the common range grid for a frame:
 // the configured MaxRange, or the unambiguous range of the steepest chirp in
-// the frame (interpolating beyond it would extrapolate).
+// the frame (a grid beyond it would alias in that chirp).
 func (r *Radar) commonMaxRange(frame *fmcw.Frame) float64 {
 	if r.cfg.MaxRange > 0 {
 		return r.cfg.MaxRange
 	}
+	return r.steepestMaxRange(frame)
+}
+
+// steepestMaxRange returns the unambiguous range of the frame's shortest,
+// steepest chirp.
+func (r *Radar) steepestMaxRange(frame *fmcw.Frame) float64 {
 	minDur := math.Inf(1)
 	for _, c := range frame.Chirps {
 		if c.Params.Duration < minDur {
@@ -588,15 +616,25 @@ func geomPhase(rng, f0 float64) float64 {
 	return math.Mod(4*math.Pi*f0*rng/fmcw.SpeedOfLight, 2*math.Pi)
 }
 
-// rangeSpectrum computes the windowed zero-padded range FFT of one chirp's
-// IF samples. The Hann window is evaluated over the chirp's nominal duration
-// rather than its integer sample count: the sample count quantizes the
-// window length by up to half a sample, which would wobble the window's
-// range-domain width differently per CSSK slope and leak strong clutter
-// through background subtraction.
+// rangeSpectrum computes the windowed zero-padded NFFT-point range FFT of
+// one chirp's IF samples, normalized by the window's coherent sum. The Hann
+// window is evaluated over the chirp's nominal duration rather than its
+// integer sample count: the sample count quantizes the window length by up
+// to half a sample, which would wobble the window's range-domain width
+// differently per CSSK slope and leak strong clutter through background
+// subtraction.
 func (r *Radar) rangeSpectrum(ifSamples []complex128, duration float64) []complex128 {
-	buf, sumW := r.rangeFFTInto(make([]complex128, r.cfg.NFFT), ifSamples, duration)
-	if sumW > 0 {
+	buf := make([]complex128, r.cfg.NFFT)
+	n := min(len(ifSamples), r.cfg.NFFT)
+	if n == 0 {
+		return buf
+	}
+	t := r.hannFor(duration, n)
+	for k, w := range t.w[:n] {
+		buf[k] = ifSamples[k] * complex(w, 0)
+	}
+	r.plan.ForwardPrefix(buf, n)
+	if sumW := t.cum[n]; sumW > 0 {
 		// Normalize by the window's coherent sum so a unit-amplitude
 		// scatterer produces the same peak height regardless of the chirp
 		// duration — without this, CSSK's varying chirp lengths amplitude-
@@ -607,32 +645,6 @@ func (r *Radar) rangeSpectrum(ifSamples []complex128, duration float64) []comple
 		}
 	}
 	return buf
-}
-
-// rangeFFTInto is rangeSpectrum before normalization, writing into dst,
-// which must have length NFFT and be zeroed beyond len(ifSamples) — arena
-// checkouts and freshly made buffers both satisfy that. It windows the
-// chirp into dst and transforms it, returning the spectrum and the window's
-// coherent sum (0 when there are no samples). Only the first
-// len(ifSamples) entries of dst are live, so the transform skips the zero
-// padding.
-func (r *Radar) rangeFFTInto(dst, ifSamples []complex128, duration float64) ([]complex128, float64) {
-	buf := dst
-	n := len(ifSamples)
-	if n > r.cfg.NFFT {
-		n = r.cfg.NFFT
-	}
-	var sumW float64
-	if n > 0 {
-		t := r.hannFor(duration, n)
-		w := t.w[:n]
-		for k := 0; k < n; k++ {
-			buf[k] = ifSamples[k] * complex(w[k], 0)
-		}
-		sumW = t.cum[n]
-	}
-	r.plan.ForwardPrefix(buf, n)
-	return buf, sumW
 }
 
 // RawRangeProfile returns the uncorrected magnitude range profile of chirp i
@@ -660,69 +672,62 @@ func (r *Radar) RawRangeProfile(cap *Capture, i int) (mags, ranges []float64) {
 }
 
 // CorrectedMatrix applies BiScatter's IF correction: every chirp's complex
-// range profile is converted from FFT bins to meters using its own slope and
-// resampled onto the frame's common range grid, so slow-time processing sees
-// aligned profiles despite the varying CSSK slopes.
+// range profile is evaluated directly on the frame's common range grid,
+// each grid range converted to an IF frequency at that chirp's own slope,
+// so slow-time processing sees aligned profiles despite the varying CSSK
+// slopes. It returns nil when CorrectedMatrixContext fails (a MaxRange
+// beyond the frame's steepest chirp).
 func (r *Radar) CorrectedMatrix(cap *Capture) ([][]complex128, []float64) {
 	out, grid, _ := r.CorrectedMatrixContext(context.Background(), cap)
 	return out, grid
 }
 
 // CorrectedMatrixContext is CorrectedMatrix with cooperative cancellation.
-// Each chirp's range FFT and grid resampling is independent, so the rows
-// fan out across the worker pool and are written by index; the matrix is
-// byte-identical for any worker count. Per-chirp intermediates (the NFFT
-// spectrum and its split real/imag views) come from the claiming worker's
-// arena, so steady-state frames allocate nothing here.
+// A range r sits at r/rmax_i cycles per sample in chirp i's IF, so the
+// grid's uniform ranges are uniformly spaced frequencies, and row i is the
+// windowed chirp's DTFT at exactly those frequencies, normalized by the
+// window's coherent sum: one chirp-z transform (dsp.ChirpZPlan) per chirp.
+// The DTFT wraps past one cycle per sample, so a grid beyond the steepest
+// chirp's unambiguous range would alias; that is an error.
+//
+// The rows are independent, so they fan out across the worker pool and are
+// written by index; the matrix is byte-identical for any worker count. The
+// transform's work buffer comes from the claiming worker's arena, so
+// steady-state frames allocate nothing here.
 //
 // Ownership: the returned rows are radar-owned scratch, valid until the next
 // CorrectedMatrix/CorrectedMatrixContext call on the same Radar; callers
 // that keep a matrix across frames must copy it.
 func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]complex128, []float64, error) {
-	grid := r.RangeGrid(cap.Frame)
-	// Pre-warm the window cache serially for every duration in the frame:
-	// the workers below may then look windows up concurrently without any
-	// map writes (see hannFor).
-	for i, c := range cap.Frame.Chirps {
-		n := len(cap.IF[i])
-		if n > r.cfg.NFFT {
-			n = r.cfg.NFFT
-		}
-		r.hannFor(c.Params.Duration, n)
+	corr, err := r.prepareCorrection(cap.Frame, func(i int) int { return len(cap.IF[i]) })
+	if err != nil {
+		return nil, nil, err
 	}
+	grid := r.RangeGrid(cap.Frame)
 	r.scr.cmRows = ensureRows(r.scr.cmRows, len(cap.IF))
 	out := r.scr.cmRows[:len(cap.IF)]
-	err := r.pool.ForContextArena(ctx, len(cap.IF), func(i int, a *dsp.Arena) error {
-		c := cap.Frame.Chirps[i]
+	err = r.pool.ForContextArena(ctx, len(cap.IF), func(i int, a *dsp.Arena) error {
+		x, c := cap.IF[i], corr[i]
+		row := dsp.Resize(out[i], len(grid))
+		out[i] = row
+		if c.plan == nil { // no samples
+			clear(row)
+			return nil
+		}
 		sp := r.tel.rangeFFT.Span()
-		spec, sumW := r.rangeFFTInto(a.Complex(r.cfg.NFFT), cap.IF[i], c.Params.Duration)
+		buf := a.Complex(c.plan.Size())
+		for k, w := range c.win.w[:len(x)] {
+			buf[k] = x[k] * complex(w, 0)
+		}
+		c.plan.Forward(buf)
 		sp.End()
 		sp = r.tel.ifCorr.Span()
 		defer sp.End()
-		rmax := r.maxRangeFor(c.Params.Duration)
-		step := rmax / float64(r.cfg.NFFT)
-		// Normalize (as rangeSpectrum does) and split only the bins
-		// the grid's cubic stencils read. The split buffers are checked
-		// out at NFFT whatever the span, so a frame mixing CSSK durations
-		// still draws one arena bucket size.
-		s := complex(1/sumW, 0)
-		k := cubicSpan(grid, step, r.cfg.NFFT)
-		re := a.Float(r.cfg.NFFT)[:k]
-		im := a.Float(r.cfg.NFFT)[:k]
-		for n, v := range spec[:k] {
-			if sumW > 0 {
-				v *= s
-			}
-			re[n] = real(v)
-			im[n] = imag(v)
+		scale := 1.0
+		if sumW := c.win.cum[len(x)]; sumW > 0 {
+			scale = 1 / sumW
 		}
-		reG := dsp.ResampleCubicInto(a.Float(len(grid)), re, 0, step, grid)
-		imG := dsp.ResampleCubicInto(a.Float(len(grid)), im, 0, step, grid)
-		row := dsp.Resize(out[i], len(grid))
-		for n := range grid {
-			row[n] = complex(reG[n], imG[n])
-		}
-		out[i] = row
+		c.plan.Evaluate(row, buf, scale)
 		return nil
 	})
 	if err != nil {
@@ -731,20 +736,56 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 	return out, grid, nil
 }
 
-// cubicSpan returns how many leading bins of an nfft-bin profile with bin
-// spacing step dsp.ResampleCubicInto reads to cover grid, which must be
-// ascending and non-negative (RangeGrid's is): the stencil of the last
-// query position p reaches bin ceil(p)+2. Beyond that span no query hits the upper clamp of either
-// length, so resampling the trimmed profile changes no output bit.
-func cubicSpan(grid []float64, step float64, nfft int) int {
-	if len(grid) == 0 {
-		return nfft
+// prepareCorrection resolves, serially, the Hann window and the chirp-z
+// plan of every chirp of frame for rows of the given lengths, filling the
+// radar's caches where they miss, so that the IF-correction fan-out only
+// reads. It returns them by chirp, in radar-owned scratch.
+func (r *Radar) prepareCorrection(frame *fmcw.Frame, rowLen func(i int) int) ([]chirpCorr, error) {
+	maxR := r.commonMaxRange(frame)
+	if r.cfg.MaxRange > 0 {
+		if rmax := r.steepestMaxRange(frame); maxR > rmax {
+			return nil, fmt.Errorf("radar: MaxRange %.4g m exceeds the %.4g m unambiguous range of the frame's steepest chirp", maxR, rmax)
+		}
 	}
-	maxpos := grid[len(grid)-1] / step
-	if !(maxpos < float64(nfft)) { // also catches NaN
-		return nfft
+	corr := dsp.Resize(r.scr.corr, len(frame.Chirps))
+	r.scr.corr = corr
+	for i, c := range frame.Chirps {
+		m := rowLen(i)
+		if m == 0 {
+			corr[i] = chirpCorr{}
+			continue
+		}
+		if i > 0 && c.Params == frame.Chirps[i-1].Params && m == rowLen(i-1) {
+			corr[i] = corr[i-1]
+			continue
+		}
+		// Grid bin j lies at j·maxR/bins meters, which is j·delta cycles
+		// per sample at this chirp's slope.
+		key := chirpZKey{m: m, delta: maxR / r.maxRangeFor(c.Params.Duration) / float64(r.cfg.RangeBins)}
+		p := r.scr.czPlans[key]
+		if p == nil {
+			var err error
+			if p, err = dsp.ChirpZFor(key.m, r.cfg.RangeBins, key.delta); err != nil {
+				return nil, err
+			}
+			if r.scr.czPlans == nil {
+				r.scr.czPlans = make(map[chirpZKey]*dsp.ChirpZPlan, 8)
+			}
+			r.scr.czPlans[key] = p
+		}
+		corr[i] = chirpCorr{plan: p, win: r.hannFor(c.Params.Duration, m)}
 	}
-	return min(nfft, int(math.Ceil(maxpos))+3)
+	return corr, nil
+}
+
+// WarmChirpZ fills the radar's window and chirp-z caches for every chirp of
+// frame at its nominal sample count, exactly as CorrectedMatrixContext
+// would for a capture of that frame. A caller that knows every chirp its
+// frames will use can warm them once up front, so later frames build no
+// tables.
+func (r *Radar) WarmChirpZ(frame *fmcw.Frame) error {
+	_, err := r.prepareCorrection(frame, func(i int) int { return frame.Chirps[i].Params.SamplesPerChirp() })
+	return err
 }
 
 // RangeGrid returns the common range grid for a frame.

@@ -250,7 +250,7 @@ func TestObserveMatchesFrozenSynthesis(t *testing.T) {
 					}
 					fresh := newRadar(t, 1)
 					fresh.WarmPhasors(frame, st.scene)
-					if got, want := r.PhasorCacheBytes(), fresh.PhasorCacheBytes(); got != want {
+					if got, want := r.CacheBytes(), fresh.CacheBytes(); got != want {
 						t.Fatalf("frame %d: phasor cache holds %d B, a fresh radar warmed for this frame %d B", s, got, want)
 					}
 				}
