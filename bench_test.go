@@ -435,12 +435,16 @@ func BenchmarkTagDecodeFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimatePeriod times the tag's period search — the largest
-// stage of the tag decoder — on captures of the length the round benchmark
-// decodes: a 256-chirp frame (4 uplink bits × 64 chirps/bit, 30720
-// samples, as in the 4-tag exchange) and a 64-chirp frame (7680 samples).
-// BenchmarkTagDecodeFrame's 3720-sample frame is a poor stand-in: the
-// fold, which dominates at these lengths, is a small share of its cost.
+// BenchmarkEstimatePeriod times the tag's period search on captures of the
+// length the round benchmark decodes: a 256-chirp frame (4 uplink bits × 64
+// chirps/bit, 30720 samples, as in the 4-tag exchange) and a 64-chirp frame
+// (7680 samples), both at the node's downlink SNR, where the header window
+// and its edge walk settle the period. The third case is the 256-chirp
+// frame at 0 dB, where the walk's gate is not confident and the
+// whole-capture search runs: its 102-fold refinement dominates there, so
+// CI's one-iteration smoke run covers both paths.
+// BenchmarkTagDecodeFrame's 3720-sample frame is a poor stand-in for
+// either.
 func BenchmarkEstimatePeriod(b *testing.B) {
 	n, err := core.NewNetwork(core.Config{
 		Nodes:        []core.NodeConfig{{ID: 1, Range: 2.6}},
@@ -451,13 +455,18 @@ func BenchmarkEstimatePeriod(b *testing.B) {
 		b.Fatal(err)
 	}
 	node := n.Nodes()[0]
-	for _, chirps := range []int{256, 64} {
-		frame, err := n.BuildDownlinkFrame([]byte("fleet payload"), chirps)
+	snr := n.Link().DownlinkSNRdB(node.Range)
+	for _, c := range []struct {
+		chirps int
+		snr    float64
+		path   string
+	}{{256, snr, ""}, {64, snr, ""}, {256, 0, "/fallback"}} {
+		frame, err := n.BuildDownlinkFrame([]byte("fleet payload"), c.chirps)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := node.Tag.FrontEnd.CaptureFrame(frame, n.Link().DownlinkSNRdB(node.Range))
-		b.Run("samples="+strconv.Itoa(len(x)), func(b *testing.B) {
+		x := node.Tag.FrontEnd.CaptureFrame(frame, c.snr)
+		b.Run("samples="+strconv.Itoa(len(x))+c.path, func(b *testing.B) {
 			// One warm-up call grows the decoder scratch outside the timer.
 			if _, err := node.Tag.Decoder.EstimatePeriod(x); err != nil {
 				b.Fatal(err)

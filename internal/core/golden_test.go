@@ -104,6 +104,7 @@ func goldenCases() []goldenCase {
 		},
 		{
 			// Decoder diagnostics under the rel tolerance: PeriodSamples
+			// is the header-window path's edge fit, and its coarse period
 			// flows through the FFT autocorrelation, whose only difference
 			// from the direct sum is transform rounding (~1e-13 relative —
 			// TestFFTAutocorrMatchesDirect in internal/dsp pins it). 1e-9

@@ -9,6 +9,7 @@ import (
 
 	"biscatter/internal/cssk"
 	"biscatter/internal/dsp"
+	"biscatter/internal/fmcw"
 )
 
 // Method selects the per-chirp spectral estimator.
@@ -45,9 +46,14 @@ var (
 
 // Decoder implements the tag's decoding algorithm (§3.2.2):
 //
-//  1. a coarse pass over many header bits estimates the chirp period
-//     T_period (the paper's "large FFT window" step, realized here as the
-//     equivalent autocorrelation of the power envelope);
+//  1. the header field at the start of the capture gives a coarse chirp
+//     period T_period and phase (the paper's "large FFT window" step,
+//     realized here as the equivalent autocorrelation of the power
+//     envelope); a walk over the chirps' rising edges then sharpens it to
+//     the least-squares slope of the whole frame's edge times. When the
+//     header window shows no period or the edges do not sit on one line,
+//     the autocorrelation runs on the whole capture instead, refined by
+//     fold contrast;
 //  2. the power envelope folded at the period locates the inter-chirp gap,
 //     aligning the per-chirp analysis window (avoiding the Fig. 6 failure
 //     modes);
@@ -132,9 +138,220 @@ type Diagnostics struct {
 // EstimatePeriod estimates the chirp period in samples from the capture's
 // power envelope. It returns ErrNoPeriod when no periodic structure is
 // present.
+//
+// The fast path, headerPeriod, reads the period off the header field and
+// the frame's chirp edges. Only when it finds no period or its edge fit is
+// not confident does the whole-capture search, searchPeriod, run.
 func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
+	if p, ok := d.headerPeriod(x); ok {
+		return p, nil
+	}
+	return d.searchPeriod(x)
+}
+
+// Header-window and edge-walk constants of headerPeriod.
+const (
+	// headerWindowChirps is the length of the header window in chirp
+	// periods. The shortest period the header symbol admits is its
+	// duration over the duty-cycle limit, so the window spans at least
+	// this many chirps: a preamble's worth (the default header of eight
+	// chirps plus two sync chirps).
+	headerWindowChirps = 10
+	// walkGroup is the number of chirps the edge walk folds into each
+	// edge time.
+	walkGroup = 8
+	// edgeInlier is how far (samples) a group's edge time may sit from the
+	// fitted line.
+	edgeInlier = 2
+	// combHalf is the half-width (samples) of the neighbourhood of each
+	// predicted chirp start that a fold takes in; the edge is searched
+	// within combHalf − edgeGate samples of the prediction.
+	combHalf = 3 * edgeGate
+	// maxBetweenRise bounds the rise a fraction 1/m of the way between
+	// the fitted chirp starts may show, as a share of the rise at them.
+	maxBetweenRise = 0.3
+)
+
+// headerWindow returns the header window length in samples: the first
+// headerWindowChirps chirp periods at the shortest period the header
+// symbol admits. The header symbol is the alphabet's longest chirp, and no
+// chirp may exceed fmcw.MaxDutyCycle of the period.
+func (d *Decoder) headerWindow() int {
+	return int(math.Ceil(headerWindowChirps * d.Alphabet.Header().Duration / fmcw.MaxDutyCycle * d.SampleRate))
+}
+
+// headerPeriod is the fast path of EstimatePeriod, in three steps:
+//
+//  1. coarsePeriod, the autocorrelation step of the whole-capture search,
+//     run on the header window alone gives a coarse period, and
+//     AlignChirpStart on the same window its phase;
+//  2. an edge walk crosses the capture walkGroup chirps at a time. Each
+//     step folds the neighbourhoods of the group's predicted chirp starts
+//     and takes the group's edge time from that fold's sharpest rise; the
+//     least-squares line through the edge times so far predicts the next
+//     group, and its slope is the period;
+//  3. the gate: at most one group in eight may stray from the line, and
+//     the fit must not be a multiple of the period.
+//
+// The window alone is not precise enough: its period error, times the
+// frame's chirp count, would outrun edgeOffset's reach by the last chirp.
+// Single chirps' edges are not precise either: a low beat's power ripples
+// so slowly that a chirp can start near a zero of it. Folded over a group
+// of chirps of random phase, the ripple averages out. Each step folds
+// 2·combHalf samples per chirp, so the walk's cost grows with the chirp
+// count, not with folds × samples.
+//
+// ok is false when the window has no period or the gate fails — at low
+// SNR, where the groups stray, or where the window saw a multiple of the
+// period.
+func (d *Decoder) headerPeriod(x []float64) (period float64, ok bool) {
+	w := min(len(x), d.headerWindow())
+	p, _, err := d.coarsePeriod(x[:w])
+	if err != nil {
+		return 0, false
+	}
+	a := float64(d.AlignChirpStart(x[:w], p))
+	power := d.powerOf(x)
+	chirps := int((float64(len(x)-combHalf)-a)/p) + 1
+	if chirps < 2*walkGroup {
+		return 0, false
+	}
+	// The walk steers by its own fit as it goes. Its finished line then
+	// refolds every group once more, so the early groups, folded while the
+	// period was still coarse, are folded at the final one too, and the
+	// period is refitted to the groups whose edge sits on that line. A
+	// group off it caught a low beat's ripple, not the chirp starts; more
+	// than one in eight, and the fit cannot be trusted.
+	for pass := range 2 {
+		var fit edgeLine
+		groups, strays := 0, 0
+		for first := 0; first < chirps; first += walkGroup {
+			g := combEdge(power, a, p, first, min(first+walkGroup, chirps))
+			if g.chirps == 0 {
+				continue
+			}
+			groups++
+			if pass > 0 && math.Abs(g.time-(a+p*g.index)) > edgeInlier {
+				strays++
+				continue
+			}
+			fit.add(g.index, g.time)
+			switch {
+			case pass > 0:
+			case fit.n < 2:
+				a = g.time - g.index*p
+			default:
+				a, p = fit.line()
+			}
+		}
+		if fit.n < 2 || strays > groups/8 {
+			return 0, false
+		}
+		a, p = fit.line()
+	}
+	// A window that saw a multiple m·T of the period walks every m-th
+	// chirp, and those edges line up just as well. The chirps in between
+	// give it away: their edges rise too.
+	rise := combEdge(power, a, p, 0, chirps).rise
+	for m := 2; p/float64(m) >= float64(d.minPeriod()); m++ {
+		if combEdge(power, a+p/float64(m), p, 0, chirps).rise >= maxBetweenRise*rise {
+			return 0, false
+		}
+	}
+	return p, true
+}
+
+// edgeLine accumulates the least-squares fit of the line t = a + p·i to
+// edge times t at chirp indices i.
+type edgeLine struct {
+	n, si, st, sii, sit float64
+}
+
+// add adds the edge time t at chirp index i to the fit.
+func (l *edgeLine) add(i, t float64) {
+	l.n++
+	l.si += i
+	l.st += t
+	l.sii += i * i
+	l.sit += i * t
+}
+
+// line returns the fitted intercept and slope; it needs two distinct
+// indices.
+func (l *edgeLine) line() (a, p float64) {
+	p = (l.n*l.sit - l.si*l.st) / (l.n*l.sii - l.si*l.si)
+	return (l.st - p*l.si) / l.n, p
+}
+
+// edgeFold is what combEdge finds in a fold of chirp-start neighbourhoods.
+type edgeFold struct {
+	// rise is the fold's sharpest rise.
+	rise float64
+	// index is the mean index of the chirps folded, and time their mean
+	// edge time: their mean predicted start, moved to the fold's rise.
+	index, time float64
+	// chirps is the number of chirps folded.
+	chirps int
+}
+
+// combEdge folds the power in the combHalf-sample neighbourhoods either
+// side of the predicted chirp starts a + i·period, for chirps i in
+// [from, to), and finds the fold's sharpest rising edge: the largest
+// difference between the summed power of edgeGate fold bins and that of
+// the edgeGate bins before them. Chirps whose neighbourhood leaves the
+// capture are skipped.
+func combEdge(power []float64, a, period float64, from, to int) edgeFold {
+	var fold [2 * combHalf]float64
+	var f edgeFold
+	var starts int
+	for i := from; i < to; i++ {
+		c := int(math.Round(a + float64(i)*period))
+		if c-combHalf < 0 || c+combHalf > len(power) {
+			continue
+		}
+		for j, v := range power[c-combHalf : c+combHalf] {
+			fold[j] += v
+		}
+		f.chirps++
+		f.index += float64(i)
+		starts += c
+	}
+	if f.chirps == 0 {
+		return f
+	}
+	var rises [2*combHalf - 2*edgeGate + 1]float64
+	best := 0
+	for r := range rises {
+		j := r + edgeGate
+		var after, before float64
+		for _, v := range fold[j : j+edgeGate] {
+			after += v
+		}
+		for _, v := range fold[j-edgeGate : j] {
+			before += v
+		}
+		rises[r] = after - before
+		if r == 0 || rises[r] > f.rise {
+			f.rise, best = rises[r], r
+		}
+	}
+	// The rise falls off either side of the edge, so its vertex places the
+	// edge between samples.
+	delta, _ := dsp.ParabolicPeak(rises[:], best)
+	n := float64(f.chirps)
+	f.index /= n
+	f.time = float64(starts)/n + float64(best+edgeGate-combHalf) + delta
+	return f
+}
+
+// coarsePeriod is the first step of the period search: the biased
+// autocorrelation of the smoothed power envelope, whose highest peak in
+// the 30 µs … 1 ms lag range gives a coarse period. It returns that period
+// with the autocorrelation at the peak, and leaves the squared samples in
+// the power scratch and the autocorrelation in the acorr scratch.
+func (d *Decoder) coarsePeriod(x []float64) (coarse, peak float64, err error) {
 	if len(x) < 256 {
-		return 0, ErrTooShort
+		return 0, 0, ErrTooShort
 	}
 	// Power envelope. The detector tone rides a 2·Δf ripple on top of the
 	// burst envelope; two cascaded moving averages (≈ triangular smoothing)
@@ -149,16 +366,13 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 	d.scr.sm2 = env
 	dsp.RemoveDC(env)
 	// Chirp periods of interest: 30 µs … 1 ms.
-	minLag := int(30e-6 * d.SampleRate)
-	if minLag < 4 {
-		minLag = 4
-	}
+	minLag := d.minPeriod()
 	maxLag := int(1e-3 * d.SampleRate)
 	if maxLag > len(x)/2 {
 		maxLag = len(x) / 2
 	}
 	if maxLag <= minLag {
-		return 0, ErrTooShort
+		return 0, 0, ErrTooShort
 	}
 	// Wiener–Khinchin: the O(n log n) transform pair replaces the serial
 	// O(n·maxLag) accumulation, the period search's second-largest cost.
@@ -169,10 +383,22 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 	// multiples.
 	bestLag, bestVal := dsp.MaxIndexRange(r, minLag, maxLag+1)
 	if bestVal <= 0.2*r[0] {
-		return 0, ErrNoPeriod
+		return 0, 0, ErrNoPeriod
 	}
 	delta, _ := dsp.ParabolicPeak(r, bestLag)
-	coarse := float64(bestLag) + delta
+	return float64(bestLag) + delta, bestVal, nil
+}
+
+// searchPeriod is the whole-capture period search, EstimatePeriod's
+// fallback: coarsePeriod's lag, sharpened by refinePeriod's fold-contrast
+// grids, together with the sub-multiples of it the autocorrelation
+// supports.
+func (d *Decoder) searchPeriod(x []float64) (float64, error) {
+	coarse, bestVal, err := d.coarsePeriod(x)
+	if err != nil {
+		return 0, err
+	}
+	power, r := d.scr.power, d.scr.acorr
 	// The autocorrelation apex is smeared by the smoothing and by the
 	// mixed chirp durations of a CSSK payload, and any fractional-sample
 	// bias accumulates across the k·period slot windows. Refine by grid
@@ -187,7 +413,7 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 	// autocorrelation there is close to the coarse peak's. A candidate
 	// below half the peak is skipped without folding: one lookup in place
 	// of refinePeriod's 102 whole-capture folds.
-	minPeriod := float64(minLag)
+	minPeriod := float64(d.minPeriod())
 	type cand struct{ period, score float64 }
 	var cands [8]cand
 	nCands := 0
@@ -213,6 +439,12 @@ func (d *Decoder) EstimatePeriod(x []float64) (float64, error) {
 		}
 	}
 	return coarse, nil
+}
+
+// minPeriod returns the shortest chirp period the decoder looks for, in
+// samples: 30 µs, and at least 4 samples.
+func (d *Decoder) minPeriod() int {
+	return max(int(30e-6*d.SampleRate), 4)
 }
 
 // powerOf writes the squared samples of x into the decoder's power scratch
@@ -663,13 +895,26 @@ func (d *Decoder) classifySlot(x []float64, w int, period float64) (cssk.Symbol,
 // the period (samples) and start offset. Each slot is micro-aligned to the
 // chirp's rising power edge, which absorbs residual period error over long
 // frames.
+//
+// A start within edge reach of the period is a chirp that begins at, or
+// just before, sample 0: the fold wrapped its edge onto the last bin. The
+// slot before start is then decoded too, from sample 0, so that chirp is
+// not skipped.
 func (d *Decoder) DecodeSymbols(x []float64, period float64, start int) []cssk.Symbol {
-	out := make([]cssk.Symbol, 0, int(float64(len(x))/period)+1)
-	for k := 0; ; k++ {
-		w := start + int(math.Round(float64(k)*period))
-		if w+int(0.5*period) > len(x) {
-			break
-		}
+	first := 0
+	if period-float64(start) <= edgeReach {
+		first = -1
+	}
+	slot := func(k int) int { return start + int(math.Round(float64(k)*period)) }
+	// A slot needs half a period of capture; count them first, so the
+	// result is allocated once, at its exact size.
+	end := first
+	for slot(end)+int(0.5*period) <= len(x) {
+		end++
+	}
+	out := make([]cssk.Symbol, 0, end-first)
+	for k := first; k < end; k++ {
+		w := slot(k)
 		w += d.edgeOffset(x, w)
 		if w < 0 {
 			w = 0
@@ -681,14 +926,23 @@ func (d *Decoder) DecodeSymbols(x []float64, period float64, start int) []cssk.S
 	return out
 }
 
+// Edge search constants of edgeOffset.
+const (
+	// edgeReach is how far (samples) edgeOffset looks either side of the
+	// nominal slot start.
+	edgeReach = 6
+	// edgeGate is the length (samples) of the power sums compared either
+	// side of a candidate edge.
+	edgeGate = 8
+)
+
 // edgeOffset searches a small neighborhood of the nominal slot start for the
 // chirp's rising power edge and returns the correction in samples.
 func (d *Decoder) edgeOffset(x []float64, w int) int {
-	const reach = 6
-	const g = 8
+	const g = edgeGate
 	bestScore := math.Inf(-1)
 	bestOff := 0
-	for off := -reach; off <= reach; off++ {
+	for off := -edgeReach; off <= edgeReach; off++ {
 		p := w + off
 		if p-g < 0 || p+g > len(x) {
 			continue

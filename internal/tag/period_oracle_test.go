@@ -245,13 +245,13 @@ func alternatingTrain(n int, period, duty, weak, sigma, offset float64, seed int
 }
 
 // refinedMultiples recomputes, from the autocorrelation that the last
-// EstimatePeriod call on d left in its scratch, the coarse lag of that
-// search and the sub-multiples m its gate let through to refinePeriod. all
-// counts every m the loop visits, which the search before the gate refined.
-// n is the capture length.
+// searchPeriod call on d left in its scratch, the coarse lag of that search
+// and the sub-multiples m its gate let through to refinePeriod. all counts
+// every m the loop visits, which the search before the gate refined. n is
+// the length of the capture searched.
 func refinedMultiples(d *Decoder, n int) (coarse float64, refined []int, all int) {
 	r := d.scr.acorr
-	minLag := int(30e-6 * d.SampleRate)
+	minLag := d.minPeriod()
 	maxLag := min(int(1e-3*d.SampleRate), n/2)
 	bestLag, bestVal := dsp.MaxIndexRange(r, minLag, maxLag+1)
 	delta, _ := dsp.ParabolicPeak(r, bestLag)
@@ -269,14 +269,35 @@ func refinedMultiples(d *Decoder, n int) (coarse float64, refined []int, all int
 	return coarse, refined, all
 }
 
-// TestEstimatePeriodMatchesFrozenSearch is the oracle for the period search
-// restructurings and for its sub-multiple gate: on exchange-length
-// (256-chirp, 30720-sample) and round-length (64-chirp, 7680-sample)
-// captures across SNR 5–30 dB, two constellations and three noise seeds,
-// plus fault-injected, desynchronized, late-waking, noise-only and
-// alternating-power captures, EstimatePeriod must agree with the frozen
-// search bit for bit, error included. One Decoder serves every capture, so
-// scratch reuse across lengths is covered too.
+// alternatingPeriod is the burst period of the alternatingTrain captures.
+const alternatingPeriod = 119.7
+
+// periodTolerance bounds, in samples, how far the slot grid of a
+// header-window period may part from that of the frozen search by the last
+// chirp of a capture: |period − frozen| · chirps. Half of edgeOffset's
+// reach, so DecodeSymbols' per-slot edge search absorbs the difference
+// with room to spare.
+const periodTolerance = edgeReach / 2
+
+// TestEstimatePeriodMatchesFrozenSearch is the property test of the period
+// search against its frozen copy. On exchange-length (256-chirp,
+// 30720-sample) and round-length (64-chirp, 7680-sample) captures across
+// SNR 0–30 dB, two constellations and three noise seeds, plus
+// fault-injected, desynchronized, late-waking, noise-only and
+// alternating-power captures:
+//
+//   - the whole-capture search, searchPeriod, agrees with the frozen search
+//     bit for bit, error included;
+//   - where the header-window path, headerPeriod, is confident,
+//     EstimatePeriod returns its period, within periodTolerance of the
+//     frozen search's or nearer the true period than it;
+//   - everywhere else EstimatePeriod is the whole-capture search, so it
+//     agrees with the frozen search bit for bit.
+//
+// The 0 dB exchange-length captures must all take the whole-capture path
+// and the 5 dB ones must split, so both sides of the gate stay pinned. One
+// Decoder serves every capture, so scratch reuse across lengths and paths
+// is covered too.
 func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 	type capture struct {
 		name string
@@ -284,6 +305,8 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 		// sub marks a capture on which the frozen search must return a
 		// sub-multiple of the autocorrelation peak, not the peak itself.
 		sub bool
+		// snr is the downlink SNR of a clean capture.
+		snr float64
 	}
 	var caps []capture
 	// A front-end reuses its capture buffer, so each capture is copied out.
@@ -293,12 +316,20 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 		if want := chirps * int(testPeriod*testFs); len(x) != want {
 			t.Fatalf("capture of %d chirps holds %d samples, want %d", chirps, len(x), want)
 		}
-		add("clean", x)
+		caps = append(caps, capture{name: "clean", x: slices.Clone(x), snr: snr})
 	}
-	for i, snr := range []float64{5, 10, 15, 20, 25, 30} {
+	gateEdgeSeeds := map[float64]int64{0: 3, 5: 6}
+	for i, snr := range []float64{0, 5, 10, 15, 20, 25, 30} {
 		// The long captures dominate the run time (more so under -race),
 		// so each SNR takes one, rotating constellation and seed.
 		clean([]int{5, 3}[i%2], 41+int64(i%3), 256, snr)
+		// The gate's edge: more seeds, so both paths show up.
+		for seed := int64(41); seed < 41+gateEdgeSeeds[snr]; seed++ {
+			clean(5, seed, 256, snr)
+		}
+		if snr == 0 {
+			continue
+		}
 		for _, bits := range []int{5, 3} {
 			for seed := int64(41); seed <= 43; seed++ {
 				clean(bits, seed, 64, snr)
@@ -340,7 +371,7 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 	// search folds down to P, so the corpus stops at the gate's edge.
 	for _, n := range []int{7680, 30720} {
 		for _, tr := range []struct{ duty, weak float64 }{{0.5, 0.6}, {0.5, 0.7}, {0.5, 0.9}, {0.7, 0.7}, {0.7, 0.9}} {
-			x := alternatingTrain(n, 119.7, tr.duty, tr.weak, 0.1, 31.4, int64(n))
+			x := alternatingTrain(n, alternatingPeriod, tr.duty, tr.weak, 0.1, 31.4, int64(n))
 			caps = append(caps, capture{name: "alternating", x: x, sub: true})
 		}
 	}
@@ -362,14 +393,49 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 	lowSubs := 0
 
 	d := s.dec
+	fastAt := map[float64]int{}
+	wholeAt := map[float64]int{}
+	worst, nearer := 0.0, 0
 	for i, c := range caps {
 		got, gotErr := d.EstimatePeriod(c.x)
 		want, wantErr := frozenEstimatePeriod(d, c.x)
-		if !errors.Is(gotErr, wantErr) || !errors.Is(wantErr, gotErr) {
-			t.Fatalf("capture %d (%s, %d samples): error %v, frozen search %v", i, c.name, len(c.x), gotErr, wantErr)
+		fast, ok := d.headerPeriod(c.x)
+		whole, wholeErr := d.searchPeriod(c.x)
+		if !errors.Is(wholeErr, wantErr) || !errors.Is(wantErr, wholeErr) {
+			t.Fatalf("capture %d (%s, %d samples): whole-capture error %v, frozen search %v", i, c.name, len(c.x), wholeErr, wantErr)
 		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("capture %d (%s, %d samples): period %v, frozen search %v", i, c.name, len(c.x), got, want)
+		if math.Float64bits(whole) != math.Float64bits(want) {
+			t.Fatalf("capture %d (%s, %d samples): whole-capture period %v, frozen search %v", i, c.name, len(c.x), whole, want)
+		}
+		if ok {
+			if gotErr != nil || math.Float64bits(got) != math.Float64bits(fast) {
+				t.Fatalf("capture %d (%s, %d samples): period %v (%v), header window %v", i, c.name, len(c.x), got, gotErr, fast)
+			}
+			if wantErr != nil {
+				t.Fatalf("capture %d (%s, %d samples): header window found %v where the frozen search found %v", i, c.name, len(c.x), fast, wantErr)
+			}
+			truth := testPeriod * testFs
+			if c.name == "alternating" {
+				truth = alternatingPeriod
+			}
+			drift := math.Abs(got-want) * float64(len(c.x)) / want
+			if drift > periodTolerance && math.Abs(got-truth) >= math.Abs(want-truth) {
+				t.Fatalf("capture %d (%s, %d samples): period %v parts from the frozen search's %v by %.2f samples, and is no nearer the true %v", i, c.name, len(c.x), got, want, drift, truth)
+			}
+			if drift > periodTolerance {
+				nearer++
+			} else {
+				worst = max(worst, drift)
+			}
+		} else if !errors.Is(gotErr, wantErr) || !errors.Is(wantErr, gotErr) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("capture %d (%s, %d samples): period %v (%v), frozen search %v (%v)", i, c.name, len(c.x), got, gotErr, want, wantErr)
+		}
+		if c.name == "clean" && len(c.x) == 30720 {
+			if ok {
+				fastAt[c.snr]++
+			} else {
+				wholeAt[c.snr]++
+			}
 		}
 		coarse, _, _ := refinedMultiples(d, len(c.x))
 		sub := wantErr == nil && want < 0.75*coarse
@@ -383,14 +449,19 @@ func TestEstimatePeriodMatchesFrozenSearch(t *testing.T) {
 	if lowSubs < 3 {
 		t.Fatalf("frozen search folded down from a multiple on %d low-SNR captures, want at least 3", lowSubs)
 	}
+	if fastAt[0] != 0 || wholeAt[5] == 0 || fastAt[5] == 0 {
+		t.Fatalf("exchange-length captures on the header-window path: %v at 0 dB and %v at 5 dB, on the whole-capture path %v and %v; want none at 0 dB and both paths at 5 dB", fastAt[0], fastAt[5], wholeAt[0], wholeAt[5])
+	}
+	t.Logf("header-window path on exchange-length captures by SNR %v, whole-capture path %v; worst drift from the frozen search %.2f samples, beyond that and nearer the truth on %d captures", fastAt, wholeAt, worst, nearer)
 	t.Logf("frozen search folded down from a multiple on %d of %d low-SNR captures", lowSubs, len(caps)-lowFirst)
 }
 
 // TestPeriodGateRefinesOnlyTheFundamental recomputes the sub-multiple gate
-// on clean exchange- and round-length captures. Where the autocorrelation
-// peaks on the period itself, only m = 1 reaches refinePeriod, where the
-// search before the gate refined every m down to the 30 µs floor; where it
-// peaks on k periods (at 5 dB it can), m = k must get through. The test
+// of the whole-capture search on clean exchange- and round-length
+// captures. Where the autocorrelation peaks on the period itself, only
+// m = 1 reaches refinePeriod, where the search before the gate refined
+// every m down to the 30 µs floor; where it peaks on k periods (at 5 dB it
+// can), m = k must get through. The test
 // reports the per-frame fold accumulations of both searches from the loop
 // bounds: one add per sample per fold, each refine being the coarse and
 // fine grids of refinePeriod (about 81 + 21 folds).
@@ -401,7 +472,7 @@ func TestPeriodGateRefinesOnlyTheFundamental(t *testing.T) {
 		fundamental := 0
 		for _, snr := range []float64{5, 10, 15, 20, 30} {
 			x := s.paddedCapture(t, []byte("fold count"), chirps, snr)
-			if _, err := s.dec.EstimatePeriod(x); err != nil {
+			if _, err := s.dec.searchPeriod(x); err != nil {
 				t.Fatal(err)
 			}
 			coarse, refined, all := refinedMultiples(s.dec, len(x))
@@ -432,10 +503,139 @@ func TestPeriodGateRefinesOnlyTheFundamental(t *testing.T) {
 	}
 }
 
+// TestEstimatePeriodAllocFree pins the period search's steady state: one
+// Decoder alternating between exchange-length (30720-sample), round-length
+// (7680) and short (3720) captures, each at an SNR the header window reads
+// and at one it hands to the whole-capture search, allocates nothing once
+// its scratch has grown.
+func TestEstimatePeriodAllocFree(t *testing.T) {
+	s := newSetup(t, 5, 41)
+	var caps [][]float64
+	for _, chirps := range []int{256, 64, 31} {
+		for _, snr := range []float64{25, 0} {
+			x := slices.Clone(s.paddedCapture(t, []byte("allocs"), chirps, snr))
+			if _, ok := s.dec.headerPeriod(x); ok != (snr > 0) {
+				t.Fatalf("%d chirps at %v dB: header window confident %v", chirps, snr, ok)
+			}
+			caps = append(caps, x)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, x := range caps {
+			if _, err := s.dec.EstimatePeriod(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EstimatePeriod allocates %v times per round of %d captures, want 0", allocs, len(caps))
+	}
+}
+
+// headedTrain is alternatingTrain behind a packet's header: the first
+// header bursts all carry full power, and, as the front end draws them,
+// each burst's tone starts at a random phase.
+func headedTrain(n int, period, duty, weak, sigma, offset float64, header int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	phase := -1.0
+	for i := range x {
+		t := float64(i) + offset
+		k := int(t / period)
+		if in := t - float64(k)*period; in < duty*period {
+			if in < 1 || phase < 0 {
+				phase = 2 * math.Pi * rng.Float64()
+			}
+			a := 1.0
+			if k >= header && k%2 == 1 {
+				a = math.Sqrt(weak)
+			}
+			x[i] = a * math.Cos(2*math.Pi*0.05*in+phase)
+		}
+		x[i] += sigma * rng.NormFloat64()
+	}
+	return x
+}
+
+// TestHeaderPeriodReadsAlternatingPowerBehindAHeader puts bursts whose
+// alternate members carry as little as 0.2 of the power behind a header of
+// equal bursts. The header window sees only the header, so EstimatePeriod
+// returns the burst period where the whole-capture search, on the weaker
+// of these trains, returns twice it: the autocorrelation of the whole
+// envelope peaks at 2·period and its sub-multiple gate keeps that peak.
+func TestHeaderPeriodReadsAlternatingPowerBehindAHeader(t *testing.T) {
+	d := newSetup(t, 5, 7).dec
+	doubled := 0
+	for _, n := range []int{7680, 30720} {
+		for _, tr := range []struct{ duty, weak float64 }{{0.5, 0.2}, {0.5, 0.4}, {0.7, 0.3}, {0.7, 0.6}} {
+			x := headedTrain(n, alternatingPeriod, tr.duty, tr.weak, 0.1, 31.4, headerWindowChirps, int64(n))
+			if _, ok := d.headerPeriod(x); !ok {
+				t.Fatalf("%d samples, duty %v, weak %v: header window not confident", n, tr.duty, tr.weak)
+			}
+			got, err := d.EstimatePeriod(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drift := math.Abs(got-alternatingPeriod) * float64(n) / alternatingPeriod; drift > periodTolerance {
+				t.Fatalf("%d samples, duty %v, weak %v: period %v, want %v (drift %.2f samples)", n, tr.duty, tr.weak, got, alternatingPeriod, drift)
+			}
+			whole, err := d.searchPeriod(x)
+			if err == nil && math.Abs(whole-2*alternatingPeriod) < 1 {
+				doubled++
+			}
+			t.Logf("%d samples, duty %v, weak %v: period %.3f, whole-capture search %.3f (%v)", n, tr.duty, tr.weak, got, whole, err)
+		}
+	}
+	if doubled == 0 {
+		t.Fatal("the whole-capture search found the burst period on every train: the captures no longer show its defect")
+	}
+}
+
+// TestHeaderPeriodCostsLessThanTheGoertzelBank counts, from the loop
+// bounds, the fold and edge-walk accumulations of the header-window path
+// on clean exchange- and round-length captures, and holds an
+// exchange-length frame's total under the Goertzel bank's for its 256
+// symbols (DefaultComputeModel, about 0.56 M). One accumulation per sample
+// per fold: the window's phase squares and folds the window once and
+// scans AlignChirpStart's circular edge (2·g per bin); the capture is
+// squared once; each of the walk's two passes, the gate's fold at the
+// fitted line and each sub-multiple it checks fold 2·combHalf samples per
+// chirp and scan each fold's rises (2·edgeGate per position). The window's
+// autocorrelation is two 2048-point real FFTs and is not counted.
+func TestHeaderPeriodCostsLessThanTheGoertzelBank(t *testing.T) {
+	s := newSetup(t, 5, 41)
+	bank := DefaultComputeModel().GoertzelMACs() * 256
+	for _, chirps := range []int{256, 64} {
+		for _, snr := range []float64{10, 20, 30} {
+			x := s.paddedCapture(t, []byte("fold count"), chirps, snr)
+			p, ok := s.dec.headerPeriod(x)
+			if !ok {
+				t.Fatalf("%d chirps at %v dB: header window not confident", chirps, snr)
+			}
+			w := s.dec.headerWindow()
+			bins := int(p)
+			window := 2*w + bins*2*max(bins/8, 2)
+			walked := int(float64(len(x)-combHalf)/p) + 1
+			groups := (walked + walkGroup - 1) / walkGroup
+			rises := (2*combHalf - 2*edgeGate + 1) * 2 * edgeGate
+			folds := 2 + 1 // the walk's two passes and the gate's fold at the line
+			for m := 2; p/float64(m) >= float64(s.dec.minPeriod()); m++ {
+				folds++
+			}
+			walk := len(x) + folds*walked*2*combHalf + (2*groups+folds-2)*rises
+			if chirps == 256 && window+walk > bank {
+				t.Fatalf("%d chirps at %v dB: %d window + %d walk accumulations, over the Goertzel bank's %d", chirps, snr, window, walk, bank)
+			}
+			t.Logf("%d chirps at %v dB: %d window + %d walk = %d accumulations per frame (Goertzel bank %d per 256 symbols)", chirps, snr, window, walk, window+walk, bank)
+		}
+	}
+}
+
 // TestPeriodGateDepartsTowardTheTruth covers round-length captures at −3
 // and 0 dB, where the frozen search can fold down to half the chirp
-// period: the gate blocks that sub-multiple, so wherever the two searches
-// disagree, the gated one must be nearer the true period.
+// period: the whole-capture search's gate blocks that sub-multiple, so
+// wherever the two searches disagree, the gated one must be nearer the
+// true period.
 func TestPeriodGateDepartsTowardTheTruth(t *testing.T) {
 	period := testPeriod * testFs
 	departures := 0
@@ -444,7 +644,7 @@ func TestPeriodGateDepartsTowardTheTruth(t *testing.T) {
 			s := newSetup(t, bits, seed)
 			for _, snr := range []float64{-3, 0} {
 				x := s.paddedCapture(t, []byte("period oracle"), 64, snr)
-				got, gotErr := s.dec.EstimatePeriod(x)
+				got, gotErr := s.dec.searchPeriod(x)
 				want, wantErr := frozenEstimatePeriod(s.dec, x)
 				if gotErr != nil || wantErr != nil {
 					t.Fatalf("seed %d, %d bits at %v dB: errors %v, frozen search %v", seed, bits, snr, gotErr, wantErr)

@@ -241,6 +241,47 @@ func TestAlignChirpStartFindsGapEnd(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameKeepsTheChirpAtSampleZero pins the chirp-start wrap. On a
+// clean capture the first chirp starts at sample 0; when the period
+// estimate sits a hair above the true period, the fold wraps that rising
+// edge onto its last bin and AlignChirpStart returns period−1. DecodeSymbols
+// must still decode the chirp at sample 0, so every clean frame yields one
+// symbol per chirp, the first a header symbol.
+func TestDecodeFrameKeepsTheChirpAtSampleZero(t *testing.T) {
+	wrapped := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		s := newSetup(t, 5, seed)
+		for _, chirps := range []int{64, 256} {
+			x := s.paddedCapture(t, []byte("wrap"), chirps, 25)
+			syms, diag, err := s.dec.DecodeFrame(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diag.PeriodSamples-float64(diag.ChirpStart) <= edgeReach {
+				wrapped++
+			}
+			if diag.Symbols != chirps {
+				t.Fatalf("seed %d, %d chirps: %d symbols from chirp start %d at period %v", seed, chirps, diag.Symbols, diag.ChirpStart, diag.PeriodSamples)
+			}
+			if syms[0] != s.alpha.Header() {
+				t.Fatalf("seed %d, %d chirps: first symbol %v, want the header", seed, chirps, syms[0])
+			}
+		}
+	}
+	// The wrap itself, at a period a hundredth of a sample long.
+	s := newSetup(t, 5, 1)
+	x := s.paddedCapture(t, []byte("wrap"), 64, 25)
+	period := testPeriod*testFs + 0.01
+	start := s.dec.AlignChirpStart(x, period)
+	if period-float64(start) > edgeReach {
+		t.Fatalf("chirp start %d at period %v: the fold did not wrap", start, period)
+	}
+	if syms := s.dec.DecodeSymbols(x, period, start); len(syms) != 64 || syms[0] != s.alpha.Header() {
+		t.Fatalf("%d symbols from chirp start %d, want 64 from the header on", len(syms), start)
+	}
+	t.Logf("%d of 80 clean frames wrapped their chirp start", wrapped)
+}
+
 func TestDecodeSymbolsCleanChannel(t *testing.T) {
 	s := newSetup(t, 5, 9)
 	payload := []byte("hello tag")
