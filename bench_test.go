@@ -331,7 +331,7 @@ func BenchmarkExchange(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// One warm-up exchange so the scratch arenas reach their
+			// One warm-up exchange so the scratch buffers reach their
 			// high-water marks outside the timed region; the timed loop
 			// then measures steady state, which is what the alloc pins
 			// and BENCH_exchange.json schema 3 record.

@@ -49,12 +49,11 @@ var testOnlyCallers = map[string]string{
 	"cssk.Config.WithSymbolBits":               "the mode-ladder rationale in DESIGN.md",
 
 	// Accessors that tests use to observe production state.
-	"parallel.Pool.ArenaFootprintBytes": "observes arena growth",
-	"radar.Radar.CacheBytes":            "observes phasor and chirp-z cache growth",
-	"dsp.ToneTable.Cap":                 "observes the tone table",
-	"dsp.ToneTable.Freq":                "observes the tone table",
-	"dsp.RMS":                           "observes signal level",
-	"packet.Config.PacketChirps":        "observes frame length",
+	"radar.Radar.CacheBytes":     "observes phasor and chirp-z cache growth",
+	"dsp.ToneTable.Cap":          "observes the tone table",
+	"dsp.ToneTable.Freq":         "observes the tone table",
+	"dsp.RMS":                    "observes signal level",
+	"packet.Config.PacketChirps": "observes frame length",
 
 	// Comparators that tests assert with.
 	"netio.Outcome.Equal": "bit-exact outcome check of the gateway, chaos and service tests",

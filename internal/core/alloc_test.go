@@ -30,11 +30,13 @@ func allocTestNetwork(t testing.TB) (*Network, []byte, map[int][]bool) {
 
 // TestExchangeSteadyStateAllocs pins the tentpole: after warm-up, a full
 // exchange round must run in a bounded (small) number of heap allocations.
-// The scratch-arena memory model keeps the per-chirp and per-bin hot loops
-// allocation-free; what remains is the per-exchange result assembly (frame,
-// ExchangeResult, decoded payloads/bits) plus a handful of boxed values.
-// The pre-arena pipeline spent ~11.5k allocations per exchange on the bench
-// workload; the pin below is the regression tripwire for the ≥10× floor.
+// Persistent scratch (per-object buffers and per-worker rows grown with
+// dsp.Resize) keeps the per-chirp and per-bin hot loops allocation-free;
+// what remains is the per-exchange result assembly (frame, ExchangeResult,
+// decoded payloads/bits) plus a handful of boxed values. The pipeline
+// before reusable scratch spent ~11.5k allocations per exchange on the
+// bench workload; the pin below is the regression tripwire for the ≥10×
+// floor.
 func TestExchangeSteadyStateAllocs(t *testing.T) {
 	n, payload, uplink := allocTestNetwork(t)
 	for i := 0; i < 3; i++ {
@@ -50,7 +52,7 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state Exchange: %.0f allocs/op", allocs)
 	// Measured ~45 allocs/op on this workload; the pin leaves headroom for
 	// runtime variation while staying two orders of magnitude under the
-	// pre-arena count.
+	// count without reusable scratch.
 	const pin = 120
 	if allocs > pin {
 		t.Fatalf("steady-state Exchange allocated %.0f times, pin is %d", allocs, pin)
@@ -107,7 +109,7 @@ func TestExchangeVaryingPayloadAllocs(t *testing.T) {
 
 // TestExchangeScratchFootprintStabilizes is the byte-level leak test: over
 // 100 steady-state exchanges the total heap bytes allocated per round must
-// stay flat and small — the arenas and scratch buffers reach their
+// stay flat and small — the scratch buffers and per-worker rows reach their
 // high-water marks during warm-up and are reused verbatim afterwards.
 func TestExchangeScratchFootprintStabilizes(t *testing.T) {
 	n, payload, uplink := allocTestNetwork(t)
@@ -128,9 +130,10 @@ func TestExchangeScratchFootprintStabilizes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
 	t.Logf("steady-state Exchange: %d B/op", perRound)
-	// The pre-arena pipeline allocated tens of MB per exchange; measured
-	// steady state is ~11 KB per round (results + residual boxing), so any
-	// scratch leak blows through this bound quickly.
+	// The pipeline without reusable scratch allocated tens of MB per
+	// exchange; measured steady state is ~11 KB per round (results +
+	// residual boxing), so any scratch leak blows through this bound
+	// quickly.
 	if perRound > 128<<10 {
 		t.Fatalf("steady-state Exchange allocates %d B per round; scratch is leaking", perRound)
 	}

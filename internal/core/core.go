@@ -226,15 +226,6 @@ type exchangeScratch struct {
 	x exchangeState
 }
 
-// growRows extends a row set to at least n entries (appending nil rows)
-// without shrinking, so row backing buffers survive across exchanges.
-func growRows[T any](rows [][]T, n int) [][]T {
-	for len(rows) < n {
-		rows = append(rows, nil)
-	}
-	return rows
-}
-
 // NewNetwork builds a network from the configuration, then applies the
 // functional options in order (so an option overrides the Config field it
 // names). At least one node is required; everything else has calibrated

@@ -98,7 +98,7 @@ func (n *Network) setActive(list []int) []bool {
 // subtraction removes, exactly like clutter.
 func (n *Network) buildScene(frame *fmcw.Frame, uplinkBits map[int][]bool) (radar.Scene, error) {
 	scene := radar.Scene{Clutter: n.sceneClutter(), Faults: n.radarInj}
-	n.scr.states = growRows(n.scr.states, len(n.nodes))
+	n.scr.states = dsp.EnsureRows(n.scr.states, len(n.nodes))
 	tags := n.scr.tags[:0]
 	for i, node := range n.nodes {
 		var states []bool
@@ -451,7 +451,7 @@ func (n *Network) detect(ctx context.Context, matrix [][]float64, grid []float64
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	n.scr.tones = growRows(n.scr.tones, len(n.nodes))
+	n.scr.tones = dsp.EnsureRows(n.scr.tones, len(n.nodes))
 	tones := n.scr.tones[:len(n.nodes)]
 	for i, node := range n.nodes {
 		tones[i] = append(tones[i][:0], node.Uplink.F0, node.Uplink.F1)

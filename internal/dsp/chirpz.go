@@ -88,7 +88,8 @@ func (p *ChirpZPlan) Bytes() int { return 16 * (len(p.q) + len(p.kern)) }
 
 // Forward premultiplies the m input samples in a by the chirp q and
 // transforms a in place. a must have length Size() and be zero beyond its
-// first m entries (an arena checkout is), as ForwardPrefix requires.
+// first m entries, as ForwardPrefix requires: a reused buffer must be
+// cleared past them.
 func (p *ChirpZPlan) Forward(a []complex128) {
 	if len(a) != p.fft.n {
 		panic(fmt.Sprintf("dsp: chirp-z size mismatch: plan %d, work %d", p.fft.n, len(a)))

@@ -32,9 +32,10 @@ type DownlinkSetup struct {
 	Method tag.Method
 	// SlopeJitter is the fractional chirp-slope jitter of the generator.
 	SlopeJitter float64
-	// PayloadBytes sizes the per-frame payload (default 8).
-	PayloadBytes int
 }
+
+// downlinkPayloadBytes sizes the per-frame payload of a BER measurement.
+const downlinkPayloadBytes = 8
 
 func (s DownlinkSetup) withDefaults() DownlinkSetup {
 	if s.Bandwidth == 0 {
@@ -58,9 +59,6 @@ func (s DownlinkSetup) withDefaults() DownlinkSetup {
 	if s.TagSampleRate == 0 {
 		s.TagSampleRate = 1e6
 	}
-	if s.PayloadBytes == 0 {
-		s.PayloadBytes = 8
-	}
 	return s
 }
 
@@ -76,7 +74,6 @@ type downlinkRig struct {
 	builder  *fmcw.FrameBuilder
 	fe       *tag.FrontEnd
 	dec      *tag.Decoder
-	setup    DownlinkSetup
 }
 
 // newDownlinkRig builds the components. Seed separates noise processes
@@ -125,7 +122,6 @@ func newDownlinkRig(s DownlinkSetup, seed int64) (*downlinkRig, error) {
 		builder:  builder,
 		fe:       fe,
 		dec:      dec,
-		setup:    s,
 	}, nil
 }
 
@@ -133,7 +129,7 @@ func newDownlinkRig(s DownlinkSetup, seed int64) (*downlinkRig, error) {
 // bit errors. A frame whose preamble is lost counts every data bit as a coin
 // flip (half wrong), matching how a receiver experiences total loss.
 func (r *downlinkRig) measureFrame(snrDB float64, trial int, c *BERCounter) {
-	payload := make([]byte, r.setup.PayloadBytes)
+	payload := make([]byte, downlinkPayloadBytes)
 	for i := range payload {
 		payload[i] = byte(trial*31 + i*7 + 13)
 	}

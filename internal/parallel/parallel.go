@@ -15,12 +15,10 @@
 // across indices; under that contract the result is byte-identical for any
 // worker count, because only the execution order varies.
 //
-// For loops that need per-index scratch memory, ForArena/ForContextArena
-// hand each worker its own pool-owned dsp.Arena: checkouts are lock-free on
-// the hot path (no worker shares an arena) and every buffer is reclaimed
-// after each index, so a steady-state loop touches the heap only on its
-// first loop. A pool runs one arena loop at a time; overlapping or nested
-// arena loops on the same pool panic.
+// For loops that need scratch memory, ForWorkers passes fn the index of the
+// worker running it: the caller keeps one scratch row per worker, sized
+// before the loop, and worker g alone touches row g, so no locking is
+// needed and a steady-state loop reuses the rows without allocating.
 package parallel
 
 import (
@@ -30,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"biscatter/internal/dsp"
 	"biscatter/internal/telemetry"
 )
 
@@ -39,12 +36,6 @@ import (
 type Pool struct {
 	workers int
 	stats   *poolStats
-
-	// arenas[g] is worker g's pool-owned scratch arena in ForArena and
-	// ForContextArena loops; arenasBusy catches a second arena loop started
-	// on the pool while one runs, which would share them.
-	arenas     []*dsp.Arena
-	arenasBusy atomic.Bool
 }
 
 // poolStats holds the pool's pre-resolved telemetry handles. All fields are
@@ -103,24 +94,12 @@ func (p *Pool) width(n int) int {
 	return min(p.Workers(), n)
 }
 
-// ArenaFootprintBytes sums the high-water marks of the pool-owned worker
-// arenas — the resident scratch memory the pool has accumulated. It is a
-// diagnostic for leak tests and must not race a running arena loop.
-func (p *Pool) ArenaFootprintBytes() int {
-	total := 0
-	for _, a := range p.arenas {
-		total += a.HighWaterBytes()
-	}
-	return total
-}
-
-// run executes fn(g, i) for every i in [0, n) on worker g of the loop's
-// width and returns the first fn error, else ctx.Err() if an index was left
-// unrun, else nil. Workers stop claiming once ctx is done or an fn call has
-// failed; in-flight calls run to completion. Worker g runs index g first,
-// then claims from the shared counter, which starts at the width.
-func (p *Pool) run(ctx context.Context, n int, fn func(g, i int) error) error {
-	w := p.width(n)
+// run executes fn(g, i) for every i in [0, n) on worker g of a loop w
+// workers wide and returns the first fn error, else ctx.Err() if an index
+// was left unrun, else nil. Workers stop claiming once ctx is done or an fn
+// call has failed; in-flight calls run to completion. Worker g runs index g
+// first, then claims from the shared counter, which starts at w.
+func (p *Pool) run(ctx context.Context, w, n int, fn func(g, i int) error) error {
 	st := p.stats
 	if st != nil {
 		st.queued.Add(int64(n))
@@ -191,22 +170,8 @@ func (st *poolStats) call(fn func(g, i int) error, g, i int) error {
 // and returns when all calls have finished. With one worker (or one index)
 // it degenerates to a plain loop.
 func (p *Pool) For(n int, fn func(i int)) {
-	p.run(context.Background(), n, func(_, i int) error {
+	p.run(context.Background(), p.width(n), n, func(_, i int) error {
 		fn(i)
-		return nil
-	})
-}
-
-// ForArena is For with worker-local scratch: fn additionally receives the
-// running worker's dsp.Arena, from which it may check out slices that are
-// valid for that one index — the pool resets the arena after every fn
-// return. No locking happens on the checkout path because no two workers
-// ever share an arena. The arenas (and their buffers) are pool-owned and
-// persist across loops, so steady-state iterations allocate nothing.
-// Starting an arena loop while another runs on the same pool panics.
-func (p *Pool) ForArena(n int, fn func(i int, a *dsp.Arena)) {
-	p.ForContextArena(context.Background(), n, func(i int, a *dsp.Arena) error {
-		fn(i, a)
 		return nil
 	})
 }
@@ -221,32 +186,26 @@ func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) erro
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	w := p.width(n)
 	sp := telemetry.SpanFromContext(ctx).Child("parallel.for", -1)
 	if sp != nil {
 		sp.SetAttr("tasks", n)
-		sp.SetAttr("width", p.width(n))
+		sp.SetAttr("width", w)
 		defer sp.End()
 	}
-	return p.run(ctx, n, func(_, i int) error { return fn(i) })
+	return p.run(ctx, w, n, func(_, i int) error { return fn(i) })
 }
 
-// ForContextArena is ForContext with the worker-local scratch arenas of
-// ForArena: per-index checkouts, reset by the pool after every fn return.
-func (p *Pool) ForContextArena(ctx context.Context, n int, fn func(i int, a *dsp.Arena) error) error {
+// ForWorkers is ForContext with the worker index: fn(g, i) runs index i
+// on worker g, where g < workers. The caller reads Workers once, sizes its
+// per-worker scratch to that count and passes it here, so every g the loop
+// hands out indexes that scratch even if GOMAXPROCS changes meanwhile; the
+// loop runs min(workers, n) wide. Calls with the same g never overlap, so fn
+// may use the scratch of worker g without locking. Unlike ForContext it
+// opens no "parallel.for" span.
+func (p *Pool) ForWorkers(ctx context.Context, workers, n int, fn func(g, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !p.arenasBusy.CompareAndSwap(false, true) {
-		panic("parallel: overlapping arena loops on one pool")
-	}
-	defer p.arenasBusy.Store(false)
-	for len(p.arenas) < p.width(n) {
-		p.arenas = append(p.arenas, dsp.NewArena())
-	}
-	return p.run(ctx, n, func(g, i int) error {
-		a := p.arenas[g]
-		err := fn(i, a)
-		a.Reset()
-		return err
-	})
+	return p.run(ctx, min(workers, n), n, fn)
 }

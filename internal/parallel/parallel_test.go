@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -174,31 +175,31 @@ func TestInstrumentNilRegistryIsNoop(t *testing.T) {
 	p.For(10, func(int) {})
 }
 
-// TestForArenaWorkerLocalScratch runs an arena loop at several widths under
-// -race: every index checks out scratch, fills it, and verifies it was handed
-// a zeroed view. Distinct workers never share an arena, so this must be
-// race-free, and results written by index must match the serial reference.
-func TestForArenaWorkerLocalScratch(t *testing.T) {
+// TestForWorkersWorkerLocalScratch runs a worker-indexed loop at several
+// widths under -race: every index grows worker g's scratch row, fills it,
+// and writes its result by index. Distinct workers never share a row, so
+// this must be race-free, and the results must match the serial reference.
+func TestForWorkersWorkerLocalScratch(t *testing.T) {
 	const n = 500
 	ref := make([]float64, n)
 	for _, workers := range []int{1, 4, 8} {
+		p := New(workers)
+		w := p.Workers()
+		rows := make([][]float64, w)
 		out := make([]float64, n)
-		New(workers).ForArena(n, func(i int, a *dsp.Arena) {
+		err := p.ForWorkers(context.Background(), w, n, func(g, i int) error {
 			size := 16 + i%37
-			f := a.Float(size)
-			c := a.Complex(size / 2)
+			f := dsp.Resize(rows[g], size)
+			rows[g] = f
 			for j := range f {
-				if f[j] != 0 {
-					t.Errorf("workers=%d index %d: dirty float scratch", workers, i)
-					return
-				}
 				f[j] = float64(i + j)
 			}
-			for j := range c {
-				c[j] = complex(float64(i), float64(j))
-			}
-			out[i] = f[size-1] + real(c[0])
+			out[i] = f[size-1]
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if workers == 1 {
 			copy(ref, out)
 			continue
@@ -211,36 +212,66 @@ func TestForArenaWorkerLocalScratch(t *testing.T) {
 	}
 }
 
-func TestForArenaSteadyStateAllocFree(t *testing.T) {
-	p := New(1)
-	const n = 64
-	// Warm the pool-owned arena buckets.
-	for i := 0; i < 3; i++ {
-		p.ForArena(n, func(i int, a *dsp.Arena) {
-			a.Float(128)[0] = 1
-			a.Complex(256)[0] = 1
+// TestForWorkersCallsOfOneWorkerNeverOverlap is the contract that lets fn
+// use worker g's scratch without locking: under -race, at every width, no
+// two calls with the same g are ever in flight together, and g stays below
+// the width the caller passed.
+func TestForWorkersCallsOfOneWorkerNeverOverlap(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		busy := make([]atomic.Bool, workers)
+		var calls atomic.Int64
+		err := New(workers).ForWorkers(context.Background(), workers, 2000, func(g, i int) error {
+			if g < 0 || g >= workers {
+				return fmt.Errorf("index %d ran on worker %d of %d", i, g, workers)
+			}
+			if !busy[g].CompareAndSwap(false, true) {
+				return fmt.Errorf("index %d: worker %d already inside fn", i, g)
+			}
+			calls.Add(1)
+			runtime.Gosched()
+			busy[g].Store(false)
+			return nil
 		})
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		p.ForArena(n, func(i int, a *dsp.Arena) {
-			a.Float(128)[0] = 1
-			a.Complex(256)[0] = 1
-		})
-	})
-	// The serial path may still allocate the loop-body closures, but the per-
-	// index checkouts must be free: anything beyond a few allocs per loop
-	// means the arena path regressed.
-	if allocs > 4 {
-		t.Fatalf("steady-state ForArena allocated %v times per loop, want <= 4", allocs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := calls.Load(); got != 2000 {
+			t.Fatalf("workers=%d: ran %d indices, want 2000", workers, got)
+		}
 	}
 }
 
-func TestForContextArenaPropagatesErrorsAndCancellation(t *testing.T) {
-	boom := errors.New("boom")
-	err := New(4).ForContextArena(context.Background(), 1000, func(i int, a *dsp.Arena) error {
-		if a.Float(8) == nil {
-			return errors.New("nil scratch")
+func TestForWorkersSteadyStateAllocFree(t *testing.T) {
+	p := New(1)
+	const n = 64
+	rows := make([][]complex128, p.Workers())
+	body := func(g, i int) error {
+		rows[g] = dsp.Resize(rows[g], 256)
+		rows[g][0] = 1
+		return nil
+	}
+	// Warm the worker rows.
+	for i := 0; i < 3; i++ {
+		if err := p.ForWorkers(context.Background(), len(rows), n, body); err != nil {
+			t.Fatal(err)
 		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := p.ForWorkers(context.Background(), len(rows), n, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The serial path may still allocate a few per-loop values, but the
+	// per-index scratch must be free: anything beyond a few allocs per loop
+	// means the worker rows regressed.
+	if allocs > 4 {
+		t.Fatalf("steady-state ForWorkers allocated %v times per loop, want <= 4", allocs)
+	}
+}
+
+func TestForWorkersPropagatesErrorsAndCancellation(t *testing.T) {
+	boom := errors.New("boom")
+	err := New(4).ForWorkers(context.Background(), 4, 1000, func(g, i int) error {
 		if i == 7 {
 			return boom
 		}
@@ -252,7 +283,7 @@ func TestForContextArenaPropagatesErrorsAndCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err = New(4).ForContextArena(ctx, 10, func(i int, a *dsp.Arena) error {
+	err = New(4).ForWorkers(ctx, 4, 10, func(g, i int) error {
 		called = true
 		return nil
 	})
@@ -264,33 +295,13 @@ func TestForContextArenaPropagatesErrorsAndCancellation(t *testing.T) {
 	}
 }
 
-func TestArenaFootprintStabilizes(t *testing.T) {
-	p := New(2)
-	var after2 int
-	for iter := 0; iter < 50; iter++ {
-		p.ForArena(256, func(i int, a *dsp.Arena) {
-			a.Complex(4096)
-			a.Float(512)
-		})
-		if iter == 1 {
-			after2 = p.ArenaFootprintBytes()
-		}
-	}
-	if got := p.ArenaFootprintBytes(); got != after2 {
-		t.Fatalf("pool arena footprint grew: %d after 2 loops, %d after 50", after2, got)
-	}
-	if after2 == 0 {
-		t.Fatal("pool arena footprint should be nonzero after arena loops")
-	}
-}
-
 // TestForContextCancelAfterLastIndex pins the loop result to the work done,
 // not to the width: a context cancelled by the call that completes the last
 // index leaves nothing unrun, so the loop returns nil at every width.
 func TestForContextCancelAfterLastIndex(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 2, 4} {
-		for _, arena := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
 			var calls atomic.Int64
 			body := func() error {
@@ -300,54 +311,39 @@ func TestForContextCancelAfterLastIndex(t *testing.T) {
 				return nil
 			}
 			var err error
-			if arena {
-				err = New(workers).ForContextArena(ctx, n, func(int, *dsp.Arena) error { return body() })
+			if indexed {
+				err = New(workers).ForWorkers(ctx, workers, n, func(int, int) error { return body() })
 			} else {
 				err = New(workers).ForContext(ctx, n, func(int) error { return body() })
 			}
 			cancel()
 			if err != nil {
-				t.Errorf("workers=%d arena=%v: err = %v after every index ran, want nil", workers, arena, err)
+				t.Errorf("workers=%d indexed=%v: err = %v after every index ran, want nil", workers, indexed, err)
 			}
 			if got := calls.Load(); got != n {
-				t.Errorf("workers=%d arena=%v: ran %d indices, want %d", workers, arena, got, n)
+				t.Errorf("workers=%d indexed=%v: ran %d indices, want %d", workers, indexed, got, n)
 			}
 		}
 	}
 }
 
-// TestForArenaEveryWorkerWarmsInFirstLoop pins first-index seeding: on one
-// OS thread the scheduler may run the last-spawned worker until the loop is
-// drained, yet every worker still runs its own first index, so one loop
-// warms every worker arena.
-func TestForArenaEveryWorkerWarmsInFirstLoop(t *testing.T) {
+// TestForWorkersEveryWorkerWarmsInFirstLoop pins first-index seeding: on
+// one OS thread the scheduler may run the last-spawned worker until the
+// loop is drained, yet every worker still runs its own first index, so one
+// loop warms every worker's scratch row.
+func TestForWorkersEveryWorkerWarmsInFirstLoop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := New(2)
-	p.ForArena(64, func(_ int, a *dsp.Arena) { a.Float(256) })
-	if len(p.arenas) != 2 {
-		t.Fatalf("pool holds %d arenas, want 2", len(p.arenas))
-	}
-	for g, a := range p.arenas {
-		if a.HighWaterBytes() == 0 {
-			t.Errorf("worker %d arena is cold after one width-2 loop", g)
-		}
-	}
-}
-
-// TestForArenaNestedLoopPanics pins the one-arena-loop-per-pool contract: an
-// arena loop started inside another on the same pool would share its worker
-// arenas, so it panics. Width 1 keeps the panic on the test goroutine.
-func TestForArenaNestedLoopPanics(t *testing.T) {
-	p := New(1)
-	defer func() {
-		if r := recover(); r != "parallel: overlapping arena loops on one pool" {
-			t.Fatalf("recovered %v, want the overlap panic", r)
-		}
-		if p.arenasBusy.Load() {
-			t.Error("arena loop left the pool marked busy after the panic")
-		}
-	}()
-	p.ForArena(4, func(int, *dsp.Arena) {
-		p.ForArena(4, func(int, *dsp.Arena) {})
+	rows := make([][]float64, 2)
+	err := New(2).ForWorkers(context.Background(), len(rows), 64, func(g, _ int) error {
+		rows[g] = dsp.Resize(rows[g], 256)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, row := range rows {
+		if row == nil {
+			t.Errorf("worker %d row is cold after one width-2 loop", g)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package radar
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -91,7 +92,7 @@ func MagnitudeMatrix(matrix [][]complex128) [][]float64 {
 // MagnitudeMatrixInto is MagnitudeMatrix writing into dst, growing it as
 // needed; pass the returned matrix back in to reuse its rows across frames.
 func MagnitudeMatrixInto(dst [][]float64, matrix [][]complex128) [][]float64 {
-	dst = ensureRows(dst, len(matrix))
+	dst = dsp.EnsureRows(dst, len(matrix))
 	out := dst[:len(matrix)]
 	for i, row := range matrix {
 		m := dsp.Resize(out[i], len(row))
@@ -144,7 +145,7 @@ func SubtractBackgroundMagInto(matrix [][]float64, bg []float64) ([][]float64, [
 func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs []float64, period float64) [][]float64 {
 	sp := r.tel.matched.Span()
 	defer sp.End()
-	out := ensureRows(dst, len(freqs))[:len(freqs)]
+	out := dsp.EnsureRows(dst, len(freqs))[:len(freqs)]
 	nBins := 0
 	if len(matrix) > 0 {
 		nBins = len(matrix[0])
@@ -161,14 +162,20 @@ func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs
 	for i, f := range freqs {
 		coeffs[i] = dsp.NewGoertzelCoeff(f, chirpRate)
 	}
-	r.pool.ForArena(nBins, func(b int, a *dsp.Arena) {
-		col := a.Float(len(matrix))
+	w := r.pool.Workers()
+	r.scr.fwork = dsp.EnsureRows(r.scr.fwork, w)
+	work := r.scr.fwork
+	// fn never fails and the context never ends, so the loop cannot either.
+	_ = r.pool.ForWorkers(context.Background(), w, nBins, func(g, b int) error {
+		col := dsp.Resize(work[g], len(matrix))
+		work[g] = col
 		for i := range col {
 			col[i] = matrix[i][b]
 		}
 		for t := range coeffs {
 			out[t][b] = dsp.GoertzelPowerWith(col, coeffs[t])
 		}
+		return nil
 	})
 	return out
 }
@@ -243,7 +250,7 @@ func (r *Radar) DetectTags(matrix [][]float64, grid []float64, tones [][]float64
 	// Sum each active tag's tone rows into its first row; profs[j] is that
 	// row.
 	sc.rows = r.SignatureProfilesInto(sc.rows, matrix, freqs, period)
-	sc.profs = ensureRows(sc.profs, nt)
+	sc.profs = dsp.EnsureRows(sc.profs, nt)
 	profs := sc.profs[:nt]
 	row := 0
 	for j, ts := range tones {

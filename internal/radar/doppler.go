@@ -29,14 +29,15 @@ func (r *Radar) EstimateVelocity(matrix [][]complex128, bin int, period float64)
 	if err != nil {
 		return 0, err
 	}
-	defer r.arena.Reset()
-	col := r.arena.Complex(nfft)
-	w := dsp.WindowInto(r.arena.Float(n), dsp.WindowHann)
+	col := dsp.Resize(r.scr.velCol, nfft)
+	w := dsp.WindowInto(dsp.Resize(r.scr.velWin, n), dsp.WindowHann)
+	mags := dsp.Resize(r.scr.velMags, nfft)
+	r.scr.velCol, r.scr.velWin, r.scr.velMags = col, w, mags
 	for i := 0; i < n; i++ {
 		col[i] = matrix[i][bin] * complex(w[i], 0)
 	}
+	clear(col[n:])
 	plan.ForwardInto(col, col)
-	mags := r.arena.Float(nfft)
 	dsp.MagnitudesInto(mags, col)
 	idx, _ := dsp.MaxIndex(mags)
 	delta, _ := dsp.ParabolicPeak(mags, idx)

@@ -86,12 +86,11 @@ type Radar struct {
 	tel   radarTel
 
 	// scr holds the frame-shaped buffers the hot pipeline reuses: scene
-	// scatterers, per-chirp echo terms, the capture's IF rows and the
-	// corrected matrix rows. Rows grow to the largest frame seen and are
-	// never shrunk, so steady-state frames allocate nothing.
+	// scatterers, per-chirp echo terms, the capture's IF rows, the
+	// corrected matrix rows and the per-worker transform rows. Rows grow to
+	// the largest frame seen and are never shrunk, so steady-state frames
+	// allocate nothing.
 	scr radarScratch
-	// arena backs the serial single-call scratch (Doppler estimation).
-	arena *dsp.Arena
 }
 
 // scatterer is one point reflector in the synthesized scene: static clutter
@@ -124,6 +123,16 @@ type radarScratch struct {
 	terms  [][]echoTerm
 	ifRows [][]complex128
 	cmRows [][]complex128
+	// cwork[g] and fwork[g] are worker g's rows in the parallel loops: the
+	// chirp-z and slow-time FFT work buffers, and the signature scan's
+	// column.
+	cwork [][]complex128
+	fwork [][]float64
+	// velCol, velWin and velMags back EstimateVelocity's zero-padded
+	// column, its window and its spectrum.
+	velCol  []complex128
+	velWin  []float64
+	velMags []float64
 	// coeffs holds the per-tone Goertzel constants of the batched signature
 	// scan (SignatureProfilesInto).
 	coeffs []dsp.GoertzelCoeff
@@ -309,7 +318,7 @@ func (r *Radar) prepareScene(frame *fmcw.Frame, scene Scene) []scatterer {
 		clear(r.scr.chirpPh)
 	}
 
-	r.scr.chirpPh = ensureRows(r.scr.chirpPh, len(frame.Chirps))
+	r.scr.chirpPh = dsp.EnsureRows(r.scr.chirpPh, len(frame.Chirps))
 	for i, c := range frame.Chirps {
 		if i > 0 && c.Params == frame.Chirps[i-1].Params {
 			r.scr.chirpPh[i] = r.scr.chirpPh[i-1]
@@ -365,17 +374,6 @@ func (r *Radar) hannFor(duration float64, n int) *hannTable {
 	}
 	t.grow(duration*r.cfg.Chirp.SampleRate, n)
 	return t
-}
-
-// ensureRows grows rows to at least n entries without ever shrinking: it
-// takes back the rows an earlier shorter reslice left in capacity, then
-// appends nil rows, so row backing buffers persist across frames.
-func ensureRows[T any](rows [][]T, n int) [][]T {
-	rows = rows[:max(len(rows), min(n, cap(rows)))]
-	for len(rows) < n {
-		rows = append(rows, nil)
-	}
-	return rows
 }
 
 // radarTel holds the radar's pre-resolved telemetry handles so the hot
@@ -439,7 +437,6 @@ func New(cfg Config) (*Radar, error) {
 		plan:  plan,
 		pool:  parallel.New(cfg.Workers).Instrument(cfg.Metrics),
 		tel:   newRadarTel(cfg.Metrics),
-		arena: dsp.NewArena(),
 	}, nil
 }
 
@@ -528,7 +525,7 @@ func (r *Radar) Observe(frame *fmcw.Frame, scene Scene) *Capture {
 // capture across frames must copy the rows.
 func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Scene) (*Capture, error) {
 	nChirps := len(frame.Chirps)
-	r.scr.ifRows = ensureRows(r.scr.ifRows, nChirps)
+	r.scr.ifRows = dsp.EnsureRows(r.scr.ifRows, nChirps)
 	cap := &Capture{Frame: frame, IF: r.scr.ifRows[:nChirps]}
 	noiseSigma := math.Pow(10, channel.ThermalNoiseDBm(r.cfg.Chirp.SampleRate, r.cfg.Link.RadarNoiseFigureDB)/20)
 
@@ -546,7 +543,7 @@ func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Sce
 	}
 
 	residual := math.Pow(10, AbsorptiveResidualDB/20)
-	r.scr.terms = ensureRows(r.scr.terms, nChirps)
+	r.scr.terms = dsp.EnsureRows(r.scr.terms, nChirps)
 	err := r.pool.ForContext(ctx, nChirps, func(i int) error {
 		sp := r.tel.synthesis.Span()
 		defer sp.End()
@@ -692,8 +689,8 @@ func (r *Radar) CorrectedMatrix(cap *Capture) ([][]complex128, []float64) {
 //
 // The rows are independent, so they fan out across the worker pool and are
 // written by index; the matrix is byte-identical for any worker count. The
-// transform's work buffer comes from the claiming worker's arena, so
-// steady-state frames allocate nothing here.
+// transform's work buffer is the claiming worker's row of the radar's
+// scratch, so steady-state frames allocate nothing here.
 //
 // Ownership: the returned rows are radar-owned scratch, valid until the next
 // CorrectedMatrix/CorrectedMatrixContext call on the same Radar; callers
@@ -704,9 +701,12 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 		return nil, nil, err
 	}
 	grid := r.RangeGrid(cap.Frame)
-	r.scr.cmRows = ensureRows(r.scr.cmRows, len(cap.IF))
+	r.scr.cmRows = dsp.EnsureRows(r.scr.cmRows, len(cap.IF))
 	out := r.scr.cmRows[:len(cap.IF)]
-	err = r.pool.ForContextArena(ctx, len(cap.IF), func(i int, a *dsp.Arena) error {
+	w := r.pool.Workers()
+	r.scr.cwork = dsp.EnsureRows(r.scr.cwork, w)
+	work := r.scr.cwork
+	err = r.pool.ForWorkers(ctx, w, len(cap.IF), func(g, i int) error {
 		x, c := cap.IF[i], corr[i]
 		row := dsp.Resize(out[i], len(grid))
 		out[i] = row
@@ -715,10 +715,12 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 			return nil
 		}
 		sp := r.tel.rangeFFT.Span()
-		buf := a.Complex(c.plan.Size())
+		buf := dsp.Resize(work[g], c.plan.Size())
+		work[g] = buf
 		for k, w := range c.win.w[:len(x)] {
 			buf[k] = x[k] * complex(w, 0)
 		}
+		clear(buf[len(x):])
 		c.plan.Forward(buf)
 		sp.End()
 		sp = r.tel.ifCorr.Span()
@@ -834,15 +836,22 @@ func (r *Radar) RangeDoppler(matrix [][]complex128) [][]float64 {
 	for d := range out {
 		out[d] = make([]float64, nBins)
 	}
-	r.pool.ForArena(nBins, func(b int, a *dsp.Arena) {
-		col := a.Complex(nfft)
+	w := r.pool.Workers()
+	r.scr.cwork = dsp.EnsureRows(r.scr.cwork, w)
+	work := r.scr.cwork
+	// fn never fails and the context never ends, so the loop cannot either.
+	_ = r.pool.ForWorkers(context.Background(), w, nBins, func(g, b int) error {
+		col := dsp.Resize(work[g], nfft)
+		work[g] = col
 		for i := 0; i < nChirps; i++ {
 			col[i] = matrix[i][b]
 		}
+		clear(col[nChirps:])
 		plan.ForwardInto(col, col)
 		for d := 0; d < nfft; d++ {
 			out[d][b] = math.Hypot(real(col[d]), imag(col[d]))
 		}
+		return nil
 	})
 	return out
 }
