@@ -69,6 +69,67 @@ func TestChirpZMatchesDirectDTFT(t *testing.T) {
 	}
 }
 
+// TestChirpZMatchesFrozenKernel builds each chirp-z row from the frozen
+// kernel's steps — the q premultiply, a frozen forward transform, the
+// product with a kernel spectrum the frozen forward also computes, a frozen
+// unnormalized inverse, then the output twiddles and the scale — and pins
+// Forward and Evaluate to it bit for bit at the IF correction's 512 bins.
+// Evaluate's unnormalized inverse is the one transform entry that no other
+// frozen test reaches directly.
+func TestChirpZMatchesFrozenKernel(t *testing.T) {
+	const bins = 512
+	rng := rand.New(rand.NewSource(31))
+	for _, delta := range []float64{1.0 / 700, 1.0 / 457, 1.7 / bins} {
+		for _, m := range []int{1, 80, 240, 384, 512, 513} {
+			p, err := ChirpZFor(m, bins, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := p.Size()
+			frozen := frozenNewFFTPlan(n)
+			kern := make([]complex128, n)
+			for k := 0; k <= n/2; k++ {
+				kk := float64(k) * float64(k)
+				s, c := math.Sincos(math.Pi * math.Mod(delta*kk, 2))
+				kern[k] = complex(c, s)
+				kern[(n-k)%n] = kern[k]
+			}
+			frozen.execute(kern, false)
+			what := fmt.Sprintf("m=%d delta=%v", m, delta)
+			assertSameComplex(t, what+" kernel spectrum", p.kern, kern[:n/2+1])
+
+			x := randomComplexSignal(rng, m)
+			w := Window(WindowHann, m)
+			a := make([]complex128, n)
+			for k := range x {
+				a[k] = x[k] * complex(w[k], 0)
+			}
+			want := append([]complex128(nil), a...)
+			for k, v := range p.q[:m] {
+				want[k] *= v
+			}
+			frozen.execute(want, false)
+			p.Forward(a)
+			assertSameComplex(t, what+" Forward", a, want)
+
+			for k := range want {
+				want[k] *= kern[min(k, n-k)] // the plan keeps bins 0…N/2
+			}
+			frozen.execute(want, true)
+			const scale = 0.37
+			s := scale / float64(n)
+			row := make([]complex128, bins)
+			for j := range row {
+				y := want[j] * p.q[j]
+				row[j] = complex(real(y)*s, imag(y)*s)
+			}
+			got := make([]complex128, bins)
+			p.Evaluate(got, a, scale)
+			assertSameComplex(t, what+" Evaluate", got, row)
+		}
+	}
+}
+
 // TestChirpZAtDFTBinsMatchesFFT checks the special case delta = 1/n: the
 // chirp-z transform of m ≤ n samples is then the n-point DFT of the
 // zero-padded input.

@@ -37,12 +37,11 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFTPlan caches the twiddle factors for a fixed power-of-two transform
-// size. A plan is safe for concurrent use because Execute never mutates
-// plan state.
+// FFTPlan caches the twiddle factors and the bit-reversal swaps for a
+// fixed power-of-two transform size. A plan is safe for concurrent use
+// because no transform mutates plan state.
 type FFTPlan struct {
-	n     int
-	shift uint // bits.Reverse64(i) >> shift reverses the index bits of i in [0, n)
+	n int
 	// tw holds the twiddles stage by stage: the stage of half-width h reads
 	// tw[h-1 : 2h-1], where tw[h-1+k] = exp(-2πi k/2h). The last stage's
 	// segment is the full table exp(-2πi k/n) for k in [0, n/2); every
@@ -50,6 +49,11 @@ type FFTPlan struct {
 	// own angle, so each stage reads contiguous values that are bit for
 	// bit those of a strided walk over the full table.
 	tw []complex128
+	// swaps lists the bit-reversal pairs flat, i then j for each i < j =
+	// reverse(i), in increasing i; swapEnd[b] is the length of the prefix
+	// of swaps whose i lies below 2^b.
+	swaps   []uint32
+	swapEnd []int
 }
 
 // NewFFTPlan builds a plan for transforms of size n (a power of two).
@@ -71,10 +75,18 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 			seg[k] = last[k*step]
 		}
 	}
-	p.shift = 64 - uint(bits.Len(uint(n-1)))
-	if n == 1 {
-		p.shift = 64
+	logn := bits.Len(uint(n)) - 1
+	p.swaps = make([]uint32, 0, n-(1<<((logn+1)/2)))
+	p.swapEnd = make([]int, logn+1)
+	for i := range n {
+		if i > 0 && IsPowerOfTwo(i) {
+			p.swapEnd[bits.Len(uint(i))-1] = len(p.swaps)
+		}
+		if j := int(bits.Reverse64(uint64(i)) >> (64 - logn)); i < j {
+			p.swaps = append(p.swaps, uint32(i), uint32(j))
+		}
 	}
+	p.swapEnd[logn] = len(p.swaps)
 	return p, nil
 }
 
@@ -165,34 +177,81 @@ func (p *FFTPlan) ForwardPrefix(a []complex128, m int) {
 	p.stages(a, L, false)
 }
 
-// execute runs the in-place iterative radix-2 Cooley-Tukey transform.
+// execute runs the in-place iterative Cooley-Tukey transform.
 func (p *FFTPlan) execute(a []complex128, inverse bool) {
 	p.bitReverse(a, p.n)
 	p.stages(a, 1, inverse)
 }
 
 // bitReverse applies the plan's bit-reversal permutation to a for the
-// indices below s: each i < s swaps with its reversal j when i < j. With
-// s = n that is the whole permutation; a smaller s is complete when a[s:]
-// is zero, because every swap it skips exchanges two zeros. The reversal is
-// computed per index rather than kept as a table, so a plan holds only its
-// twiddles.
+// indices below s, a power of two: it walks the prefix of the swap list
+// whose i lies below s. With s = n that is the whole permutation; a smaller
+// s is complete when a[s:] is zero, because every swap it skips exchanges
+// two zeros.
 func (p *FFTPlan) bitReverse(a []complex128, s int) {
-	for i := range s {
-		j := int(bits.Reverse64(uint64(i)) >> p.shift)
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
+	sw := p.swaps[:p.swapEnd[bits.Len(uint(s))-1]]
+	for ; len(sw) >= 2; sw = sw[2:] {
+		x, y := &a[sw[0]], &a[sw[1]]
+		*x, *y = *y, *x
 	}
 }
 
 // stages runs the butterfly stages of half-width h0, 2·h0, …, n/2 over a,
-// which must already be in bit-reversed order. The inverse conjugates each
-// twiddle exactly as the forward reads it, in its own loop body, so no loop
-// branches per butterfly.
+// which must already be in bit-reversed order. Stages run in pairs
+// (radix-2²): one pass over each block of 4h applies the stage of
+// half-width h to both its halves and then the stage of half-width 2h to
+// the whole block, holding the four values of each k in registers. Every
+// butterfly keeps the radix-2 form t := w·x; lo+t; lo−t with the twiddle
+// its own stage reads, so the output carries the same bits as one pass per
+// stage. When the stage count is odd, the last stage runs alone. The
+// inverse conjugates each twiddle exactly as the forward reads it, in its
+// own loop body, so no loop branches per butterfly.
 func (p *FFTPlan) stages(a []complex128, h0 int, inverse bool) {
 	n := p.n
-	for h := h0; h < n; h <<= 1 {
+	h := h0
+	for ; 4*h <= n; h <<= 2 {
+		tw1 := p.tw[h-1 : 2*h-1]
+		tw2 := p.tw[2*h-1 : 4*h-1]
+		for s := 0; s < n; s += 4 * h {
+			a0 := a[s : s+h]
+			a1 := a[s+h : s+2*h]
+			a2 := a[s+2*h : s+3*h]
+			a3 := a[s+3*h : s+4*h]
+			a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+			w1s, w2s, w3s := tw1[:len(a0)], tw2[:len(a0)], tw2[h:][:len(a0)]
+			if inverse {
+				for k, w1 := range w1s {
+					w1 = complex(real(w1), -imag(w1))
+					w2, w3 := w2s[k], w3s[k]
+					w2 = complex(real(w2), -imag(w2))
+					w3 = complex(real(w3), -imag(w3))
+					x0, x2 := a0[k], a2[k]
+					t := w1 * a1[k]
+					y0, y1 := x0+t, x0-t
+					t = w1 * a3[k]
+					y2, y3 := x2+t, x2-t
+					t = w2 * y2
+					a0[k], a2[k] = y0+t, y0-t
+					t = w3 * y3
+					a1[k], a3[k] = y1+t, y1-t
+				}
+			} else {
+				for k, w1 := range w1s {
+					w2, w3 := w2s[k], w3s[k]
+					x0, x2 := a0[k], a2[k]
+					t := w1 * a1[k]
+					y0, y1 := x0+t, x0-t
+					t = w1 * a3[k]
+					y2, y3 := x2+t, x2-t
+					t = w2 * y2
+					a0[k], a2[k] = y0+t, y0-t
+					t = w3 * y3
+					a1[k], a3[k] = y1+t, y1-t
+				}
+			}
+		}
+	}
+	if h < n {
 		tw := p.tw[h-1 : 2*h-1]
 		for s := 0; s < n; s += 2 * h {
 			lo := a[s : s+h]

@@ -279,9 +279,11 @@ func TestFFTMatchesFrozenKernel(t *testing.T) {
 }
 
 // TestFFTPrefixEdgeCases covers the prefix lengths the signal sweep cannot
-// reach: m = 0 (an all-zero input) and the size-1 plan.
+// reach: m = 0 (an all-zero input) and the size-1 plan. It also runs the
+// impulse through every stage with ForwardInto: n = 2, 8 and 2048 have an
+// odd stage count, so their paired stages end on a lone radix-2 stage.
 func TestFFTPrefixEdgeCases(t *testing.T) {
-	for _, n := range []int{1, 2, 64} {
+	for _, n := range []int{1, 2, 8, 64, 2048} {
 		plan, err := NewFFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
@@ -298,6 +300,45 @@ func TestFFTPrefixEdgeCases(t *testing.T) {
 		for k, v := range a {
 			if v != 3-4i {
 				t.Fatalf("n=%d impulse: bin %d = %v, want 3-4i", n, k, v)
+			}
+		}
+		clear(a)
+		a[0] = 3 - 4i
+		plan.ForwardInto(a, a)
+		for k, v := range a {
+			if v != 3-4i {
+				t.Fatalf("n=%d impulse, all stages: bin %d = %v, want 3-4i", n, k, v)
+			}
+		}
+	}
+}
+
+// TestBitReversePrefix checks the swap list's prefixes: for every power of
+// two s ≤ n, bitReverse(a, s) on an input that is zero past s must place
+// each a[i] at the reversal of i's index bits, as the full permutation
+// does.
+func TestBitReversePrefix(t *testing.T) {
+	for n := 1; n <= 8192; n <<= 1 {
+		plan, err := NewFFTPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logn := bits.Len(uint(n)) - 1
+		a := make([]complex128, n)
+		for s := 1; s <= n; s <<= 1 {
+			clear(a)
+			for i := range s {
+				a[i] = complex(float64(i+1), 0)
+			}
+			plan.bitReverse(a, s)
+			for i, v := range a {
+				want := 0.0
+				if j := int(bits.Reverse64(uint64(i)) >> (64 - logn)); j < s {
+					want = float64(j + 1)
+				}
+				if v != complex(want, 0) {
+					t.Fatalf("n=%d s=%d: a[%d] = %v, want %v", n, s, i, v, want)
+				}
 			}
 		}
 	}

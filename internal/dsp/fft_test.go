@@ -249,15 +249,34 @@ func TestMagnitudesInto(t *testing.T) {
 	}
 }
 
+// BenchmarkFFT1024 times the 1024-point kernel: "forward" is ForwardInto,
+// and "inverse" (unnormalized) and "prefix" (m = 240 live samples) are the
+// two transforms a chirp-z row of the IF correction runs.
 func BenchmarkFFT1024(b *testing.B) {
+	const n = 1024
 	rng := rand.New(rand.NewSource(7))
-	x := randomComplexSignal(rng, 1024)
-	plan, _ := NewFFTPlan(1024)
-	dst := make([]complex128, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.ForwardInto(dst, x)
-	}
+	x := randomComplexSignal(rng, n)
+	plan, _ := NewFFTPlan(n)
+	a := make([]complex128, n)
+	b.Run("forward", func(b *testing.B) {
+		for b.Loop() {
+			plan.ForwardInto(a, x)
+		}
+	})
+	b.Run("inverse", func(b *testing.B) {
+		for b.Loop() {
+			copy(a, x)
+			plan.execute(a, true)
+		}
+	})
+	const m = 240
+	b.Run(fmt.Sprintf("prefix/m=%d", m), func(b *testing.B) {
+		for b.Loop() {
+			copy(a, x[:m])
+			clear(a[m:])
+			plan.ForwardPrefix(a, m)
+		}
+	})
 }
 
 func BenchmarkFFT8192(b *testing.B) {
@@ -271,10 +290,12 @@ func BenchmarkFFT8192(b *testing.B) {
 	}
 }
 
-// BenchmarkFFT4096 times the radar's 4096-point range FFT at the IF sample
-// counts of 20–100 µs chirps at 4 MHz (m = 80, 240, 400) and unpadded
-// (m = 4096): "frozen" is the kernel before the prefix entry point, which
-// always transforms all n points, "prefix" is ForwardPrefix.
+// BenchmarkFFT4096 times the 4096-point transform RawRangeProfile runs for
+// Fig. 7's per-chirp range readings, at the IF sample counts of 20–100 µs
+// chirps at 4 MHz (m = 80, 240, 400) and unpadded (m = 4096): "frozen" is
+// the kernel before the prefix entry point, which always transforms all n
+// points, "prefix" is ForwardPrefix. A round's range stage runs the 1024-
+// point chirp-z transform instead (BenchmarkChirpZ).
 func BenchmarkFFT4096(b *testing.B) {
 	const n = 4096
 	plan, _ := NewFFTPlan(n)

@@ -87,9 +87,9 @@ type Radar struct {
 
 	// scr holds the frame-shaped buffers the hot pipeline reuses: scene
 	// scatterers, per-chirp echo terms, the capture's IF rows, the
-	// corrected matrix rows and the per-worker transform rows. Rows grow to
-	// the largest frame seen and are never shrunk, so steady-state frames
-	// allocate nothing.
+	// corrected matrix rows and its range grid, and the per-worker
+	// transform rows. Rows grow to the largest frame seen and are never
+	// shrunk, so steady-state frames allocate nothing.
 	scr radarScratch
 }
 
@@ -123,6 +123,7 @@ type radarScratch struct {
 	terms  [][]echoTerm
 	ifRows [][]complex128
 	cmRows [][]complex128
+	grid   []float64
 	// cwork[g] and fwork[g] are worker g's rows in the parallel loops: the
 	// chirp-z and slow-time FFT work buffers, and the signature scan's
 	// column.
@@ -692,15 +693,18 @@ func (r *Radar) CorrectedMatrix(cap *Capture) ([][]complex128, []float64) {
 // transform's work buffer is the claiming worker's row of the radar's
 // scratch, so steady-state frames allocate nothing here.
 //
-// Ownership: the returned rows are radar-owned scratch, valid until the next
-// CorrectedMatrix/CorrectedMatrixContext call on the same Radar; callers
-// that keep a matrix across frames must copy it.
+// Ownership: the returned rows and grid are radar-owned scratch, valid
+// until the next CorrectedMatrix/CorrectedMatrixContext call on the same
+// Radar; callers that keep a matrix or its grid across frames must copy
+// them.
 func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]complex128, []float64, error) {
 	corr, err := r.prepareCorrection(cap.Frame, func(i int) int { return len(cap.IF[i]) })
 	if err != nil {
 		return nil, nil, err
 	}
-	grid := r.RangeGrid(cap.Frame)
+	grid := dsp.Resize(r.scr.grid, r.cfg.RangeBins)
+	r.scr.grid = grid
+	r.rangeGridInto(grid, cap.Frame)
 	r.scr.cmRows = dsp.EnsureRows(r.scr.cmRows, len(cap.IF))
 	out := r.scr.cmRows[:len(cap.IF)]
 	w := r.pool.Workers()
@@ -790,14 +794,13 @@ func (r *Radar) WarmChirpZ(frame *fmcw.Frame) error {
 	return err
 }
 
-// RangeGrid returns the common range grid for a frame.
-func (r *Radar) RangeGrid(frame *fmcw.Frame) []float64 {
+// rangeGridInto writes the common range grid for a frame into dst, which
+// has length RangeBins: bin i lies at i/RangeBins of the grid's extent.
+func (r *Radar) rangeGridInto(dst []float64, frame *fmcw.Frame) {
 	maxR := r.commonMaxRange(frame)
-	grid := make([]float64, r.cfg.RangeBins)
-	for i := range grid {
-		grid[i] = float64(i) / float64(r.cfg.RangeBins) * maxR
+	for i := range dst {
+		dst[i] = float64(i) / float64(len(dst)) * maxR
 	}
-	return grid
 }
 
 // SubtractBackground subtracts the first chirp's corrected profile from
