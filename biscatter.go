@@ -421,9 +421,9 @@ func WithPreamble(headerChirps, syncChirps int) Option {
 // FEC, preamble and ACK redundancy together — to the network.
 func WithLinkMode(m LinkMode) Option { return core.WithLinkMode(m) }
 
-// DefaultModeLadder returns the built-in graceful-degradation ladder, from
-// the full-rate nominal mode down to the survival mode, for
-// ControllerConfig and WithLinkMode.
+// DefaultModeLadder returns the graceful-degradation ladder every
+// LinkController walks, from the full-rate nominal mode down to the
+// survival mode. Pass one of its rungs to WithLinkMode to pin a mode.
 func DefaultModeLadder() []LinkMode { return core.DefaultModeLadder() }
 
 // NewLinkController builds the adaptive delivery engine: reliable delivery

@@ -81,50 +81,35 @@ const (
 	BreakerHalfOpen = retry.HalfOpen
 )
 
+// modeLadder is the ladder every controller walks.
+var modeLadder = DefaultModeLadder()
+
+// The controller's tuning over modeLadder.
+const (
+	// degradeAfter is how many consecutive failed deliveries trigger a step
+	// down the ladder (a delivery already retries internally, so one
+	// exhausted ARQ sequence is strong evidence).
+	degradeAfter = 1
+	// recoverAfter is how many consecutive clean deliveries — first
+	// attempt, no FEC corrections — trigger a step back up. Recovery is
+	// deliberately slower than degradation.
+	recoverAfter = 8
+	// breakerThreshold is how many consecutive failed deliveries to one
+	// node while already at the deepest mode open its breaker.
+	breakerThreshold = 3
+	// probeInterval is how many quarantined delivery slots a node sits out
+	// before the breaker goes half-open and risks one probe.
+	probeInterval = 4
+)
+
 // ControllerConfig parameterizes the link controller.
 type ControllerConfig struct {
 	// Network is the base network configuration; the active mode overlays
 	// its symbol-width / FEC / preamble knobs.
 	Network Config
-	// Ladder is the degradation sequence, mildest first; defaults to
-	// DefaultModeLadder.
-	Ladder []LinkMode
-	// DegradeAfter is how many consecutive failed deliveries trigger a step
-	// down the ladder; default 1 (a delivery already retries internally, so
-	// one exhausted ARQ sequence is strong evidence).
-	DegradeAfter int
-	// RecoverAfter is how many consecutive clean deliveries — first
-	// attempt, no FEC corrections — trigger a step back up; default 8.
-	// Recovery is deliberately slower than degradation.
-	RecoverAfter int
-	// BreakerThreshold is how many consecutive failed deliveries to one
-	// node while already at the deepest mode open its breaker; default 3.
-	BreakerThreshold int
-	// ProbeInterval is how many quarantined delivery slots a node sits out
-	// before the breaker goes half-open and risks one probe; default 4.
-	ProbeInterval int
 	// Deliver is the base ARQ configuration; the active mode's AckBits
 	// overrides the redundancy.
 	Deliver DeliverOptions
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Ladder == nil {
-		c.Ladder = DefaultModeLadder()
-	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 1
-	}
-	if c.RecoverAfter == 0 {
-		c.RecoverAfter = 8
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 4
-	}
-	return c
 }
 
 // breaker tracks one node's quarantine state: the shared breaker counts
@@ -161,10 +146,6 @@ type LinkController struct {
 // top (fastest) mode. Extra options pass through to every network rebuild,
 // before the mode overlay — the mode always wins on the knobs it names.
 func NewLinkController(cfg ControllerConfig, opts ...Option) (*LinkController, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Ladder) == 0 {
-		return nil, fmt.Errorf("core: controller ladder must have at least one mode")
-	}
 	lc := &LinkController{cfg: cfg, opts: opts}
 	if err := lc.rebuild(); err != nil {
 		return nil, err
@@ -177,7 +158,7 @@ func NewLinkController(cfg ControllerConfig, opts ...Option) (*LinkController, e
 // registry, recorder, seed and workers all live in the base config, so they
 // carry across rebuilds (counters keep accumulating in the shared registry).
 func (lc *LinkController) rebuild() error {
-	mode := lc.cfg.Ladder[lc.level]
+	mode := modeLadder[lc.level]
 	opts := make([]Option, 0, len(lc.opts)+1)
 	opts = append(opts, lc.opts...)
 	opts = append(opts, WithLinkMode(mode))
@@ -206,7 +187,7 @@ func (lc *LinkController) Network() *Network { return lc.net }
 func (lc *LinkController) Level() int { return lc.level }
 
 // Mode returns the active mode.
-func (lc *LinkController) Mode() LinkMode { return lc.cfg.Ladder[lc.level] }
+func (lc *LinkController) Mode() LinkMode { return modeLadder[lc.level] }
 
 // NodeState returns a node's circuit-breaker position.
 func (lc *LinkController) NodeState(nodeIdx int) BreakerState {
@@ -235,7 +216,7 @@ func (lc *LinkController) counter(name string) {
 // Deliver runs one reliable delivery through the adaptive machinery:
 // breaker gate, mode-configured ARQ, then the degradation/recovery update.
 // A quarantined node fails fast with ErrNodeQuarantined and consumes no
-// airtime; every ProbeInterval-th quarantined slot instead risks a
+// airtime; every probeInterval-th quarantined slot instead risks a
 // single-attempt half-open probe.
 func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []byte) (DeliveryReport, error) {
 	if nodeIdx < 0 || nodeIdx >= len(lc.breakers) {
@@ -245,7 +226,7 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 	opts := lc.deliverOptions()
 	if br.State == BreakerOpen {
 		br.idleSlots++
-		if br.idleSlots < lc.cfg.ProbeInterval {
+		if br.idleSlots < probeInterval {
 			return DeliveryReport{}, ErrNodeQuarantined
 		}
 		br.Probe()
@@ -267,7 +248,7 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 			br.Succeed()
 			lc.counter("core.recovery.breaker.close")
 		} else {
-			br.Fail(lc.cfg.BreakerThreshold)
+			br.Fail(breakerThreshold)
 			lc.counter("core.recovery.breaker.reopen")
 			lc.net.tracer.Trip("breaker reopen: node " + strconv.Itoa(nodeIdx))
 		}
@@ -280,7 +261,7 @@ func (lc *LinkController) Deliver(ctx context.Context, nodeIdx int, payload []by
 // observe updates the controller state from one delivery's diagnostics.
 func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 	br := &lc.breakers[nodeIdx]
-	atBottom := lc.level == len(lc.cfg.Ladder)-1
+	atBottom := lc.level == len(modeLadder)-1
 	if rep.Delivered {
 		br.Succeed()
 		lc.failRun = 0
@@ -292,7 +273,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 			rep.AttemptLog[0].FECCorrectedBits == 0
 		if clean {
 			lc.okStreak++
-			if lc.okStreak >= lc.cfg.RecoverAfter && lc.level > 0 {
+			if lc.okStreak >= recoverAfter && lc.level > 0 {
 				lc.level--
 				lc.okStreak = 0
 				lc.counter("core.recovery.recover")
@@ -310,7 +291,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 	// Failed delivery: degrade, and track per-node persistence.
 	lc.okStreak = 0
 	lc.failRun++
-	if !atBottom && lc.failRun >= lc.cfg.DegradeAfter {
+	if !atBottom && lc.failRun >= degradeAfter {
 		lc.level++
 		lc.failRun = 0
 		lc.counter("core.recovery.degrade")
@@ -320,7 +301,7 @@ func (lc *LinkController) observe(nodeIdx int, rep DeliveryReport) {
 		return
 	}
 	if atBottom {
-		if br.Fail(lc.cfg.BreakerThreshold) {
+		if br.Fail(breakerThreshold) {
 			br.idleSlots = 0
 			lc.counter("core.recovery.breaker.open")
 			// Quarantining a node is exactly the moment the recent exchange

@@ -4,18 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"biscatter/internal/fec"
 )
-
-// testLadder is a short two-rung ladder so controller tests stay fast.
-func testLadder() []LinkMode {
-	return []LinkMode{
-		{Name: "nominal", SymbolBits: 5, AckBits: 3},
-		{Name: "coded", SymbolBits: 5, AckBits: 3,
-			FEC: fec.Config{Scheme: fec.SchemeHamming74, InterleaveDepth: 14}},
-	}
-}
 
 func TestDefaultModeLadderBuilds(t *testing.T) {
 	// Every rung of the shipped ladder must produce a buildable network.
@@ -37,7 +26,6 @@ func TestDefaultModeLadderBuilds(t *testing.T) {
 func TestControllerStaysNominalOnCleanLink(t *testing.T) {
 	lc, err := NewLinkController(ControllerConfig{
 		Network: oneNodeConfig(2.6, 60),
-		Ladder:  testLadder(),
 		Deliver: DeliverOptions{MaxAttempts: 2},
 	})
 	if err != nil {
@@ -62,31 +50,34 @@ func TestControllerStaysNominalOnCleanLink(t *testing.T) {
 
 func TestControllerDegradesAndQuarantines(t *testing.T) {
 	// A node far beyond range fails every delivery: the controller must
-	// walk down the ladder, then open the node's breaker, fail fast while
-	// quarantined, and spend exactly one probe attempt per probe slot.
+	// walk down the ladder one rung per failure, then open the node's
+	// breaker after 3 failures at the bottom, fail fast for 3 quarantined
+	// slots, and spend exactly one probe attempt on the 4th.
 	lc, err := NewLinkController(ControllerConfig{
-		Network:          oneNodeConfig(40, 61),
-		Ladder:           testLadder(),
-		DegradeAfter:     1,
-		BreakerThreshold: 2,
-		ProbeInterval:    2,
-		Deliver:          DeliverOptions{MaxAttempts: 1},
+		Network: oneNodeConfig(40, 61),
+		Deliver: DeliverOptions{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	payload := []byte("unreachable")
+	bottom := len(modeLadder) - 1
 
-	// Failure 1: degrade from nominal to the bottom rung.
-	if rep, err := lc.Deliver(ctx, 0, payload); err != nil || rep.Delivered {
-		t.Fatalf("delivery at 40 m: delivered=%v err=%v", rep.Delivered, err)
+	// Failures 1..bottom: degrade one rung each, down to the bottom rung.
+	for want := 1; want <= bottom; want++ {
+		if rep, err := lc.Deliver(ctx, 0, payload); err != nil || rep.Delivered {
+			t.Fatalf("delivery at 40 m: delivered=%v err=%v", rep.Delivered, err)
+		}
+		if lc.Level() != want {
+			t.Fatalf("level %d after failure %d, want %d", lc.Level(), want, want)
+		}
 	}
-	if lc.Level() != 1 {
-		t.Fatalf("level %d after first failure, want 1", lc.Level())
-	}
-	// Failures 2, 3 at the bottom: breaker opens at the threshold.
-	for i := 0; i < 2; i++ {
+	// Failures at the bottom: the breaker opens at the third.
+	for i := 1; i <= 3; i++ {
+		if lc.NodeState(0) != BreakerClosed {
+			t.Fatalf("breaker %v after %d failures at the bottom, want closed", lc.NodeState(0), i-1)
+		}
 		if _, err := lc.Deliver(ctx, 0, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -94,16 +85,21 @@ func TestControllerDegradesAndQuarantines(t *testing.T) {
 	if lc.NodeState(0) != BreakerOpen {
 		t.Fatalf("breaker %v after persistent failure, want open", lc.NodeState(0))
 	}
-	// Quarantined slot: fails fast, no airtime.
-	rep, err := lc.Deliver(ctx, 0, payload)
-	if !errors.Is(err, ErrNodeQuarantined) {
-		t.Fatalf("quarantined delivery returned %v", err)
+	if lc.Level() != bottom {
+		t.Fatalf("level %d with the breaker open, want %d", lc.Level(), bottom)
 	}
-	if rep.Exchanges != 0 {
-		t.Fatalf("quarantined delivery consumed %d exchanges", rep.Exchanges)
+	// Quarantined slots: fail fast, no airtime.
+	for i := 1; i <= 3; i++ {
+		rep, err := lc.Deliver(ctx, 0, payload)
+		if !errors.Is(err, ErrNodeQuarantined) {
+			t.Fatalf("quarantined delivery %d returned %v", i, err)
+		}
+		if rep.Exchanges != 0 {
+			t.Fatalf("quarantined delivery %d consumed %d exchanges", i, rep.Exchanges)
+		}
 	}
 	// Next slot is the half-open probe: one attempt, then reopen.
-	rep, err = lc.Deliver(ctx, 0, payload)
+	rep, err := lc.Deliver(ctx, 0, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +113,14 @@ func TestControllerDegradesAndQuarantines(t *testing.T) {
 
 func TestControllerRecoversAfterCleanStreak(t *testing.T) {
 	// Two nodes: one in easy range, one unreachable. A failure to the far
-	// node degrades the link; a streak of clean deliveries to the near one
-	// must climb back up.
+	// node degrades the link; a streak of 8 clean deliveries to the near
+	// one must climb back up, and no shorter streak may.
 	lc, err := NewLinkController(ControllerConfig{
 		Network: Config{
 			Nodes: []NodeConfig{{ID: 1, Range: 2.6}, {ID: 2, Range: 40}},
 			Seed:  62,
 		},
-		Ladder:       testLadder(),
-		DegradeAfter: 1,
-		RecoverAfter: 2,
-		Deliver:      DeliverOptions{MaxAttempts: 1},
+		Deliver: DeliverOptions{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +132,10 @@ func TestControllerRecoversAfterCleanStreak(t *testing.T) {
 	if lc.Level() != 1 {
 		t.Fatalf("level %d after far-node failure, want 1", lc.Level())
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 8; i++ {
+		if lc.Level() != 1 {
+			t.Fatalf("level %d after %d clean deliveries, want still 1", lc.Level(), i)
+		}
 		rep, err := lc.Deliver(ctx, 0, []byte("probe"))
 		if err != nil {
 			t.Fatal(err)
@@ -156,12 +152,15 @@ func TestControllerRecoversAfterCleanStreak(t *testing.T) {
 func TestControllerWorkerInvariance(t *testing.T) {
 	// The controller's trajectory — levels, delivery outcomes, attempt
 	// counts, breaker states — must be byte-identical at any worker count.
+	// The far node's deliveries walk it down the whole ladder, open the
+	// breaker, sit out the quarantined slots and end on a probe.
 	type step struct {
 		Level     int
 		Delivered bool
 		Attempts  int
 		Breaker   BreakerState
 	}
+	nodes := []int{0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1}
 	run := func(workers int) []step {
 		lc, err := NewLinkController(ControllerConfig{
 			Network: Config{
@@ -169,18 +168,13 @@ func TestControllerWorkerInvariance(t *testing.T) {
 				Seed:    63,
 				Workers: workers,
 			},
-			Ladder:           testLadder(),
-			DegradeAfter:     1,
-			BreakerThreshold: 2,
-			ProbeInterval:    2,
-			Deliver:          DeliverOptions{MaxAttempts: 1},
+			Deliver: DeliverOptions{MaxAttempts: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var steps []step
-		for i := 0; i < 5; i++ {
-			node := i % 2
+		for _, node := range nodes {
 			rep, err := lc.Deliver(context.Background(), node, []byte("trace"))
 			if err != nil && !errors.Is(err, ErrNodeQuarantined) {
 				t.Fatal(err)
@@ -195,5 +189,8 @@ func TestControllerWorkerInvariance(t *testing.T) {
 		if one[i] != four[i] {
 			t.Fatalf("step %d diverged across workers: %+v vs %+v", i, one[i], four[i])
 		}
+	}
+	if last := one[len(one)-1]; last.Level != len(modeLadder)-1 || last.Breaker != BreakerOpen || last.Attempts != 1 {
+		t.Fatalf("trajectory ended at %+v, want a failed probe at the bottom rung", last)
 	}
 }

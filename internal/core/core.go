@@ -69,13 +69,6 @@ type Config struct {
 	// value disables coding and keeps the on-air frames byte-identical to a
 	// pre-FEC build.
 	FEC fec.Config
-	// MinChirpDuration defaults to 20 µs, the commercial-radar floor.
-	MinChirpDuration float64
-	// DeltaL is the tag delay-line length difference in meters; defaults to
-	// the paper's 45-inch coax pair.
-	DeltaL float64
-	// MinBeatSpacing is the tag's Δf_int; default 500 Hz.
-	MinBeatSpacing float64
 	// ChirpsPerBit is the uplink bit length in chirps; default 32.
 	ChirpsPerBit int
 	// Nodes places the backscatter nodes; at least one is required.
@@ -96,10 +89,6 @@ type Config struct {
 	Faults *fault.Profile
 	// Seed seeds all stochastic components.
 	Seed int64
-	// TagSampleRate is the tag ADC rate; default 1 MHz.
-	TagSampleRate float64
-	// DecoderMethod selects the tag's spectral estimator.
-	DecoderMethod tag.Method
 	// Workers sizes the worker pool the exchange engine fans per-chirp,
 	// per-node and per-bin work across; non-positive selects GOMAXPROCS.
 	// Results are byte-identical for any worker count.
@@ -141,23 +130,11 @@ func (c Config) withDefaults() Config {
 	if c.SyncChirps == 0 {
 		c.SyncChirps = 2
 	}
-	if c.MinChirpDuration == 0 {
-		c.MinChirpDuration = 20e-6
-	}
-	if c.DeltaL == 0 {
-		c.DeltaL = 45 * delayline.MetersPerInch
-	}
-	if c.MinBeatSpacing == 0 {
-		c.MinBeatSpacing = 500
-	}
 	if c.ChirpsPerBit == 0 {
 		c.ChirpsPerBit = 32
 	}
 	if c.Clutter == nil {
 		c.Clutter = channel.OfficeClutter()
-	}
-	if c.TagSampleRate == 0 {
-		c.TagSampleRate = 1e6
 	}
 	return c
 }
@@ -246,18 +223,15 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 	}
 	link := LinkFromPreset(cfg.Preset)
 
-	pair, err := delayline.NewCoaxPair(cfg.DeltaL, 0.7)
-	if err != nil {
-		return nil, err
-	}
+	pair := delayline.PaperCoaxPair()
 	fc := cfg.Preset.Chirp.CenterFrequency()
 	cal := delayline.FromPair(pair, fc)
 	alphabet, err := cssk.NewAlphabet(cssk.Config{
 		Bandwidth:        cfg.Preset.Chirp.Bandwidth,
 		Period:           cfg.Period,
-		MinChirpDuration: cfg.MinChirpDuration,
+		MinChirpDuration: cssk.ChirpFloor,
 		DeltaT:           cal.EffectiveDeltaT,
-		MinBeatSpacing:   cfg.MinBeatSpacing,
+		MinBeatSpacing:   cssk.BeatSpacing,
 		SymbolBits:       cfg.SymbolBits,
 	})
 	if err != nil {
@@ -334,12 +308,10 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 		tg, err := tag.New(tag.Config{
 			Pair:            pair,
 			Alphabet:        alphabet,
-			SampleRate:      cfg.TagSampleRate,
 			CenterFrequency: fc,
 			Modulator:       mod,
 			Seed:            cfg.Seed + int64(i) + 1,
 			ID:              nc.ID,
-			Method:          cfg.DecoderMethod,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: node %d: %w", i, err)

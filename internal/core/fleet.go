@@ -21,10 +21,6 @@ type FleetConfig struct {
 	// networks serially, honoring the single-threaded Network contract.
 	// Non-positive selects GOMAXPROCS.
 	Engines int
-	// QueueDepth bounds each engine's request queue. A submit against a
-	// full queue waits until a slot frees or the caller's context expires
-	// (reject-or-wait backpressure via context deadlines); default 16.
-	QueueDepth int
 	// Metrics receives the fleet's aggregate telemetry (queue-wait and
 	// latency histograms, busy-engine gauge, per-network counters) and is
 	// shared with every network the fleet builds, so per-stage pipeline
@@ -40,11 +36,13 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Engines <= 0 {
 		c.Engines = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
 	return c
 }
+
+// fleetQueueDepth bounds each engine's request queue. A submit against a
+// full queue waits until a slot frees or the caller's context expires
+// (reject-or-wait backpressure via context deadlines).
+const fleetQueueDepth = 16
 
 // fleetReq is one unit of engine work: a closure run on the owning engine's
 // goroutine. done is closed after run returns; the submitter blocks on it,
@@ -113,7 +111,7 @@ func (t fleetTel) enabled() bool { return t.m != nil }
 // FleetNetwork. Calls on different FleetNetworks never invalidate each
 // other.
 //
-// Backpressure: every engine queue is bounded (FleetConfig.QueueDepth).
+// Backpressure: every engine queue is bounded (fleetQueueDepth).
 // When a network's engine queue is full, submission blocks until a slot
 // frees or ctx is done — so callers choose reject-or-wait by deadline:
 // a context without a deadline waits, one with a deadline rejects with
@@ -149,7 +147,7 @@ func NewFleet(cfg FleetConfig, defaults ...Option) *Fleet {
 	}
 	f.tel.engines.Set(float64(cfg.Engines))
 	for i := 0; i < cfg.Engines; i++ {
-		e := &engine{id: i, queue: make(chan *fleetReq, cfg.QueueDepth)}
+		e := &engine{id: i, queue: make(chan *fleetReq, fleetQueueDepth)}
 		f.engines = append(f.engines, e)
 		f.wg.Add(1)
 		go f.engineLoop(e)

@@ -63,7 +63,7 @@ func TestFleetMatchesSerialNetwork(t *testing.T) {
 		networks = 8
 		rounds   = 4
 	)
-	f := NewFleet(FleetConfig{Engines: 2, QueueDepth: 4})
+	f := NewFleet(FleetConfig{Engines: 2})
 	defer f.Close()
 
 	var wg sync.WaitGroup
@@ -107,7 +107,7 @@ func TestFleetMatchesSerialNetwork(t *testing.T) {
 // goroutines: calls must serialize on the network's engine without races or
 // errors (run under -race).
 func TestFleetSharedHandleSerializes(t *testing.T) {
-	f := NewFleet(FleetConfig{Engines: 2, QueueDepth: 2})
+	f := NewFleet(FleetConfig{Engines: 2})
 	defer f.Close()
 	fn, err := f.AddNetwork(fleetNodeConfig(0))
 	if err != nil {
@@ -136,7 +136,7 @@ func TestFleetSharedHandleSerializes(t *testing.T) {
 // rejected with the context error while an unbounded one waits it out.
 func TestFleetBackpressureDeadline(t *testing.T) {
 	m := telemetry.New()
-	f := NewFleet(FleetConfig{Engines: 1, QueueDepth: 1, Metrics: m})
+	f := NewFleet(FleetConfig{Engines: 1, Metrics: m})
 	defer f.Close()
 	fn, err := f.AddNetwork(fleetNodeConfig(0))
 	if err != nil {
@@ -146,9 +146,12 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	block := func(context.Context) { <-gate }
 	running := &fleetReq{ctx: context.Background(), run: block, done: make(chan struct{})}
-	queued := &fleetReq{ctx: context.Background(), run: func(context.Context) {}, done: make(chan struct{})}
 	f.engines[0].queue <- running // engine claims this and blocks on gate
-	f.engines[0].queue <- queued  // fills the depth-1 queue
+	queued := make([]*fleetReq, fleetQueueDepth)
+	for i := range queued { // fill the queue behind it
+		queued[i] = &fleetReq{ctx: context.Background(), run: func(context.Context) {}, done: make(chan struct{})}
+		f.engines[0].queue <- queued[i]
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -175,7 +178,9 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 		t.Fatalf("post-wedge exchange failed: %v", err)
 	}
 	<-running.done
-	<-queued.done
+	for _, q := range queued {
+		<-q.done
+	}
 }
 
 // TestFleetPreCancelledContext pins the deterministic reject: a context that

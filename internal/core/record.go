@@ -6,7 +6,6 @@ import (
 
 	"biscatter/internal/channel"
 	"biscatter/internal/mac"
-	"biscatter/internal/tag"
 	"biscatter/internal/telemetry"
 	"biscatter/internal/trace"
 )
@@ -37,22 +36,17 @@ func NewExchangeRecorder(n *Network) (*ExchangeRecorder, error) {
 // record's spec.
 func specFromConfig(cfg Config) trace.ExchangeSpec {
 	spec := trace.ExchangeSpec{
-		Preset:           cfg.Preset,
-		Period:           cfg.Period,
-		SymbolBits:       cfg.SymbolBits,
-		HeaderChirps:     cfg.HeaderChirps,
-		SyncChirps:       cfg.SyncChirps,
-		FEC:              cfg.FEC,
-		MinChirpDuration: cfg.MinChirpDuration,
-		DeltaL:           cfg.DeltaL,
-		MinBeatSpacing:   cfg.MinBeatSpacing,
-		ChirpsPerBit:     cfg.ChirpsPerBit,
-		Clutter:          append([]channel.Reflector(nil), cfg.Clutter...),
-		Faults:           cfg.Faults,
-		Seed:             cfg.Seed,
-		TagSampleRate:    cfg.TagSampleRate,
-		DecoderMethod:    int(cfg.DecoderMethod),
-		NetworkID:        cfg.NetworkID,
+		Preset:       cfg.Preset,
+		Period:       cfg.Period,
+		SymbolBits:   cfg.SymbolBits,
+		HeaderChirps: cfg.HeaderChirps,
+		SyncChirps:   cfg.SyncChirps,
+		FEC:          cfg.FEC,
+		ChirpsPerBit: cfg.ChirpsPerBit,
+		Clutter:      append([]channel.Reflector(nil), cfg.Clutter...),
+		Faults:       cfg.Faults,
+		Seed:         cfg.Seed,
+		NetworkID:    cfg.NetworkID,
 	}
 	for _, nc := range cfg.Nodes {
 		spec.Nodes = append(spec.Nodes, trace.NodeSpec{
@@ -72,22 +66,17 @@ func specFromConfig(cfg Config) trace.ExchangeSpec {
 // slice back to nil).
 func configFromSpec(spec trace.ExchangeSpec) (Config, error) {
 	cfg := Config{
-		Preset:           spec.Preset,
-		Period:           spec.Period,
-		SymbolBits:       spec.SymbolBits,
-		HeaderChirps:     spec.HeaderChirps,
-		SyncChirps:       spec.SyncChirps,
-		FEC:              spec.FEC,
-		MinChirpDuration: spec.MinChirpDuration,
-		DeltaL:           spec.DeltaL,
-		MinBeatSpacing:   spec.MinBeatSpacing,
-		ChirpsPerBit:     spec.ChirpsPerBit,
-		Clutter:          spec.Clutter,
-		Faults:           spec.Faults,
-		Seed:             spec.Seed,
-		TagSampleRate:    spec.TagSampleRate,
-		DecoderMethod:    tag.Method(spec.DecoderMethod),
-		NetworkID:        spec.NetworkID,
+		Preset:       spec.Preset,
+		Period:       spec.Period,
+		SymbolBits:   spec.SymbolBits,
+		HeaderChirps: spec.HeaderChirps,
+		SyncChirps:   spec.SyncChirps,
+		FEC:          spec.FEC,
+		ChirpsPerBit: spec.ChirpsPerBit,
+		Clutter:      spec.Clutter,
+		Faults:       spec.Faults,
+		Seed:         spec.Seed,
+		NetworkID:    spec.NetworkID,
 	}
 	if cfg.Clutter == nil {
 		cfg.Clutter = []channel.Reflector{}

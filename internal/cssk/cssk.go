@@ -57,12 +57,9 @@ type Config struct {
 	// Period is the chirp period T_period (s); it bounds the maximum chirp
 	// duration and sets the symbol time (Eq. 14).
 	Period float64
-	// MinChirpDuration is the shortest chirp the radar can emit (s).
-	// Commercial FMCW radars bottom out at 10–20 µs (§6).
+	// MinChirpDuration is the shortest chirp the radar can emit (s). The
+	// longest is 0.8·Period, the commercial-radar duty-cycle limit (§3.1).
 	MinChirpDuration float64
-	// MaxChirpDuration is the longest chirp; zero means 0.8·Period, the
-	// commercial-radar duty-cycle limit (§3.1).
-	MaxChirpDuration float64
 	// DeltaT is the tag's calibrated delay-line difference ΔT (s).
 	DeltaT float64
 	// MinBeatSpacing is Δf_int (Hz): the smallest spacing between adjacent
@@ -72,21 +69,20 @@ type Config struct {
 	SymbolBits int
 }
 
+// The paper's operating constants (§6): commercial FMCW radars bottom out
+// at 10–20 µs chirps, and the tag resolves beats Δf_int = 500 Hz apart above
+// its noise floor.
+const (
+	ChirpFloor  = 20e-6
+	BeatSpacing = 500
+)
+
 // maxDutyCycle mirrors fmcw.MaxDutyCycle without importing it (keeps the
 // modulation layer free of the waveform layer).
 const maxDutyCycle = 0.8
 
-// withDefaults fills derived defaults.
-func (c Config) withDefaults() Config {
-	if c.MaxChirpDuration == 0 {
-		c.MaxChirpDuration = maxDutyCycle * c.Period
-	}
-	return c
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	c = c.withDefaults()
 	switch {
 	case c.Bandwidth <= 0:
 		return fmt.Errorf("cssk: bandwidth %v Hz must be positive", c.Bandwidth)
@@ -94,12 +90,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cssk: period %v s must be positive", c.Period)
 	case c.MinChirpDuration <= 0:
 		return fmt.Errorf("cssk: min chirp duration %v s must be positive", c.MinChirpDuration)
-	case c.MaxChirpDuration > maxDutyCycle*c.Period+1e-15:
-		return fmt.Errorf("cssk: max chirp duration %v s exceeds %.0f%% of period %v s",
-			c.MaxChirpDuration, maxDutyCycle*100, c.Period)
-	case c.MinChirpDuration >= c.MaxChirpDuration:
+	case c.MinChirpDuration >= maxDutyCycle*c.Period:
 		return fmt.Errorf("cssk: min chirp duration %v s must be below max %v s",
-			c.MinChirpDuration, c.MaxChirpDuration)
+			c.MinChirpDuration, maxDutyCycle*c.Period)
 	case c.DeltaT <= 0:
 		return fmt.Errorf("cssk: delay-line ΔT %v s must be positive", c.DeltaT)
 	case c.MinBeatSpacing <= 0:
@@ -113,8 +106,7 @@ func (c Config) Validate() error {
 // BeatRange returns (Δf_min, Δf_max): the decoder beat frequencies for the
 // longest and shortest chirps (Eq. 11 with T = max and min duration).
 func (c Config) BeatRange() (lo, hi float64) {
-	c = c.withDefaults()
-	lo = c.Bandwidth * c.DeltaT / c.MaxChirpDuration
+	lo = c.Bandwidth * c.DeltaT / (maxDutyCycle * c.Period)
 	hi = c.Bandwidth * c.DeltaT / c.MinChirpDuration
 	return lo, hi
 }
@@ -188,7 +180,6 @@ type Alphabet struct {
 // Construction fails if the resulting spacing would fall below
 // MinBeatSpacing — the Eq. 13 capacity limit.
 func NewAlphabet(cfg Config) (*Alphabet, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,7 +220,7 @@ func NewAlphabet(cfg Config) (*Alphabet, error) {
 	return a, nil
 }
 
-// Config returns the alphabet's configuration (with defaults applied).
+// Config returns the alphabet's configuration.
 func (a *Alphabet) Config() Config { return a.cfg }
 
 // SymbolBits returns the bits per data symbol.

@@ -38,7 +38,6 @@ func TestConfigValidate(t *testing.T) {
 		mod(func(c *Config) { c.Period = 0 }),
 		mod(func(c *Config) { c.MinChirpDuration = 0 }),
 		mod(func(c *Config) { c.MinChirpDuration = 100e-6 }), // above max (96 µs)
-		mod(func(c *Config) { c.MaxChirpDuration = 110e-6 }), // above duty cycle
 		mod(func(c *Config) { c.DeltaT = 0 }),
 		mod(func(c *Config) { c.MinBeatSpacing = 0 }),
 		mod(func(c *Config) { c.SymbolBits = 0 }),
@@ -154,9 +153,9 @@ func TestDurationsWithinRadarLimits(t *testing.T) {
 	}
 	cfg := a.Config()
 	check := func(s Symbol) {
-		if s.Duration < cfg.MinChirpDuration-1e-12 || s.Duration > cfg.MaxChirpDuration+1e-12 {
+		if s.Duration < cfg.MinChirpDuration-1e-12 || s.Duration > maxDutyCycle*cfg.Period+1e-12 {
 			t.Fatalf("%v symbol duration %v outside [%v, %v]",
-				s.Kind, s.Duration, cfg.MinChirpDuration, cfg.MaxChirpDuration)
+				s.Kind, s.Duration, cfg.MinChirpDuration, maxDutyCycle*cfg.Period)
 		}
 	}
 	check(a.Header())

@@ -17,6 +17,14 @@ const speedOfLight = 299792458.0
 // MetersPerInch converts the paper's inch-denominated cable lengths.
 const MetersPerInch = 0.0254
 
+// The paper's bench coax pair: two cables 45 inches apart in length,
+// velocity factor k = 0.7. Every experiment but Fig. 14, which sweeps ΔL,
+// runs this pair.
+const (
+	CoaxDeltaL         = 45 * MetersPerInch
+	CoaxVelocityFactor = 0.7
+)
+
 // Line models a single transmission line (coax segment or microstrip
 // meander).
 type Line struct {
@@ -159,9 +167,9 @@ func BeatFromEquation11(bandwidth, tChirp, deltaL, k float64) float64 {
 }
 
 // NewCoaxPair builds the bench-prototype pair: two coax cables whose lengths
-// differ by deltaL meters, velocity factor k (0.7 for the paper's cables),
-// referenced at 9.5 GHz with typical RG-405 loss numbers and a small
-// impedance mismatch.
+// differ by deltaL meters, velocity factor k (CoaxVelocityFactor for the
+// paper's cables), referenced at 9.5 GHz with typical RG-405 loss numbers
+// and a small impedance mismatch.
 func NewCoaxPair(deltaL, k float64) (Pair, error) {
 	if deltaL <= 0 {
 		return Pair{}, fmt.Errorf("delayline: ΔL %v m must be positive", deltaL)
@@ -169,6 +177,18 @@ func NewCoaxPair(deltaL, k float64) (Pair, error) {
 	if k <= 0 || k > 1 {
 		return Pair{}, fmt.Errorf("delayline: velocity factor %v must be in (0, 1]", k)
 	}
+	p := coaxPair(deltaL, k)
+	if err := p.Validate(); err != nil {
+		return Pair{}, err
+	}
+	return p, nil
+}
+
+// PaperCoaxPair is NewCoaxPair(CoaxDeltaL, CoaxVelocityFactor), which is
+// valid by construction.
+func PaperCoaxPair() Pair { return coaxPair(CoaxDeltaL, CoaxVelocityFactor) }
+
+func coaxPair(deltaL, k float64) Pair {
 	mk := func(length float64) Line {
 		return Line{
 			Length:              length,
@@ -181,11 +201,7 @@ func NewCoaxPair(deltaL, k float64) (Pair, error) {
 			ZRef:                50,
 		}
 	}
-	p := Pair{Short: mk(0.15), Long: mk(0.15 + deltaL)}
-	if err := p.Validate(); err != nil {
-		return Pair{}, err
-	}
-	return p, nil
+	return Pair{Short: mk(0.15), Long: mk(0.15 + deltaL)}
 }
 
 // NewMeanderPair builds the PCB-integrated pair of Fig. 9: Rogers 3006

@@ -16,18 +16,13 @@ import (
 type DownlinkSetup struct {
 	// Bandwidth is the chirp bandwidth B in Hz.
 	Bandwidth float64
-	// Period is the chirp period in seconds (the paper fixes 120 µs).
-	Period float64
-	// MinChirpDuration is the commercial-radar floor (default 20 µs).
-	MinChirpDuration float64
-	// DeltaL is the delay-line length difference in meters.
+	// DeltaL is the delay-line length difference in meters; defaults to
+	// the paper's 45-inch pair.
 	DeltaL float64
 	// SymbolBits is the CSSK symbol size.
 	SymbolBits int
 	// CenterFrequency is the band center used for ΔT calibration.
 	CenterFrequency float64
-	// TagSampleRate is the tag ADC rate (default 1 MHz).
-	TagSampleRate float64
 	// Method selects the tag's spectral estimator.
 	Method tag.Method
 	// SlopeJitter is the fractional chirp-slope jitter of the generator.
@@ -37,27 +32,21 @@ type DownlinkSetup struct {
 // downlinkPayloadBytes sizes the per-frame payload of a BER measurement.
 const downlinkPayloadBytes = 8
 
+// downlinkPeriod is the chirp period; the paper fixes 120 µs.
+const downlinkPeriod = 120e-6
+
 func (s DownlinkSetup) withDefaults() DownlinkSetup {
 	if s.Bandwidth == 0 {
 		s.Bandwidth = 1e9
 	}
-	if s.Period == 0 {
-		s.Period = 120e-6
-	}
-	if s.MinChirpDuration == 0 {
-		s.MinChirpDuration = 20e-6
-	}
 	if s.DeltaL == 0 {
-		s.DeltaL = 45 * delayline.MetersPerInch
+		s.DeltaL = delayline.CoaxDeltaL
 	}
 	if s.SymbolBits == 0 {
 		s.SymbolBits = 5
 	}
 	if s.CenterFrequency == 0 {
 		s.CenterFrequency = 9e9 + s.Bandwidth/2
-	}
-	if s.TagSampleRate == 0 {
-		s.TagSampleRate = 1e6
 	}
 	return s
 }
@@ -80,28 +69,28 @@ type downlinkRig struct {
 // across sweep points.
 func newDownlinkRig(s DownlinkSetup, seed int64) (*downlinkRig, error) {
 	s = s.withDefaults()
-	pair, err := delayline.NewCoaxPair(s.DeltaL, 0.7)
+	pair, err := delayline.NewCoaxPair(s.DeltaL, delayline.CoaxVelocityFactor)
 	if err != nil {
 		return nil, err
 	}
 	cal := delayline.FromPair(pair, s.CenterFrequency)
 	alphabet, err := cssk.NewAlphabet(cssk.Config{
 		Bandwidth:        s.Bandwidth,
-		Period:           s.Period,
-		MinChirpDuration: s.MinChirpDuration,
+		Period:           downlinkPeriod,
+		MinChirpDuration: cssk.ChirpFloor,
 		DeltaT:           cal.EffectiveDeltaT,
-		MinBeatSpacing:   500,
+		MinBeatSpacing:   cssk.BeatSpacing,
 		SymbolBits:       s.SymbolBits,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCapacity, err)
 	}
-	fe, err := tag.NewFrontEnd(pair, s.TagSampleRate, s.CenterFrequency, seed)
+	fe, err := tag.NewFrontEnd(pair, tag.ADCRate, s.CenterFrequency, seed)
 	if err != nil {
 		return nil, err
 	}
 	fe.SlopeJitter = s.SlopeJitter
-	dec, err := tag.NewDecoder(alphabet, s.TagSampleRate)
+	dec, err := tag.NewDecoder(alphabet, tag.ADCRate)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +101,7 @@ func newDownlinkRig(s DownlinkSetup, seed int64) (*downlinkRig, error) {
 		Duration:       60e-6,
 		SampleRate:     4e6,
 	}
-	builder, err := fmcw.NewFrameBuilder(base, s.Period)
+	builder, err := fmcw.NewFrameBuilder(base, downlinkPeriod)
 	if err != nil {
 		return nil, err
 	}

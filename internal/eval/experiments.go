@@ -96,14 +96,11 @@ func Lookup(id string) (Experiment, bool) {
 // chirp duration, validating Eq. 11's linear relationship with 1/T_chirp.
 func Fig5(o Options) (*Result, error) {
 	o = o.withDefaults()
-	pair, err := delayline.NewCoaxPair(45*delayline.MetersPerInch, 0.7)
-	if err != nil {
-		return nil, err
-	}
+	pair := delayline.PaperCoaxPair()
 	const fc = 9.5e9
 	const bw = 1e9
 	const period = 250e-6 // long enough for the 200 µs chirps of Fig. 5
-	fe, err := tag.NewFrontEnd(pair, 1e6, fc, o.Seed)
+	fe, err := tag.NewFrontEnd(pair, tag.ADCRate, fc, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +129,7 @@ func Fig5(o Options) (*Result, error) {
 				bestP, bestF = p, f
 			}
 		}
-		eq11 := delayline.BeatFromEquation11(bw, tc, pair.DeltaLength(), 0.7)
+		eq11 := delayline.BeatFromEquation11(bw, tc, pair.DeltaLength(), delayline.CoaxVelocityFactor)
 		tbl.AddRow(
 			fmt.Sprintf("%.0f", tc*1e6),
 			fmt.Sprintf("%.1f", 1e-3/tc),
@@ -144,7 +141,7 @@ func Fig5(o Options) (*Result, error) {
 		sumXX += (1 / tc) * (1 / tc)
 	}
 	slope := sumXY / sumXX
-	ideal := bw * pair.DeltaLength() / (0.7 * 299792458.0)
+	ideal := bw * pair.DeltaLength() / (delayline.CoaxVelocityFactor * 299792458.0)
 	res := &Result{
 		ID:          "fig5",
 		Description: "Δf vs T_chirp is linear in 1/T_chirp (Eq. 11 validation)",
@@ -160,15 +157,12 @@ func Fig5(o Options) (*Result, error) {
 // the tag's beat-frequency estimate.
 func Fig6(o Options) (*Result, error) {
 	o = o.withDefaults()
-	pair, err := delayline.NewCoaxPair(45*delayline.MetersPerInch, 0.7)
-	if err != nil {
-		return nil, err
-	}
+	pair := delayline.PaperCoaxPair()
 	const fc = 9.5e9
 	const bw = 1e9
 	const period = 120e-6
 	const tc = 60e-6
-	fe, err := tag.NewFrontEnd(pair, 1e6, fc, o.Seed+1)
+	fe, err := tag.NewFrontEnd(pair, tag.ADCRate, fc, o.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -426,17 +420,14 @@ func DataRate(o Options) (*Result, error) {
 			fmt.Sprintf("%.1f kbit/s", r120/1e3),
 			fmt.Sprintf("%.1f kbit/s", r100/1e3))
 	}
-	pair, err := delayline.NewCoaxPair(45*delayline.MetersPerInch, 0.7)
-	if err != nil {
-		return nil, err
-	}
+	pair := delayline.PaperCoaxPair()
 	cal := delayline.FromPair(pair, 9.5e9)
 	capacityCfg := cssk.Config{
 		Bandwidth:        1e9,
 		Period:           120e-6,
-		MinChirpDuration: 20e-6,
+		MinChirpDuration: cssk.ChirpFloor,
 		DeltaT:           cal.EffectiveDeltaT,
-		MinBeatSpacing:   500,
+		MinBeatSpacing:   cssk.BeatSpacing,
 		SymbolBits:       5,
 	}
 	maxBits := capacityCfg.MaxSymbolBits()

@@ -102,20 +102,6 @@ func TestFig7CorrectionAligns(t *testing.T) {
 	}
 }
 
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestFig10And11DelayFlat(t *testing.T) {
 	res, err := Fig10And11(fastOpts)
 	if err != nil {

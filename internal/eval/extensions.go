@@ -6,6 +6,7 @@ import (
 	"biscatter/internal/delayline"
 	"biscatter/internal/mac"
 	"biscatter/internal/msck"
+	"biscatter/internal/tag"
 )
 
 // Extensions quantifies the §6 future-work directions implemented in this
@@ -19,10 +20,7 @@ func Extensions(o Options) (*Result, error) {
 	}
 
 	// Multi-segment chirp keying: rate vs BER frontier against CSSK.
-	pair, err := delayline.NewCoaxPair(45*delayline.MetersPerInch, 0.7)
-	if err != nil {
-		return nil, err
-	}
+	pair := delayline.PaperCoaxPair()
 	tbl := Table{
 		Title:   fmt.Sprintf("MSCK extension — rate vs BER at 20 dB SNR (%d chirps/point)", o.Frames*4),
 		Columns: []string{"scheme", "bits/chirp", "rate (kbit/s)", "BER"},
@@ -48,7 +46,7 @@ func Extensions(o Options) (*Result, error) {
 			SlopesPerSegment: cfg.slopes,
 			Pair:             pair,
 			CenterFrequency:  9.5e9,
-			SampleRate:       1e6,
+			SampleRate:       tag.ADCRate,
 		})
 		if err != nil {
 			return nil, err

@@ -185,7 +185,7 @@ type Gateway struct {
 	cRounds, cRetries, cOutOfOrder      *telemetry.Counter
 	cBreakerOpen, cBreakerClose         *telemetry.Counter
 	cSendRejected, cExchangeErr, cHello *telemetry.Counter
-	cAdmAdmitted, cAdmRejected          *telemetry.Counter
+	cAdmRejected                        *telemetry.Counter
 	hRTT                                *telemetry.Histogram
 }
 
@@ -213,7 +213,6 @@ func NewGateway(conn Conn, cfg GatewayConfig, fn ExchangeFunc) *Gateway {
 		g.cBreakerClose = m.Counter("netio.breaker.close")
 		g.cSendRejected = m.Counter("netio.send.rejected")
 		g.cExchangeErr = m.Counter("netio.exchange.errors")
-		g.cAdmAdmitted = m.Counter("netio.admission.admitted")
 		g.cAdmRejected = m.Counter("netio.admission.rejected")
 		g.hRTT = m.Histogram("netio.heartbeat.rtt_seconds")
 	}
@@ -334,7 +333,6 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 			g.dropSession(s)
 			g.cReplaced.Inc()
 		} else {
-			g.cAdmAdmitted.Inc()
 			g.cAccepted.Inc()
 		}
 		s = g.newSession(h.TagID, from)

@@ -41,8 +41,8 @@ func TestGatewayAdmissionReject(t *testing.T) {
 	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "reject-unknown (tag 3 ") {
 		t.Fatalf("tag 3 dial: want ErrRejected naming tag 3, got %v", err)
 	}
-	if got := m.Counter("netio.admission.admitted").Value(); got != 2 {
-		t.Errorf("netio.admission.admitted = %d, want 2", got)
+	if got := m.Counter("netio.sessions.accepted").Value(); got != 2 {
+		t.Errorf("netio.sessions.accepted = %d, want 2", got)
 	}
 	if got := m.Counter("netio.admission.rejected").Value(); got == 0 {
 		t.Error("netio.admission.rejected not counted")
@@ -53,8 +53,8 @@ func TestGatewayAdmissionReject(t *testing.T) {
 	if got := m.Counter("netio.sessions.replaced").Value(); got != 1 {
 		t.Errorf("netio.sessions.replaced = %d, want 1", got)
 	}
-	if got := m.Counter("netio.admission.admitted").Value(); got != 2 {
-		t.Errorf("netio.admission.admitted = %d after a replace, want 2", got)
+	if got := m.Counter("netio.sessions.accepted").Value(); got != 2 {
+		t.Errorf("netio.sessions.accepted = %d after a replace, want 2", got)
 	}
 }
 

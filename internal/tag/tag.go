@@ -24,15 +24,15 @@ type Tag struct {
 	ID uint8
 }
 
+// ADCRate is the tag's 1 MHz ADC sample rate.
+const ADCRate = 1e6
+
 // Config assembles a Tag.
 type Config struct {
-	// Pair is the physical delay-line pair; defaults to the PCB meander
-	// pair when zero.
+	// Pair is the physical delay-line pair (required).
 	Pair delayline.Pair
 	// Alphabet is the agreed CSSK constellation (required).
 	Alphabet *cssk.Alphabet
-	// SampleRate is the ADC rate; defaults to 1 MHz.
-	SampleRate float64
 	// CenterFrequency is the chirp center frequency; required.
 	CenterFrequency float64
 	// Modulator configures the uplink; required for uplink operation.
@@ -41,8 +41,6 @@ type Config struct {
 	Seed int64
 	// ID is the tag identifier.
 	ID uint8
-	// Method selects the decoding estimator (Goertzel by default).
-	Method Method
 }
 
 // New builds a Tag.
@@ -50,21 +48,14 @@ func New(cfg Config) (*Tag, error) {
 	if cfg.Alphabet == nil {
 		return nil, fmt.Errorf("tag: alphabet is required")
 	}
-	if cfg.SampleRate == 0 {
-		cfg.SampleRate = 1e6
-	}
-	if cfg.Pair == (delayline.Pair{}) {
-		cfg.Pair = delayline.NewMeanderPair()
-	}
-	fe, err := NewFrontEnd(cfg.Pair, cfg.SampleRate, cfg.CenterFrequency, cfg.Seed)
+	fe, err := NewFrontEnd(cfg.Pair, ADCRate, cfg.CenterFrequency, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := NewDecoder(cfg.Alphabet, cfg.SampleRate)
+	dec, err := NewDecoder(cfg.Alphabet, ADCRate)
 	if err != nil {
 		return nil, err
 	}
-	dec.Method = cfg.Method
 	return &Tag{
 		FrontEnd:  fe,
 		Decoder:   dec,

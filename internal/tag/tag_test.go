@@ -533,8 +533,8 @@ func TestTagAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.FrontEnd.SampleRate != 1e6 {
-		t.Fatal("default sample rate should be 1 MHz")
+	if tg.FrontEnd.SampleRate != ADCRate || tg.Decoder.SampleRate != ADCRate {
+		t.Fatal("front-end and decoder should sample at ADCRate")
 	}
 	payload := []byte("assembled")
 	frame := s.frameFor(t, payload)
@@ -559,10 +559,13 @@ func TestTagConfigValidation(t *testing.T) {
 		t.Error("missing alphabet should fail")
 	}
 	s := newSetup(t, 5, 22)
-	if _, err := New(Config{Alphabet: s.alpha}); err == nil {
+	if _, err := New(Config{Alphabet: s.alpha, CenterFrequency: testFc}); err == nil {
+		t.Error("missing delay-line pair should fail")
+	}
+	if _, err := New(Config{Pair: s.pair, Alphabet: s.alpha}); err == nil {
 		t.Error("missing center frequency should fail")
 	}
-	tg, err := New(Config{Alphabet: s.alpha, CenterFrequency: testFc})
+	tg, err := New(Config{Pair: s.pair, Alphabet: s.alpha, CenterFrequency: testFc})
 	if err != nil {
 		t.Fatal(err)
 	}

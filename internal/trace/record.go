@@ -33,18 +33,21 @@ type ExchangeRecord struct {
 // count: results are byte-identical at any worker count, so replay may pick
 // its own). The radar preset is embedded in full rather than referenced by
 // name, so a record survives preset drift in the codebase.
+//
+// The tag hardware is not in the spec: its delay-line pair, ADC rate, Δf_int
+// and chirp floor are package constants, not settings. Records that still
+// carry the retired MinChirpDuration, DeltaL, MinBeatSpacing, TagSampleRate
+// and DecoderMethod fields decode unchanged, because gob skips stream
+// fields the struct lacks; they held those constants' values.
 type ExchangeSpec struct {
-	Preset           fmcw.Preset
-	Period           float64
-	SymbolBits       int
-	HeaderChirps     int
-	SyncChirps       int
-	FEC              fec.Config
-	MinChirpDuration float64
-	DeltaL           float64
-	MinBeatSpacing   float64
-	ChirpsPerBit     int
-	Nodes            []NodeSpec
+	Preset       fmcw.Preset
+	Period       float64
+	SymbolBits   int
+	HeaderChirps int
+	SyncChirps   int
+	FEC          fec.Config
+	ChirpsPerBit int
+	Nodes        []NodeSpec
 	// ScheduleCapacity reconstructs the TDMA frame schedule
 	// (mac.NewFrameSchedule(len(Nodes), ScheduleCapacity)); zero means no
 	// schedule — every node concurrent in every frame.
@@ -52,9 +55,6 @@ type ExchangeSpec struct {
 	Clutter          []channel.Reflector
 	Faults           *fault.Profile
 	Seed             int64
-	TagSampleRate    float64
-	// DecoderMethod is the tag.Method ordinal.
-	DecoderMethod int
 	// NetworkID is the recorded network's identity (a fleet-assigned id or
 	// 0); exchange IDs derive from it, so replay must reuse it.
 	NetworkID int

@@ -15,16 +15,13 @@ import (
 func sampleRecord() *ExchangeRecord {
 	return &ExchangeRecord{
 		Spec: ExchangeSpec{
-			Preset:           fmcw.Radar9GHz(),
-			Period:           120e-6,
-			SymbolBits:       5,
-			HeaderChirps:     8,
-			SyncChirps:       2,
-			FEC:              fec.Config{Scheme: fec.SchemeHamming74, InterleaveDepth: 4},
-			MinChirpDuration: 20e-6,
-			DeltaL:           1.143,
-			MinBeatSpacing:   500,
-			ChirpsPerBit:     32,
+			Preset:       fmcw.Radar9GHz(),
+			Period:       120e-6,
+			SymbolBits:   5,
+			HeaderChirps: 8,
+			SyncChirps:   2,
+			FEC:          fec.Config{Scheme: fec.SchemeHamming74, InterleaveDepth: 4},
+			ChirpsPerBit: 32,
 			Nodes: []NodeSpec{
 				{ID: 1, Range: 3, ModulationF0: 1000, ModulationF1: 1500},
 				{ID: 2, Range: 5, ModulationF0: 2000, ModulationF1: 2500},
@@ -36,9 +33,7 @@ func sampleRecord() *ExchangeRecord {
 				Seed:         7,
 				Interference: &fault.Interference{DutyCycle: 0.2, RadarPowerDBm: -30},
 			},
-			Seed:          2024,
-			TagSampleRate: 1e6,
-			DecoderMethod: 1,
+			Seed: 2024,
 		},
 		Rounds: []RoundRecord{
 			{
