@@ -51,7 +51,6 @@ var testOnlyCallers = map[string]string{
 	// Accessors that tests use to observe production state.
 	"radar.Radar.CacheBytes":     "observes phasor and chirp-z cache growth",
 	"dsp.ToneTable.Cap":          "observes the tone table",
-	"dsp.ToneTable.Freq":         "observes the tone table",
 	"dsp.RMS":                    "observes signal level",
 	"packet.Config.PacketChirps": "observes frame length",
 

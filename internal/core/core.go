@@ -307,7 +307,7 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 		}
 		tg, err := tag.New(tag.Config{
 			Pair:            pair,
-			Alphabet:        alphabet,
+			Packet:          pkt,
 			CenterFrequency: fc,
 			Modulator:       mod,
 			Seed:            cfg.Seed + int64(i) + 1,

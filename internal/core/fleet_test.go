@@ -144,6 +144,8 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
 	block := func(context.Context) { <-gate }
 	running := &fleetReq{ctx: context.Background(), run: block, done: make(chan struct{})}
 	f.engines[0].queue <- running // engine claims this and blocks on gate
@@ -155,7 +157,14 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := fn.ExchangeContext(ctx, []byte{1}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	// A submission that is enqueued instead of rejected waits behind the
+	// gate; the watchdog releases it, so the test fails instead of hanging.
+	watchdog := time.AfterFunc(10*time.Second, release)
+	_, err = fn.ExchangeContext(ctx, []byte{1}, nil)
+	if !watchdog.Stop() {
+		t.Fatalf("wedged fleet submission returned %v only after the watchdog released the engine: it was enqueued, not rejected", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wedged fleet submission returned %v, want DeadlineExceeded", err)
 	}
 	if got := m.Counter("fleet.rejected").Value(); got != 1 {
@@ -173,7 +182,7 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 		t.Fatalf("submission completed against a wedged engine: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	close(gate)
+	release()
 	if err := <-res; err != nil {
 		t.Fatalf("post-wedge exchange failed: %v", err)
 	}

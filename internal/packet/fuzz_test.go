@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"biscatter/internal/cssk"
+	"biscatter/internal/fec"
 )
 
 // fuzzAlphabet is the paper's headline 5-bit constellation, shared by every
@@ -104,6 +105,41 @@ func FuzzPacketDecode(f *testing.F) {
 		}
 		if !bytes.Equal(back, payload) {
 			t.Fatalf("round trip mismatch: %x != %x", back, payload)
+		}
+	})
+}
+
+// FuzzPayloadEnd throws arbitrary symbol streams at PayloadEnd: DecodeStats
+// on the prefix a decoder following it classifies must return the payload,
+// FEC stats and error it returns on the whole stream. The first byte picks
+// the FEC layer.
+func FuzzPayloadEnd(f *testing.F) {
+	a := fuzzAlphabet(f)
+	fecs := []fec.Config{{}, {Scheme: fec.SchemeHamming74, InterleaveDepth: 8}, {Scheme: fec.SchemeRepetition, InterleaveDepth: 16}}
+	for i, fc := range fecs {
+		cfg := Config{Alphabet: a, HeaderLen: 8, SyncLen: 2, FEC: fc}
+		for _, payload := range [][]byte{nil, {0x42}, []byte("biscatter")} {
+			syms, err := cfg.Encode(payload)
+			if err != nil {
+				f.Fatal(err)
+			}
+			raw := symbolsToBytes(syms)
+			pad := symbolsToBytes([]cssk.Symbol{a.Header(), a.Header(), a.Header()})
+			f.Add(append([]byte{byte(i)}, raw...))
+			f.Add(append(append([]byte{byte(i)}, raw...), pad...))                 // padded frame
+			f.Add(append(append([]byte{byte(i)}, raw[cfg.HeaderLen:]...), pad...)) // partially missed header
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 0, 3, 1, 0, 0, 7})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := Config{Alphabet: a, HeaderLen: 8, SyncLen: 2, FEC: fecs[int(data[0])%len(fecs)]}
+		if diff := prefixDecodesLikeStream(cfg, symbolsFromBytes(a, data[1:])); diff != "" {
+			t.Fatal(diff)
 		}
 	})
 }

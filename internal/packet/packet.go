@@ -188,40 +188,85 @@ func (c Config) FindPayloadStart(stream []cssk.Symbol) (int, bool) {
 
 // findPayloadStart locates the first data symbol after the preamble.
 func (c Config) findPayloadStart(stream []cssk.Symbol) (int, bool) {
-	minHeader := c.HeaderLen / 2
-	if minHeader < 2 {
-		minHeader = 2
-	}
-	headerRun := 0
-	syncSeen := false
+	p := c.preamble()
 	for i, s := range stream {
-		switch s.Kind {
-		case cssk.KindHeader:
-			if syncSeen {
-				// A header after sync restarts the search (new packet).
-				syncSeen = false
-				headerRun = 1
-				continue
-			}
-			headerRun++
-		case cssk.KindSync:
-			if headerRun >= minHeader {
-				syncSeen = true
-			} else {
-				headerRun = 0
-			}
-		case cssk.KindData:
-			if syncSeen {
-				return i, true
-			}
-			headerRun = 0
-		default:
-			headerRun = 0
-			syncSeen = false
+		if p.next(s.Kind) {
+			return i, true
 		}
-		_ = i
 	}
 	return 0, false
+}
+
+// preambleScan is DecodeStats' preamble search, fed one symbol at a time: a
+// run of at least minHeader header symbols, then a sync symbol, then the
+// first data symbol. A header after sync restarts the search (new packet).
+// Its decision at a symbol depends only on the symbols before it, so a
+// stream's prefix finds the same payload start as the whole stream.
+type preambleScan struct {
+	minHeader int
+	headerRun int
+	syncSeen  bool
+}
+
+// preamble returns a preamble search at its start: a header run of at least
+// HeaderLen/2 chirps, and no fewer than 2, tolerating a partially missed
+// header.
+func (c Config) preamble() preambleScan {
+	return preambleScan{minHeader: max(c.HeaderLen/2, 2)}
+}
+
+// next takes the next symbol's kind and reports whether it is the first
+// data symbol after the preamble.
+func (p *preambleScan) next(k cssk.SymbolKind) bool {
+	switch k {
+	case cssk.KindHeader:
+		if p.syncSeen {
+			p.syncSeen = false
+			p.headerRun = 1
+			return false
+		}
+		p.headerRun++
+	case cssk.KindSync:
+		if p.headerRun >= p.minHeader {
+			p.syncSeen = true
+		} else {
+			p.headerRun = 0
+		}
+	case cssk.KindData:
+		if p.syncSeen {
+			return true
+		}
+		p.headerRun = 0
+	default:
+		p.headerRun = 0
+		p.syncSeen = false
+	}
+	return false
+}
+
+// PayloadEnd follows a symbol stream as it is classified and reports the
+// symbol after which DecodeStats reads nothing more: the first non-data
+// symbol after the payload starts. DecodeStats on the stream up to and
+// including that symbol returns what it returns on the whole stream, so a
+// decoder can stop classifying there.
+type PayloadEnd struct {
+	pre       preambleScan
+	inPayload bool
+}
+
+// NewPayloadEnd returns a PayloadEnd at the start of a stream.
+func (c Config) NewPayloadEnd() PayloadEnd {
+	return PayloadEnd{pre: c.preamble()}
+}
+
+// Last takes the next symbol's kind and reports whether DecodeStats reads
+// nothing after that symbol.
+func (e *PayloadEnd) Last(k cssk.SymbolKind) bool {
+	if e.inPayload {
+		return k != cssk.KindData
+	}
+	e.inPayload = e.pre.next(k)
+	return false
 }
 
 // CRC8 computes the CRC-8/ATM checksum (polynomial x⁸+x²+x+1, 0x07) over

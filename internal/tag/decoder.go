@@ -10,6 +10,7 @@ import (
 	"biscatter/internal/cssk"
 	"biscatter/internal/dsp"
 	"biscatter/internal/fmcw"
+	"biscatter/internal/packet"
 )
 
 // Method selects the per-chirp spectral estimator.
@@ -59,7 +60,8 @@ var (
 //     modes);
 //  3. each chirp slot is classified against the CSSK constellation with a
 //     per-candidate matched window: the Goertzel power at the candidate
-//     beat over the candidate's own chirp duration.
+//     beat over the candidate's own chirp duration. A decoder that knows
+//     its packet framing stops at the slot that ends the payload.
 //
 // # Concurrency contract
 //
@@ -83,12 +85,12 @@ type Decoder struct {
 	// fftAC computes the period-search autocorrelation by real FFT; it owns
 	// its transform scratch under the same single-threaded contract.
 	fftAC dsp.FFTAutocorr
-	// tones caches the matched-filter basis tables of classifySlot, keyed by
-	// beat frequency; see toneTable.
-	tones map[float64]*dsp.ToneTable
-	// tonesReady records that prewarmToneTables has run, so steady-state
-	// decoding never builds tables (the allocation pins depend on it).
-	tonesReady bool
+	// cands holds classifySlot's matched-filter tables, one entry per
+	// constellation symbol; see buildCandidates.
+	cands []candidate
+	// framing, when set, is the packet framing the decoded symbols feed;
+	// DecodeSymbols then stops where the payload ends.
+	framing *packet.Config
 }
 
 // decoderScratch is the decoder's reusable buffer set: the squared power
@@ -125,7 +127,9 @@ type Diagnostics struct {
 	PeriodSamples float64
 	// ChirpStart is the estimated offset of the first full chirp start.
 	ChirpStart int
-	// Symbols is the number of chirp slots classified.
+	// Symbols is the number of chirp slots classified: every slot of the
+	// capture, or, for a decoder that knows its packet framing, the slots up
+	// to the one that ends the payload.
 	Symbols int
 	// FECCodedBits is the number of coded payload bits the FEC layer
 	// consumed (zero when FEC is disabled).
@@ -747,80 +751,51 @@ func (d *Decoder) AlignChirpStart(x []float64, period float64) int {
 	return bestBin
 }
 
-// toneTable returns the decoder's cached matched-filter table for a beat
-// frequency, building it on first use. Tables are keyed by the exact
-// float64 bits of the frequency; the constellation and each symbol's
-// fine-scan grid regenerate identical frequency sequences every slot, so
-// steady-state decoding hits the cache and allocates nothing here.
-func (d *Decoder) toneTable(freq float64) *dsp.ToneTable {
-	if t, ok := d.tones[freq]; ok {
-		return t
-	}
-	if d.tones == nil {
-		d.tones = make(map[float64]*dsp.ToneTable, 64)
-	}
-	t := dsp.NewToneTable(freq, d.SampleRate, 0)
-	d.tones[freq] = t
-	return t
+// candidate is one constellation symbol's matched-filter set, as
+// classifySlot reads it: the table at the symbol's beat, the length of the
+// window its chirp fills, and the fine-scan grid around the beat in scan
+// order.
+type candidate struct {
+	sym    cssk.Symbol
+	n      int
+	coarse *dsp.ToneTable
+	fine   []*dsp.ToneTable
 }
 
-// prewarmToneTables builds every matched-filter table the classify path can
-// request — one per constellation symbol plus each symbol's fine-scan grid —
-// grown to the symbol's full window, so the per-(frame, slot) hot loop only
-// ever hits the cache. It runs once, on the first decode: the alphabet and
-// sample rate are fixed at construction, so the working set is closed; a
-// mode change builds a new Decoder and with it a fresh cache. The fine-grid
-// frequencies are enumerated by the exact accumulation loop classifySlot
-// uses, so the cache keys match its queries bit for bit.
-func (d *Decoder) prewarmToneTables() {
-	if d.tonesReady || d.Method == MethodFFT {
+// buildCandidates builds classifySlot's candidate list on the first decode
+// — the header, the sync, then each data symbol — with every table grown to
+// its symbol's window, so the per-(frame, slot) hot loop builds nothing. The
+// alphabet and sample rate are fixed at construction, so the list never
+// changes; a mode change builds a new Decoder and with it a new list. The
+// FFT method needs no list.
+func (d *Decoder) buildCandidates() {
+	if d.cands != nil || d.Method == MethodFFT {
 		return
 	}
-	d.tonesReady = true
 	spacing := d.Alphabet.MinSpacing()
-	warm := func(s cssk.Symbol, err error) {
-		if err != nil {
-			return
-		}
-		n := int(s.Duration * d.SampleRate)
-		if n < 0 {
-			n = 0
-		}
-		d.toneTable(s.Beat).Grow(n)
+	add := func(s cssk.Symbol) {
+		n := max(int(s.Duration*d.SampleRate), 0)
+		c := candidate{sym: s, n: n, coarse: dsp.NewToneTable(s.Beat, d.SampleRate, n)}
 		for f := s.Beat - 1.5*spacing; f <= s.Beat+1.5*spacing; f += spacing / 10 {
 			if f <= 0 || f >= d.SampleRate/2 {
 				continue
 			}
-			d.toneTable(f).Grow(n)
+			c.fine = append(c.fine, dsp.NewToneTable(f, d.SampleRate, n))
 		}
+		d.cands = append(d.cands, c)
 	}
-	warm(d.Alphabet.Header(), nil)
-	warm(d.Alphabet.Sync(), nil)
-	for i := 0; i < d.Alphabet.DataSymbolCount(); i++ {
-		warm(d.Alphabet.DataSymbol(i))
+	add(d.Alphabet.Header())
+	add(d.Alphabet.Sync())
+	for i := range d.Alphabet.DataSymbolCount() {
+		if s, err := d.Alphabet.DataSymbol(i); err == nil {
+			add(s)
+		}
 	}
 }
 
 // classifySlot classifies one chirp slot starting at sample w using the
 // per-candidate matched window.
 func (d *Decoder) classifySlot(x []float64, w int, period float64) (cssk.Symbol, bool) {
-	best := math.Inf(-1)
-	var bestSym cssk.Symbol
-	classify := func(s cssk.Symbol) {
-		n := int(s.Duration * d.SampleRate)
-		if w+n > len(x) {
-			n = len(x) - w
-		}
-		if n < 4 {
-			return
-		}
-		win := x[w : w+n]
-		p := d.toneTable(s.Beat).EnergyAt(win) / float64(n)
-		if p > best {
-			best = p
-			bestSym = s
-		}
-	}
 	if d.Method == MethodFFT {
 		// Full-window FFT: take the longest possible chirp window, find the
 		// spectral peak, and classify the peak frequency to the nearest
@@ -854,47 +829,50 @@ func (d *Decoder) classifySlot(x []float64, w int, period float64) (cssk.Symbol,
 		freq := (float64(idx) + delta) * d.SampleRate / float64(m)
 		return d.Alphabet.ClassifyBeat(freq), true
 	}
-	classify(d.Alphabet.Header())
-	classify(d.Alphabet.Sync())
-	for i := 0; i < d.Alphabet.DataSymbolCount(); i++ {
-		s, err := d.Alphabet.DataSymbol(i)
-		if err != nil {
+	best := math.Inf(-1)
+	var bc *candidate
+	for i := range d.cands {
+		c := &d.cands[i]
+		n := min(c.n, len(x)-w)
+		if n < 4 {
 			continue
 		}
-		classify(s)
+		if p := c.coarse.EnergyAt(x[w:w+n]) / float64(n); p > best {
+			best, bc = p, c
+		}
 	}
-	if math.IsInf(best, -1) {
+	if bc == nil {
 		return cssk.Symbol{}, false
 	}
 	// Fine pass: the coarse matched filter resolves to within about one
 	// constellation point, but the ML frequency estimate of a tone in noise
 	// is far finer than the Fourier resolution of a single chirp. Scan the
 	// periodogram around the coarse beat and classify the refined peak.
-	n := int(bestSym.Duration * d.SampleRate)
-	if w+n > len(x) {
-		n = len(x) - w
+	n := min(bc.n, len(x)-w)
+	if n < 8 {
+		return bc.sym, true
 	}
-	if n >= 8 {
-		win := x[w : w+n]
-		spacing := d.Alphabet.MinSpacing()
-		fBest, pBest := bestSym.Beat, -1.0
-		for f := bestSym.Beat - 1.5*spacing; f <= bestSym.Beat+1.5*spacing; f += spacing / 10 {
-			if f <= 0 || f >= d.SampleRate/2 {
-				continue
-			}
-			if p := d.toneTable(f).EnergyAt(win); p > pBest {
-				pBest, fBest = p, f
-			}
+	win := x[w : w+n]
+	fBest, pBest := bc.sym.Beat, -1.0
+	for _, t := range bc.fine {
+		if p := t.EnergyAt(win); p > pBest {
+			pBest, fBest = p, t.Freq()
 		}
-		return d.Alphabet.ClassifyBeat(fBest), true
 	}
-	return bestSym, true
+	return d.Alphabet.ClassifyBeat(fBest), true
 }
 
-// DecodeSymbols classifies every complete chirp slot in the capture, given
-// the period (samples) and start offset. Each slot is micro-aligned to the
-// chirp's rising power edge, which absorbs residual period error over long
-// frames.
+// DecodeSymbols classifies the complete chirp slots of the capture in order,
+// given the period (samples) and start offset. Each slot is micro-aligned to
+// the chirp's rising power edge, which absorbs residual period error over
+// long frames.
+//
+// A decoder that knows its packet framing (tag.New gives it one) stops at
+// the symbol that ends the payload, the first non-data symbol after it: the
+// radar pads a frame with header chirps to the uplink's length, and
+// packet.Config.DecodeStats reads nothing past that symbol, so the symbols
+// returned decode exactly as the whole frame's would. A bare decoder from
+// NewDecoder classifies every slot.
 //
 // A start within edge reach of the period is a chirp that begins at, or
 // just before, sample 0: the fold wrapped its edge onto the last bin. The
@@ -906,13 +884,21 @@ func (d *Decoder) DecodeSymbols(x []float64, period float64, start int) []cssk.S
 		first = -1
 	}
 	slot := func(k int) int { return start + int(math.Round(float64(k)*period)) }
-	// A slot needs half a period of capture; count them first, so the
-	// result is allocated once, at its exact size.
+	// A slot needs half a period of capture. A bare decoder fills every
+	// slot, so its result is allocated once, at its exact size; a framed one
+	// stops early, so its result grows as it goes.
 	end := first
 	for slot(end)+int(0.5*period) <= len(x) {
 		end++
 	}
-	out := make([]cssk.Symbol, 0, end-first)
+	var out []cssk.Symbol
+	var payload packet.PayloadEnd
+	if d.framing != nil {
+		payload = d.framing.NewPayloadEnd()
+	} else {
+		out = make([]cssk.Symbol, 0, end-first)
+	}
+	d.buildCandidates()
 	for k := first; k < end; k++ {
 		w := slot(k)
 		w += d.edgeOffset(x, w)
@@ -921,6 +907,9 @@ func (d *Decoder) DecodeSymbols(x []float64, period float64, start int) []cssk.S
 		}
 		if s, ok := d.classifySlot(x, w, period); ok {
 			out = append(out, s)
+			if d.framing != nil && payload.Last(s.Kind) {
+				break
+			}
 		}
 	}
 	return out
@@ -963,9 +952,11 @@ func (d *Decoder) edgeOffset(x []float64, w int) int {
 }
 
 // DecodeFrame runs the full pipeline on a capture: period estimation,
-// alignment, per-slot classification.
+// alignment, per-slot classification. Like DecodeSymbols, a decoder that
+// knows its packet framing classifies the slots up to the payload's end, and
+// a bare one every slot.
 func (d *Decoder) DecodeFrame(x []float64) ([]cssk.Symbol, Diagnostics, error) {
-	d.prewarmToneTables()
+	d.buildCandidates()
 	period, err := d.EstimatePeriod(x)
 	if err != nil {
 		return nil, Diagnostics{}, err

@@ -3,8 +3,8 @@ package tag
 import (
 	"fmt"
 
-	"biscatter/internal/cssk"
 	"biscatter/internal/delayline"
+	"biscatter/internal/packet"
 )
 
 // Tag assembles the full BiScatter node of Fig. 2: the delay-line decoder
@@ -31,8 +31,10 @@ const ADCRate = 1e6
 type Config struct {
 	// Pair is the physical delay-line pair (required).
 	Pair delayline.Pair
-	// Alphabet is the agreed CSSK constellation (required).
-	Alphabet *cssk.Alphabet
+	// Packet is the downlink packet framing, its alphabet the agreed CSSK
+	// constellation (required). The decoder stops classifying a frame's
+	// chirps where the packet's payload ends (see Decoder.DecodeSymbols).
+	Packet packet.Config
 	// CenterFrequency is the chirp center frequency; required.
 	CenterFrequency float64
 	// Modulator configures the uplink; required for uplink operation.
@@ -45,17 +47,18 @@ type Config struct {
 
 // New builds a Tag.
 func New(cfg Config) (*Tag, error) {
-	if cfg.Alphabet == nil {
-		return nil, fmt.Errorf("tag: alphabet is required")
+	if err := cfg.Packet.Validate(); err != nil {
+		return nil, err
 	}
 	fe, err := NewFrontEnd(cfg.Pair, ADCRate, cfg.CenterFrequency, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := NewDecoder(cfg.Alphabet, ADCRate)
+	dec, err := NewDecoder(cfg.Packet.Alphabet, ADCRate)
 	if err != nil {
 		return nil, err
 	}
+	dec.framing = &cfg.Packet
 	return &Tag{
 		FrontEnd:  fe,
 		Decoder:   dec,

@@ -3,8 +3,10 @@ package tag
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -303,6 +305,64 @@ func TestDecodeSymbolsCleanChannel(t *testing.T) {
 	}
 }
 
+// TestFramedDecoderStopsAtPayloadEnd decodes padded frames, as the radar
+// pads them to the uplink's length, with a decoder that knows its packet
+// framing (tag.New's, the one core builds) and with a bare one. The bare
+// decoder returns one symbol per chirp slot of a clean frame. The framed one
+// returns the bare one's first symbols, fewer than half of them on a clean
+// frame, and the same payload, FEC stats and error. So does the walk of
+// EstimatePeriod, AlignChirpStart and DecodeSymbols on a fresh framed
+// decoder, which builds its tone tables in DecodeSymbols.
+func TestFramedDecoderStopsAtPayloadEnd(t *testing.T) {
+	const chirps = 128
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, snr := range []float64{25, 8} {
+			s := newSetup(t, 5, seed)
+			framed := func() *Decoder {
+				tg, err := New(Config{Pair: s.pair, Packet: s.pkt, CenterFrequency: testFc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tg.Decoder
+			}
+			x := s.paddedCapture(t, []byte("stop"), chirps, snr)
+			all, diag, err := s.dec.DecodeFrame(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snr == 25 && len(all) != chirps {
+				t.Fatalf("seed %d: bare decoder returned %d symbols from %d chirps", seed, len(all), chirps)
+			}
+			got, fdiag, err := framed().DecodeFrame(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := framed()
+			period, err := dec.EstimatePeriod(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walked := dec.DecodeSymbols(x, period, dec.AlignChirpStart(x, period))
+			wp, ws, werr := s.pkt.DecodeStats(all)
+			for _, syms := range [][]cssk.Symbol{got, walked} {
+				if len(syms) > len(all) || !slices.Equal(syms, all[:len(syms)]) {
+					t.Fatalf("seed %d, %v dB: framed decoder returned %d symbols, not a prefix of the bare decoder's %d", seed, snr, len(syms), len(all))
+				}
+				if snr == 25 && len(syms) >= chirps/2 {
+					t.Fatalf("seed %d: framed decoder classified %d of %d chirp slots of a clean frame", seed, len(syms), chirps)
+				}
+				gp, gs, gerr := s.pkt.DecodeStats(syms)
+				if !bytes.Equal(gp, wp) || gs != ws || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("seed %d, %v dB: %d symbols decode to %q %+v %v, all %d to %q %+v %v", seed, snr, len(syms), gp, gs, gerr, len(all), wp, ws, werr)
+				}
+			}
+			if fdiag.Symbols != len(got) || fdiag.PeriodSamples != diag.PeriodSamples || fdiag.ChirpStart != diag.ChirpStart {
+				t.Fatalf("seed %d, %v dB: framed diagnostics %+v, bare %+v", seed, snr, fdiag, diag)
+			}
+		}
+	}
+}
+
 func TestDecodePacketEndToEnd(t *testing.T) {
 	s := newSetup(t, 5, 10)
 	payload := []byte{0x42, 0x00, 0xFF, 0x17}
@@ -524,7 +584,7 @@ func TestTagAssembly(t *testing.T) {
 	mod, _ := NewModulator(SchemeOOK, 2e3, 0, testPeriod, 8)
 	tg, err := New(Config{
 		Pair:            s.pair, // alphabet was calibrated for this pair
-		Alphabet:        s.alpha,
+		Packet:          s.pkt,
 		CenterFrequency: testFc,
 		Modulator:       mod,
 		Seed:            21,
@@ -559,13 +619,16 @@ func TestTagConfigValidation(t *testing.T) {
 		t.Error("missing alphabet should fail")
 	}
 	s := newSetup(t, 5, 22)
-	if _, err := New(Config{Alphabet: s.alpha, CenterFrequency: testFc}); err == nil {
+	if _, err := New(Config{Packet: s.pkt, CenterFrequency: testFc}); err == nil {
 		t.Error("missing delay-line pair should fail")
 	}
-	if _, err := New(Config{Pair: s.pair, Alphabet: s.alpha}); err == nil {
+	if _, err := New(Config{Pair: s.pair, Packet: s.pkt}); err == nil {
 		t.Error("missing center frequency should fail")
 	}
-	tg, err := New(Config{Pair: s.pair, Alphabet: s.alpha, CenterFrequency: testFc})
+	if _, err := New(Config{Pair: s.pair, Packet: packet.Config{Alphabet: s.alpha, HeaderLen: 2, SyncLen: 2}, CenterFrequency: testFc}); err == nil {
+		t.Error("invalid packet framing should fail")
+	}
+	tg, err := New(Config{Pair: s.pair, Packet: s.pkt, CenterFrequency: testFc})
 	if err != nil {
 		t.Fatal(err)
 	}
