@@ -50,15 +50,16 @@
 // # Serving many networks: Fleet vs Network
 //
 // A Network is a single-threaded engine: one deployment, one goroutine,
-// zero steady-state allocations. A Fleet is the serving layer above it — a
-// pool of engines hosting many Networks with concurrent submission, bounded
-// queues and aggregate telemetry. Choose by workload:
+// zero steady-state allocations. A Fleet is the serving layer above it,
+// hosting many Networks with concurrent submission: each call runs on its
+// caller's goroutine, one at a time per network and at most Engines at
+// once, with aggregate telemetry. Choose by workload:
 //
 //	                     Network                Fleet
 //	deployments          one                    many
 //	callers              one goroutine          any number of goroutines
-//	scheduling           caller's loop          engine pool, per-network FIFO
-//	backpressure         none (caller-paced)    bounded queues + ctx deadline
+//	scheduling           caller's loop          per-network turn, Engines wide
+//	backpressure         none (caller-paced)    wait for turn + slot, ctx deadline
 //	telemetry            per-network registry   shared registry + fleet.* stats
 //	determinism          bit-for-bit            bit-for-bit per network
 //
@@ -188,8 +189,7 @@ type (
 	// FECStats reports one decode's coded-bit volume and corrected bits.
 	FECStats = fec.Stats
 	// DeliverOptions tunes the context-aware ARQ engine behind
-	// Network.DeliverReliableContext: attempt budget, ACK redundancy and
-	// an optional Sleep for wall-clock backoff.
+	// Network.DeliverReliableContext: attempt budget and ACK redundancy.
 	DeliverOptions = core.DeliverOptions
 	// DeliveryReport is the full diagnostic record of one reliable delivery.
 	DeliveryReport = core.DeliveryReport
@@ -207,12 +207,13 @@ type (
 	// BreakerState is a node's circuit-breaker state inside a
 	// LinkController.
 	BreakerState = core.BreakerState
-	// Fleet is the serving layer: a pool of exchange engines hosting many
-	// Networks with concurrent submission, bounded queues and aggregate
-	// telemetry. See the package-level Fleet-vs-Network table.
+	// Fleet is the serving layer: it hosts many Networks with concurrent
+	// submission, runs each call on its caller's goroutine at most Engines
+	// at a time, and keeps aggregate telemetry. See the package-level
+	// Fleet-vs-Network table.
 	Fleet = core.Fleet
-	// FleetConfig assembles a Fleet; the zero value selects GOMAXPROCS
-	// engines with depth-16 queues.
+	// FleetConfig assembles a Fleet; the zero value selects a width of
+	// GOMAXPROCS concurrent calls.
 	FleetConfig = core.FleetConfig
 	// FleetNetwork is one resident network of a Fleet: a concurrent-safe
 	// handle mirroring Network's pipeline entry points.
@@ -297,7 +298,7 @@ func NewNetwork(cfg Config, opts ...Option) (*Network, error) {
 	return core.NewNetwork(cfg, opts...)
 }
 
-// NewFleet builds a pool of exchange engines. defaults are NewNetwork
+// NewFleet builds a fleet Engines calls wide. defaults are NewNetwork
 // options applied to every network the fleet builds, before the options
 // given to AddNetwork — one Option set serves both levels.
 func NewFleet(cfg FleetConfig, defaults ...Option) *Fleet {

@@ -1,8 +1,8 @@
 // Command biscatter-radar runs the BiScatter access point as a gateway
 // process serving a fleet of biscatter-tag client processes. The radar owns
 // the full exchange pipeline; each tag submits its uplink bits over a
-// supervised session (heartbeat liveness, per-session circuit breakers,
-// bounded send queues) and receives its round outcome. Every round is
+// supervised session (heartbeat liveness, per-session circuit breakers)
+// and receives its round outcome. Every round is
 // captured into a replayable exchange record:
 //
 //	biscatter-radar -listen 127.0.0.1:9100 -tags 3 -rounds 5 -record-out run.bsctrace

@@ -19,11 +19,6 @@ type DeliverOptions struct {
 	// verdict across this many uplink bits and the radar majority-votes
 	// them. Must be odd so the vote has no ties; default 3.
 	AckBits int
-	// Sleep, when non-nil, is called with each backoff delay. The default
-	// (nil) only records the delays in the report — simulation time is
-	// free, and experiments must stay deterministic and fast. Pass
-	// time.Sleep for wall-clock pacing on real hardware.
-	Sleep func(time.Duration)
 }
 
 // The ARQ backoff schedule: the first retry waits arqFirstBackoff (a
@@ -96,8 +91,9 @@ type DeliveryReport struct {
 	// Exchanges is the total number of frame slots consumed (payload +
 	// acknowledgment frames), the airtime denominator for goodput.
 	Exchanges int
-	// TotalBackoff is the summed backoff the engine scheduled (and slept,
-	// when DeliverOptions.Sleep is set).
+	// TotalBackoff is the summed backoff the engine scheduled. The engine
+	// only records it: simulation time is free, and experiments must stay
+	// deterministic and fast.
 	TotalBackoff time.Duration
 	// AttemptLog records per-attempt diagnostics, one entry per attempt.
 	AttemptLog []AttemptReport
@@ -110,8 +106,7 @@ type DeliveryReport struct {
 // acknowledgment frame on which the node repeats its verdict across
 // opts.AckBits uplink bits for the radar to majority-vote. Failed attempts
 // back off exponentially (capped) with deterministic seeded jitter before
-// retrying; the delays are recorded in the report and, when opts.Sleep is
-// set, actually slept. ctx is checked between frames and propagated into
+// retrying; the delays are recorded in the report, not slept. ctx is checked between frames and propagated into
 // every exchange, so cancellation (or a deadline) aborts mid-sequence with
 // the report accumulated so far.
 func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, payload []byte, opts DeliverOptions) (DeliveryReport, error) {
@@ -173,9 +168,6 @@ func (n *Network) DeliverReliableContext(ctx context.Context, nodeIdx int, paylo
 			d := retry.Backoff(arqFirstBackoff, arqBackoffFactor, attempt-1, u)
 			ar.Backoff = d
 			rep.TotalBackoff += d
-			if opts.Sleep != nil {
-				opts.Sleep(d)
-			}
 		}
 		rep.AttemptLog = append(rep.AttemptLog, ar)
 		if delivered {

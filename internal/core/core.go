@@ -160,7 +160,7 @@ type Node struct {
 // only until the next call on the same Network — callers that keep results
 // across exchanges must copy them. Separate Networks share nothing mutable
 // and may run fully in parallel; a Fleet packages that pattern as a server
-// (many networks scheduled across a pool of serially-driven engines).
+// (many networks, each driven serially, at most Engines running at once).
 type Network struct {
 	cfg      Config
 	link     channel.Link

@@ -23,7 +23,7 @@ var (
 	// there is nothing to decode, detect or demodulate.
 	ErrNodeInactive = errors.New("core: node inactive this round")
 
-	// ErrFleetClosed is returned by Fleet methods after Close: the engines
-	// have drained their queues and exited, so no further work is accepted.
+	// ErrFleetClosed is returned by Fleet methods after Close: the calls
+	// admitted before it have returned, and no further work is accepted.
 	ErrFleetClosed = errors.New("core: fleet is closed")
 )

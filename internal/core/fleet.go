@@ -16,10 +16,9 @@ import (
 // the same Config + functional Option set NewNetwork takes, as fleet-wide
 // defaults on NewFleet and per-network settings on AddNetwork.
 type FleetConfig struct {
-	// Engines is the number of exchange engines — the fleet's concurrency
-	// width. Each engine is one goroutine that drives its resident
-	// networks serially, honoring the single-threaded Network contract.
-	// Non-positive selects GOMAXPROCS.
+	// Engines is the fleet's concurrency width: at most this many calls,
+	// on different networks, run at once. Each call runs on its caller's
+	// goroutine. Non-positive selects GOMAXPROCS.
 	Engines int
 	// Metrics receives the fleet's aggregate telemetry (queue-wait and
 	// latency histograms, busy-engine gauge, per-network counters) and is
@@ -39,42 +38,17 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	return c
 }
 
-// fleetQueueDepth bounds each engine's request queue. A submit against a
-// full queue waits until a slot frees or the caller's context expires
-// (reject-or-wait backpressure via context deadlines).
-const fleetQueueDepth = 16
-
-// fleetReq is one unit of engine work: a closure run on the owning engine's
-// goroutine. done is closed after run returns; the submitter blocks on it,
-// which is the happens-before edge that hands the results back.
-type fleetReq struct {
-	ctx  context.Context
-	run  func(ctx context.Context)
-	done chan struct{}
-	enq  time.Time
-}
-
-// engine is one serially-driven exchange lane: a goroutine plus the bounded
-// queue feeding it. Networks are pinned to engines, so every network's
-// requests execute in submission order on a single goroutine — the fleet's
-// way of honoring the Network single-threaded contract while many networks
-// make progress concurrently.
-type engine struct {
-	id    int
-	queue chan *fleetReq
-}
-
 // fleetTel holds the fleet's pre-resolved telemetry handles; the zero value
 // is the disabled state (all methods no-op).
 type fleetTel struct {
 	m         *telemetry.Metrics
-	queueWait *telemetry.Histogram // fleet.queue_wait.seconds: enqueue → claim
+	queueWait *telemetry.Histogram // fleet.queue_wait.seconds: submit → turn and width slot held
 	latency   *telemetry.Histogram // fleet.latency.seconds: submit → done
-	busy      *telemetry.Gauge     // fleet.busy_engines
+	busy      *telemetry.Gauge     // fleet.busy_engines: calls holding a width slot
 	engines   *telemetry.Gauge     // fleet.engines (static width)
 	networks  *telemetry.Gauge     // fleet.networks (resident count)
 	requests  *telemetry.Counter   // fleet.requests (completed submissions)
-	rejected  *telemetry.Counter   // fleet.rejected (backpressure/deadline)
+	rejected  *telemetry.Counter   // fleet.rejected (context done before the call ran)
 }
 
 func newFleetTel(m *telemetry.Metrics) fleetTel {
@@ -95,45 +69,46 @@ func newFleetTel(m *telemetry.Metrics) fleetTel {
 
 func (t fleetTel) enabled() bool { return t.m != nil }
 
-// Fleet is the serving layer over a pool of exchange engines: it hosts many
-// independent Networks in one process and schedules their Exchange /
-// Localize / MapEnvironment calls across N engines with per-network
-// isolation, bounded queues and aggregate telemetry.
+// Fleet is the serving layer over many independent Networks in one
+// process: it runs their Exchange / Localize / MapEnvironment calls at most
+// Engines at a time, one at a time per network, with aggregate telemetry.
 //
 // # Concurrency contract
 //
 // A Fleet is safe for concurrent use by any number of goroutines — that is
-// its purpose. Each resident network is pinned to one engine and driven
-// serially in submission order, so per-network results are byte-identical
-// to the same call sequence on a standalone Network with the same seed.
-// Results still follow the Network ownership contract, scoped per network:
+// its purpose. Every call runs on its caller's goroutine once it holds its
+// network's turn and one of the fleet's width slots, so each resident
+// network is driven serially and its results are byte-identical to the
+// same call sequence on a standalone Network with the same seed. Results
+// still follow the Network ownership contract, scoped per network:
 // slice-typed outputs are valid until the next call on the same
 // FleetNetwork. Calls on different FleetNetworks never invalidate each
 // other.
 //
-// Backpressure: every engine queue is bounded (fleetQueueDepth).
-// When a network's engine queue is full, submission blocks until a slot
-// frees or ctx is done — so callers choose reject-or-wait by deadline:
+// Backpressure: a call waits for its network's turn, then for a width
+// slot, until ctx is done — so callers choose reject-or-wait by deadline:
 // a context without a deadline waits, one with a deadline rejects with
-// ctx.Err() when it expires. Rejections count into fleet.rejected.
+// ctx.Err() when it expires before the call starts. Rejections count into
+// fleet.rejected. A call never holds a width slot while it waits for a
+// busy network.
 type Fleet struct {
 	cfg      FleetConfig
 	defaults []Option
-	engines  []*engine
 	tel      fleetTel
 
-	// mu serializes submissions against Close: submitters hold it (read
-	// side) for the enqueue only — never while waiting for the result — so
-	// Close can take the write side once every in-flight enqueue resolved,
-	// mark the fleet closed and close the queues without racing a send.
+	// slots holds one token per running call; its capacity is the width.
+	slots chan struct{}
+
+	// mu orders admission against Close: a call is admitted, and counted
+	// into calls, under the read side only while the fleet is open, so
+	// Close's wait covers every call admitted before it.
 	mu       sync.RWMutex
 	closed   bool
 	networks int
-
-	wg sync.WaitGroup
+	calls    sync.WaitGroup
 }
 
-// NewFleet builds a fleet of exchange engines. defaults are NewNetwork
+// NewFleet builds a fleet of the given width. defaults are NewNetwork
 // options applied to every network the fleet builds, before the options
 // given to AddNetwork — the same functional Option set NewNetwork accepts,
 // so fleet-wide policy (WithPreset, WithWorkers, WithFaults, ...) and
@@ -144,75 +119,27 @@ func NewFleet(cfg FleetConfig, defaults ...Option) *Fleet {
 		cfg:      cfg,
 		defaults: defaults,
 		tel:      newFleetTel(cfg.Metrics),
+		slots:    make(chan struct{}, cfg.Engines),
 	}
 	f.tel.engines.Set(float64(cfg.Engines))
-	for i := 0; i < cfg.Engines; i++ {
-		e := &engine{id: i, queue: make(chan *fleetReq, fleetQueueDepth)}
-		f.engines = append(f.engines, e)
-		f.wg.Add(1)
-		go f.engineLoop(e)
-	}
 	return f
 }
 
-// engineLoop drains one engine's queue until Close closes it. Each request
-// runs to completion before the next is claimed; the busy gauge counts
-// engines currently inside a request.
-func (f *Fleet) engineLoop(e *engine) {
-	defer f.wg.Done()
-	for req := range e.queue {
-		if f.tel.enabled() {
-			f.tel.queueWait.Observe(time.Since(req.enq).Seconds())
-		}
-		f.tel.busy.Add(1)
-		sp := f.tel.m.Span("fleet.service")
-		req.run(req.ctx)
-		sp.End()
-		f.tel.busy.Add(-1)
-		close(req.done)
-	}
-}
-
-// do schedules run on the engine and waits for it to finish. The enqueue
-// respects the bounded queue: a full queue blocks until a slot frees or ctx
-// is done. Once enqueued, the request always runs (run sees ctx and returns
-// promptly when it is already cancelled), so results never race a
-// mid-flight abandonment.
-func (f *Fleet) do(ctx context.Context, e *engine, run func(ctx context.Context)) error {
-	if err := ctx.Err(); err != nil {
-		f.tel.rejected.Inc()
-		return err
-	}
-	req := &fleetReq{ctx: ctx, run: run, done: make(chan struct{})}
-	if f.tel.enabled() {
-		req.enq = time.Now()
-	}
+// admit counts a call into calls unless the fleet is closed.
+func (f *Fleet) admit() error {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
 	if f.closed {
-		f.mu.RUnlock()
 		return ErrFleetClosed
 	}
-	select {
-	case e.queue <- req:
-		f.mu.RUnlock()
-	case <-ctx.Done():
-		f.mu.RUnlock()
-		f.tel.rejected.Inc()
-		return ctx.Err()
-	}
-	<-req.done
-	if f.tel.enabled() {
-		f.tel.latency.Observe(time.Since(req.enq).Seconds())
-	}
-	f.tel.requests.Inc()
+	f.calls.Add(1)
 	return nil
 }
 
 // AddNetwork builds a network from the configuration, the fleet defaults
 // and the per-network options (fleet defaults run first, so per-network
-// options override them), and pins it to an engine round-robin. The fleet's
-// metrics registry and tracer are attached ahead of the option list, so an
-// explicit WithMetrics still wins.
+// options override them). The fleet's metrics registry and tracer are
+// attached ahead of the option list, so an explicit WithMetrics still wins.
 func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -241,7 +168,7 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	}
 	fn := &FleetNetwork{
 		fleet: f,
-		eng:   f.engines[id%len(f.engines)],
+		turn:  make(chan struct{}, 1),
 		net:   net,
 		id:    id,
 	}
@@ -255,7 +182,7 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 }
 
 // Engines returns the fleet's concurrency width.
-func (f *Fleet) Engines() int { return len(f.engines) }
+func (f *Fleet) Engines() int { return cap(f.slots) }
 
 // Networks returns the number of resident networks.
 func (f *Fleet) Networks() int {
@@ -270,31 +197,24 @@ func (f *Fleet) Networks() int {
 // built without a registry.
 func (f *Fleet) Metrics() telemetry.Snapshot { return f.tel.m.Snapshot() }
 
-// Close drains and stops the fleet: queued requests run to completion, new
-// submissions fail with ErrFleetClosed, and Close returns once every engine
-// goroutine has exited. Closing an already-closed fleet is a no-op.
+// Close stops the fleet: calls admitted before it still run, later calls
+// and AddNetwork fail with ErrFleetClosed, and Close returns once every
+// admitted call has returned. Closing an already-closed fleet is a no-op.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
 	f.closed = true
-	for _, e := range f.engines {
-		close(e.queue)
-	}
 	f.mu.Unlock()
-	f.wg.Wait()
+	f.calls.Wait()
 }
 
 // FleetNetwork is one resident network of a Fleet: a handle whose Exchange
-// and Do run on the network's engine, serialized with the network's other
-// requests. The handle is safe for concurrent use; concurrent calls on the
-// same handle are run one at a time in queue order (results follow the
-// per-network ownership contract — valid until the handle's next call).
+// and Do run the network's calls one at a time. The handle is safe for
+// concurrent use; concurrent calls on the same handle take the network's
+// turn in arrival order (results follow the per-network ownership contract
+// — valid until the handle's next call).
 type FleetNetwork struct {
 	fleet *Fleet
-	eng   *engine
+	turn  chan struct{} // one slot: held by the network's running call
 	net   *Network
 	id    int
 
@@ -309,42 +229,75 @@ func (fn *FleetNetwork) ID() int { return fn.id }
 // Network returns the underlying network for configuration inspection
 // (Config, Alphabet, DownlinkDataRate, ...). Do NOT call pipeline methods
 // (Exchange, Localize, ...) on it directly while the fleet serves it — that
-// would race the engine; go through Exchange or Do instead.
+// would race the network's fleet calls; go through Exchange or Do instead.
 func (fn *FleetNetwork) Network() *Network { return fn.net }
 
-// Do runs f on the network's engine, serialized with the network's other
-// requests — the way to run any pipeline call other than a plain Exchange
-// (a scheduled cycle, a sensing round, a GatewayMux driving an
-// ExchangeRecorder against the resident network) with engine affinity. f
-// receives the resident network; everything it produces follows the
-// per-network ownership contract (valid until the handle's next request).
-// The returned error is f's own unless scheduling failed (context done,
-// fleet closed).
-func (fn *FleetNetwork) Do(ctx context.Context, f func(ctx context.Context, n *Network) error) error {
-	var rerr error
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		rerr = f(ctx, fn.net)
-	}); err != nil {
-		fn.outcome(err)
+// Do runs f on the caller's goroutine once it holds the network's turn and
+// a fleet width slot, serialized with the network's other calls — the way
+// to run any pipeline call other than a plain Exchange (a scheduled cycle,
+// a sensing round, a GatewayMux driving an ExchangeRecorder against the
+// resident network). f receives the resident network; everything it
+// produces follows the per-network ownership contract (valid until the
+// handle's next call). ctx bounds both waits; once f runs, it sees ctx
+// itself. The returned error is f's own unless scheduling failed (context
+// done, fleet closed).
+func (fn *FleetNetwork) Do(ctx context.Context, f func(ctx context.Context, n *Network) error) (err error) {
+	defer fn.outcome(&err)
+	fl := fn.fleet
+	if err := ctx.Err(); err != nil {
+		fl.tel.rejected.Inc()
 		return err
 	}
-	fn.outcome(rerr)
-	return rerr
+	if err := fl.admit(); err != nil {
+		return err
+	}
+	defer fl.calls.Done()
+	var start time.Time
+	if fl.tel.enabled() {
+		start = time.Now()
+	}
+	select {
+	case fn.turn <- struct{}{}:
+		defer func() { <-fn.turn }()
+	case <-ctx.Done():
+		fl.tel.rejected.Inc()
+		return ctx.Err()
+	}
+	select {
+	case fl.slots <- struct{}{}:
+		defer func() { <-fl.slots }()
+	case <-ctx.Done():
+		fl.tel.rejected.Inc()
+		return ctx.Err()
+	}
+	if fl.tel.enabled() {
+		fl.tel.queueWait.Observe(time.Since(start).Seconds())
+	}
+	fl.tel.busy.Add(1)
+	sp := fl.tel.m.Span("fleet.service")
+	err = f(ctx, fn.net)
+	sp.End()
+	fl.tel.busy.Add(-1)
+	if fl.tel.enabled() {
+		fl.tel.latency.Observe(time.Since(start).Seconds())
+	}
+	fl.tel.requests.Inc()
+	return err
 }
 
 // outcome tallies one request's per-network counters.
-func (fn *FleetNetwork) outcome(err error) {
+func (fn *FleetNetwork) outcome(err *error) {
 	fn.requests.Inc()
-	if err != nil {
+	if *err != nil {
 		fn.errors.Inc()
 	}
 }
 
-// ExchangeContext schedules one integrated ISAC round on the network's
-// engine and returns its result; see Network.ExchangeContext for the round
-// semantics. Submission blocks while the engine queue is full (backpressure
-// — bound it with a context deadline); ctx also cancels the round itself
-// cooperatively once it runs.
+// ExchangeContext runs one integrated ISAC round on the network and returns
+// its result; see Network.ExchangeContext for the round semantics. It waits
+// for the network's turn and a width slot (backpressure — bound it with a
+// context deadline); ctx also cancels the round itself cooperatively once
+// it runs.
 func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (res *ExchangeResult, err error) {
 	err = fn.Do(ctx, func(ctx context.Context, n *Network) (err error) {
 		res, err = n.ExchangeContext(ctx, payload, uplinkBits, opts...)
@@ -353,8 +306,8 @@ func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, upl
 	return res, err
 }
 
-// Exchange is ExchangeContext with a background context: it waits for a
-// queue slot indefinitely.
+// Exchange is ExchangeContext with a background context: it waits for the
+// network's turn and a width slot indefinitely.
 func (fn *FleetNetwork) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
 	return fn.ExchangeContext(context.Background(), payload, uplinkBits, opts...)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,9 +132,46 @@ func TestFleetSharedHandleSerializes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFleetBackpressureDeadline wedges a 1-engine fleet (one request running,
-// queue full behind it) and checks that a deadline-bounded submission is
-// rejected with the context error while an unbounded one waits it out.
+// waitingCtx is a background context that reports when a call first asks
+// for its Done channel, which the fleet does only once it has admitted the
+// call and starts to wait for the network's turn.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitingCtx() *waitingCtx {
+	return &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// wedge starts a Do on fn that blocks until gate closes, and returns once
+// it runs, holding fn's turn and a width slot. Its error arrives on the
+// returned channel.
+func wedge(fn *FleetNetwork, gate <-chan struct{}) <-chan error {
+	running := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- fn.Do(context.Background(), func(context.Context, *Network) error {
+			close(running)
+			<-gate
+			return nil
+		})
+	}()
+	<-running
+	return done
+}
+
+// TestFleetBackpressureDeadline wedges a 1-engine fleet (one call running,
+// four more waiting behind it) and checks that deadline-bounded calls are
+// rejected with the context error, both on the wedged network and on a
+// second network waiting for the held width slot, while an unbounded call
+// waits the wedge out.
 func TestFleetBackpressureDeadline(t *testing.T) {
 	m := telemetry.New()
 	f := NewFleet(FleetConfig{Engines: 1, Metrics: m})
@@ -142,36 +180,50 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := f.AddNetwork(fleetNodeConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	gate := make(chan struct{})
 	var gateOnce sync.Once
 	release := func() { gateOnce.Do(func() { close(gate) }) }
-	block := func(context.Context) { <-gate }
-	running := &fleetReq{ctx: context.Background(), run: block, done: make(chan struct{})}
-	f.engines[0].queue <- running // engine claims this and blocks on gate
-	queued := make([]*fleetReq, fleetQueueDepth)
-	for i := range queued { // fill the queue behind it
-		queued[i] = &fleetReq{ctx: context.Background(), run: func(context.Context) {}, done: make(chan struct{})}
-		f.engines[0].queue <- queued[i]
+	// A call that waits past its deadline returns only once the gate
+	// opens; the watchdog opens it, so the test fails instead of hanging.
+	var fired atomic.Bool
+	watchdog := time.AfterFunc(10*time.Second, func() {
+		fired.Store(true)
+		release()
+	})
+	defer watchdog.Stop()
+	defer release()
+	wedged := wedge(fn, gate)
+	queued := make(chan error, 4)
+	for i := 0; i < cap(queued); i++ {
+		ctx := newWaitingCtx()
+		go func() { queued <- fn.Do(ctx, func(context.Context, *Network) error { return nil }) }()
+		<-ctx.waiting
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	// A submission that is enqueued instead of rejected waits behind the
-	// gate; the watchdog releases it, so the test fails instead of hanging.
-	watchdog := time.AfterFunc(10*time.Second, release)
-	_, err = fn.ExchangeContext(ctx, []byte{1}, nil)
-	if !watchdog.Stop() {
-		t.Fatalf("wedged fleet submission returned %v only after the watchdog released the engine: it was enqueued, not rejected", err)
+	for _, c := range []struct {
+		name string
+		fn   *FleetNetwork
+	}{{"wedged network", fn}, {"second network", other}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, err := c.fn.ExchangeContext(ctx, []byte{1}, nil)
+		cancel()
+		if fired.Load() {
+			t.Fatalf("%s: wedged fleet call returned %v only after the watchdog released the wedge: it waited past its deadline", c.name, err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: wedged fleet call returned %v, want DeadlineExceeded", c.name, err)
+		}
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("wedged fleet submission returned %v, want DeadlineExceeded", err)
-	}
-	if got := m.Counter("fleet.rejected").Value(); got != 1 {
-		t.Fatalf("fleet.rejected = %d, want 1", got)
+	if got := m.Counter("fleet.rejected").Value(); got != 2 {
+		t.Fatalf("fleet.rejected = %d, want 2", got)
 	}
 
-	// An unbounded submission waits for the wedge to clear and then runs.
+	// An unbounded call waits for the wedge to clear and then runs.
 	res := make(chan error, 1)
 	go func() {
 		_, err := fn.Exchange([]byte{2}, nil)
@@ -179,16 +231,73 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 	}()
 	select {
 	case err := <-res:
-		t.Fatalf("submission completed against a wedged engine: %v", err)
+		t.Fatalf("call completed against a wedged fleet: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
 	release()
 	if err := <-res; err != nil {
 		t.Fatalf("post-wedge exchange failed: %v", err)
 	}
-	<-running.done
-	for _, q := range queued {
-		<-q.done
+	if err := <-wedged; err != nil {
+		t.Fatalf("wedged call: %v", err)
+	}
+	for i := 0; i < cap(queued); i++ {
+		if err := <-queued; err != nil {
+			t.Fatalf("queued call: %v", err)
+		}
+	}
+}
+
+// TestFleetCloseWaitsForAdmittedCalls pins Close's drain: Close issued
+// while a call runs returns only after it and a call admitted behind it
+// have returned, and both run; afterwards every entry point fails with
+// ErrFleetClosed.
+func TestFleetCloseWaitsForAdmittedCalls(t *testing.T) {
+	f := NewFleet(FleetConfig{Engines: 1})
+	fn, err := f.AddNetwork(fleetNodeConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	wedged := wedge(fn, gate)
+	ctx := newWaitingCtx()
+	var ran bool
+	admitted := make(chan error, 1)
+	go func() {
+		admitted <- fn.Do(ctx, func(context.Context, *Network) error {
+			ran = true
+			return nil
+		})
+	}()
+	<-ctx.waiting
+
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted call was running")
+	case <-time.After(30 * time.Millisecond):
+	}
+	close(gate)
+	<-closed
+	if err := <-wedged; err != nil {
+		t.Fatalf("running call: %v", err)
+	}
+	if err := <-admitted; err != nil || !ran {
+		t.Fatalf("call admitted before Close: ran=%v err=%v, want it run", ran, err)
+	}
+
+	if err := fn.Do(context.Background(), func(context.Context, *Network) error { return nil }); !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("post-close Do returned %v, want ErrFleetClosed", err)
+	}
+	if _, err := fn.Exchange([]byte{1}, nil); !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("post-close Exchange returned %v, want ErrFleetClosed", err)
+	}
+	if _, err := f.AddNetwork(fleetNodeConfig(1)); !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("post-close AddNetwork returned %v, want ErrFleetClosed", err)
 	}
 }
 
@@ -341,8 +450,9 @@ func TestFleetLocalizeAndMap(t *testing.T) {
 
 // TestFleetSteadyStateAllocsPerEngine pins the serving overhead: an exchange
 // through the fleet path must stay within a small constant number of
-// allocations over the bare Network pin (request/done-channel/closure, plus
-// result assembly) — the engine itself adds no per-request garbage.
+// allocations over the bare Network pin (the call's closure, plus result
+// assembly) — waiting for the network's turn and a width slot adds no
+// per-call garbage.
 func TestFleetSteadyStateAllocsPerEngine(t *testing.T) {
 	f := NewFleet(FleetConfig{Engines: 1, Metrics: telemetry.New()})
 	defer f.Close()
@@ -372,7 +482,7 @@ func TestFleetSteadyStateAllocsPerEngine(t *testing.T) {
 	})
 	t.Logf("steady-state fleet Exchange: %.0f allocs/op", allocs)
 	// The bare-Network pin is 120 (alloc_test.go); the fleet path may add
-	// only the fixed request envelope on top.
+	// only the fixed per-call closure on top.
 	const pin = 140
 	if allocs > pin {
 		t.Fatalf("steady-state fleet Exchange allocated %.0f times, pin is %d", allocs, pin)

@@ -13,8 +13,9 @@ import (
 
 // GatewayMember is one network served by a GatewayMux: the ExchangeRecorder
 // every round lands in and, optionally, the network's Fleet handle. With a
-// Handle the member's rounds run on its fleet engine, concurrently with
-// other members; without one the mux runs them on the gateway goroutine.
+// Handle the member's rounds run through FleetNetwork.Do, within the fleet's
+// width and serialized with the network's other fleet calls; without one
+// they run directly on the recorder.
 type GatewayMember struct {
 	// Recorder wraps the member's network and captures every round.
 	Recorder *ExchangeRecorder
@@ -123,11 +124,12 @@ func (m *GatewayMux) GroupOf(tagID uint8) int {
 
 // ExchangeFunc returns the netio.ExchangeFunc driving the mux: it
 // partitions each round's submissions per member network, runs the involved
-// members (concurrently when backed by fleet handles), and digests per-node
-// results into wire outcomes. When a single member is involved and its
-// exchange fails, the error is returned round-level (every submitter gets
-// RoundError); with several members involved, one member's failure becomes
-// per-tag error outcomes so a healthy network's tags still get results.
+// members (inline when one is involved, one goroutine each when several
+// are), and digests per-node results into wire outcomes. When a single
+// member is involved and its exchange fails, the error is returned
+// round-level (every submitter gets RoundError); with several members
+// involved, one member's failure becomes per-tag error outcomes so a
+// healthy network's tags still get results.
 func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 	return func(round uint64, uplinkBits map[uint8][]bool) (map[uint8]netio.Outcome, error) {
 		outcomes := make(map[uint8]netio.Outcome, len(uplinkBits))
@@ -154,17 +156,16 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 		errs := make([]error, len(m.nets))
 		var wg sync.WaitGroup
 		for ni := range m.nets {
-			if perNet[ni] == nil {
-				continue
-			}
-			if m.nets[ni].handle != nil {
+			switch {
+			case perNet[ni] == nil:
+			case involved == 1:
+				nodeResults[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
+			default:
 				wg.Add(1)
 				go func(ni int) {
 					defer wg.Done()
 					nodeResults[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
 				}(ni)
-			} else {
-				nodeResults[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
 			}
 		}
 		wg.Wait()
@@ -188,7 +189,7 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 
 // runMember runs one member's round: the submitted subset of its nodes,
 // through the recorder, scheduled when the network has a frame schedule,
-// and on the member's fleet engine when it has a handle.
+// and through the member's fleet handle when it has one.
 func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]NodeResult, error) {
 	mn := m.nets[ni]
 	active := make([]int, 0, len(bits))
@@ -231,8 +232,8 @@ func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]N
 // Deployment describes a served deployment for Serve.
 type Deployment struct {
 	// Networks are the member networks' configs, tag IDs unique across
-	// them. Several run on a Fleet, one engine each, with the gateway's
-	// metrics registry and tracer.
+	// them. Several run on a Fleet as wide as their count, with the
+	// gateway's metrics registry and tracer.
 	Networks []Config
 	// Payload supplies each round's downlink payload.
 	Payload func(round uint64) []byte

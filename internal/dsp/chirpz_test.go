@@ -99,7 +99,7 @@ func TestChirpZMatchesFrozenKernel(t *testing.T) {
 			assertSameComplex(t, what+" kernel spectrum", p.kern, kern[:n/2+1])
 
 			x := randomComplexSignal(rng, m)
-			w := Window(WindowHann, m)
+			w := Hann(m)
 			a := make([]complex128, n)
 			for k := range x {
 				a[k] = x[k] * complex(w[k], 0)

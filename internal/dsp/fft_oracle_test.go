@@ -187,7 +187,7 @@ func assertSameReal(t *testing.T, what string, got, want []float64) {
 func oracleSignals(rng *rand.Rand, n int) (xs [][]complex128, ms []int) {
 	for _, m := range prefixLengths(rng, n) {
 		x := make([]complex128, n)
-		w := Window(WindowHann, m)
+		w := Hann(m)
 		for k := 0; k < m; k++ {
 			x[k] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(w[k], 0)
 		}

@@ -1,77 +1,28 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// WindowKind selects a tapering window used before spectral analysis.
-type WindowKind int
-
-// Supported window kinds.
-const (
-	WindowRect WindowKind = iota
-	WindowHann
-	WindowHamming
-	WindowBlackman
-)
-
-// String implements fmt.Stringer.
-func (w WindowKind) String() string {
-	switch w {
-	case WindowRect:
-		return "rect"
-	case WindowHann:
-		return "hann"
-	case WindowHamming:
-		return "hamming"
-	case WindowBlackman:
-		return "blackman"
-	default:
-		return fmt.Sprintf("WindowKind(%d)", int(w))
-	}
-}
-
-// Window returns the n window coefficients for the given kind using the
-// periodic (DFT-even) convention.
-func Window(kind WindowKind, n int) []float64 {
+// Hann returns the n periodic (DFT-even) Hann window coefficients,
+// 0.5·(1 − cos(2πi/n)).
+func Hann(n int) []float64 {
 	if n <= 0 {
-		panic("dsp: Window requires n > 0")
+		panic("dsp: Hann requires n > 0")
 	}
-	return WindowInto(make([]float64, n), kind)
+	return HannInto(make([]float64, n))
 }
 
-// WindowInto fills dst with the len(dst) window coefficients for the given
-// kind (periodic convention) and returns dst — the allocation-free variant
-// of Window for hot loops that hold their own scratch.
-func WindowInto(dst []float64, kind WindowKind) []float64 {
+// HannInto fills dst with the len(dst) periodic Hann coefficients and
+// returns dst — the allocation-free variant of Hann for hot loops that hold
+// their own scratch.
+func HannInto(dst []float64) []float64 {
 	n := len(dst)
 	if n <= 0 {
-		panic("dsp: WindowInto requires len(dst) > 0")
+		panic("dsp: HannInto requires len(dst) > 0")
 	}
-	w := dst
-	switch kind {
-	case WindowRect:
-		for i := range w {
-			w[i] = 1
-		}
-	case WindowHann:
-		for i := range w {
-			w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
-		}
-	case WindowHamming:
-		for i := range w {
-			w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n))
-		}
-	case WindowBlackman:
-		for i := range w {
-			x := 2 * math.Pi * float64(i) / float64(n)
-			w[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-		}
-	default:
-		panic(fmt.Sprintf("dsp: unknown window kind %v", kind))
+	for i := range dst {
+		dst[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
 	}
-	return w
+	return dst
 }
 
 // ApplyWindow multiplies x element-wise by the window coefficients in place

@@ -4,43 +4,15 @@ import (
 	"testing"
 )
 
-func TestWindowKinds(t *testing.T) {
-	for _, kind := range []WindowKind{WindowRect, WindowHann, WindowHamming, WindowBlackman} {
-		w := Window(kind, 64)
-		if len(w) != 64 {
-			t.Fatalf("%v: wrong length %d", kind, len(w))
-		}
-		for i, v := range w {
-			if v < -1e-12 || v > 1+1e-12 {
-				t.Fatalf("%v: coefficient %d = %v outside [0,1]", kind, i, v)
+func TestWindowHannEndpoints(t *testing.T) {
+	for _, n := range []int{1, 7, 64} {
+		for i, v := range Hann(n) {
+			if v < 0 || v > 1 {
+				t.Fatalf("n=%d: coefficient %d = %v outside [0,1]", n, i, v)
 			}
 		}
 	}
-}
-
-func TestWindowStringNames(t *testing.T) {
-	names := map[WindowKind]string{
-		WindowRect: "rect", WindowHann: "hann",
-		WindowHamming: "hamming", WindowBlackman: "blackman",
-		WindowKind(99): "WindowKind(99)",
-	}
-	for k, want := range names {
-		if got := k.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
-func TestWindowRectIsUnity(t *testing.T) {
-	for _, v := range Window(WindowRect, 16) {
-		if v != 1 {
-			t.Fatalf("rect window should be all ones, got %v", v)
-		}
-	}
-}
-
-func TestWindowHannEndpoints(t *testing.T) {
-	w := Window(WindowHann, 128)
+	w := Hann(128)
 	if !approxEq(w[0], 0, 1e-12) {
 		t.Fatalf("periodic Hann should start at 0, got %v", w[0])
 	}
@@ -58,8 +30,8 @@ func TestWindowPanicsOnBadInput(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("n=0", func() { Window(WindowHann, 0) })
-	mustPanic("bad kind", func() { Window(WindowKind(42), 8) })
+	mustPanic("n=0", func() { Hann(0) })
+	mustPanic("empty dst", func() { HannInto(nil) })
 }
 
 func TestApplyWindow(t *testing.T) {
@@ -104,19 +76,13 @@ func noiseBandwidth(w []float64) float64 {
 }
 
 func TestCoherentGain(t *testing.T) {
-	if g := coherentGain(Window(WindowRect, 10)); !approxEq(g, 1, 1e-12) {
-		t.Fatalf("rect coherent gain = %v, want 1", g)
-	}
-	if g := coherentGain(Window(WindowHann, 4096)); !approxEq(g, 0.5, 1e-3) {
+	if g := coherentGain(Hann(4096)); !approxEq(g, 0.5, 1e-3) {
 		t.Fatalf("Hann coherent gain = %v, want ≈0.5", g)
 	}
 }
 
 func TestNoiseBandwidth(t *testing.T) {
-	if nb := noiseBandwidth(Window(WindowRect, 64)); !approxEq(nb, 1, 1e-12) {
-		t.Fatalf("rect ENBW = %v, want 1", nb)
-	}
-	if nb := noiseBandwidth(Window(WindowHann, 4096)); !approxEq(nb, 1.5, 1e-2) {
+	if nb := noiseBandwidth(Hann(4096)); !approxEq(nb, 1.5, 1e-2) {
 		t.Fatalf("Hann ENBW = %v, want ≈1.5", nb)
 	}
 }
@@ -129,7 +95,7 @@ func TestHannReducesSpectralLeakage(t *testing.T) {
 	freq := 10.5 * fs / n // halfway between bins 10 and 11
 	x := realTone(n, freq, fs, 1, 0)
 	rectSpec := Magnitudes(FFTReal(append([]float64(nil), x...)))
-	hann := ApplyWindow(append([]float64(nil), x...), Window(WindowHann, n))
+	hann := ApplyWindow(append([]float64(nil), x...), Hann(n))
 	hannSpec := Magnitudes(FFTReal(hann))
 	// Compare energy far from the tone (bins 30..n/2) relative to the peak.
 	leak := func(spec []float64) float64 {

@@ -193,7 +193,7 @@ func Fig6(o Options) (*Result, error) {
 		}
 		win := make([]float64, m)
 		copy(win, x[start:start+length])
-		dsp.ApplyWindow(win[:length], dsp.Window(dsp.WindowHann, length))
+		dsp.ApplyWindow(win[:length], dsp.Hann(length))
 		spec := make([]complex128, plan.SpectrumLen())
 		plan.ForwardInto(spec, win)
 		mags := make([]float64, len(spec))

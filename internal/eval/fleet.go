@@ -25,7 +25,7 @@ type FleetPoint struct {
 	Elapsed time.Duration
 	// P99Latency is the submit-to-done p99 from fleet.latency.seconds.
 	P99Latency time.Duration
-	// P99QueueWait is the enqueue-to-claim p99 from fleet.queue_wait.seconds.
+	// P99QueueWait is the submit-to-start p99 from fleet.queue_wait.seconds.
 	P99QueueWait time.Duration
 }
 
@@ -116,7 +116,7 @@ func FleetSweep(n, rounds int, o Options) (FleetPoint, error) {
 }
 
 // Fleet regenerates the serving-layer throughput table: concurrent
-// exchanges/sec and tail latency at increasing tenancy on one engine pool,
+// exchanges/sec and tail latency at increasing tenancy on one fleet,
 // plus the frame-schedule capacity model for deployments beyond the
 // slow-time tone budget. Delivery columns are deterministic for a given
 // seed; throughput and latency columns are host-dependent wall-clock
@@ -173,10 +173,10 @@ func Fleet(o Options) (*Result, error) {
 
 	return &Result{
 		ID:          "fleet",
-		Description: "fleet-scale serving: pooled exchange engines and TDMA frame scheduling",
+		Description: "fleet-scale serving: many networks on one fleet and TDMA frame scheduling",
 		Tables:      []Table{tbl, sched},
 		Notes: []string{
-			"per-network exchange sequences are byte-identical to standalone networks with the same seeds at every tenancy (engine affinity serializes each network)",
+			"per-network exchange sequences are byte-identical to standalone networks with the same seeds at every tenancy (each network's calls run one at a time)",
 			"throughput and latency columns are wall-clock measurements on this host; delivery counts are deterministic for a given seed (residual losses are the far node's ~1% packet error floor at 16 chirps/bit, reproduced packet-for-packet by standalone networks)",
 			"aggregate uplink bit/s is flat across deployment sizes: TDMA frame groups split a fixed tone budget, so per-node rate falls as 1/frames (Table under §7's concurrency bound)",
 		},

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"biscatter/internal/mac"
@@ -27,7 +25,6 @@ const (
 	DefaultHeartbeatInterval = 200 * time.Millisecond
 	DefaultSessionTimeout    = 2 * time.Second
 	DefaultRoundTimeout      = time.Second
-	DefaultQueueDepth        = 16
 	DefaultBreakerThreshold  = 2
 	DefaultPoll              = 20 * time.Millisecond
 )
@@ -74,8 +71,6 @@ type GatewayConfig struct {
 	// though RoundTimeout has not passed globally (default RoundTimeout,
 	// which degenerates to the unscheduled all-active barrier).
 	FrameTimeout time.Duration
-	// QueueDepth bounds each session's send queue.
-	QueueDepth int
 	// BreakerThreshold opens a session's circuit breaker after this many
 	// consecutive missed rounds (default 2). An open session is quarantined:
 	// the round barrier stops waiting for it, and its next submission is the
@@ -108,9 +103,6 @@ func (c *GatewayConfig) applyDefaults() {
 	if c.FrameTimeout <= 0 {
 		c.FrameTimeout = c.RoundTimeout
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
 	}
@@ -122,18 +114,13 @@ func (c *GatewayConfig) applyDefaults() {
 	}
 }
 
-// session is one tag's supervised connection. All fields except addr and
-// the send queue are owned by the supervision goroutine.
+// session is one tag's supervised connection, owned by the supervision
+// goroutine.
 type session struct {
 	id    uint64
 	tagID uint8
-	addr  atomic.Pointer[net.UDPAddr]
-
-	// out is the bounded send queue drained by this session's sender
-	// goroutine; closed (only) by the supervision loop to stop it.
-	out  chan Message
-	wg   sync.WaitGroup
-	seen time.Time
+	addr  *net.UDPAddr
+	seen  time.Time
 
 	lastSeq uint64
 
@@ -159,9 +146,9 @@ type session struct {
 // Gateway supervises many tag sessions over one Conn and drives the
 // exchange round loop: handshake with protocol-version check and admission
 // of exactly the tags its frame plan places, per-session sequence tracking,
-// heartbeat liveness with deadline-based eviction, bounded send queues that
-// reject when full, and per-session circuit breakers that quarantine
-// unresponsive tags while the rest of the fleet keeps exchanging.
+// heartbeat liveness with deadline-based eviction, and per-session circuit
+// breakers that quarantine unresponsive tags while the rest of the fleet
+// keeps exchanging. Every reply is sent from the supervision goroutine.
 type Gateway struct {
 	conn Conn
 	cfg  GatewayConfig
@@ -179,14 +166,13 @@ type Gateway struct {
 	groupFirst map[int]time.Time
 
 	// telemetry
-	gSessions                           *telemetry.Gauge
-	cAccepted, cResumed, cReplaced      *telemetry.Counter
-	cRejected, cEvicted, cGoodbye       *telemetry.Counter
-	cRounds, cRetries, cOutOfOrder      *telemetry.Counter
-	cBreakerOpen, cBreakerClose         *telemetry.Counter
-	cSendRejected, cExchangeErr, cHello *telemetry.Counter
-	cAdmRejected                        *telemetry.Counter
-	hRTT                                *telemetry.Histogram
+	gSessions                          *telemetry.Gauge
+	cAccepted, cResumed, cReplaced     *telemetry.Counter
+	cRejected, cEvicted, cGoodbye      *telemetry.Counter
+	cRounds, cRetries, cOutOfOrder     *telemetry.Counter
+	cBreakerOpen, cBreakerClose        *telemetry.Counter
+	cExchangeErr, cHello, cAdmRejected *telemetry.Counter
+	hRTT                               *telemetry.Histogram
 }
 
 // NewGateway builds a Gateway serving fn over conn. Run starts it.
@@ -211,7 +197,6 @@ func NewGateway(conn Conn, cfg GatewayConfig, fn ExchangeFunc) *Gateway {
 		g.cOutOfOrder = m.Counter("netio.out_of_order")
 		g.cBreakerOpen = m.Counter("netio.breaker.open")
 		g.cBreakerClose = m.Counter("netio.breaker.close")
-		g.cSendRejected = m.Counter("netio.send.rejected")
 		g.cExchangeErr = m.Counter("netio.exchange.errors")
 		g.cAdmRejected = m.Counter("netio.admission.rejected")
 		g.hRTT = m.Histogram("netio.heartbeat.rtt_seconds")
@@ -228,8 +213,7 @@ func (g *Gateway) logf(format string, args ...any) {
 // Run drives the supervision loop until ctx is cancelled, the socket
 // closes, or (when cfg.Rounds > 0) every round has been served and every
 // session has departed (or Linger expired). Single-goroutine by design:
-// session and round state need no locks; only the per-session sender
-// goroutines run alongside it.
+// session and round state need no locks, and every send happens here.
 func (g *Gateway) Run(ctx context.Context) error {
 	defer func() {
 		for _, s := range g.sessions {
@@ -298,7 +282,7 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 	g.cHello.Inc()
 	if h.Version != ProtocolVersion {
 		g.cRejected.Inc()
-		g.sendDirect(from, &HelloAck{
+		g.send(from, &HelloAck{
 			Code:   HelloRejectVersion,
 			Reason: fmt.Sprintf("gateway speaks protocol %d, client sent %d", ProtocolVersion, h.Version),
 		})
@@ -310,7 +294,7 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 		// The tag found its way back (new source address after a restart
 		// of its socket): adopt in place.
 		code = HelloResume
-		s.addr.Store(from)
+		s.addr = from
 		g.cResumed.Inc()
 	} else {
 		group := g.plannedGroup(h.TagID)
@@ -318,7 +302,7 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 			g.cAdmRejected.Inc()
 			g.cRejected.Inc()
 			g.logf("gateway: tag %d rejected: not deployed", h.TagID)
-			g.sendDirect(from, &HelloAck{
+			g.send(from, &HelloAck{
 				Code:   HelloRejectUnknown,
 				Reason: fmt.Sprintf("tag %d is not deployed on this gateway", h.TagID),
 			})
@@ -342,7 +326,7 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 	s.lastSeq = h.Seq
 	g.gSessions.Set(float64(len(g.sessions)))
 	g.logf("gateway: hello tag %d → %v session %d (next round %d)", h.TagID, code, s.id, g.round)
-	g.enqueue(s, &HelloAck{
+	g.send(s.addr, &HelloAck{
 		Code:                 code,
 		SessionID:            s.id,
 		NextRound:            g.round,
@@ -368,57 +352,24 @@ func (g *Gateway) newSession(tagID uint8, from *net.UDPAddr) *session {
 	s := &session{
 		id:      g.nextSID,
 		tagID:   tagID,
-		out:     make(chan Message, g.cfg.QueueDepth),
+		addr:    from,
 		results: make(map[uint64]*RoundResult),
 	}
-	s.addr.Store(from)
 	g.sessions[tagID] = s
-	s.wg.Add(1)
-	go g.sender(s)
 	return s
 }
 
-// sender drains one session's bounded queue. Sessions keep their own sender
-// so one slow/unreachable tag cannot stall another's traffic.
-func (g *Gateway) sender(s *session) {
-	defer s.wg.Done()
-	for m := range s.out {
-		addr := s.addr.Load()
-		if addr == nil {
-			continue
-		}
-		if err := g.conn.Send(addr, m); err != nil {
-			g.logf("gateway: send %v to tag %d: %v", m.Type(), s.tagID, err)
-		}
-	}
-}
-
-// enqueue puts m on a session's bounded send queue, rejecting it when the
-// queue is full.
-func (g *Gateway) enqueue(s *session, m Message) bool {
-	select {
-	case s.out <- m:
-		return true
-	default:
-		g.cSendRejected.Inc()
-		g.logf("gateway: send queue full, rejecting %v for tag %d", m.Type(), s.tagID)
-		return false
-	}
-}
-
-// sendDirect bypasses session queues for messages addressed to endpoints
-// without a session (handshake rejects, evictions).
-func (g *Gateway) sendDirect(addr *net.UDPAddr, m Message) {
+// send transmits m to addr; a failed send is logged, and the peer's
+// retransmission or the liveness deadline recovers from it.
+func (g *Gateway) send(addr *net.UDPAddr, m Message) {
 	if err := g.conn.Send(addr, m); err != nil {
-		g.logf("gateway: direct send %v: %v", m.Type(), err)
+		g.logf("gateway: send %v to %v: %v", m.Type(), addr, err)
 	}
 }
 
-// dropSession removes a session and stops its sender.
+// dropSession removes a session.
 func (g *Gateway) dropSession(s *session) {
 	delete(g.sessions, s.tagID)
-	close(s.out)
-	s.wg.Wait()
 	g.gSessions.Set(float64(len(g.sessions)))
 }
 
@@ -426,7 +377,7 @@ func (g *Gateway) dropSession(s *session) {
 // message.
 func (g *Gateway) track(now time.Time, s *session, seq uint64, from *net.UDPAddr) {
 	s.seen = now
-	s.addr.Store(from)
+	s.addr = from
 	if seq <= s.lastSeq {
 		g.cOutOfOrder.Inc()
 		return
@@ -452,7 +403,7 @@ func (g *Gateway) onHeartbeat(now time.Time, hb *Heartbeat, from *net.UDPAddr) {
 	if hb.RTTNanos > 0 {
 		g.hRTT.Observe(time.Duration(hb.RTTNanos).Seconds())
 	}
-	g.enqueue(s, &Heartbeat{SessionID: s.id, Seq: hb.Seq, Echo: true})
+	g.send(s.addr, &Heartbeat{SessionID: s.id, Seq: hb.Seq, Echo: true})
 }
 
 func (g *Gateway) onGoodbye(gb *Goodbye) {
@@ -470,7 +421,7 @@ func (g *Gateway) onSubmit(now time.Time, sub *SubmitRound, from *net.UDPAddr) {
 	if s == nil {
 		// Unknown session (evicted, or the gateway restarted): tell the
 		// client to re-handshake.
-		g.sendDirect(from, &Evict{SessionID: sub.SessionID, Reason: "unknown session"})
+		g.send(from, &Evict{SessionID: sub.SessionID, Reason: "unknown session"})
 		return
 	}
 	g.track(now, s, sub.Seq, from)
@@ -481,9 +432,9 @@ func (g *Gateway) onSubmit(now time.Time, sub *SubmitRound, from *net.UDPAddr) {
 		// result cache, idempotently.
 		g.cRetries.Inc()
 		if rr, ok := s.results[sub.Round]; ok {
-			g.enqueue(s, rr)
+			g.send(s.addr, rr)
 		} else {
-			g.enqueue(s, &RoundResult{SessionID: s.id, Round: sub.Round, Status: RoundSkipped})
+			g.send(s.addr, &RoundResult{SessionID: s.id, Round: sub.Round, Status: RoundSkipped})
 		}
 	case sub.Round > g.round:
 		g.logf("gateway: tag %d submitted future round %d (current %d)", s.tagID, sub.Round, g.round)
@@ -603,7 +554,7 @@ func (g *Gateway) runRound() {
 				g.cBreakerClose.Inc()
 				g.logf("gateway: breaker closed for tag %d", s.tagID)
 			}
-			g.enqueue(s, rr)
+			g.send(s.addr, rr)
 		}
 		s.hasPending = false
 		s.pendingBits = nil
@@ -633,9 +584,7 @@ func (g *Gateway) evictExpired(now time.Time) {
 			continue
 		}
 		g.logf("gateway: evicting tag %d (session %d): silent past %v", s.tagID, s.id, g.cfg.SessionTimeout)
-		if addr := s.addr.Load(); addr != nil {
-			g.sendDirect(addr, &Evict{SessionID: s.id, Reason: "heartbeat deadline passed"})
-		}
+		g.send(s.addr, &Evict{SessionID: s.id, Reason: "heartbeat deadline passed"})
 		// Drop first, so an observer that sees the eviction counted also
 		// sees the sessions gauge without it.
 		g.dropSession(s)

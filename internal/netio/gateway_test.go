@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,64 +431,5 @@ func TestGatewaySessionResume(t *testing.T) {
 	}
 	if got := m.Counter("netio.sessions.replaced").Value(); got != 1 {
 		t.Errorf("netio.sessions.replaced = %d, want 1", got)
-	}
-}
-
-// TestGatewayBackpressure pins the reject-on-full send queue discipline
-// without a network: a blocked sender fills the bounded queue and further
-// enqueues reject (and count).
-func TestGatewayBackpressure(t *testing.T) {
-	m := telemetry.New()
-	block := make(chan struct{})
-	conn := &blockingConn{block: block}
-	g := NewGateway(conn, GatewayConfig{QueueDepth: 2, Metrics: m}, echoExchange)
-	s := g.newSession(1, &net.UDPAddr{})
-
-	// First message is picked up by the sender and blocks in Send; the
-	// next two fill the queue; the fourth must reject.
-	ok := 0
-	for i := 0; i < 4; i++ {
-		if g.enqueue(s, &Heartbeat{Seq: uint64(i)}) {
-			ok++
-		}
-		if i == 0 {
-			waitFor(t, func() bool { return conn.sending.Load() })
-		}
-	}
-	if ok != 3 {
-		t.Fatalf("%d enqueues accepted, want 3 (1 in-flight + 2 queued)", ok)
-	}
-	if got := m.Counter("netio.send.rejected").Value(); got != 1 {
-		t.Fatalf("netio.send.rejected = %d, want 1", got)
-	}
-	close(block)
-	g.dropSession(s)
-}
-
-// blockingConn stalls every Send until its gate opens.
-type blockingConn struct {
-	block   chan struct{}
-	sending atomic.Bool
-}
-
-func (b *blockingConn) Send(*net.UDPAddr, Message) error {
-	b.sending.Store(true)
-	<-b.block
-	return nil
-}
-func (b *blockingConn) Recv(time.Duration) (Message, *net.UDPAddr, error) {
-	return nil, nil, ErrTimeout
-}
-func (b *blockingConn) Addr() *net.UDPAddr { return &net.UDPAddr{} }
-func (b *blockingConn) Close() error       { return nil }
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

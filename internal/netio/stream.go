@@ -17,7 +17,7 @@ const streamMaxFrame = 1 << 16
 
 // streamDialTimeout bounds the implicit dial a WriteTo to an unknown peer
 // performs. On loopback a dead peer fails fast (connection refused); the
-// bound keeps a WAN-grade black hole from stalling a sender goroutine.
+// bound keeps a WAN-grade black hole from stalling the sending loop.
 const streamDialTimeout = time.Second
 
 // streamTimeoutError satisfies net.Error with Timeout() == true so
@@ -36,9 +36,9 @@ type streamFrame struct {
 	from    *net.UDPAddr
 }
 
-// streamConn is one TCP connection with a write lock: session sender
-// goroutines and the supervision loop's direct sends may interleave, and a
-// frame (length prefix + payload) must hit the stream atomically.
+// streamConn is one TCP connection with a write lock: a caller's sends and
+// the fault injector's delayed ones may interleave, and a frame (length
+// prefix + payload) must hit the stream atomically.
 type streamConn struct {
 	c  net.Conn
 	mu sync.Mutex

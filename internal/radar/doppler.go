@@ -30,7 +30,7 @@ func (r *Radar) EstimateVelocity(matrix [][]complex128, bin int, period float64)
 		return 0, err
 	}
 	col := dsp.Resize(r.scr.velCol, nfft)
-	w := dsp.WindowInto(dsp.Resize(r.scr.velWin, n), dsp.WindowHann)
+	w := dsp.HannInto(dsp.Resize(r.scr.velWin, n))
 	mags := dsp.Resize(r.scr.velMags, nfft)
 	r.scr.velCol, r.scr.velWin, r.scr.velMags = col, w, mags
 	for i := 0; i < n; i++ {

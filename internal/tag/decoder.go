@@ -814,7 +814,7 @@ func (d *Decoder) classifySlot(x []float64, w int, period float64) (cssk.Symbol,
 		}
 		win := make([]float64, m)
 		copy(win, x[w:w+n])
-		dsp.ApplyWindow(win[:n], dsp.Window(dsp.WindowHann, n))
+		dsp.ApplyWindow(win[:n], dsp.Hann(n))
 		spec := make([]complex128, plan.SpectrumLen())
 		plan.ForwardInto(spec, win)
 		mags := make([]float64, len(spec))

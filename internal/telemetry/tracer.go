@@ -175,7 +175,7 @@ func SpanFromContext(ctx context.Context) *SpanNode {
 //
 // Collect is wait-free: one atomic fetch-add plus one atomic pointer store,
 // so collecting a completed trace never contends with the pipeline, with
-// other networks sharing the tracer (Fleet engines collect into one), or
+// other networks sharing the tracer (a Fleet's networks collect into one), or
 // with a concurrent dump. A dump taken while exchanges are landing sees
 // each slot as either its old or its new trace — both complete, immutable
 // trees — never a torn entry. A collected trace must no longer be mutated.
