@@ -11,8 +11,8 @@
 //
 // The deployment is built by core.Serve, the one way every served
 // deployment is built (eval.Loopback and the chaos suites use it too).
-// With -networks N it serves N member networks on a core.Fleet behind one
-// gateway, their TDMA frame groups numbered globally. The gateway admits
+// With -networks N it serves N member networks behind one gateway, their
+// TDMA frame groups numbered globally. The gateway admits
 // exactly the deployed tags (IDs 1 to networks × tags): any other tag's
 // handshake is rejected, naming the tag.
 //
@@ -54,7 +54,7 @@ func main() {
 	faults := netio.RegisterNetFaultFlags(flag.CommandLine)
 	var o options
 	flag.IntVar(&o.tags, "tags", 1, "serve this many tag sessions per member network")
-	flag.IntVar(&o.networks, "networks", 1, "multiplex this many member networks (each -tags wide) behind one gateway via a fleet")
+	flag.IntVar(&o.networks, "networks", 1, "multiplex this many member networks (each -tags wide) behind one gateway")
 	flag.IntVar(&o.minTags, "min-tags", 0, "wait for this many sessions before round 0 (0 = all tags)")
 	flag.StringVar(&o.recordOut, "record-out", "", "write the exchange record to this file")
 	flag.StringVar(&o.payload, "payload", "hello tag", "downlink payload")

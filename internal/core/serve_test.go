@@ -95,8 +95,10 @@ func TestServeMuxMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.fleet == nil || s.Mux.nets[0].handle == nil || s.Mux.nets[1].handle == nil {
-		t.Fatal("two members are not served on a fleet")
+	for ni, mn := range s.Mux.nets {
+		if id := mn.rec.Network().Config().NetworkID; mn.handle != nil || id != ni {
+			t.Fatalf("member %d: fleet handle %v, NetworkID %d; want none and %d", ni, mn.handle != nil, id, ni)
+		}
 	}
 	if got := s.Mux.Groups(); got != 3 {
 		t.Fatalf("%d frame groups, want 3", got)

@@ -232,8 +232,8 @@ func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]N
 // Deployment describes a served deployment for Serve.
 type Deployment struct {
 	// Networks are the member networks' configs, tag IDs unique across
-	// them. Several run on a Fleet as wide as their count, with the
-	// gateway's metrics registry and tracer.
+	// them. With several, member i runs as NetworkID i, so exchange IDs
+	// and traces on a shared tracer stay attributable.
 	Networks []Config
 	// Payload supplies each round's downlink payload.
 	Payload func(round uint64) []byte
@@ -264,15 +264,16 @@ type Served struct {
 	// Conn is the gateway's endpoint.
 	Conn netio.Conn
 
-	d     Deployment
-	fleet *Fleet
+	d Deployment
 }
 
-// Serve is the one builder of a served deployment: the member networks
-// (on a Fleet when there are several), one recorder each, the mux (always
-// through NewGatewayMux) and the gateway with every field the deployment
-// determines. GroupOf places exactly the deployed tags, so the gateway
-// admits those and rejects any other tag's handshake.
+// Serve is the one builder of a served deployment: the member networks,
+// one recorder each, the mux (always through NewGatewayMux) and the
+// gateway with every field the deployment determines. GroupOf places
+// exactly the deployed tags, so the gateway admits those and rejects any
+// other tag's handshake. The members need no Fleet: the gateway calls the
+// mux from its one goroutine, and the mux runs each member at most once
+// per round, so no member ever waits for a turn.
 func Serve(d Deployment) (_ *Served, err error) {
 	g := &d.Gateway
 	if d.Service.Heartbeat > 0 {
@@ -290,25 +291,19 @@ func Serve(d Deployment) (_ *Served, err error) {
 			s.Close()
 		}
 	}()
-	if len(d.Networks) > 1 {
-		s.fleet = NewFleet(FleetConfig{Engines: len(d.Networks), Metrics: g.Metrics, Tracer: g.Tracer})
-	}
 	members := make([]GatewayMember, len(d.Networks))
 	for i, cfg := range d.Networks {
-		m := &members[i]
+		if len(d.Networks) > 1 {
+			cfg.NetworkID = i
+		}
 		var netw *Network
-		if s.fleet == nil {
-			netw, err = NewNetwork(cfg)
-		} else if m.Handle, err = s.fleet.AddNetwork(cfg); err == nil {
-			netw = m.Handle.Network()
-		}
-		if err != nil {
+		if netw, err = NewNetwork(cfg); err != nil {
 			return nil, err
 		}
-		if m.Recorder, err = NewExchangeRecorder(netw); err != nil {
+		if members[i].Recorder, err = NewExchangeRecorder(netw); err != nil {
 			return nil, err
 		}
-		s.Recorders = append(s.Recorders, m.Recorder)
+		s.Recorders = append(s.Recorders, members[i].Recorder)
 	}
 	if s.Mux, err = NewGatewayMux(d.Payload, members...); err != nil {
 		return nil, err
@@ -361,14 +356,10 @@ func (s *Served) Dial(tagID uint8) (*netio.Client, *netio.Node, error) {
 	return c, conn, nil
 }
 
-// Close releases the gateway's endpoint, ending a running gateway, and
-// drains the fleet.
+// Close releases the gateway's endpoint, ending a running gateway.
 func (s *Served) Close() {
 	if s.Conn != nil {
 		s.Conn.Close()
-	}
-	if s.fleet != nil {
-		s.fleet.Close()
 	}
 }
 

@@ -23,7 +23,7 @@ func TestRecvSteadyStateAllocs(t *testing.T) {
 	}
 	defer b.Close()
 
-	msg := &Heartbeat{SessionID: 7, Seq: 1}
+	msg := &Heartbeat{SessionID: 7}
 	send := func() {
 		if err := a.Send(b.Addr(), msg); err != nil {
 			t.Fatal(err)

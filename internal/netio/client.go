@@ -73,17 +73,12 @@ type Client struct {
 	cfg  ClientConfig
 	gw   *net.UDPAddr
 
-	sid     uint64
-	seq     uint64
-	round   uint64
-	hb      time.Duration
-	hbSeq   uint64
-	lastHB  time.Time
-	pingAt  map[uint64]time.Time
-	lastRTT time.Duration
+	sid    uint64
+	round  uint64
+	hb     time.Duration
+	lastHB time.Time
 
 	cRetries, cReconnects, cEvicted *telemetry.Counter
-	hRTT                            *telemetry.Histogram
 }
 
 // Dial opens a session with the gateway at addr over conn (which the
@@ -95,12 +90,11 @@ func Dial(conn Conn, addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netio: resolve gateway %q: %w", addr, err)
 	}
-	c := &Client{conn: conn, cfg: cfg, gw: ua, pingAt: make(map[uint64]time.Time)}
+	c := &Client{conn: conn, cfg: cfg, gw: ua}
 	if m := cfg.Metrics; m != nil {
 		c.cRetries = m.Counter("netio.client.retries")
 		c.cReconnects = m.Counter("netio.client.reconnects")
 		c.cEvicted = m.Counter("netio.client.evicted")
-		c.hRTT = m.Histogram("netio.client.heartbeat.rtt_seconds")
 	}
 	if err := c.handshake(context.Background()); err != nil {
 		return nil, err
@@ -127,8 +121,7 @@ func (c *Client) handshake(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		c.seq++
-		hello := &Hello{Version: ProtocolVersion, TagID: c.cfg.TagID, SessionID: c.sid, Seq: c.seq}
+		hello := &Hello{Version: ProtocolVersion, TagID: c.cfg.TagID, SessionID: c.sid}
 		if err := c.conn.Send(c.gw, hello); err != nil {
 			return err
 		}
@@ -192,23 +185,14 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// maybeHeartbeat sends a liveness ping when the interval has elapsed,
-// piggybacking the last measured RTT for the gateway's histogram.
+// maybeHeartbeat sends a liveness ping once the interval the gateway
+// acked has elapsed since the last one.
 func (c *Client) maybeHeartbeat(now time.Time) {
 	if now.Sub(c.lastHB) < c.hb {
 		return
 	}
 	c.lastHB = now
-	c.hbSeq++
-	c.pingAt[c.hbSeq] = now
-	// Bound the in-flight ping table: drop ancient unanswered pings.
-	for seq := range c.pingAt {
-		if seq+16 < c.hbSeq {
-			delete(c.pingAt, seq)
-		}
-	}
-	hb := &Heartbeat{SessionID: c.sid, Seq: c.hbSeq, RTTNanos: uint64(c.lastRTT)}
-	if err := c.conn.Send(c.gw, hb); err != nil {
+	if err := c.conn.Send(c.gw, &Heartbeat{SessionID: c.sid}); err != nil {
 		c.logf("client %d: heartbeat send: %v", c.cfg.TagID, err)
 	}
 }
@@ -235,8 +219,7 @@ func (c *Client) SubmitRound(ctx context.Context, bits []bool) (*RoundResult, er
 			// this round: the fleet exchanged without us.
 			return &RoundResult{SessionID: c.sid, Round: round, Status: RoundSkipped}, nil
 		}
-		c.seq++
-		sub.SessionID, sub.Seq, sub.Round = c.sid, c.seq, round
+		sub.SessionID, sub.Round = c.sid, round
 		if err := c.conn.Send(c.gw, sub); err != nil {
 			return nil, err
 		}
@@ -254,7 +237,7 @@ func (c *Client) SubmitRound(ctx context.Context, bits []bool) (*RoundResult, er
 }
 
 // await waits one AttemptTimeout for the result of round, servicing
-// heartbeats, echoes and evictions meanwhile. A nil, nil return means the
+// heartbeats and evictions meanwhile. A nil, nil return means the
 // attempt timed out and the caller should retransmit.
 func (c *Client) await(ctx context.Context, round uint64) (*RoundResult, error) {
 	deadline := time.Now().Add(c.cfg.AttemptTimeout)
@@ -290,8 +273,6 @@ func (c *Client) await(ctx context.Context, round uint64) (*RoundResult, error) 
 				return msg, nil
 			}
 			// A stale round's (duplicated) result: ignore.
-		case *Heartbeat:
-			c.handleEcho(now, msg)
 		case *Evict:
 			if msg.SessionID != c.sid {
 				continue
@@ -312,18 +293,6 @@ func (c *Client) await(ctx context.Context, round uint64) (*RoundResult, error) 
 	}
 }
 
-// handleEcho closes the RTT loop for a heartbeat echo.
-func (c *Client) handleEcho(now time.Time, msg *Heartbeat) {
-	if !msg.Echo || msg.SessionID != c.sid {
-		return
-	}
-	if at, ok := c.pingAt[msg.Seq]; ok {
-		c.lastRTT = now.Sub(at)
-		c.hRTT.Observe(c.lastRTT.Seconds())
-		delete(c.pingAt, msg.Seq)
-	}
-}
-
 // reconnect re-handshakes after an eviction, resuming at the gateway's
 // current round.
 func (c *Client) reconnect(ctx context.Context) error {
@@ -334,6 +303,5 @@ func (c *Client) reconnect(ctx context.Context) error {
 
 // Close says Goodbye. The caller still owns (and closes) the Conn.
 func (c *Client) Close() error {
-	c.seq++
-	return c.conn.Send(c.gw, &Goodbye{SessionID: c.sid, Seq: c.seq})
+	return c.conn.Send(c.gw, &Goodbye{SessionID: c.sid})
 }

@@ -10,15 +10,15 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: frames of the retired wire types 1–4 (which must be
 	// rejected), then every session message, each whole and truncated.
 	seeds := append(retiredMessages(),
-		&Hello{Version: ProtocolVersion, TagID: 4, SessionID: 9, Seq: 2},
+		&Hello{Version: ProtocolVersion, TagID: 4, SessionID: 9},
 		&HelloAck{Code: HelloAccept, SessionID: 9, NextRound: 1,
-			HeartbeatMillis: 200, SessionTimeoutMillis: 2000, Reason: "r"},
-		&Heartbeat{SessionID: 9, Seq: 3, Echo: true, RTTNanos: 99},
-		&SubmitRound{SessionID: 9, Seq: 4, Round: 1, BitCount: 3, Bits: []byte{0b10100000}},
+			HeartbeatMillis: 200, Reason: "r"},
+		&Heartbeat{SessionID: 9},
+		&SubmitRound{SessionID: 9, Round: 1, BitCount: 3, Bits: []byte{0b10100000}},
 		&RoundResult{SessionID: 9, Round: 1, Status: RoundOK, Outcome: Outcome{
 			DownlinkPayload: []byte{7}, DetectionRange: 4.9, DetectionBin: 3,
 			DetectionSNRdB: 31, UplinkBits: []bool{true, false}, UplinkErr: "e"}},
-		&Goodbye{SessionID: 9, Seq: 5},
+		&Goodbye{SessionID: 9},
 		&Evict{SessionID: 9, Reason: "gone"},
 	)
 	for _, m := range seeds {

@@ -122,8 +122,6 @@ type session struct {
 	addr  *net.UDPAddr
 	seen  time.Time
 
-	lastSeq uint64
-
 	// group is the session's TDMA frame group, assigned at admission (and
 	// re-derived on replace, so a tag whose assignment changed between
 	// attempts lands in its new group while keeping the round cursor).
@@ -145,10 +143,10 @@ type session struct {
 
 // Gateway supervises many tag sessions over one Conn and drives the
 // exchange round loop: handshake with protocol-version check and admission
-// of exactly the tags its frame plan places, per-session sequence tracking,
-// heartbeat liveness with deadline-based eviction, and per-session circuit
-// breakers that quarantine unresponsive tags while the rest of the fleet
-// keeps exchanging. Every reply is sent from the supervision goroutine.
+// of exactly the tags its frame plan places, heartbeat liveness with
+// deadline-based eviction, and per-session circuit breakers that
+// quarantine unresponsive tags while the rest of the fleet keeps
+// exchanging. Every reply is sent from the supervision goroutine.
 type Gateway struct {
 	conn Conn
 	cfg  GatewayConfig
@@ -169,10 +167,9 @@ type Gateway struct {
 	gSessions                          *telemetry.Gauge
 	cAccepted, cResumed, cReplaced     *telemetry.Counter
 	cRejected, cEvicted, cGoodbye      *telemetry.Counter
-	cRounds, cRetries, cOutOfOrder     *telemetry.Counter
+	cRounds, cRetries                  *telemetry.Counter
 	cBreakerOpen, cBreakerClose        *telemetry.Counter
 	cExchangeErr, cHello, cAdmRejected *telemetry.Counter
-	hRTT                               *telemetry.Histogram
 }
 
 // NewGateway builds a Gateway serving fn over conn. Run starts it.
@@ -194,12 +191,10 @@ func NewGateway(conn Conn, cfg GatewayConfig, fn ExchangeFunc) *Gateway {
 		g.cGoodbye = m.Counter("netio.goodbye")
 		g.cRounds = m.Counter("netio.rounds")
 		g.cRetries = m.Counter("netio.retries")
-		g.cOutOfOrder = m.Counter("netio.out_of_order")
 		g.cBreakerOpen = m.Counter("netio.breaker.open")
 		g.cBreakerClose = m.Counter("netio.breaker.close")
 		g.cExchangeErr = m.Counter("netio.exchange.errors")
 		g.cAdmRejected = m.Counter("netio.admission.rejected")
-		g.hRTT = m.Histogram("netio.heartbeat.rtt_seconds")
 	}
 	return g
 }
@@ -323,15 +318,13 @@ func (g *Gateway) onHello(now time.Time, h *Hello, from *net.UDPAddr) {
 		s.group = group
 	}
 	s.seen = now
-	s.lastSeq = h.Seq
 	g.gSessions.Set(float64(len(g.sessions)))
 	g.logf("gateway: hello tag %d → %v session %d (next round %d)", h.TagID, code, s.id, g.round)
 	g.send(s.addr, &HelloAck{
-		Code:                 code,
-		SessionID:            s.id,
-		NextRound:            g.round,
-		HeartbeatMillis:      uint32(g.cfg.HeartbeatInterval / time.Millisecond),
-		SessionTimeoutMillis: uint32(g.cfg.SessionTimeout / time.Millisecond),
+		Code:            code,
+		SessionID:       s.id,
+		NextRound:       g.round,
+		HeartbeatMillis: uint32(g.cfg.HeartbeatInterval / time.Millisecond),
 	})
 }
 
@@ -373,16 +366,11 @@ func (g *Gateway) dropSession(s *session) {
 	g.gSessions.Set(float64(len(g.sessions)))
 }
 
-// track updates liveness and sequence bookkeeping for an in-session
-// message.
-func (g *Gateway) track(now time.Time, s *session, seq uint64, from *net.UDPAddr) {
+// track refreshes the session's liveness and return address on an
+// in-session message.
+func (s *session) track(now time.Time, from *net.UDPAddr) {
 	s.seen = now
 	s.addr = from
-	if seq <= s.lastSeq {
-		g.cOutOfOrder.Inc()
-		return
-	}
-	s.lastSeq = seq
 }
 
 func (g *Gateway) sessionByID(id uint64) *session {
@@ -395,15 +383,9 @@ func (g *Gateway) sessionByID(id uint64) *session {
 }
 
 func (g *Gateway) onHeartbeat(now time.Time, hb *Heartbeat, from *net.UDPAddr) {
-	s := g.sessionByID(hb.SessionID)
-	if s == nil || hb.Echo {
-		return
+	if s := g.sessionByID(hb.SessionID); s != nil {
+		s.track(now, from)
 	}
-	g.track(now, s, hb.Seq, from)
-	if hb.RTTNanos > 0 {
-		g.hRTT.Observe(time.Duration(hb.RTTNanos).Seconds())
-	}
-	g.send(s.addr, &Heartbeat{SessionID: s.id, Seq: hb.Seq, Echo: true})
 }
 
 func (g *Gateway) onGoodbye(gb *Goodbye) {
@@ -424,7 +406,7 @@ func (g *Gateway) onSubmit(now time.Time, sub *SubmitRound, from *net.UDPAddr) {
 		g.send(from, &Evict{SessionID: sub.SessionID, Reason: "unknown session"})
 		return
 	}
-	g.track(now, s, sub.Seq, from)
+	s.track(now, from)
 
 	switch {
 	case sub.Round < g.round:

@@ -2,6 +2,7 @@ package netio
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -161,9 +162,40 @@ func TestGatewayVersionReject(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsVersion1Hello pins version drift failing loudly at
+// connect time: a Hello in the version-1 layout (the version, tag and
+// session fields plus a trailing sequence number) is answered
+// HelloRejectVersion, not accepted and not dropped as malformed.
+func TestGatewayRejectsVersion1Hello(t *testing.T) {
+	node, m, stop := testGateway(t, GatewayConfig{}, echoExchange)
+	defer stop()
+	defer node.Close()
+	conn, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := binary.BigEndian.AppendUint16(nil, 1) // Version
+	body = append(body, 1)                        // TagID
+	body = binary.BigEndian.AppendUint64(body, 0) // SessionID
+	body = binary.BigEndian.AppendUint64(body, 1) // Seq
+	if err := conn.Send(node.Addr(), rawMessage{TypeHello, body}); err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := conn.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, ok := m2.(*HelloAck); !ok || ack.Code != HelloRejectVersion {
+		t.Fatalf("want a %v HelloAck, got %+v", HelloRejectVersion, m2)
+	}
+	if got := m.Counter("netio.sessions.rejected").Value(); got != 1 {
+		t.Errorf("netio.sessions.rejected = %d, want 1", got)
+	}
+}
+
 // TestGatewayHeartbeatKeepsSessionAlive pins liveness: a client that only
-// heartbeats (never submits) survives past SessionTimeout, and its reported
-// RTT lands in the gateway histogram.
+// heartbeats (never submits) survives past SessionTimeout.
 func TestGatewayHeartbeatKeepsSessionAlive(t *testing.T) {
 	node, m, stop := testGateway(t, GatewayConfig{
 		SessionTimeout:    400 * time.Millisecond,
@@ -179,22 +211,30 @@ func TestGatewayHeartbeatKeepsSessionAlive(t *testing.T) {
 	deadline := time.Now().Add(800 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		c.maybeHeartbeat(time.Now())
-		m2, _, err := conn.Recv(25 * time.Millisecond)
-		if err != nil {
-			continue
-		}
-		if hb, ok := m2.(*Heartbeat); ok && hb.Echo {
-			if at, ok := c.pingAt[hb.Seq]; ok {
-				c.lastRTT = time.Since(at)
-				delete(c.pingAt, hb.Seq)
-			}
-		}
+		time.Sleep(25 * time.Millisecond)
 	}
 	if got := m.Counter("netio.evicted").Value(); got != 0 {
 		t.Fatalf("heartbeating session evicted (%d)", got)
 	}
-	if m.Snapshot().Histograms["netio.heartbeat.rtt_seconds"].Count == 0 {
-		t.Fatal("no heartbeat RTTs observed")
+	if got := m.Gauge("netio.sessions").Value(); got != 1 {
+		t.Fatalf("netio.sessions gauge = %v, want 1", got)
+	}
+}
+
+// TestGatewayHeartbeatGetsNoReply pins the heartbeat as a one-way liveness
+// ping: the gateway answers a live session's heartbeats with nothing.
+func TestGatewayHeartbeatGetsNoReply(t *testing.T) {
+	node, m, stop := testGateway(t, GatewayConfig{}, echoExchange)
+	defer stop()
+	defer node.Close()
+
+	c, conn := dialTag(t, node.Addr(), 1, ClientConfig{})
+	defer conn.Close()
+	if err := conn.Send(node.Addr(), &Heartbeat{SessionID: c.SessionID()}); err != nil {
+		t.Fatal(err)
+	}
+	if m2, _, err := conn.Recv(300 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("gateway answered a heartbeat: %+v (err %v)", m2, err)
 	}
 	if got := m.Gauge("netio.sessions").Value(); got != 1 {
 		t.Fatalf("netio.sessions gauge = %v, want 1", got)

@@ -11,8 +11,8 @@ import (
 
 // Wait keeps the session alive while the tag has nothing to submit: it
 // heartbeats at the session interval until d elapses (or ctx is done),
-// servicing echoes and evictions meanwhile, so an idling test tag's
-// session outlives the gateway's liveness deadline.
+// servicing evictions meanwhile, so an idling test tag's session outlives
+// the gateway's liveness deadline.
 func (c *Client) Wait(ctx context.Context, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	for {
@@ -35,13 +35,7 @@ func (c *Client) Wait(ctx context.Context, d time.Duration) error {
 			}
 			continue
 		}
-		switch msg := m.(type) {
-		case *Heartbeat:
-			c.handleEcho(now, msg)
-		case *Evict:
-			if msg.SessionID != c.sid {
-				continue
-			}
+		if msg, ok := m.(*Evict); ok && msg.SessionID == c.sid {
 			c.cEvicted.Inc()
 			c.logf("client %d: evicted while idle (%s), re-handshaking", c.cfg.TagID, msg.Reason)
 			if err := c.reconnect(ctx); err != nil {

@@ -39,8 +39,8 @@ const (
 	// TypeHelloAck answers a Hello: accept with session parameters, or
 	// reject with a reason (gateway → tag).
 	TypeHelloAck MsgType = 6
-	// TypeHeartbeat is the liveness ping; the gateway echoes it back so the
-	// client can measure RTT (both directions).
+	// TypeHeartbeat is the liveness ping; the gateway sends nothing back
+	// (tag → gateway).
 	TypeHeartbeat MsgType = 7
 	// TypeSubmitRound carries a tag's uplink bits for one exchange round
 	// (tag → gateway).

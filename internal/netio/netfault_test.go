@@ -223,9 +223,22 @@ func TestNetFaultKnownAnswers(t *testing.T) {
 	}
 
 	// The same verdicts applied by WriteTo (delay off, so every send is
-	// synchronous): a digest of the exact datagram stream.
+	// synchronous): a digest of the exact datagram stream. The input is the
+	// stream the digest was recorded on: 64 frames of 28 bytes, each a
+	// session id and 8 zero bytes under the Goodbye type.
 	mem := &memTransport{}
-	sendN(t, newFaultTransport(mem, NetFaultProfile{Seed: 7, Drop: 0.1, Duplicate: 0.2, Reorder: 0.15, Corrupt: 0.2}, nil), 64)
+	ft := newFaultTransport(mem, NetFaultProfile{Seed: 7, Drop: 0.1, Duplicate: 0.2, Reorder: 0.15, Corrupt: 0.2}, nil)
+	for i := 0; i < 64; i++ {
+		body := make([]byte, 16)
+		binary.BigEndian.PutUint64(body, uint64(i))
+		buf, err := Marshal(rawMessage{TypeGoodbye, body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ft.WriteTo(buf, &net.UDPAddr{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h := fnv.New64a()
 	sent := mem.snapshot()
 	for _, d := range sent {

@@ -10,7 +10,7 @@ import (
 // Client. A Hello carrying a different version is rejected during the
 // handshake — wire-format drift fails loudly at connect time, not as a
 // mid-session decode error.
-const ProtocolVersion uint16 = 1
+const ProtocolVersion uint16 = 2
 
 // wireReader is a sequential decoder over one payload. The first short read
 // latches ErrTruncated; callers check err once at the end, which keeps the
@@ -141,8 +141,6 @@ type Hello struct {
 	TagID uint8
 	// SessionID resumes an existing session when nonzero.
 	SessionID uint64
-	// Seq is the client's per-session message sequence number.
-	Seq uint64
 }
 
 // Type implements Message.
@@ -152,16 +150,20 @@ func (h *Hello) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, h.Version)
 	dst = append(dst, h.TagID)
 	dst = binary.BigEndian.AppendUint64(dst, h.SessionID)
-	dst = binary.BigEndian.AppendUint64(dst, h.Seq)
 	return dst
 }
 
+// decodePayload reads Version first and stops there on a mismatch, so a
+// Hello of any other protocol's layout still reaches the gateway's version
+// check and is answered HelloRejectVersion.
 func (h *Hello) decodePayload(src []byte) error {
 	r := wireReader{b: src}
 	h.Version = r.u16()
+	if r.err == nil && h.Version != ProtocolVersion {
+		return nil
+	}
 	h.TagID = r.u8()
 	h.SessionID = r.u64()
-	h.Seq = r.u64()
 	return r.done()
 }
 
@@ -214,9 +216,6 @@ type HelloAck struct {
 	NextRound uint64
 	// HeartbeatMillis is the heartbeat interval the gateway expects.
 	HeartbeatMillis uint32
-	// SessionTimeoutMillis is the liveness deadline after which the gateway
-	// evicts a silent session.
-	SessionTimeoutMillis uint32
 	// Reason explains a rejection.
 	Reason string
 }
@@ -229,7 +228,6 @@ func (h *HelloAck) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, h.SessionID)
 	dst = binary.BigEndian.AppendUint64(dst, h.NextRound)
 	dst = binary.BigEndian.AppendUint32(dst, h.HeartbeatMillis)
-	dst = binary.BigEndian.AppendUint32(dst, h.SessionTimeoutMillis)
 	dst = appendString(dst, h.Reason)
 	return dst
 }
@@ -240,47 +238,26 @@ func (h *HelloAck) decodePayload(src []byte) error {
 	h.SessionID = r.u64()
 	h.NextRound = r.u64()
 	h.HeartbeatMillis = r.u32()
-	h.SessionTimeoutMillis = r.u32()
 	h.Reason = r.str()
 	return r.done()
 }
 
-// Heartbeat is the session liveness ping. The client sends Echo=false; the
-// gateway replies with the same Seq and Echo=true so the client can measure
-// round-trip time. RTTNanos carries the client's previous measurement back
-// to the gateway, which records it in the netio.heartbeat.rtt_seconds
-// histogram — RTT observability without cross-process clock sync.
+// Heartbeat is the client's liveness ping: it refreshes the session's
+// liveness deadline at the gateway, which sends nothing back.
 type Heartbeat struct {
 	SessionID uint64
-	// Seq pairs a ping with its echo.
-	Seq uint64
-	// Echo marks a gateway reply.
-	Echo bool
-	// RTTNanos is the client's last measured heartbeat RTT (0 = unknown).
-	RTTNanos uint64
 }
 
 // Type implements Message.
 func (*Heartbeat) Type() MsgType { return TypeHeartbeat }
 
 func (h *Heartbeat) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, h.SessionID)
-	dst = binary.BigEndian.AppendUint64(dst, h.Seq)
-	var echo byte
-	if h.Echo {
-		echo = 1
-	}
-	dst = append(dst, echo)
-	dst = binary.BigEndian.AppendUint64(dst, h.RTTNanos)
-	return dst
+	return binary.BigEndian.AppendUint64(dst, h.SessionID)
 }
 
 func (h *Heartbeat) decodePayload(src []byte) error {
 	r := wireReader{b: src}
 	h.SessionID = r.u64()
-	h.Seq = r.u64()
-	h.Echo = r.u8() != 0
-	h.RTTNanos = r.u64()
 	return r.done()
 }
 
@@ -291,9 +268,6 @@ func (h *Heartbeat) decodePayload(src []byte) error {
 // the gateway's per-session result cache.
 type SubmitRound struct {
 	SessionID uint64
-	// Seq is the client's message sequence number (each retransmission gets
-	// a fresh one, so the gateway can count network reordering).
-	Seq uint64
 	// Round is the exchange round these bits are for.
 	Round uint64
 	// BitCount is the number of valid bits in Bits.
@@ -307,7 +281,6 @@ func (*SubmitRound) Type() MsgType { return TypeSubmitRound }
 
 func (s *SubmitRound) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, s.SessionID)
-	dst = binary.BigEndian.AppendUint64(dst, s.Seq)
 	dst = binary.BigEndian.AppendUint64(dst, s.Round)
 	dst = binary.BigEndian.AppendUint16(dst, s.BitCount)
 	dst = appendBytes16(dst, s.Bits)
@@ -317,7 +290,6 @@ func (s *SubmitRound) appendPayload(dst []byte) []byte {
 func (s *SubmitRound) decodePayload(src []byte) error {
 	r := wireReader{b: src}
 	s.SessionID = r.u64()
-	s.Seq = r.u64()
 	s.Round = r.u64()
 	s.BitCount = r.u16()
 	s.Bits = r.bytes16()
@@ -488,22 +460,18 @@ func (rr *RoundResult) decodePayload(src []byte) error {
 // Goodbye closes a session gracefully.
 type Goodbye struct {
 	SessionID uint64
-	Seq       uint64
 }
 
 // Type implements Message.
 func (*Goodbye) Type() MsgType { return TypeGoodbye }
 
 func (g *Goodbye) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, g.SessionID)
-	dst = binary.BigEndian.AppendUint64(dst, g.Seq)
-	return dst
+	return binary.BigEndian.AppendUint64(dst, g.SessionID)
 }
 
 func (g *Goodbye) decodePayload(src []byte) error {
 	r := wireReader{b: src}
 	g.SessionID = r.u64()
-	g.Seq = r.u64()
 	return r.done()
 }
 

@@ -10,18 +10,18 @@ import (
 // sessionMessages is one populated sample of every session-plane message.
 func sessionMessages() []Message {
 	return []Message{
-		&Hello{Version: ProtocolVersion, TagID: 3, SessionID: 77, Seq: 12},
+		&Hello{Version: ProtocolVersion, TagID: 3, SessionID: 77},
 		&HelloAck{Code: HelloResume, SessionID: 77, NextRound: 5,
-			HeartbeatMillis: 200, SessionTimeoutMillis: 2000, Reason: "welcome back"},
-		&Heartbeat{SessionID: 77, Seq: 9, Echo: true, RTTNanos: 1234567},
-		&SubmitRound{SessionID: 77, Seq: 13, Round: 5, BitCount: 5, Bits: []byte{0b10110000}},
+			HeartbeatMillis: 200, Reason: "welcome back"},
+		&Heartbeat{SessionID: 77},
+		&SubmitRound{SessionID: 77, Round: 5, BitCount: 5, Bits: []byte{0b10110000}},
 		&RoundResult{SessionID: 77, Round: 5, Status: RoundOK, Outcome: Outcome{
 			DownlinkPayload: []byte{0xAA, 0x55},
 			DetectionRange:  4.972, DetectionBin: 12, DetectionSNRdB: 33.1,
 			UplinkBits: []bool{true, false, true, true},
 			UplinkErr:  "radar: weak tone",
 		}},
-		&Goodbye{SessionID: 77, Seq: 14},
+		&Goodbye{SessionID: 77},
 		&Evict{SessionID: 77, Reason: "heartbeat deadline passed"},
 	}
 }
@@ -84,7 +84,7 @@ func TestSessionMessagesCorruption(t *testing.T) {
 // a session payload with extra bytes after its fields is truncated-class
 // garbage, not silently accepted.
 func TestSessionPayloadTrailingBytesRejected(t *testing.T) {
-	g := &Goodbye{SessionID: 1, Seq: 2}
+	g := &Goodbye{SessionID: 1}
 	if err := g.decodePayload(append(g.appendPayload(nil), 0xFF)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
