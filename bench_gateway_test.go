@@ -30,7 +30,7 @@ func BenchmarkGateway(b *testing.B) {
 			echo := func(round uint64, bits map[uint8][]bool) (map[uint8]netio.Outcome, error) {
 				out := make(map[uint8]netio.Outcome, len(bits))
 				for tagID, bs := range bits {
-					out[tagID] = netio.Outcome{UplinkBits: bs, DetectionBin: int32(round)}
+					out[tagID] = netio.Outcome{UplinkBits: bs, DetectionBin: int(round)}
 				}
 				return out, nil
 			}

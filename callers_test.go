@@ -54,9 +54,6 @@ var testOnlyCallers = map[string]string{
 	"dsp.RMS":                    "observes signal level",
 	"packet.Config.PacketChirps": "observes frame length",
 
-	// Comparators that tests assert with.
-	"netio.Outcome.Equal": "bit-exact outcome check of the gateway, chaos and service tests",
-
 	// Reported by the root benchmarks.
 	"eval.BERCounter.FloorRate": "bench_test.go reports it",
 }

@@ -121,10 +121,6 @@ func serveGateway(sf *netio.ServiceFlags, faults *netio.NetFaultProfile, o optio
 		return err
 	}
 	defer s.Close()
-	for ni, rec := range s.Recorders {
-		rec.SetMeta("tool", "biscatter-radar gateway")
-		rec.SetMeta("network", fmt.Sprint(ni))
-	}
 	if o.debugAddr != "" {
 		ln, derr := telemetry.ServeDebugConfig(o.debugAddr, telemetry.DebugConfig{
 			Metrics: metrics,

@@ -207,7 +207,6 @@ func runRecord(args []string) int {
 		fmt.Fprintf(os.Stderr, "record: %v\n", err)
 		return 1
 	}
-	rec.SetMeta("tool", "biscatter-sim record")
 	start := time.Now()
 	for i := 0; i < *rounds; i++ {
 		payload := core.RandomPayload(*seed+int64(i)*977, *payloadLen)
@@ -303,7 +302,6 @@ func runChaos(args []string) int {
 	fmt.Printf("chaos: %d tags × %d rounds over loopback %s in %.1fs (%d faults injected, %d session retries)\n",
 		pt.Tags, pt.Rounds, sf.Transport, pt.Elapsed.Seconds(), pt.FaultsInjected, pt.GatewayRetries+pt.ClientRetries)
 	if *out != "" {
-		pt.Record.Meta = map[string]string{"tool": "biscatter-sim chaos"}
 		if err := trace.SaveExchange(*out, pt.Record); err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			return 1

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"biscatter/internal/channel"
 	"biscatter/internal/mac"
+	"biscatter/internal/netio"
 	"biscatter/internal/telemetry"
 	"biscatter/internal/trace"
 )
@@ -104,17 +104,11 @@ func (r *ExchangeRecorder) Network() *Network { return r.net }
 // recorder's state; Save it (trace.SaveExchange) before recording more.
 func (r *ExchangeRecorder) Record() *trace.ExchangeRecord { return &r.rec }
 
-// SetMeta attaches one free-form annotation to the record.
-func (r *ExchangeRecorder) SetMeta(key, value string) {
-	if r.rec.Meta == nil {
-		r.rec.Meta = map[string]string{}
-	}
-	r.rec.Meta[key] = value
-}
-
 // captureInput deep-copies one round's inputs (callers may reuse payload
-// and bit buffers between rounds).
-func captureInput(payload []byte, uplinkBits map[int][]bool, eo exchangeOptions, scheduled bool) trace.RoundInput {
+// and bit buffers between rounds). Uplink bits go into a slice indexed by
+// node; entries no exchange reads (empty, or outside the network) are
+// dropped, so inputs that run the same round record the same bytes.
+func (r *ExchangeRecorder) captureInput(payload []byte, uplinkBits map[int][]bool, eo exchangeOptions, scheduled bool) trace.RoundInput {
 	in := trace.RoundInput{
 		Payload:   append([]byte(nil), payload...),
 		MinChirps: eo.minChirps,
@@ -123,49 +117,47 @@ func captureInput(payload []byte, uplinkBits map[int][]bool, eo exchangeOptions,
 	if eo.active != nil {
 		in.Active = append([]int(nil), eo.active...)
 	}
-	if uplinkBits != nil {
-		in.UplinkBits = make(map[int][]bool, len(uplinkBits))
-		for i, bits := range uplinkBits {
-			in.UplinkBits[i] = append([]bool(nil), bits...)
+	nodes := len(r.rec.Spec.Nodes)
+	for i, bits := range uplinkBits {
+		if i < 0 || i >= nodes || len(bits) == 0 {
+			continue
 		}
+		if in.UplinkBits == nil {
+			in.UplinkBits = make([][]bool, nodes)
+		}
+		in.UplinkBits[i] = append([]bool(nil), bits...)
 	}
 	return in
 }
 
-// outcomesFromNodes digests per-node results for replay comparison.
-func outcomesFromNodes(nodes []NodeResult) []trace.NodeOutcome {
-	out := make([]trace.NodeOutcome, len(nodes))
+// outcomesFromNodes digests per-node results, deep-copying their slices.
+func outcomesFromNodes(nodes []NodeResult) []netio.Outcome {
+	out := make([]netio.Outcome, len(nodes))
 	for i, nr := range nodes {
-		out[i] = nodeOutcome(nr)
+		o := &out[i]
+		*o = netio.Outcome{
+			DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
+			DetectionRange:  nr.Detection.Range,
+			DetectionBin:    nr.Detection.Bin,
+			DetectionSNRdB:  nr.Detection.SNRdB,
+			UplinkBits:      append([]bool(nil), nr.UplinkBits...),
+		}
+		if nr.DownlinkErr != nil {
+			o.DownlinkErr = nr.DownlinkErr.Error()
+		}
+		if nr.DetectionErr != nil {
+			o.DetectionErr = nr.DetectionErr.Error()
+		}
+		if nr.UplinkErr != nil {
+			o.UplinkErr = nr.UplinkErr.Error()
+		}
 	}
 	return out
-}
-
-// nodeOutcome digests one node's result, deep-copying its slices.
-func nodeOutcome(nr NodeResult) trace.NodeOutcome {
-	o := trace.NodeOutcome{
-		DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
-		DetectionRange:  nr.Detection.Range,
-		DetectionBin:    nr.Detection.Bin,
-		DetectionSNRdB:  nr.Detection.SNRdB,
-		UplinkBits:      append([]bool(nil), nr.UplinkBits...),
-	}
-	if nr.DownlinkErr != nil {
-		o.DownlinkErr = nr.DownlinkErr.Error()
-	}
-	if nr.DetectionErr != nil {
-		o.DetectionErr = nr.DetectionErr.Error()
-	}
-	if nr.UplinkErr != nil {
-		o.UplinkErr = nr.UplinkErr.Error()
-	}
-	return o
 }
 
 // record appends one finished round.
 func (r *ExchangeRecorder) record(in trace.RoundInput, seq uint64, nodes []NodeResult, err error) {
 	round := trace.RoundRecord{
-		Seq:        seq,
 		ExchangeID: telemetry.NewExchangeID(r.net.cfg.Seed, r.net.cfg.NetworkID, seq).String(),
 		Input:      in,
 	}
@@ -179,7 +171,7 @@ func (r *ExchangeRecorder) record(in trace.RoundInput, seq uint64, nodes []NodeR
 
 // Exchange runs one recorded round on the wrapped network.
 func (r *ExchangeRecorder) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
-	in := captureInput(payload, uplinkBits, collectExchangeOptions(opts), false)
+	in := r.captureInput(payload, uplinkBits, collectExchangeOptions(opts), false)
 	seq := r.net.seq
 	res, err := r.net.Exchange(payload, uplinkBits, opts...)
 	var nodes []NodeResult
@@ -194,7 +186,7 @@ func (r *ExchangeRecorder) Exchange(payload []byte, uplinkBits map[int][]bool, o
 // network. The cycle consumes one exchange sequence number per frame group;
 // the round record carries the first.
 func (r *ExchangeRecorder) ExchangeScheduled(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	in := captureInput(payload, uplinkBits, collectExchangeOptions(opts), true)
+	in := r.captureInput(payload, uplinkBits, collectExchangeOptions(opts), true)
 	seq := r.net.seq
 	res, err := r.net.ExchangeScheduled(payload, uplinkBits, opts...)
 	var nodes []NodeResult
@@ -209,10 +201,9 @@ func (r *ExchangeRecorder) ExchangeScheduled(payload []byte, uplinkBits map[int]
 type ReplayMismatch struct {
 	// Round indexes into the record's Rounds.
 	Round int
-	// Field names what diverged ("exchange_id", "err", "node 2 uplink_bits").
-	Field string
-	// Want and Got render the recorded and replayed values.
-	Want, Got string
+	// FieldDiff names what diverged ("exchange_id", "err", "node 2
+	// uplink_bits") and renders the recorded and replayed values.
+	netio.FieldDiff
 }
 
 func (m ReplayMismatch) String() string {
@@ -251,82 +242,57 @@ func ReplayRecord(rec *trace.ExchangeRecord, opts ...Option) (*ReplayReport, err
 		report.Rounds++
 		gotID := telemetry.NewExchangeID(net.cfg.Seed, net.cfg.NetworkID, net.seq).String()
 		if gotID != round.ExchangeID {
-			report.add(ri, "exchange_id", round.ExchangeID, gotID)
+			report.add(ri, "", netio.FieldDiff{Field: "exchange_id", Want: round.ExchangeID, Got: gotID})
 		}
 		in := round.Input
 		opt := func(o *exchangeOptions) { o.minChirps, o.active = in.MinChirps, in.Active }
+		bits := make(map[int][]bool, len(in.UplinkBits))
+		for i, b := range in.UplinkBits {
+			bits[i] = b
+		}
 		var nodes []NodeResult
 		var rerr error
 		if in.Scheduled {
 			var res *ScheduledResult
-			res, rerr = net.ExchangeScheduled(in.Payload, in.UplinkBits, opt)
+			res, rerr = net.ExchangeScheduled(in.Payload, bits, opt)
 			if res != nil {
 				nodes = res.Nodes
 			}
 		} else {
 			var res *ExchangeResult
-			res, rerr = net.Exchange(in.Payload, in.UplinkBits, opt)
+			res, rerr = net.Exchange(in.Payload, bits, opt)
 			if res != nil {
 				nodes = res.Nodes
 			}
 		}
-		gotErr := ""
+		// The round-level error compares as an outcome's Err.
+		got := netio.Outcome{}
 		if rerr != nil {
-			gotErr = rerr.Error()
+			got.Err = rerr.Error()
 		}
-		if gotErr != round.Err {
-			report.add(ri, "err", quoteOr(round.Err), quoteOr(gotErr))
+		if d := (netio.Outcome{Err: round.Err}).Diff(got); d != nil {
+			report.add(ri, "", d...)
 			continue
 		}
 		if rerr != nil {
 			continue // both failed identically; no outcomes to compare
 		}
-		got := outcomesFromNodes(nodes)
-		if len(got) != len(round.Outcomes) {
-			report.add(ri, "node count", fmt.Sprint(len(round.Outcomes)), fmt.Sprint(len(got)))
+		outs := outcomesFromNodes(nodes)
+		if len(outs) != len(round.Outcomes) {
+			report.add(ri, "", netio.FieldDiff{Field: "node count", Want: fmt.Sprint(len(round.Outcomes)), Got: fmt.Sprint(len(outs))})
 			continue
 		}
-		for i := range got {
-			compareOutcome(report, ri, i, round.Outcomes[i], got[i])
+		for i, o := range outs {
+			report.add(ri, fmt.Sprintf("node %d ", i), round.Outcomes[i].Diff(o)...)
 		}
 	}
 	return report, nil
 }
 
-func (r *ReplayReport) add(round int, field, want, got string) {
-	r.Mismatches = append(r.Mismatches, ReplayMismatch{Round: round, Field: field, Want: want, Got: got})
-}
-
-func quoteOr(s string) string {
-	if s == "" {
-		return "<nil>"
-	}
-	return fmt.Sprintf("%q", s)
-}
-
-// compareOutcome pins every field of one node's recorded vs replayed
-// digest. Floats compare bit-exact: the pipeline is deterministic, so any
-// drift is a real divergence.
-func compareOutcome(r *ReplayReport, round, node int, want, got trace.NodeOutcome) {
-	pre := fmt.Sprintf("node %d ", node)
-	if string(want.DownlinkPayload) != string(got.DownlinkPayload) {
-		r.add(round, pre+"downlink_payload", fmt.Sprintf("%x", want.DownlinkPayload), fmt.Sprintf("%x", got.DownlinkPayload))
-	}
-	if want.DownlinkErr != got.DownlinkErr {
-		r.add(round, pre+"downlink_err", quoteOr(want.DownlinkErr), quoteOr(got.DownlinkErr))
-	}
-	if want.DetectionRange != got.DetectionRange || want.DetectionBin != got.DetectionBin || want.DetectionSNRdB != got.DetectionSNRdB {
-		r.add(round, pre+"detection",
-			fmt.Sprintf("(%v m, bin %d, %v dB)", want.DetectionRange, want.DetectionBin, want.DetectionSNRdB),
-			fmt.Sprintf("(%v m, bin %d, %v dB)", got.DetectionRange, got.DetectionBin, got.DetectionSNRdB))
-	}
-	if want.DetectionErr != got.DetectionErr {
-		r.add(round, pre+"detection_err", quoteOr(want.DetectionErr), quoteOr(got.DetectionErr))
-	}
-	if !slices.Equal(want.UplinkBits, got.UplinkBits) {
-		r.add(round, pre+"uplink_bits", fmt.Sprint(want.UplinkBits), fmt.Sprint(got.UplinkBits))
-	}
-	if want.UplinkErr != got.UplinkErr {
-		r.add(round, pre+"uplink_err", quoteOr(want.UplinkErr), quoteOr(got.UplinkErr))
+// add records one mismatch per differing field, its name prefixed.
+func (r *ReplayReport) add(round int, prefix string, diffs ...netio.FieldDiff) {
+	for _, d := range diffs {
+		d.Field = prefix + d.Field
+		r.Mismatches = append(r.Mismatches, ReplayMismatch{Round: round, FieldDiff: d})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,6 +83,57 @@ func TestReplayByteEqualAcrossPresets(t *testing.T) {
 				Seed:   41,
 			}, 2)
 			replayMustMatch(t, rec)
+		})
+	}
+}
+
+// TestCommittedRecordsReplay replays the record committed per radar preset
+// under testdata/records (2 nodes, 3 rounds): each must replay with no
+// mismatch, a cross-version oracle for the whole round beside the golden
+// vectors, and re-encode to exactly its committed bytes. Run with -update
+// to rewrite them after an intentional change to the round or the format.
+func TestCommittedRecordsReplay(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		preset fmcw.Preset
+	}{
+		{"9ghz.bsctrace", fmcw.Radar9GHz()},
+		{"24ghz.bsctrace", fmcw.Radar24GHz()},
+	} {
+		t.Run(tc.preset.Name, func(t *testing.T) {
+			path := filepath.Join("testdata", "records", tc.file)
+			if *updateGolden {
+				rec := recordRounds(t, Config{
+					Preset: tc.preset,
+					Nodes:  []NodeConfig{{ID: 1, Range: 2.2}, {ID: 2, Range: 3.7}},
+					Seed:   23,
+				}, 3)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := trace.SaveExchange(path, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing record %s (run go test -run TestCommittedRecordsReplay -update ./internal/core): %v", path, err)
+			}
+			rec, err := trace.ReadExchange(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Rounds) != 3 || len(rec.Spec.Nodes) != 2 {
+				t.Fatalf("%s holds %d rounds of %d nodes, want 3 of 2", path, len(rec.Rounds), len(rec.Spec.Nodes))
+			}
+			replayMustMatch(t, rec)
+			var got bytes.Buffer
+			if err := trace.WriteExchange(&got, rec); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s re-encodes to %d bytes that differ from its %d committed bytes", path, got.Len(), len(want))
+			}
 		})
 	}
 }

@@ -125,11 +125,11 @@ func (m *GatewayMux) GroupOf(tagID uint8) int {
 // ExchangeFunc returns the netio.ExchangeFunc driving the mux: it
 // partitions each round's submissions per member network, runs the involved
 // members (inline when one is involved, one goroutine each when several
-// are), and digests per-node results into wire outcomes. When a single
-// member is involved and its exchange fails, the error is returned
-// round-level (every submitter gets RoundError); with several members
-// involved, one member's failure becomes per-tag error outcomes so a
-// healthy network's tags still get results.
+// are), and answers each tag with the outcome its member's recorder just
+// digested. When a single member is involved and its exchange fails, the
+// error is returned round-level (every submitter gets RoundError); with
+// several members involved, one member's failure becomes per-tag error
+// outcomes so a healthy network's tags still get results.
 func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 	return func(round uint64, uplinkBits map[uint8][]bool) (map[uint8]netio.Outcome, error) {
 		outcomes := make(map[uint8]netio.Outcome, len(uplinkBits))
@@ -152,19 +152,19 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 		}
 		payload := m.payload(round)
 
-		nodeResults := make([][]NodeResult, len(m.nets))
+		nodeOuts := make([][]netio.Outcome, len(m.nets))
 		errs := make([]error, len(m.nets))
 		var wg sync.WaitGroup
 		for ni := range m.nets {
 			switch {
 			case perNet[ni] == nil:
 			case involved == 1:
-				nodeResults[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
+				nodeOuts[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
 			default:
 				wg.Add(1)
 				go func(ni int) {
 					defer wg.Done()
-					nodeResults[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
+					nodeOuts[ni], errs[ni] = m.runMember(ni, payload, perNet[ni])
 				}(ni)
 			}
 		}
@@ -176,7 +176,7 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 			}
 			switch err := errs[t.net]; {
 			case err == nil:
-				outcomes[tagID] = digestOutcome(nodeResults[t.net][t.node])
+				outcomes[tagID] = nodeOuts[t.net][t.node]
 			case involved == 1:
 				return nil, err
 			default:
@@ -189,8 +189,9 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 
 // runMember runs one member's round: the submitted subset of its nodes,
 // through the recorder, scheduled when the network has a frame schedule,
-// and through the member's fleet handle when it has one.
-func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]NodeResult, error) {
+// and through the member's fleet handle when it has one. It returns the
+// per-node outcomes the recorder appended, so each round is digested once.
+func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]netio.Outcome, error) {
 	mn := m.nets[ni]
 	active := make([]int, 0, len(bits))
 	for idx := range bits {
@@ -206,27 +207,25 @@ func (m *GatewayMux) runMember(ni int, payload []byte, bits map[int][]bool) ([]N
 		// unattended groups are skipped.
 		opts = append(opts, WithActiveNodes(active...))
 	}
-	var nodes []NodeResult
-	exec := func(context.Context, *Network) error {
+	exec := func(context.Context, *Network) (err error) {
 		if mn.sched != nil {
-			res, err := mn.rec.ExchangeScheduled(payload, bits, opts...)
-			if err == nil {
-				nodes = res.Nodes
-			}
-			return err
-		}
-		res, err := mn.rec.Exchange(payload, bits, opts...)
-		if err == nil {
-			nodes = res.Nodes
+			_, err = mn.rec.ExchangeScheduled(payload, bits, opts...)
+		} else {
+			_, err = mn.rec.Exchange(payload, bits, opts...)
 		}
 		return err
 	}
+	var err error
 	if mn.handle != nil {
-		err := mn.handle.Do(context.Background(), exec)
-		return nodes, err
+		err = mn.handle.Do(context.Background(), exec)
+	} else {
+		err = exec(nil, nil)
 	}
-	err := exec(nil, nil)
-	return nodes, err
+	if err != nil {
+		return nil, err
+	}
+	rounds := mn.rec.rec.Rounds
+	return rounds[len(rounds)-1].Outcomes, nil
 }
 
 // Deployment describes a served deployment for Serve.
@@ -371,21 +370,6 @@ func NewGatewayHandler(rec *ExchangeRecorder, payload func(round uint64) []byte)
 		return nil, err
 	}
 	return mux.ExchangeFunc(), nil
-}
-
-// digestOutcome is a node's record outcome in its wire form.
-func digestOutcome(nr NodeResult) netio.Outcome {
-	o := nodeOutcome(nr)
-	return netio.Outcome{
-		DownlinkPayload: o.DownlinkPayload,
-		DownlinkErr:     o.DownlinkErr,
-		DetectionRange:  o.DetectionRange,
-		DetectionBin:    int32(o.DetectionBin),
-		DetectionSNRdB:  o.DetectionSNRdB,
-		DetectionErr:    o.DetectionErr,
-		UplinkBits:      o.UplinkBits,
-		UplinkErr:       o.UplinkErr,
-	}
 }
 
 // layoutTones is the validated 4-pair uplink tone table: every pair sits

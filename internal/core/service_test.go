@@ -1,10 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
-	"biscatter/internal/netio"
+	"biscatter/internal/trace"
 )
 
 func serviceRecorder(t *testing.T) *ExchangeRecorder {
@@ -31,7 +32,7 @@ func servicePayload(round uint64) []byte { return RandomPayload(int64(round), 2)
 
 // TestGatewayHandlerDigestsOutcomes pins that the handler's wire outcomes
 // are the same digest the replay layer captures: for a full-fleet round,
-// each tag's Outcome equals the recorded NodeOutcome field for field.
+// each tag's Outcome equals the recorded one field for field.
 func TestGatewayHandlerDigestsOutcomes(t *testing.T) {
 	rec := serviceRecorder(t)
 	fn, err := NewGatewayHandler(rec, servicePayload)
@@ -56,19 +57,9 @@ func TestGatewayHandlerDigestsOutcomes(t *testing.T) {
 		t.Fatalf("full-fleet round recorded active set %v, want nil", record.Rounds[0].Input.Active)
 	}
 	for idx, tag := range []uint8{1, 2} {
-		ro := record.Rounds[0].Outcomes[idx]
-		want := netio.Outcome{
-			DownlinkPayload: ro.DownlinkPayload,
-			DownlinkErr:     ro.DownlinkErr,
-			DetectionRange:  ro.DetectionRange,
-			DetectionBin:    int32(ro.DetectionBin),
-			DetectionSNRdB:  ro.DetectionSNRdB,
-			DetectionErr:    ro.DetectionErr,
-			UplinkBits:      ro.UplinkBits,
-			UplinkErr:       ro.UplinkErr,
-		}
-		if !out[tag].Equal(want) {
-			t.Fatalf("tag %d outcome diverged from record:\n got %+v\nwant %+v", tag, out[tag], want)
+		want := record.Rounds[0].Outcomes[idx]
+		if d := want.Diff(out[tag]); d != nil {
+			t.Fatalf("tag %d outcome diverged from record: %v\n got %+v\nwant %+v", tag, d, out[tag], want)
 		}
 	}
 }
@@ -191,5 +182,51 @@ func TestLayoutTagsRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("LayoutTags(%d, %d, %d) = %v, want an error naming %s", tc.n, tc.capacity, tc.idBase, err, tc.want)
 		}
+	}
+}
+
+// TestGatewayMuxRecordsReproducible drives a two-member mux's ExchangeFunc
+// in-process twice, each time from fresh networks: member 1's saved
+// records must be the same bytes, whatever order its uplink bits came in.
+func TestGatewayMuxRecordsReproducible(t *testing.T) {
+	run := func() []byte {
+		var members []GatewayMember
+		for ni := 0; ni < 2; ni++ {
+			nodes, _, err := LayoutTags(2, 0, 2*ni)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := NewNetwork(Config{Nodes: nodes, Seed: 31 + int64(ni), NetworkID: ni, ChirpsPerBit: 16, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewExchangeRecorder(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members = append(members, GatewayMember{Recorder: rec})
+		}
+		mux, err := NewGatewayMux(servicePayload, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn := mux.ExchangeFunc()
+		for round := uint64(0); round < 2; round++ {
+			bits := make(map[uint8][]bool)
+			for tag := uint8(1); tag <= 4; tag++ {
+				bits[tag] = []bool{round%2 == 0, tag%2 == 0, true}
+			}
+			if _, err := fn(round, bits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteExchange(&buf, members[1].Recorder.Record()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if first, second := run(), run(); !bytes.Equal(first, second) {
+		t.Fatalf("two recordings of member 1 differ (%d and %d bytes)", len(first), len(second))
 	}
 }

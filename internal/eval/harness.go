@@ -11,19 +11,6 @@ import (
 	"biscatter/internal/parallel"
 )
 
-// Point is one (x, y) sample of a series.
-type Point struct {
-	X, Y float64
-}
-
-// Series is a named curve — one line of a paper figure.
-type Series struct {
-	// Name labels the curve (e.g. "1 GHz bandwidth").
-	Name string
-	// Points are the samples in x order.
-	Points []Point
-}
-
 // Table is a rendered result table.
 type Table struct {
 	// Title names the table.

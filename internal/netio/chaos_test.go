@@ -49,21 +49,6 @@ func tagBits(tag uint8, round uint64) []bool {
 	return bits
 }
 
-// wireOutcome converts a recorded trace.NodeOutcome into its wire digest so
-// client-observed outcomes can be compared byte-for-byte with the record.
-func wireOutcome(o trace.NodeOutcome) netio.Outcome {
-	return netio.Outcome{
-		DownlinkPayload: append([]byte(nil), o.DownlinkPayload...),
-		DownlinkErr:     o.DownlinkErr,
-		DetectionRange:  o.DetectionRange,
-		DetectionBin:    int32(o.DetectionBin),
-		DetectionSNRdB:  o.DetectionSNRdB,
-		DetectionErr:    o.DetectionErr,
-		UplinkBits:      append([]bool(nil), o.UplinkBits...),
-		UplinkErr:       o.UplinkErr,
-	}
-}
-
 // chaosProfile is the acceptance fault duty: ≤ 0.1 drop plus reordering,
 // duplication and corruption, seeded per endpoint so the run replays.
 func chaosProfile(seed int64) *netio.NetFaultProfile {
@@ -211,10 +196,10 @@ func TestChaosConformance(t *testing.T) {
 			if rr.Input.Active != nil {
 				t.Fatalf("round %d ran with a partial fleet %v", res.Round, rr.Input.Active)
 			}
-			want := wireOutcome(rr.Outcomes[i])
-			if !res.Outcome.Equal(want) {
-				t.Fatalf("tag %d round %d outcome diverged from record:\n got %+v\nwant %+v",
-					i+1, res.Round, res.Outcome, want)
+			want := rr.Outcomes[i]
+			if d := want.Diff(res.Outcome); d != nil {
+				t.Fatalf("tag %d round %d outcome diverged from record: %v\n got %+v\nwant %+v",
+					i+1, res.Round, d, res.Outcome, want)
 			}
 		}
 	}

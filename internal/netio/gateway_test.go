@@ -20,7 +20,7 @@ func echoExchange(round uint64, bits map[uint8][]bool) (map[uint8]Outcome, error
 	for tagID, b := range bits {
 		out[tagID] = Outcome{
 			DownlinkPayload: []byte{byte(round), tagID},
-			DetectionBin:    int32(round),
+			DetectionBin:    int(round),
 			UplinkBits:      append([]bool(nil), b...),
 		}
 	}
@@ -103,9 +103,9 @@ func TestGatewayServesRounds(t *testing.T) {
 					return
 				}
 				want := Outcome{DownlinkPayload: []byte{byte(round), tagID},
-					DetectionBin: int32(round), UplinkBits: bits}
-				if !rr.Outcome.Equal(want) {
-					tagErr[i] = fmt.Errorf("round %d outcome %+v, want %+v", round, rr.Outcome, want)
+					DetectionBin: int(round), UplinkBits: bits}
+				if d := want.Diff(rr.Outcome); d != nil {
+					tagErr[i] = fmt.Errorf("round %d outcome %+v, want %+v: %v", round, rr.Outcome, want, d)
 					return
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ProtocolVersion is the session-protocol revision spoken by Gateway and
@@ -335,20 +336,25 @@ func (s RoundStatus) String() string {
 	}
 }
 
-// Outcome is one tag's exchange digest — the wire mirror of
-// trace.NodeOutcome, the same fields the record/replay layer pins
-// byte-for-byte. Errors travel as strings (they crossed a process boundary;
-// identity is textual, exactly as in replay comparison).
+// Outcome is one node's exchange digest, and the only one: the gateway
+// sends it, a trace.RoundRecord stores one per node, and replay compares
+// the recorded and replayed digests with Diff. Decoded bytes and bits are
+// verbatim, detection coordinates bit-exact, and errors travel as strings
+// (they cross a process boundary; identity is textual). Diagnostics are
+// left out: they describe a round, they are not part of its determinism
+// contract.
 type Outcome struct {
-	// Err is a per-tag round-level error ("" = none).
+	// Err is a per-tag round-level error ("" = none). It is always empty
+	// in a record, which keeps a failed round's error in RoundRecord.Err.
 	Err string
 	// DownlinkPayload is what the tag's decoder produced.
 	DownlinkPayload []byte
 	// DownlinkErr is the downlink decode failure, if any.
 	DownlinkErr string
 	// DetectionRange/Bin/SNRdB are the radar's localization of this tag.
+	// The wire carries the bin as 32 bits.
 	DetectionRange float64
-	DetectionBin   int32
+	DetectionBin   int
 	DetectionSNRdB float64
 	// DetectionErr is the localization failure, if any.
 	DetectionErr string
@@ -358,28 +364,49 @@ type Outcome struct {
 	UplinkErr string
 }
 
-// Equal reports field-for-field (bit-exact) equality.
-func (o Outcome) Equal(b Outcome) bool {
-	if o.Err != b.Err || o.DownlinkErr != b.DownlinkErr ||
-		o.DetectionErr != b.DetectionErr || o.UplinkErr != b.UplinkErr {
-		return false
-	}
-	if string(o.DownlinkPayload) != string(b.DownlinkPayload) {
-		return false
-	}
-	if o.DetectionRange != b.DetectionRange || o.DetectionBin != b.DetectionBin ||
-		o.DetectionSNRdB != b.DetectionSNRdB {
-		return false
-	}
-	if len(o.UplinkBits) != len(b.UplinkBits) {
-		return false
-	}
-	for i := range o.UplinkBits {
-		if o.UplinkBits[i] != b.UplinkBits[i] {
-			return false
+// FieldDiff is one field on which two outcomes differ.
+type FieldDiff struct {
+	// Field names it ("downlink_payload", "detection", "uplink_err").
+	Field string
+	// Want and Got render the two values.
+	Want, Got string
+}
+
+// Diff compares o (the recorded digest) with got field by field and lists
+// every field that differs; nil means the two are equal. Floats compare
+// exactly: the pipeline is deterministic, so any drift is a divergence.
+func (o Outcome) Diff(got Outcome) []FieldDiff {
+	var d []FieldDiff
+	str := func(field, want, got string) {
+		if want != got {
+			d = append(d, FieldDiff{field, quoteOr(want), quoteOr(got)})
 		}
 	}
-	return true
+	str("err", o.Err, got.Err)
+	if string(o.DownlinkPayload) != string(got.DownlinkPayload) {
+		d = append(d, FieldDiff{"downlink_payload", fmt.Sprintf("%x", o.DownlinkPayload), fmt.Sprintf("%x", got.DownlinkPayload)})
+	}
+	str("downlink_err", o.DownlinkErr, got.DownlinkErr)
+	if o.DetectionRange != got.DetectionRange || o.DetectionBin != got.DetectionBin || o.DetectionSNRdB != got.DetectionSNRdB {
+		d = append(d, FieldDiff{"detection", o.detection(), got.detection()})
+	}
+	str("detection_err", o.DetectionErr, got.DetectionErr)
+	if !slices.Equal(o.UplinkBits, got.UplinkBits) {
+		d = append(d, FieldDiff{"uplink_bits", fmt.Sprint(o.UplinkBits), fmt.Sprint(got.UplinkBits)})
+	}
+	str("uplink_err", o.UplinkErr, got.UplinkErr)
+	return d
+}
+
+func (o Outcome) detection() string {
+	return fmt.Sprintf("(%v m, bin %d, %v dB)", o.DetectionRange, o.DetectionBin, o.DetectionSNRdB)
+}
+
+func quoteOr(s string) string {
+	if s == "" {
+		return "<nil>"
+	}
+	return fmt.Sprintf("%q", s)
 }
 
 func (o Outcome) appendPayload(dst []byte) []byte {
@@ -402,7 +429,7 @@ func (o *Outcome) decode(r *wireReader) error {
 	o.DownlinkPayload = r.bytes16()
 	o.DownlinkErr = r.str()
 	o.DetectionRange = r.f64()
-	o.DetectionBin = int32(r.u32())
+	o.DetectionBin = int(int32(r.u32()))
 	o.DetectionSNRdB = r.f64()
 	o.DetectionErr = r.str()
 	count := r.u16()

@@ -119,22 +119,28 @@ func TestSubmitRoundBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutcomeEqual pins the one outcome comparison: equal outcomes have no
+// differing fields, and each single-field change is reported under that
+// field's name.
 func TestOutcomeEqual(t *testing.T) {
 	a := Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true}}
-	if !a.Equal(a) {
-		t.Fatal("identical outcomes must be equal")
+	if d := a.Diff(a); d != nil {
+		t.Fatalf("identical outcomes differ: %v", d)
 	}
-	cases := []Outcome{
-		{DownlinkPayload: []byte{2}, DetectionRange: 2.5, UplinkBits: []bool{true}},
-		{DownlinkPayload: []byte{1}, DetectionRange: 2.6, UplinkBits: []bool{true}},
-		{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{false}},
-		{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true, true}},
-		{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true}, UplinkErr: "x"},
-		{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true}, Err: "x"},
+	cases := []struct {
+		b     Outcome
+		field string
+	}{
+		{Outcome{DownlinkPayload: []byte{2}, DetectionRange: 2.5, UplinkBits: []bool{true}}, "downlink_payload"},
+		{Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.6, UplinkBits: []bool{true}}, "detection"},
+		{Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{false}}, "uplink_bits"},
+		{Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true, true}}, "uplink_bits"},
+		{Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true}, UplinkErr: "x"}, "uplink_err"},
+		{Outcome{DownlinkPayload: []byte{1}, DetectionRange: 2.5, UplinkBits: []bool{true}, Err: "x"}, "err"},
 	}
-	for i, b := range cases {
-		if a.Equal(b) {
-			t.Fatalf("case %d: outcomes must differ", i)
+	for i, c := range cases {
+		if d := a.Diff(c.b); len(d) != 1 || d[0].Field != c.field {
+			t.Fatalf("case %d: diff %v, want one %s field", i, d, c.field)
 		}
 	}
 }

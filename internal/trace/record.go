@@ -8,6 +8,7 @@ import (
 	"biscatter/internal/fault"
 	"biscatter/internal/fec"
 	"biscatter/internal/fmcw"
+	"biscatter/internal/netio"
 )
 
 // ExchangeRecord captures everything needed to re-run a sequence of
@@ -18,14 +19,13 @@ import (
 //
 // The file uses the BSCTRACE magic/version framing with kind "exchange",
 // so format drift fails loudly. Bumping the trace version invalidates old
-// records by design — a record that decodes must replay.
+// records by design — a record that decodes must replay. The record holds
+// no maps, so the same record always encodes to the same bytes.
 type ExchangeRecord struct {
 	// Spec reconstructs the network.
 	Spec ExchangeSpec
 	// Rounds holds the recorded exchanges in execution order.
 	Rounds []RoundRecord
-	// Meta carries free-form annotations (scenario name, host, notes).
-	Meta map[string]string
 }
 
 // ExchangeSpec is the flattened core.Config — every field that influences
@@ -72,8 +72,10 @@ type NodeSpec struct {
 type RoundInput struct {
 	// Payload is the downlink packet payload.
 	Payload []byte
-	// UplinkBits maps node index to that node's uplink bits.
-	UplinkBits map[int][]bool
+	// UplinkBits holds each node's uplink bits, indexed by node; a nil
+	// entry means no bits (the node modulates its beacon). Nil when no
+	// node had bits. A slice, not a map, so its encoding has one order.
+	UplinkBits [][]bool
 	// MinChirps is the WithMinChirps floor (zero = none).
 	MinChirps int
 	// Active lists the WithActiveNodes indices (nil = all nodes).
@@ -83,26 +85,9 @@ type RoundInput struct {
 	Scheduled bool
 }
 
-// NodeOutcome is the replay-comparable digest of one core.NodeResult:
-// decoded bytes and bits verbatim, detection coordinates bit-exact, errors
-// by message. Diagnostics are deliberately excluded — they are descriptive,
-// not part of the determinism contract.
-type NodeOutcome struct {
-	DownlinkPayload []byte
-	DownlinkErr     string
-	DetectionRange  float64
-	DetectionBin    int
-	DetectionSNRdB  float64
-	DetectionErr    string
-	UplinkBits      []bool
-	UplinkErr       string
-}
-
 // RoundRecord is one recorded exchange: identity, inputs, and what the live
 // run observed.
 type RoundRecord struct {
-	// Seq is the network's exchange sequence number for this round.
-	Seq uint64
 	// ExchangeID is the deterministic exchange identity (16 hex digits);
 	// replay must reproduce it exactly.
 	ExchangeID string
@@ -110,9 +95,10 @@ type RoundRecord struct {
 	Input RoundInput
 	// Err is the exchange-level error message ("" on success).
 	Err string
-	// Outcomes holds one entry per network node, in network order. Nil when
-	// the exchange failed before producing results.
-	Outcomes []NodeOutcome
+	// Outcomes holds one digest per network node, in network order, each
+	// with an empty Err. Nil when the exchange failed before producing
+	// results.
+	Outcomes []netio.Outcome
 }
 
 // WriteExchange writes an exchange record to w.

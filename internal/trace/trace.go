@@ -12,11 +12,27 @@ import (
 	"io"
 )
 
-// magic and version prefix every trace file.
+// magic and version prefix every trace file. A version-2 record holds no
+// maps, so its bytes are reproducible; a file of any other version is
+// refused with ErrBadHeader.
 const (
 	magic   = "BSCTRACE"
-	version = 1
+	version = 2
 )
+
+// Gob numbers each type the first time any encoder in the process sends
+// it, and writes those numbers into the stream, so a record's bytes would
+// depend on what else the process had gob-encoded before. Sending the
+// record's types once at start-up fixes their numbers.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	if err := enc.Encode(header{}); err != nil {
+		panic(err)
+	}
+	if err := enc.Encode(&ExchangeRecord{}); err != nil {
+		panic(err)
+	}
+}
 
 // ErrBadHeader means the file is not a trace file or has an incompatible
 // version.

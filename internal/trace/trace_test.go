@@ -42,7 +42,7 @@ func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rec := sampleRecord()
 	var other bytes.Buffer
-	if err := write(&other, "if", rec.Meta); err != nil {
+	if err := write(&other, "if", rec.Spec); err != nil {
 		t.Fatal(err)
 	}
 	otherPath := filepath.Join(dir, "other.bsctrace")

@@ -48,7 +48,8 @@ type legacyRecord struct {
 // those five fields: a file whose spec still holds them at the values every
 // program wrote (20 µs, 45 in, 500 Hz, 1 MHz, Goertzel) must load through
 // LoadExchangeRecord and replay with no mismatch, and decode to the same
-// record as the current format.
+// record as the current format. The file also carries the free-form Meta
+// annotations records held until version 2, which decoding skips.
 func TestLegacyRecordReplays(t *testing.T) {
 	net, err := NewNetwork(Config{
 		Nodes: []NodeConfig{{ID: 1, Range: 2.6}, {ID: 2, Range: 4.1}},
@@ -80,7 +81,7 @@ func TestLegacyRecordReplays(t *testing.T) {
 			DecoderMethod: 0, NetworkID: s.NetworkID,
 		},
 		Rounds: live.Rounds,
-		Meta:   live.Meta,
+		Meta:   map[string]string{"tool": "biscatter-sim record"},
 	}
 
 	dir := t.TempDir()
@@ -94,7 +95,7 @@ func TestLegacyRecordReplays(t *testing.T) {
 		Magic   string
 		Version int
 		Kind    string
-	}{"BSCTRACE", 1, "exchange"}
+	}{"BSCTRACE", 2, "exchange"}
 	if err := enc.Encode(header); err != nil {
 		t.Fatal(err)
 	}
